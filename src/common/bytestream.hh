@@ -132,6 +132,19 @@ class ByteReader
 
     bool b() { return u8() != 0; }
 
+    /**
+     * Read a u32 element count, rejecting it unless that many
+     * elements of at least @p elemBytes each fit in the bytes left —
+     * so a hostile count fails here instead of driving an allocation.
+     */
+    uint32_t
+    count(size_t elemBytes)
+    {
+        const uint32_t n = u32();
+        need(uint64_t{n} * elemBytes);
+        return n;
+    }
+
     double
     f64()
     {

@@ -49,13 +49,18 @@ Cpu::restoreState(ByteReader &in)
     for (uint64_t &r : regs_)
         r = in.u64();
     pending_.clear();
-    const uint32_t n = in.u32();
+    const uint32_t n = in.count(13); // bytes per saved write
     pending_.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
         Pending p;
         p.remaining = in.u32();
         p.reg = in.u8();
         p.value = in.u64();
+        if (p.remaining == 0 || p.remaining > kWriteDelay ||
+            p.reg == 0 || p.reg >= isa::kNumIntRegs)
+            fatal(ErrCode::BadSnapshot,
+                  "Cpu: delayed write with " + std::to_string(p.remaining) +
+                      " cycles left to r" + std::to_string(p.reg));
         pending_.push_back(p);
     }
     pc = in.u32();

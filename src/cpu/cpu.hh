@@ -29,6 +29,9 @@
 namespace mtfpu::cpu
 {
 
+/** Active cycles until a CPU load or mvfc result is visible. */
+constexpr unsigned kWriteDelay = 2;
+
 /** CPU state container. */
 class Cpu
 {

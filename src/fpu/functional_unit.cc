@@ -59,7 +59,7 @@ FunctionalUnits::restoreState(ByteReader &in)
 {
     inflight_.clear();
     retired_.clear();
-    const uint32_t n = in.u32();
+    const uint32_t n = in.count(23); // bytes per saved op
     inflight_.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
         PendingOp op;
@@ -69,6 +69,15 @@ FunctionalUnits::restoreState(ByteReader &in)
         op.flags = softfp::Flags::fromBits(in.u8());
         op.op = static_cast<isa::FpOp>(in.u8());
         op.seq = in.u64();
+        // An op is saved between 1 and latency_ stages from writeback;
+        // remaining == 0 would wrap in advance() and never retire.
+        if (op.remaining == 0 || op.remaining > latency_ ||
+            op.reg >= isa::kNumFpuRegs)
+            fatal(ErrCode::BadSnapshot,
+                  "FunctionalUnits: in-flight op with " +
+                      std::to_string(op.remaining) + " stages left to f" +
+                      std::to_string(op.reg) + " (latency " +
+                      std::to_string(latency_) + ")");
         inflight_.push_back(op);
     }
 }

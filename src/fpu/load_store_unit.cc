@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "common/log.hh"
 #include "fpu/register_file.hh"
+#include "isa/fpu_instr.hh"
 
 namespace mtfpu::fpu
 {
@@ -10,7 +12,8 @@ namespace mtfpu::fpu
 void
 LoadStoreUnit::issueLoad(unsigned reg, uint64_t value)
 {
-    pending_.push_back(PendingLoad{1, static_cast<uint8_t>(reg), value});
+    pending_.push_back(
+        PendingLoad{kLoadLatency, static_cast<uint8_t>(reg), value});
 }
 
 void
@@ -39,13 +42,19 @@ void
 LoadStoreUnit::restoreState(ByteReader &in)
 {
     pending_.clear();
-    const uint32_t n = in.u32();
+    const uint32_t n = in.count(13); // bytes per saved load
     pending_.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
         PendingLoad l;
         l.remaining = in.u32();
         l.reg = in.u8();
         l.value = in.u64();
+        if (l.remaining == 0 || l.remaining > kLoadLatency ||
+            l.reg >= isa::kNumFpuRegs)
+            fatal(ErrCode::BadSnapshot,
+                  "LoadStoreUnit: in-flight load with " +
+                      std::to_string(l.remaining) + " cycles left to f" +
+                      std::to_string(l.reg));
         pending_.push_back(l);
     }
 }

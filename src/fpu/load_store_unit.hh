@@ -57,6 +57,9 @@ class LoadStoreUnit
     void restoreState(ByteReader &in);
 
   private:
+    /** Active cycles from a load's issue to its register write. */
+    static constexpr unsigned kLoadLatency = 1;
+
     struct PendingLoad
     {
         unsigned remaining;

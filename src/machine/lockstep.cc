@@ -58,10 +58,7 @@ void
 LockstepChecker::arm()
 {
     interp_.loadProgram(machine_.program());
-    memory::MainMemory &src = machine_.mem();
-    memory::MainMemory &dst = interp_.mem();
-    for (uint64_t addr = 0; addr < src.size(); addr += 8)
-        dst.write64(addr, src.read64(addr));
+    interp_.mem().copyFrom(machine_.mem());
     // Setup hooks may preload registers before run() (e.g. a graphics
     // matrix in f0..f15); mirror them into the shadow.
     for (unsigned r = 1; r < isa::kNumIntRegs; ++r)
@@ -201,14 +198,10 @@ LockstepChecker::compareFinalState(uint64_t cycles)
     if (have_elems != interp_.fpElements())
         add("fp-element-count", have_elems, interp_.fpElements());
 
-    memory::MainMemory &a = machine_.mem();
-    memory::MainMemory &b = interp_.mem();
-    for (uint64_t addr = 0; addr < a.size(); addr += 8) {
-        const uint64_t have = a.read64(addr);
-        const uint64_t want = b.read64(addr);
-        if (have != want)
+    machine_.mem().forEachDifference(
+        interp_.mem(), [&](uint64_t addr, uint64_t have, uint64_t want) {
             add("mem[0x" + hex(addr) + "]", have, want);
-    }
+        });
 
     if (!report.deltas.empty() || report.deltasDropped)
         diverge(std::move(report));

@@ -487,7 +487,8 @@ Machine::tryCpuIssue(uint64_t cycle)
             return stallCpu(cycle);
         const uint64_t addr = cpu_.readReg(in.rs1) + in.imm64;
         const unsigned penalty = memsys_.dataAccess(addr, false);
-        cpu_.scheduleWrite(in.rd, memsys_.mem().read64(addr), 2);
+        cpu_.scheduleWrite(in.rd, memsys_.mem().read64(addr),
+                           cpu::kWriteDelay);
         memPortFreeAt_ = cycle + 1;
         if (penalty > 0)
             globalStall_ = penalty;
@@ -615,7 +616,8 @@ Machine::tryCpuIssue(uint64_t cycle)
             return stallCpu(cycle);
         if (!handleHazard(cycle, in.fr, false))
             return false;
-        cpu_.scheduleWrite(in.rd, fpu_.readForTransfer(in.fr), 2);
+        cpu_.scheduleWrite(in.rd, fpu_.readForTransfer(in.fr),
+                           cpu::kWriteDelay);
         break;
       }
       case Major::Halt:

@@ -84,7 +84,7 @@ assembler::Program
 restoreProgram(ByteReader &in)
 {
     assembler::Program program;
-    const uint32_t n = in.u32();
+    const uint32_t n = in.count(4); // bytes per encoded instruction
     program.code.reserve(n);
     for (uint32_t i = 0; i < n; ++i)
         program.code.push_back(isa::Instr::decode(in.u32()));

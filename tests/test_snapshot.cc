@@ -162,6 +162,162 @@ TEST(SnapshotContainer, RejectsUnknownVersion)
     }
 }
 
+/** Overwrite the little-endian u32 at @p at. */
+void
+putU32(std::vector<uint8_t> &bytes, size_t at, uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        bytes.at(at + i) = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/**
+ * Seal @p snap in a container with a fresh CRC, parse it back and
+ * restore it into a new machine: the path a hostile file that passes
+ * the CRC takes. Returns the BadSnapshot message, or "" on success.
+ */
+std::string
+restoreSealed(const snapshot::MachineSnapshot &snap)
+{
+    try {
+        const snapshot::MachineSnapshot back =
+            snapshot::deserialize(snapshot::serialize(snap));
+        machine::Machine m(back.config);
+        snapshot::restore(m, back);
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.code(), ErrCode::BadSnapshot) << err.what();
+        return err.what();
+    }
+    return "";
+}
+
+// Offsets into the state blob of a freshly loaded machine, where no
+// write, op or load is in flight and the ALU IR is empty: the Cpu's
+// registers then its pending-write count; the rest of the Cpu (pc,
+// redirect, halted); the FPU's registers and scoreboard bits, then
+// the functional units' count, the empty IR's flag byte and the
+// load/store unit's count.
+constexpr size_t kCpuPendingCount = isa::kNumIntRegs * 8;
+constexpr size_t kFuCount =
+    kCpuPendingCount + 4 + 10 + isa::kNumFpuRegs * 8 + 8;
+constexpr size_t kLsuCount = kFuCount + 4 + 1;
+
+/** A snapshot of smallMachine() before it runs, with the layout
+ *  above checked. */
+snapshot::MachineSnapshot
+idleSnapshot()
+{
+    snapshot::MachineSnapshot snap = snapshot::capture(smallMachine());
+    ByteReader cpu(snap.state.data() + kCpuPendingCount, 4);
+    ByteReader fu(snap.state.data() + kFuCount, 9);
+    EXPECT_EQ(cpu.u32(), 0u);
+    EXPECT_EQ(fu.u32(), 0u);
+    EXPECT_EQ(fu.u8(), 0u);
+    EXPECT_EQ(fu.u32(), 0u);
+    EXPECT_EQ(restoreSealed(snap), "");
+    return snap;
+}
+
+/** The truncation message a count of 0xffffffff elements of
+ *  @p elem_bytes each must produce. */
+std::string
+hostileCount(uint64_t elem_bytes)
+{
+    return "wanted " + std::to_string(uint64_t{0xffffffff} * elem_bytes) +
+           " bytes";
+}
+
+TEST(SnapshotHostile, CpuPendingWriteCountIsBounded)
+{
+    snapshot::MachineSnapshot snap = idleSnapshot();
+    putU32(snap.state, kCpuPendingCount, 0xffffffff);
+    EXPECT_NE(restoreSealed(snap).find(hostileCount(13)), std::string::npos);
+}
+
+TEST(SnapshotHostile, FunctionalUnitCountIsBounded)
+{
+    snapshot::MachineSnapshot snap = idleSnapshot();
+    putU32(snap.state, kFuCount, 0xffffffff);
+    EXPECT_NE(restoreSealed(snap).find(hostileCount(23)), std::string::npos);
+}
+
+TEST(SnapshotHostile, LoadStoreUnitCountIsBounded)
+{
+    snapshot::MachineSnapshot snap = idleSnapshot();
+    putU32(snap.state, kLsuCount, 0xffffffff);
+    EXPECT_NE(restoreSealed(snap).find(hostileCount(13)), std::string::npos);
+}
+
+TEST(SnapshotHostile, ProgramLengthIsBounded)
+{
+    const snapshot::MachineSnapshot snap = idleSnapshot();
+    std::vector<uint8_t> bytes = snapshot::serialize(snap);
+    // The container ends: program count, program words, state length,
+    // state bytes, CRC.
+    const size_t count = bytes.size() - 4 - snap.state.size() - 8 -
+                         4 * snap.program.code.size() - 4;
+    ASSERT_EQ(bytes[count], snap.program.code.size());
+    putU32(bytes, count, 0xffffffff);
+    putU32(bytes, bytes.size() - 4,
+           crc32(bytes.data(), bytes.size() - sizeof(uint32_t)));
+    try {
+        snapshot::deserialize(bytes);
+        FAIL() << "accepted a program of 2^32-1 instructions";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.code(), ErrCode::BadSnapshot);
+        EXPECT_NE(std::string(err.what()).find(hostileCount(4)),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST(SnapshotHostile, FunctionalUnitOpNeedsAStageLeft)
+{
+    // Splice one in-flight op into the idle state. With no stage left
+    // (remaining == 0) advance() would wrap it and it would never
+    // retire; the run would spin to maxCycles.
+    const auto withOp = [](uint32_t remaining) {
+        snapshot::MachineSnapshot snap = idleSnapshot();
+        ByteWriter op;
+        op.u32(remaining);
+        op.u8(1);  // f1
+        op.u64(0); // value
+        op.u8(0);  // flags
+        op.u8(0);  // add
+        op.u64(0); // seq
+        putU32(snap.state, kFuCount, 1);
+        snap.state.insert(snap.state.begin() + kFuCount + 4,
+                          op.data().begin(), op.data().end());
+        return snap;
+    };
+    EXPECT_EQ(restoreSealed(withOp(1)), "");
+    EXPECT_NE(restoreSealed(withOp(0)).find("0 stages left"),
+              std::string::npos);
+    EXPECT_NE(restoreSealed(withOp(machine::MachineConfig{}.fpuLatency + 1))
+                  .find("stages left"),
+              std::string::npos);
+}
+
+TEST(SnapshotHostile, DelayedWritesNeedACycleLeft)
+{
+    const auto withPending = [](size_t at, uint32_t remaining) {
+        snapshot::MachineSnapshot snap = idleSnapshot();
+        ByteWriter write;
+        write.u32(remaining);
+        write.u8(1); // r1 / f1
+        write.u64(7);
+        putU32(snap.state, at, 1);
+        snap.state.insert(snap.state.begin() + at + 4,
+                          write.data().begin(), write.data().end());
+        return snap;
+    };
+    EXPECT_EQ(restoreSealed(withPending(kCpuPendingCount, 2)), "");
+    EXPECT_NE(restoreSealed(withPending(kCpuPendingCount, 0)), "");
+    EXPECT_NE(restoreSealed(withPending(kCpuPendingCount, 3)), "");
+    EXPECT_EQ(restoreSealed(withPending(kLsuCount, 1)), "");
+    EXPECT_NE(restoreSealed(withPending(kLsuCount, 0)), "");
+    EXPECT_NE(restoreSealed(withPending(kLsuCount, 2)), "");
+}
+
 TEST(SnapshotContainer, RestoreRequiresMatchingConfig)
 {
     machine::Machine m = smallMachine();

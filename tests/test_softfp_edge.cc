@@ -185,6 +185,16 @@ struct FlagCase
     bool overflow, underflow, inexact, invalid, divByZero;
 };
 
+// Print the case by name. gtest's default dumps the object's bytes,
+// which include the address held in `name`; that address moves with
+// address-space randomisation on every run, and gtest_discover_tests
+// copies the printed value into the CTest test name.
+void
+PrintTo(const FlagCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class FlagTable : public ::testing::TestWithParam<FlagCase>
 {
 };
