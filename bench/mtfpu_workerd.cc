@@ -113,9 +113,12 @@ workerMain(bool crash_hooks)
         if (parsed && crash_hooks &&
             spec.name.rfind("crash:", 0) == 0) {
             const std::string mode = spec.name.substr(6);
-            if (mode == "segv")
+            if (mode == "segv") {
+                // The default action: a sanitizer's SEGV handler
+                // would turn the raise into an ordinary exit.
+                std::signal(SIGSEGV, SIG_DFL);
                 std::raise(SIGSEGV);
-            else if (mode == "abort")
+            } else if (mode == "abort")
                 std::abort();
             else if (mode == "exit")
                 ::_exit(3);

@@ -15,6 +15,18 @@ Program::labelAddr(const std::string &name) const
     return it->second;
 }
 
+void
+Program::visit(Archive &ar)
+{
+    ar.count(code, 4); // bytes per encoded instruction
+    for (isa::Instr &in : code) {
+        uint32_t word = in.encode();
+        ar.u32(word);
+        if (ar.loading())
+            in = isa::Instr::decode(word);
+    }
+}
+
 Program
 assemble(const std::string &source)
 {

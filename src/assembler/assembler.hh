@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytestream.hh"
 #include "isa/cpu_instr.hh"
 
 namespace mtfpu::assembler
@@ -38,6 +39,10 @@ struct Program
 
     /** Address of a label; fatal() if undefined. */
     uint32_t labelAddr(const std::string &name) const;
+
+    /** Visit the code as encoded instruction words (the label map is
+     *  not part of the encoding). */
+    void visit(Archive &ar);
 };
 
 /** Assemble source text; fatal() with a line number on errors. */

@@ -14,6 +14,14 @@ ByteReader::fatalTruncated(uint64_t wanted) const
                        std::to_string(remaining()) + " left)");
 }
 
+void
+Archive::fatalBadEnum(const char *what, unsigned raw)
+{
+    throw SimError(ErrCode::BadSnapshot,
+                   std::string(what) + ": out-of-range value " +
+                       std::to_string(raw));
+}
+
 namespace
 {
 

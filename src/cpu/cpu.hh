@@ -113,11 +113,8 @@ class Cpu
     /** Full reset. */
     void reset();
 
-    /** Serialize all state (registers, pending writes, PC, redirect). */
-    void saveState(ByteWriter &out) const;
-
-    /** Restore state saved by saveState(). */
-    void restoreState(ByteReader &in);
+    /** Visit all state (registers, pending writes, PC, redirect). */
+    void visit(Archive &ar);
 
   private:
     struct Pending

@@ -23,8 +23,7 @@ evalAlu(isa::AluFunc func, uint64_t a, uint64_t b)
         return static_cast<int64_t>(a) < static_cast<int64_t>(b) ? 1 : 0;
       case AluFunc::Sltu: return a < b ? 1 : 0;
       case AluFunc::Mul:
-        return static_cast<uint64_t>(static_cast<int64_t>(a) *
-                                     static_cast<int64_t>(b));
+        return a * b; // the signed product's low 64 bits, without UB
     }
     panic("evalAlu: bad function");
 }

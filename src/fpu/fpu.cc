@@ -154,77 +154,22 @@ Fpu::reset()
 }
 
 void
-Fpu::saveState(ByteWriter &out) const
+Fpu::visit(Archive &ar)
 {
-    for (unsigned i = 0; i < isa::kNumFpuRegs; ++i)
-        out.u64(regs_.read(i));
-
-    uint64_t sbBits = 0;
-    for (unsigned i = 0; i < isa::kNumFpuRegs; ++i) {
-        if (sb_.reserved(i))
-            sbBits |= uint64_t{1} << i;
-    }
-    out.u64(sbBits);
-
-    units_.saveState(out);
-    ir_.saveState(out);
-    lsu_.saveState(out);
-
-    out.u8(psw_.flags.toBits());
-    out.b(psw_.overflowValid);
-    out.u8(psw_.overflowReg);
-
-    out.u64(stats_.elementsIssued);
-    out.u64(stats_.vectorInstructions);
-    out.u64(stats_.scalarInstructions);
-    out.u64(stats_.sourceStallCycles);
-    out.u64(stats_.destStallCycles);
-    out.u64(stats_.squashedElements);
-    for (const uint64_t c : stats_.opCounts)
-        out.u64(c);
-
-    out.u64(nextSeq_);
-    out.b(elementIssuedThisCycle_);
-    out.b(corruptArmed_);
-    out.u64(corruptResultXor_);
-    out.u8(corruptFlagXor_);
-}
-
-void
-Fpu::restoreState(ByteReader &in)
-{
-    for (unsigned i = 0; i < isa::kNumFpuRegs; ++i)
-        regs_.write(i, in.u64());
-
-    sb_.clear();
-    const uint64_t sbBits = in.u64();
-    for (unsigned i = 0; i < isa::kNumFpuRegs; ++i) {
-        if (sbBits & (uint64_t{1} << i))
-            sb_.reserve(i);
-    }
-
-    units_.restoreState(in);
-    ir_.restoreState(in);
-    lsu_.restoreState(in);
-
-    psw_.flags = softfp::Flags::fromBits(in.u8());
-    psw_.overflowValid = in.b();
-    psw_.overflowReg = in.u8();
-
-    stats_.elementsIssued = in.u64();
-    stats_.vectorInstructions = in.u64();
-    stats_.scalarInstructions = in.u64();
-    stats_.sourceStallCycles = in.u64();
-    stats_.destStallCycles = in.u64();
-    stats_.squashedElements = in.u64();
-    for (uint64_t &c : stats_.opCounts)
-        c = in.u64();
-
-    nextSeq_ = in.u64();
-    elementIssuedThisCycle_ = in.b();
-    corruptArmed_ = in.b();
-    corruptResultXor_ = in.u64();
-    corruptFlagXor_ = in.u8();
+    regs_.visit(ar);
+    sb_.visit(ar);
+    units_.visit(ar);
+    ir_.visit(ar);
+    lsu_.visit(ar);
+    psw_.flags.visit(ar);
+    ar.b(psw_.overflowValid);
+    ar.u8(psw_.overflowReg);
+    stats_.visit(ar);
+    ar.u64(nextSeq_);
+    ar.b(elementIssuedThisCycle_);
+    ar.b(corruptArmed_);
+    ar.u64(corruptResultXor_);
+    ar.u8(corruptFlagXor_);
 }
 
 } // namespace mtfpu::fpu

@@ -48,6 +48,19 @@ struct FpuStats
     std::array<uint64_t, 8> opCounts{}; // indexed by isa::FpOp
 
     bool operator==(const FpuStats &) const = default;
+
+    void
+    visit(Archive &ar)
+    {
+        ar.u64(elementsIssued);
+        ar.u64(vectorInstructions);
+        ar.u64(scalarInstructions);
+        ar.u64(sourceStallCycles);
+        ar.u64(destStallCycles);
+        ar.u64(squashedElements);
+        for (uint64_t &c : opCounts)
+            ar.u64(c);
+    }
 };
 
 /** Result of one element-issue attempt. */
@@ -168,12 +181,9 @@ class Fpu
     /** Full reset (registers, pipelines, PSW, statistics). */
     void reset();
 
-    /** Serialize all FPU state (registers, scoreboard, pipelines,
-     *  PSW, statistics, fault-injection arm state). */
-    void saveState(ByteWriter &out) const;
-
-    /** Restore state saved by saveState(). */
-    void restoreState(ByteReader &in);
+    /** Visit all FPU state (registers, scoreboard, pipelines, PSW,
+     *  statistics, fault-injection arm state). */
+    void visit(Archive &ar);
 
   private:
     /** Out-of-line tail of beginCycle(): PSW merge + overflow squash. */

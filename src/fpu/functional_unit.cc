@@ -41,44 +41,27 @@ FunctionalUnits::advanceSlow(RegisterFile &regs, Scoreboard &sb)
 }
 
 void
-FunctionalUnits::saveState(ByteWriter &out) const
+FunctionalUnits::visit(Archive &ar)
 {
-    out.u32(static_cast<uint32_t>(inflight_.size()));
-    for (const PendingOp &op : inflight_) {
-        out.u32(op.remaining);
-        out.u8(op.reg);
-        out.u64(op.value);
-        out.u8(op.flags.toBits());
-        out.u8(static_cast<uint8_t>(op.op));
-        out.u64(op.seq);
-    }
-}
-
-void
-FunctionalUnits::restoreState(ByteReader &in)
-{
-    inflight_.clear();
-    retired_.clear();
-    const uint32_t n = in.count(23); // bytes per saved op
-    inflight_.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        PendingOp op;
-        op.remaining = in.u32();
-        op.reg = in.u8();
-        op.value = in.u64();
-        op.flags = softfp::Flags::fromBits(in.u8());
-        op.op = static_cast<isa::FpOp>(in.u8());
-        op.seq = in.u64();
+    if (ar.loading())
+        retired_.clear();
+    ar.count(inflight_, 23); // bytes per saved op
+    for (PendingOp &op : inflight_) {
+        ar.u32(op.remaining);
+        ar.u8(op.reg);
+        ar.u64(op.value);
+        op.flags.visit(ar);
+        ar.enumU8(op.op, isa::FpOp::Recip, "FunctionalUnits: op");
+        ar.u64(op.seq);
         // An op is saved between 1 and latency_ stages from writeback;
         // remaining == 0 would wrap in advance() and never retire.
-        if (op.remaining == 0 || op.remaining > latency_ ||
-            op.reg >= isa::kNumFpuRegs)
+        if (ar.loading() && (op.remaining == 0 || op.remaining > latency_ ||
+                             op.reg >= isa::kNumFpuRegs))
             fatal(ErrCode::BadSnapshot,
                   "FunctionalUnits: in-flight op with " +
                       std::to_string(op.remaining) + " stages left to f" +
                       std::to_string(op.reg) + " (latency " +
                       std::to_string(latency_) + ")");
-        inflight_.push_back(op);
     }
 }
 

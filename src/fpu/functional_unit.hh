@@ -90,11 +90,9 @@ class FunctionalUnits
         retired_.clear();
     }
 
-    /** Serialize the in-flight queue (latency is configuration). */
-    void saveState(ByteWriter &out) const;
-
-    /** Restore state saved by saveState(); retired_ is transient. */
-    void restoreState(ByteReader &in);
+    /** Visit the in-flight queue (latency is configuration and
+     *  retired_ is transient). */
+    void visit(Archive &ar);
 
   private:
     /** Out-of-line tail of advance(): retire elapsed operations. */

@@ -28,34 +28,19 @@ LoadStoreUnit::advanceSlow(RegisterFile &regs)
 }
 
 void
-LoadStoreUnit::saveState(ByteWriter &out) const
+LoadStoreUnit::visit(Archive &ar)
 {
-    out.u32(static_cast<uint32_t>(pending_.size()));
-    for (const PendingLoad &l : pending_) {
-        out.u32(l.remaining);
-        out.u8(l.reg);
-        out.u64(l.value);
-    }
-}
-
-void
-LoadStoreUnit::restoreState(ByteReader &in)
-{
-    pending_.clear();
-    const uint32_t n = in.count(13); // bytes per saved load
-    pending_.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        PendingLoad l;
-        l.remaining = in.u32();
-        l.reg = in.u8();
-        l.value = in.u64();
-        if (l.remaining == 0 || l.remaining > kLoadLatency ||
-            l.reg >= isa::kNumFpuRegs)
+    ar.count(pending_, 13); // bytes per saved load
+    for (PendingLoad &l : pending_) {
+        ar.u32(l.remaining);
+        ar.u8(l.reg);
+        ar.u64(l.value);
+        if (ar.loading() && (l.remaining == 0 || l.remaining > kLoadLatency ||
+                             l.reg >= isa::kNumFpuRegs))
             fatal(ErrCode::BadSnapshot,
                   "LoadStoreUnit: in-flight load with " +
                       std::to_string(l.remaining) + " cycles left to f" +
                       std::to_string(l.reg));
-        pending_.push_back(l);
     }
 }
 

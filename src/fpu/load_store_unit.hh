@@ -50,11 +50,8 @@ class LoadStoreUnit
     /** Drop all in-flight state (reset). */
     void clear() { pending_.clear(); }
 
-    /** Serialize the in-flight load writes. */
-    void saveState(ByteWriter &out) const;
-
-    /** Restore state saved by saveState(). */
-    void restoreState(ByteReader &in);
+    /** Visit the in-flight load writes. */
+    void visit(Archive &ar);
 
   private:
     /** Active cycles from a load's issue to its register write. */

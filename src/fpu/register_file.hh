@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/bytestream.hh"
 #include "common/log.hh"
 #include "isa/fpu_instr.hh"
 
@@ -55,6 +56,13 @@ class RegisterFile
 
     /** Zero every register. */
     void clear() { regs_.fill(0); }
+
+    void
+    visit(Archive &ar)
+    {
+        for (uint64_t &r : regs_)
+            ar.u64(r);
+    }
 
   private:
     std::array<uint64_t, isa::kNumFpuRegs> regs_{};

@@ -16,6 +16,7 @@
 #include <bitset>
 #include <string>
 
+#include "common/bytestream.hh"
 #include "common/log.hh"
 #include "isa/fpu_instr.hh"
 
@@ -73,6 +74,17 @@ class Scoreboard
 
     /** Number of set bits (for invariants in tests). */
     size_t count() const { return bits_.count(); }
+
+    /** Visit the bits as one u64, f0 in bit 0; loading drops bits
+     *  past f51. */
+    void
+    visit(Archive &ar)
+    {
+        uint64_t bits = bits_.to_ullong();
+        ar.u64(bits);
+        if (ar.loading())
+            bits_ = std::bitset<isa::kNumFpuRegs>(bits);
+    }
 
   private:
     std::bitset<isa::kNumFpuRegs> bits_;

@@ -69,39 +69,31 @@ AluInstructionRegister::remainingElements() const
 }
 
 void
-AluInstructionRegister::saveState(ByteWriter &out) const
+AluInstructionRegister::visit(Archive &ar)
 {
-    out.b(current_.has_value());
-    if (!current_)
+    bool occupied = current_.has_value();
+    ar.b(occupied);
+    if (ar.loading())
+        current_ = occupied ? std::optional<Live>(Live{}) : std::nullopt;
+    if (!occupied)
         return;
-    const Live &live = *current_;
-    out.u8(static_cast<uint8_t>(live.op));
-    out.u8(live.rr);
-    out.u8(live.ra);
-    out.u8(live.rb);
-    out.u8(live.vl);
-    out.b(live.sra);
-    out.b(live.srb);
-    out.u64(live.seq);
-}
-
-void
-AluInstructionRegister::restoreState(ByteReader &in)
-{
-    if (!in.b()) {
-        current_.reset();
-        return;
-    }
-    Live live;
-    live.op = static_cast<isa::FpOp>(in.u8());
-    live.rr = in.u8();
-    live.ra = in.u8();
-    live.rb = in.u8();
-    live.vl = in.u8();
-    live.sra = in.b();
-    live.srb = in.b();
-    live.seq = in.u64();
-    current_ = live;
+    Live &live = *current_;
+    ar.enumU8(live.op, isa::FpOp::Recip, "AluInstructionRegister: op");
+    ar.u8(live.rr);
+    ar.u8(live.ra);
+    ar.u8(live.rb);
+    ar.u8(live.vl);
+    ar.b(live.sra);
+    ar.b(live.srb);
+    ar.u64(live.seq);
+    if (ar.loading() &&
+        (live.rr >= isa::kNumFpuRegs || live.ra >= isa::kNumFpuRegs ||
+         live.rb >= isa::kNumFpuRegs || live.vl >= isa::kMaxVectorLength))
+        fatal(ErrCode::BadSnapshot,
+              "AluInstructionRegister: f" + std::to_string(live.rr) +
+                  " := f" + std::to_string(live.ra) + ", f" +
+                  std::to_string(live.rb) + " with VL field " +
+                  std::to_string(live.vl));
 }
 
 } // namespace mtfpu::fpu

@@ -147,11 +147,9 @@ class AluInstructionRegister
     /** Reset to empty. */
     void clear() { current_.reset(); }
 
-    /** Serialize the occupying instruction (or its absence). */
-    void saveState(ByteWriter &out) const;
-
-    /** Restore state saved by saveState(). */
-    void restoreState(ByteReader &in);
+    /** Visit the occupying instruction (or its absence); loading
+     *  rejects an op, specifier or VL field the IR cannot hold. */
+    void visit(Archive &ar);
 
   private:
     /** The live IR fields (mutated between elements). */

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "common/bytestream.hh"
 #include "memory/memory_system.hh"
 #include "softfp/backend.hh"
 
@@ -79,6 +80,23 @@ struct MachineConfig
 
     /** Field-exact equality (used by the SimDriver job memoizer). */
     bool operator==(const MachineConfig &) const = default;
+
+    /** Visit every field (snapshot container, job content blob). */
+    void
+    visit(Archive &ar)
+    {
+        ar.u32(fpuLatency);
+        ar.f64(cycleNs);
+        ar.u32(storeCycles);
+        ar.b(overlapWithVector);
+        ar.enumU8(hazardPolicy, HazardPolicy::Ignore,
+                  "MachineConfig: hazard policy");
+        ar.enumU8(fpBackend, softfp::Backend::HostFast,
+                  "MachineConfig: softfp backend");
+        memory.visit(ar);
+        ar.u64(maxCycles);
+        ar.u64(watchdogMs);
+    }
 };
 
 } // namespace mtfpu::machine

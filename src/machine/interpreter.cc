@@ -199,35 +199,19 @@ Interpreter::step()
 }
 
 void
-Interpreter::saveState(ByteWriter &out) const
-{
-    for (const uint64_t r : iregs_)
-        out.u64(r);
-    for (const uint64_t r : fregs_)
-        out.u64(r);
-    out.u32(pc_);
-    out.b(halted_);
-    out.b(redirectPending_);
-    out.u32(redirectTarget_);
-    out.u64(fpElements_);
-    out.u8(static_cast<uint8_t>(backend_));
-    mem_.saveState(out);
-}
-
-void
-Interpreter::restoreState(ByteReader &in)
+Interpreter::visit(Archive &ar)
 {
     for (uint64_t &r : iregs_)
-        r = in.u64();
+        ar.u64(r);
     for (uint64_t &r : fregs_)
-        r = in.u64();
-    pc_ = in.u32();
-    halted_ = in.b();
-    redirectPending_ = in.b();
-    redirectTarget_ = in.u32();
-    fpElements_ = in.u64();
-    backend_ = static_cast<softfp::Backend>(in.u8());
-    mem_.restoreState(in);
+        ar.u64(r);
+    ar.u32(pc_);
+    ar.b(halted_);
+    ar.b(redirectPending_);
+    ar.u32(redirectTarget_);
+    ar.u64(fpElements_);
+    ar.enumU8(backend_, softfp::Backend::HostFast, "Interpreter: backend");
+    mem_.visit(ar);
 }
 
 } // namespace mtfpu::machine

@@ -100,13 +100,14 @@ class Interpreter
     /** Count of FPU ALU elements executed (for cross-checking). */
     uint64_t fpElements() const { return fpElements_; }
 
-    /** Serialize functional state (registers, PC, memory, counters).
-     *  The program is NOT included; callers reload it separately. */
-    void saveState(ByteWriter &out) const;
-
-    /** Restore state saved by saveState(); the same program must
+    /** Visit functional state (registers, PC, memory, counters).
+     *  The program is NOT included: to load, the same program must
      *  already be loaded. */
-    void restoreState(ByteReader &in);
+    void visit(Archive &ar);
+
+    /** visit() as bytes, for callers outside the state code. */
+    void saveState(ByteWriter &out) const { Archive::save(out, *this); }
+    void restoreState(ByteReader &in) { Archive::load(in, *this); }
 
   private:
     assembler::Program program_;

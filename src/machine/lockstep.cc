@@ -138,28 +138,21 @@ LockstepChecker::onRunEnd(uint64_t cycles)
 }
 
 void
-LockstepChecker::saveState(ByteWriter &out) const
+LockstepChecker::visit(Archive &ar)
 {
-    out.b(armed_);
-    out.u64(issues_);
-    out.u64(runsVerified_);
-    if (armed_)
-        interp_.saveState(out);
-}
-
-void
-LockstepChecker::restoreState(ByteReader &in)
-{
-    armed_ = in.b();
-    issues_ = in.u64();
-    runsVerified_ = in.u64();
-    diverged_ = false;
-    report_ = DivergenceReport{};
+    ar.b(armed_);
+    ar.u64(issues_);
+    ar.u64(runsVerified_);
+    if (ar.loading()) {
+        diverged_ = false;
+        report_ = DivergenceReport{};
+    }
     if (armed_) {
         // The shadow's program is not serialized; reload it from the
-        // bound machine before restoring functional state over it.
-        interp_.loadProgram(machine_.program());
-        interp_.restoreState(in);
+        // bound machine before loading functional state over it.
+        if (ar.loading())
+            interp_.loadProgram(machine_.program());
+        interp_.visit(ar);
     }
 }
 

@@ -120,17 +120,18 @@ class LockstepChecker : public exec::ExecObserver
     const DivergenceReport &report() const { return report_; }
 
     /**
-     * Serialize the checker's mid-run state (shadow interpreter,
-     * armed flag, counters). Paired with the bound Machine's
-     * saveState() this makes a paused lockstep run fully resumable —
-     * a forked trial restores both sides and continues checking
-     * exactly where the prefix run paused.
+     * Visit the checker's mid-run state (shadow interpreter, armed
+     * flag, counters). Paired with the bound Machine's state this
+     * makes a paused lockstep run fully resumable — a forked trial
+     * restores both sides and continues checking exactly where the
+     * prefix run paused. To load, the bound Machine must have the
+     * same program loaded (the shadow reloads it).
      */
-    void saveState(ByteWriter &out) const;
+    void visit(Archive &ar);
 
-    /** Restore state saved by saveState(); the bound Machine must
-     *  have the same program loaded (the shadow reloads it). */
-    void restoreState(ByteReader &in);
+    /** visit() as bytes, for callers outside the state code. */
+    void saveState(ByteWriter &out) const { Archive::save(out, *this); }
+    void restoreState(ByteReader &in) { Archive::load(in, *this); }
 
   private:
     /** Snapshot the machine's program and memory into the shadow. */

@@ -635,36 +635,22 @@ Machine::tryCpuIssue(uint64_t cycle)
 }
 
 void
-Machine::saveState(ByteWriter &out) const
+Machine::visit(Archive &ar)
 {
-    cpu_.saveState(out);
-    fpu_.saveState(out);
-    memsys_.saveState(out);
-    collector_.saveState(out);
-    out.u64(memPortFreeAt_);
-    out.i64(fetchedPc_);
-    out.u64(globalStall_);
-    out.u64(interruptAt_);
-    out.u64(interruptLen_);
-    out.u64(nextCycle_);
-}
-
-void
-Machine::restoreState(ByteReader &in)
-{
-    cpu_.restoreState(in);
-    fpu_.restoreState(in);
-    memsys_.restoreState(in);
-    collector_.restoreState(in);
-    memPortFreeAt_ = in.u64();
-    fetchedPc_ = in.i64();
-    globalStall_ = in.u64();
-    interruptAt_ = in.u64();
-    interruptLen_ = in.u64();
-    nextCycle_ = in.u64();
+    cpu_.visit(ar);
+    fpu_.visit(ar);
+    memsys_.visit(ar);
+    collector_.visit(ar);
+    ar.u64(memPortFreeAt_);
+    ar.i64(fetchedPc_);
+    ar.u64(globalStall_);
+    ar.u64(interruptAt_);
+    ar.u64(interruptLen_);
+    ar.u64(nextCycle_);
     // stats_ is not serialized: finishRun() recomputes every field
-    // from the collector and subsystem counters restored above.
-    stats_ = RunStats{};
+    // from the collector and subsystem counters loaded above.
+    if (ar.loading())
+        stats_ = RunStats{};
 }
 
 } // namespace mtfpu::machine

@@ -74,20 +74,20 @@ class Machine
     uint64_t nextCycle() const { return nextCycle_; }
 
     /**
-     * Serialize the complete per-run machine state — architectural
+     * Visit the complete per-run machine state — architectural
      * (registers, PC, PSW, memory) and microarchitectural (scoreboard,
      * in-flight pipeline entries, cache tags, stall/port bookkeeping,
      * statistics counters). The program image and configuration are
-     * NOT included; snapshot::MachineSnapshot carries those.
+     * NOT included; snapshot::MachineSnapshot carries those. To load,
+     * the same program must already be loaded (loading does not touch
+     * the predecoded code) and the configuration must match the
+     * saving machine's.
      */
-    void saveState(ByteWriter &out) const;
+    void visit(Archive &ar);
 
-    /**
-     * Restore state saved by saveState(). The same program must
-     * already be loaded (restore does not touch the predecoded code)
-     * and the configuration must match the saving machine's.
-     */
-    void restoreState(ByteReader &in);
+    /** visit() as bytes, for callers outside the state code. */
+    void saveState(ByteWriter &out) const { Archive::save(out, *this); }
+    void restoreState(ByteReader &in) { Archive::load(in, *this); }
 
     /**
      * Reset architectural and statistics state for another run of the

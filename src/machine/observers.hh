@@ -116,22 +116,13 @@ class StatsCollector : public exec::ExecObserver
         issueSeen_ = false;
     }
 
-    /** Serialize counters and intra-cycle pairing state. */
+    /** Visit counters and intra-cycle pairing state. */
     void
-    saveState(ByteWriter &out) const
+    visit(Archive &ar)
     {
-        counts_.saveState(out);
-        out.b(elementBeforeIssue_);
-        out.b(issueSeen_);
-    }
-
-    /** Restore state saved by saveState(). */
-    void
-    restoreState(ByteReader &in)
-    {
-        counts_.restoreState(in);
-        elementBeforeIssue_ = in.b();
-        issueSeen_ = in.b();
+        counts_.visit(ar);
+        ar.b(elementBeforeIssue_);
+        ar.b(issueSeen_);
     }
 
   private:

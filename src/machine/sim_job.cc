@@ -79,9 +79,7 @@ std::vector<uint8_t>
 jobContentBlob(const SimJob &job)
 {
     ByteWriter out;
-    out.u32(static_cast<uint32_t>(job.program.code.size()));
-    for (const isa::Instr &in : job.program.code)
-        out.u32(in.encode());
+    Archive::save(out, job.program);
     out.u32(static_cast<uint32_t>(job.memInit.size()));
     for (const auto &[addr, word] : job.memInit) {
         out.u64(addr);
@@ -97,24 +95,7 @@ jobContentBlob(const SimJob &job)
         out.u32(reg);
         out.u64(value);
     }
-    const MachineConfig &c = job.config;
-    out.u32(c.fpuLatency);
-    out.f64(c.cycleNs);
-    out.u32(c.storeCycles);
-    out.b(c.overlapWithVector);
-    out.u8(static_cast<uint8_t>(c.hazardPolicy));
-    out.u8(static_cast<uint8_t>(c.fpBackend));
-    for (const memory::CacheConfig &cc :
-         {c.memory.dataCache, c.memory.instrBuffer, c.memory.instrCache}) {
-        out.u64(cc.sizeBytes);
-        out.u64(cc.lineBytes);
-        out.u32(cc.missPenalty);
-        out.b(cc.writeAllocate);
-    }
-    out.u64(c.memory.memBytes);
-    out.b(c.memory.modelCaches);
-    out.u64(c.maxCycles);
-    out.u64(c.watchdogMs);
+    Archive::save(out, job.config);
     return out.take();
 }
 

@@ -59,65 +59,25 @@ RunStats::summary() const
 }
 
 void
-RunStats::saveState(ByteWriter &out) const
+RunStats::visit(Archive &ar)
 {
-    out.u8(static_cast<uint8_t>(status));
-    out.u64(cycles);
-    out.u64(instructionsIssued);
-    out.u64(loads);
-    out.u64(stores);
-    out.u64(fpLoads);
-    out.u64(fpStores);
-    out.u64(fpAluTransfers);
-    out.u64(branches);
-    out.u64(takenBranches);
-    out.u64(memoryStallCycles);
-    out.u64(cpuStallCycles);
-    out.u64(dualIssueCycles);
-    out.u64(fpu.elementsIssued);
-    out.u64(fpu.vectorInstructions);
-    out.u64(fpu.scalarInstructions);
-    out.u64(fpu.sourceStallCycles);
-    out.u64(fpu.destStallCycles);
-    out.u64(fpu.squashedElements);
-    for (const uint64_t c : fpu.opCounts)
-        out.u64(c);
-    for (const memory::CacheStats *cs :
-         {&dataCache, &instrBuffer, &instrCache}) {
-        out.u64(cs->hits);
-        out.u64(cs->misses);
-    }
-}
-
-void
-RunStats::restoreState(ByteReader &in)
-{
-    status = static_cast<RunStatus>(in.u8());
-    cycles = in.u64();
-    instructionsIssued = in.u64();
-    loads = in.u64();
-    stores = in.u64();
-    fpLoads = in.u64();
-    fpStores = in.u64();
-    fpAluTransfers = in.u64();
-    branches = in.u64();
-    takenBranches = in.u64();
-    memoryStallCycles = in.u64();
-    cpuStallCycles = in.u64();
-    dualIssueCycles = in.u64();
-    fpu.elementsIssued = in.u64();
-    fpu.vectorInstructions = in.u64();
-    fpu.scalarInstructions = in.u64();
-    fpu.sourceStallCycles = in.u64();
-    fpu.destStallCycles = in.u64();
-    fpu.squashedElements = in.u64();
-    for (uint64_t &c : fpu.opCounts)
-        c = in.u64();
-    for (memory::CacheStats *cs :
-         {&dataCache, &instrBuffer, &instrCache}) {
-        cs->hits = in.u64();
-        cs->misses = in.u64();
-    }
+    ar.enumU8(status, RunStatus::Paused, "RunStats: status");
+    ar.u64(cycles);
+    ar.u64(instructionsIssued);
+    ar.u64(loads);
+    ar.u64(stores);
+    ar.u64(fpLoads);
+    ar.u64(fpStores);
+    ar.u64(fpAluTransfers);
+    ar.u64(branches);
+    ar.u64(takenBranches);
+    ar.u64(memoryStallCycles);
+    ar.u64(cpuStallCycles);
+    ar.u64(dualIssueCycles);
+    fpu.visit(ar);
+    dataCache.visit(ar);
+    instrBuffer.visit(ar);
+    instrCache.visit(ar);
 }
 
 } // namespace mtfpu::machine

@@ -89,11 +89,12 @@ struct RunStats
     /** Multi-line human-readable summary. */
     std::string summary() const;
 
-    /** Serialize every counter (snapshot support). */
-    void saveState(ByteWriter &out) const;
+    /** Visit every counter (snapshots, ResultCache, stats_hex). */
+    void visit(Archive &ar);
 
-    /** Restore counters saved by saveState(). */
-    void restoreState(ByteReader &in);
+    /** visit() as bytes, for callers outside the state code. */
+    void saveState(ByteWriter &out) const { Archive::save(out, *this); }
+    void restoreState(ByteReader &in) { Archive::load(in, *this); }
 };
 
 } // namespace mtfpu::machine

@@ -40,48 +40,46 @@ DirectMappedCache::flush()
 }
 
 void
-DirectMappedCache::saveState(ByteWriter &out) const
+DirectMappedCache::visit(Archive &ar)
 {
-    out.u64(lines_.size());
-    uint64_t valid = 0;
-    for (const Line &line : lines_) {
-        if (line.valid)
-            ++valid;
-    }
-    out.u64(valid);
-    for (uint64_t i = 0; i < lines_.size(); ++i) {
-        if (lines_[i].valid) {
-            out.u64(i);
-            out.u64(lines_[i].tag);
-        }
-    }
-    out.u64(stats_.hits);
-    out.u64(stats_.misses);
-}
-
-void
-DirectMappedCache::restoreState(ByteReader &in)
-{
-    const uint64_t numLines = in.u64();
+    uint64_t numLines = lines_.size();
+    ar.u64(numLines);
     if (numLines != lines_.size()) {
         fatal(ErrCode::BadSnapshot,
               "DirectMappedCache: snapshot has " +
                   std::to_string(numLines) + " lines, cache has " +
                   std::to_string(lines_.size()));
     }
-    for (Line &line : lines_)
-        line = Line{};
-    const uint64_t valid = in.u64();
-    for (uint64_t i = 0; i < valid; ++i) {
-        const uint64_t index = in.u64();
-        const uint64_t tag = in.u64();
-        if (index >= lines_.size())
-            fatal(ErrCode::BadSnapshot,
-                  "DirectMappedCache: snapshot line index out of range");
-        lines_[index] = Line{true, tag};
+    // A count of valid lines, then (line index, tag) pairs.
+    uint64_t valid = 0;
+    if (ar.loading()) {
+        for (Line &line : lines_)
+            line = Line{};
+        ar.u64(valid);
+        for (uint64_t i = 0; i < valid; ++i) {
+            uint64_t index = 0;
+            uint64_t tag = 0;
+            ar.u64(index);
+            ar.u64(tag);
+            if (index >= lines_.size())
+                fatal(ErrCode::BadSnapshot,
+                      "DirectMappedCache: snapshot line index out of range");
+            lines_[index] = Line{true, tag};
+        }
+    } else {
+        for (const Line &line : lines_) {
+            if (line.valid)
+                ++valid;
+        }
+        ar.u64(valid);
+        for (uint64_t i = 0; i < lines_.size(); ++i) {
+            if (lines_[i].valid) {
+                ar.u64(i);
+                ar.u64(lines_[i].tag);
+            }
+        }
     }
-    stats_.hits = in.u64();
-    stats_.misses = in.u64();
+    stats_.visit(ar);
 }
 
 } // namespace mtfpu::memory

@@ -27,6 +27,13 @@ struct CacheStats
 
     bool operator==(const CacheStats &) const = default;
 
+    void
+    visit(Archive &ar)
+    {
+        ar.u64(hits);
+        ar.u64(misses);
+    }
+
     uint64_t accesses() const { return hits + misses; }
 
     /** Miss ratio in [0, 1]; 0 when there were no accesses. */
@@ -50,6 +57,15 @@ struct CacheConfig
     bool writeAllocate = true;
 
     bool operator==(const CacheConfig &) const = default;
+
+    void
+    visit(Archive &ar)
+    {
+        ar.u64(sizeBytes);
+        ar.u64(lineBytes);
+        ar.u32(missPenalty);
+        ar.b(writeAllocate);
+    }
 };
 
 /**
@@ -125,11 +141,9 @@ class DirectMappedCache
     void resetStats() { stats_ = CacheStats{}; }
     const CacheConfig &config() const { return config_; }
 
-    /** Serialize valid lines (sparsely) and the statistics. */
-    void saveState(ByteWriter &out) const;
-
-    /** Restore state saved by saveState(); geometry must match. */
-    void restoreState(ByteReader &in);
+    /** Visit the valid lines (sparsely) and the statistics; loading
+     *  requires a matching geometry. */
+    void visit(Archive &ar);
 
   private:
     struct Line

@@ -109,37 +109,39 @@ MainMemory::copyFrom(const MainMemory &src)
 }
 
 void
-MainMemory::saveState(ByteWriter &out) const
+MainMemory::visit(Archive &ar)
 {
-    out.u64(words_);
-    uint64_t nonzero = 0;
-    forEachNonzero([&](uint64_t, uint64_t) { ++nonzero; });
-    out.u64(nonzero);
-    forEachNonzero([&](uint64_t addr, uint64_t word) {
-        out.u64(addr / 8);
-        out.u64(word);
-    });
-}
-
-void
-MainMemory::restoreState(ByteReader &in)
-{
-    const uint64_t words = in.u64();
+    uint64_t words = words_;
+    ar.u64(words);
     if (words != words_) {
         fatal(ErrCode::BadSnapshot,
               "MainMemory: snapshot holds " + std::to_string(words * 8) +
                   " bytes, machine has " + std::to_string(words_ * 8));
     }
-    clear();
-    const uint64_t nonzero = in.u64();
-    for (uint64_t i = 0; i < nonzero; ++i) {
-        const uint64_t index = in.u64();
-        const uint64_t value = in.u64();
-        if (index >= words_)
-            fatal(ErrCode::BadSnapshot,
-                  "MainMemory: snapshot word index out of range");
-        data_[index] = value;
-        markPage(index);
+    // A count of nonzero words, then (word index, value) pairs.
+    uint64_t nonzero = 0;
+    if (ar.loading()) {
+        clear();
+        ar.u64(nonzero);
+        for (uint64_t i = 0; i < nonzero; ++i) {
+            uint64_t index = 0;
+            uint64_t value = 0;
+            ar.u64(index);
+            ar.u64(value);
+            if (index >= words_)
+                fatal(ErrCode::BadSnapshot,
+                      "MainMemory: snapshot word index out of range");
+            data_[index] = value;
+            markPage(index);
+        }
+    } else {
+        forEachNonzero([&](uint64_t, uint64_t) { ++nonzero; });
+        ar.u64(nonzero);
+        forEachNonzero([&](uint64_t addr, uint64_t word) {
+            uint64_t index = addr / 8;
+            ar.u64(index);
+            ar.u64(word);
+        });
     }
 }
 

@@ -9,7 +9,7 @@
  * mapping the OS zero-fills page by page on first touch, and a bitmap
  * records every 4 KB page ever written. Invariant: every nonzero word
  * lies in a recorded page. The page walks below (clear, copyFrom,
- * saveState/restoreState, forEachNonzero, forEachDifference) rely on
+ * visit, forEachNonzero, forEachDifference) rely on
  * it; no code outside this class loops over the address range.
  */
 
@@ -81,11 +81,9 @@ class MainMemory
     /** Make this memory's contents equal @p src's; sizes must match. */
     void copyFrom(const MainMemory &src);
 
-    /** Serialize contents sparsely (only nonzero words are stored). */
-    void saveState(ByteWriter &out) const;
-
-    /** Restore state saved by saveState(); sizes must match. */
-    void restoreState(ByteReader &in);
+    /** Visit the contents sparsely (only nonzero words are stored);
+     *  loading requires a matching size. */
+    void visit(Archive &ar);
 
     /** Call fn(addr, word) for every nonzero word, ascending. */
     template <typename Fn>

@@ -51,21 +51,12 @@ MemorySystem::resetStats()
 }
 
 void
-MemorySystem::saveState(ByteWriter &out) const
+MemorySystem::visit(Archive &ar)
 {
-    mem_.saveState(out);
-    dcache_.saveState(out);
-    ibuf_.saveState(out);
-    icache_.saveState(out);
-}
-
-void
-MemorySystem::restoreState(ByteReader &in)
-{
-    mem_.restoreState(in);
-    dcache_.restoreState(in);
-    ibuf_.restoreState(in);
-    icache_.restoreState(in);
+    mem_.visit(ar);
+    dcache_.visit(ar);
+    ibuf_.visit(ar);
+    icache_.visit(ar);
 }
 
 } // namespace mtfpu::memory

@@ -38,6 +38,16 @@ struct MemoryConfig
     bool modelCaches = true;
 
     bool operator==(const MemoryConfig &) const = default;
+
+    void
+    visit(Archive &ar)
+    {
+        dataCache.visit(ar);
+        instrBuffer.visit(ar);
+        instrCache.visit(ar);
+        ar.u64(memBytes);
+        ar.b(modelCaches);
+    }
 };
 
 /** The composed hierarchy. */
@@ -73,11 +83,9 @@ class MemorySystem
 
     const MemoryConfig &config() const { return config_; }
 
-    /** Serialize memory contents and every cache's tag state. */
-    void saveState(ByteWriter &out) const;
-
-    /** Restore state saved by saveState(); config must match. */
-    void restoreState(ByteReader &in);
+    /** Visit memory contents and every cache's tag state; loading
+     *  requires a matching config. */
+    void visit(Archive &ar);
 
   private:
     MemoryConfig config_;

@@ -14,83 +14,6 @@ namespace
 
 constexpr char kMagic[4] = {'M', 'T', 'S', 'N'};
 
-void
-saveCacheConfig(ByteWriter &out, const memory::CacheConfig &c)
-{
-    out.u64(c.sizeBytes);
-    out.u64(c.lineBytes);
-    out.u32(c.missPenalty);
-    out.b(c.writeAllocate);
-}
-
-memory::CacheConfig
-restoreCacheConfig(ByteReader &in)
-{
-    memory::CacheConfig c;
-    c.sizeBytes = in.u64();
-    c.lineBytes = in.u64();
-    c.missPenalty = in.u32();
-    c.writeAllocate = in.b();
-    return c;
-}
-
-void
-saveConfig(ByteWriter &out, const machine::MachineConfig &c)
-{
-    out.u32(c.fpuLatency);
-    out.f64(c.cycleNs);
-    out.u32(c.storeCycles);
-    out.b(c.overlapWithVector);
-    out.u8(static_cast<uint8_t>(c.hazardPolicy));
-    out.u8(static_cast<uint8_t>(c.fpBackend));
-    saveCacheConfig(out, c.memory.dataCache);
-    saveCacheConfig(out, c.memory.instrBuffer);
-    saveCacheConfig(out, c.memory.instrCache);
-    out.u64(c.memory.memBytes);
-    out.b(c.memory.modelCaches);
-    out.u64(c.maxCycles);
-    out.u64(c.watchdogMs);
-}
-
-machine::MachineConfig
-restoreConfig(ByteReader &in)
-{
-    machine::MachineConfig c;
-    c.fpuLatency = in.u32();
-    c.cycleNs = in.f64();
-    c.storeCycles = in.u32();
-    c.overlapWithVector = in.b();
-    c.hazardPolicy = static_cast<machine::HazardPolicy>(in.u8());
-    c.fpBackend = static_cast<softfp::Backend>(in.u8());
-    c.memory.dataCache = restoreCacheConfig(in);
-    c.memory.instrBuffer = restoreCacheConfig(in);
-    c.memory.instrCache = restoreCacheConfig(in);
-    c.memory.memBytes = in.u64();
-    c.memory.modelCaches = in.b();
-    c.maxCycles = in.u64();
-    c.watchdogMs = in.u64();
-    return c;
-}
-
-void
-saveProgram(ByteWriter &out, const assembler::Program &program)
-{
-    out.u32(static_cast<uint32_t>(program.code.size()));
-    for (const isa::Instr &in : program.code)
-        out.u32(in.encode());
-}
-
-assembler::Program
-restoreProgram(ByteReader &in)
-{
-    assembler::Program program;
-    const uint32_t n = in.count(4); // bytes per encoded instruction
-    program.code.reserve(n);
-    for (uint32_t i = 0; i < n; ++i)
-        program.code.push_back(isa::Instr::decode(in.u32()));
-    return program;
-}
-
 } // anonymous namespace
 
 MachineSnapshot
@@ -160,8 +83,8 @@ serialize(const MachineSnapshot &snap)
         out.u8(static_cast<uint8_t>(c));
     out.u32(kFormatVersion);
     out.u8(static_cast<uint8_t>(snap.kind));
-    saveConfig(out, snap.config);
-    saveProgram(out, snap.program);
+    Archive::save(out, snap.config);
+    Archive::save(out, snap.program);
     out.bytes(snap.state.data(), snap.state.size());
     out.u32(crc32(out.data().data(), out.size()));
     return out.take();
@@ -201,8 +124,8 @@ deserialize(const uint8_t *data, size_t size)
         fatal(ErrCode::BadSnapshot,
               "snapshot: unknown kind " + std::to_string(kind));
     snap.kind = static_cast<SnapshotKind>(kind);
-    snap.config = restoreConfig(in);
-    snap.program = restoreProgram(in);
+    Archive::load(in, snap.config);
+    Archive::load(in, snap.program);
     snap.state = in.bytes();
     if (!in.atEnd())
         fatal(ErrCode::BadSnapshot,

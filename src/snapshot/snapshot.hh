@@ -15,8 +15,8 @@
  * SimError(ErrCode::BadSnapshot) — a half-written checkpoint from a
  * killed process must fail recoverably, never load as garbage state.
  *
- * Versioning rule: any change to the byte layout of the payload or of
- * a component's saveState() stream bumps kFormatVersion. Readers do
+ * Versioning rule: any change to the byte layout of the payload or to
+ * a visit(Archive &) field list bumps kFormatVersion. Readers do
  * not migrate old versions (snapshots are working files, not archives)
  * but must detect them; the committed golden-snapshot test pins the
  * current layout.

@@ -3,10 +3,20 @@
 #include <cstring>
 
 #include "common/bitfield.hh"
+#include "common/bytestream.hh"
 #include "common/log.hh"
 
 namespace mtfpu::softfp
 {
+
+void
+Flags::visit(Archive &ar)
+{
+    uint8_t bits = toBits();
+    ar.u8(bits);
+    if (ar.loading())
+        *this = fromBits(bits);
+}
 
 FpClass
 classify(uint64_t v)
@@ -118,8 +128,9 @@ roundPack(bool sign, int32_t e, uint64_t sig, Flags &flags)
 uint64_t
 fpIntMul(uint64_t a, uint64_t b)
 {
-    return static_cast<uint64_t>(static_cast<int64_t>(a) *
-                                 static_cast<int64_t>(b));
+    // The low 64 bits of a two's-complement product do not depend on
+    // signedness; unsigned multiplication wraps instead of overflowing.
+    return a * b;
 }
 
 uint64_t

@@ -20,6 +20,11 @@
 
 #include <cstdint>
 
+namespace mtfpu
+{
+class Archive;
+} // namespace mtfpu
+
 namespace mtfpu::softfp
 {
 
@@ -71,6 +76,9 @@ struct Flags
         f.divByZero = bits & 16u;
         return f;
     }
+
+    /** Visit as one toBits() byte. */
+    void visit(Archive &ar);
 };
 
 /** Field layout constants for IEEE-754 binary64. */

@@ -101,6 +101,24 @@ TEST(InterpreterSemantics, MaxStepsGuard)
     EXPECT_THROW(it.run(1000), FatalError);
 }
 
+TEST(InterpreterSemantics, MulKeepsTheLowProductBits)
+{
+    // The product wraps modulo 2^64, signed overflow included.
+    Interpreter interp;
+    interp.loadProgram(assembler::assemble(R"(
+            mul  r3, r1, r2
+            mul  r6, r4, r5
+            halt
+    )"));
+    interp.setIntReg(1, (1ULL << 33) + 1);
+    interp.setIntReg(2, 1ULL << 33);
+    interp.setIntReg(4, 1ULL << 63); // INT64_MIN
+    interp.setIntReg(5, ~0ULL);      // -1
+    interp.run();
+    EXPECT_EQ(interp.intReg(3), 1ULL << 33);
+    EXPECT_EQ(interp.intReg(6), 1ULL << 63);
+}
+
 TEST(InterpreterSemantics, R0StaysZero)
 {
     Interpreter it;

@@ -104,7 +104,7 @@ fullScan(const MainMemory &mem)
     return out;
 }
 
-/** saveState()'s sparse encoding, built from a full scan. */
+/** visit()'s sparse encoding, built from a full scan. */
 std::vector<uint8_t>
 fullScanState(const MainMemory &mem)
 {
@@ -123,7 +123,7 @@ std::vector<uint8_t>
 saved(const MainMemory &mem)
 {
     ByteWriter out;
-    mem.saveState(out);
+    Archive::save(out, mem);
     return out.take();
 }
 
@@ -167,7 +167,7 @@ TEST(MainMemoryPages, RestoreLeavesNoWordFromBeforeIt)
     scribble(target, 12); // mostly other pages than source's
     ASSERT_NE(fullScan(target), fullScan(source));
     ByteReader in(state);
-    target.restoreState(in);
+    Archive::load(in, target);
     EXPECT_EQ(fullScan(target), fullScan(source));
     EXPECT_EQ(saved(target), state);
 }

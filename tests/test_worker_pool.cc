@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -131,8 +132,12 @@ TEST(Supervisor, ClassifiesRealChildExits)
     };
 
     pid_t pid = ::fork();
-    if (pid == 0)
-        ::raise(SIGSEGV);
+    if (pid == 0) {
+        // The default action: a sanitizer's SEGV handler would turn
+        // the raise into an ordinary exit.
+        std::signal(SIGSEGV, SIG_DFL);
+        std::raise(SIGSEGV);
+    }
     service::CrashInfo segv = service::classifyExit(waitFor(pid));
     EXPECT_EQ(segv.code, ErrCode::WorkerCrash);
     EXPECT_EQ(segv.signal, "SIGSEGV");
