@@ -118,6 +118,7 @@ main(int argc, char **argv)
     std::string replayDir;
     std::string exportSpecs;
     bool quiet = false;
+    bool resume = false;
 
     for (int i = 1; i < argc; ++i) {
         std::string value;
@@ -130,7 +131,7 @@ main(int argc, char **argv)
         } else if (flagValue(argv[i], "--journal", value)) {
             config.journalPath = value;
         } else if (std::strcmp(argv[i], "--resume") == 0) {
-            config.resume = true;
+            resume = true;
         } else if (flagValue(argv[i], "--crash-dir", value)) {
             config.crashDir = value;
         } else if (flagValue(argv[i], "--corpus-dir", value)) {
@@ -186,6 +187,11 @@ main(int argc, char **argv)
                         exportSpecs.c_str());
             return 0;
         }
+
+        // Without --resume a pre-existing journal belongs to some
+        // earlier campaign; start it over rather than continuing it.
+        if (!config.journalPath.empty() && !resume)
+            std::remove(config.journalPath.c_str());
 
         fuzz::FuzzEngine engine(config);
         const fuzz::FuzzResult result =

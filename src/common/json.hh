@@ -10,9 +10,11 @@
  * campaign — fails cleanly and recoverably.
  *
  * This is a reader for trusted, self-produced input, not a general
- * JSON library: numbers are doubles (with an exact-integer accessor),
- * and there is no writer (artifacts are written with hand-built
- * strings like the rest of the codebase).
+ * JSON library: numbers are doubles (with an exact-integer accessor).
+ * Its writing half is json::Writer below, which the service layer
+ * uses for wire messages, job specs, journal records and worker crash
+ * reports; the simulator-side artifacts (campaign and fuzz records,
+ * divergence and quarantine reports) are hand-built strings.
  */
 
 #ifndef MTFPU_COMMON_JSON_HH

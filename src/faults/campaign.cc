@@ -5,10 +5,11 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
+#include "common/journal.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/table.hh"
@@ -81,54 +82,6 @@ faultOutcomeFromName(const std::string &name)
             return o;
     }
     fatal(ErrCode::BadOperand, "unknown fault outcome: " + name);
-}
-
-/**
- * Load the completed trials recorded in a journal. Each line is one
- * JSON object written by FaultTrial::to_json(); a line that fails to
- * parse — the torn final line of a killed campaign — is skipped.
- */
-std::unordered_map<std::string, FaultTrial>
-readJournal(const std::string &path)
-{
-    std::unordered_map<std::string, FaultTrial> done;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return done;
-    std::string text;
-    char buf[65536];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-
-    size_t start = 0;
-    unsigned torn = 0;
-    while (start < text.size()) {
-        size_t end = text.find('\n', start);
-        if (end == std::string::npos)
-            end = text.size();
-        const std::string line = text.substr(start, end - start);
-        start = end + 1;
-        if (line.empty())
-            continue;
-        try {
-            const json::Value v = json::parse(line);
-            FaultTrial trial;
-            trial.kernel = v.at("kernel").asString();
-            trial.seed = v.at("seed").asUint();
-            trial.outcome = faultOutcomeFromName(v.at("outcome").asString());
-            trial.errorCode = v.at("error_code").asString();
-            trial.cycles = v.at("cycles").asUint();
-            done[trialKey(trial.kernel, trial.seed)] = std::move(trial);
-        } catch (const SimError &) {
-            ++torn;
-        }
-    }
-    if (torn)
-        warn("journal " + path + ": skipped " + std::to_string(torn) +
-             " unparseable line(s) (torn write from a killed run)");
-    return done;
 }
 
 /** Classify one finished trial against its golden checksum. */
@@ -366,23 +319,21 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
     // are loaded up front and skipped; new results append as workers
     // finish them.
     std::unordered_map<std::string, FaultTrial> already;
-    std::FILE *journal = nullptr;
+    std::optional<journal::Appender> appender;
     if (!config.journalPath.empty()) {
-        already = readJournal(config.journalPath);
+        journal::replay(config.journalPath, [&](const json::Value &v) {
+            FaultTrial trial;
+            trial.kernel = v.at("kernel").asString();
+            trial.seed = v.at("seed").asUint();
+            trial.outcome = faultOutcomeFromName(v.at("outcome").asString());
+            trial.errorCode = v.at("error_code").asString();
+            trial.cycles = v.at("cycles").asUint();
+            already[trialKey(trial.kernel, trial.seed)] = std::move(trial);
+        });
         if (!already.empty())
             inform("journal holds " + std::to_string(already.size()) +
                    " completed trial(s); resuming");
-        journal = std::fopen(config.journalPath.c_str(), "a");
-        if (!journal) {
-            warn("cannot open journal " + config.journalPath);
-        } else if (std::fseek(journal, 0, SEEK_END) == 0 &&
-                   std::ftell(journal) > 0) {
-            // A SIGKILLed run may have died mid-line; appending onto
-            // that torn tail would merge the first new record into it.
-            // An unconditional newline keeps every new record on its
-            // own line (readJournal skips blank lines).
-            std::fputc('\n', journal);
-        }
+        appender.emplace(config.journalPath);
     }
 
     // Phase 2: the seeded trial sweep, one single-fault plan per
@@ -489,25 +440,18 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
     }
 
     // Journal lines are written from worker threads the moment a
-    // trial finishes; the mutex keeps lines whole and the flush
-    // bounds what a SIGKILL can lose to the line in flight.
-    std::mutex journalMutex;
-    if (journal) {
+    // trial finishes.
+    if (appender) {
         driver.setResultCallback(
             [&](size_t j, const machine::SimJobResult &r) {
                 FaultTrial trial = trials[jobTrial[j]];
                 const size_t k = jobTrial[j] / config.faultsPerKernel;
                 classifyTrial(trial, r, sums[j], result.goldenChecksums[k]);
-                const std::string line = trial.to_json() + "\n";
-                std::lock_guard<std::mutex> lock(journalMutex);
-                std::fwrite(line.data(), 1, line.size(), journal);
-                std::fflush(journal);
+                appender->append(trial.to_json());
             });
     }
 
     const std::vector<machine::SimJobResult> res = driver.run(jobs);
-    if (journal)
-        std::fclose(journal);
     for (size_t j = 0; j < res.size(); ++j) {
         const size_t k = jobTrial[j] / config.faultsPerKernel;
         classifyTrial(trials[jobTrial[j]], res[j], sums[j],

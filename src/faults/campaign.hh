@@ -110,17 +110,16 @@ struct CampaignConfig
     std::string reportDir;
 
     /**
-     * Trial journal for resumable campaigns. When non-empty, every
-     * finished trial is appended to this file as one JSON line the
-     * moment its worker classifies it (fflush'd, so a SIGKILL loses at
-     * most the line being written), and a campaign started over an
-     * existing journal skips every (kernel, seed) trial already
-     * recorded — rerunning a killed campaign with the same parameters
-     * and journal completes the remaining trials and reports the same
-     * classification counts as an uninterrupted run. A torn final
-     * line is detected by its failed JSON parse and ignored. The
-     * journal assumes the campaign parameters (kernels, seed, machine
-     * config) are unchanged between runs; it records outcomes, not
+     * Trial journal for resumable campaigns (common/journal). When
+     * non-empty, every finished trial is appended to this file as one
+     * JSON line the moment its worker classifies it, and a campaign
+     * started over an existing journal skips every (kernel, seed)
+     * trial already recorded — rerunning a killed campaign with the
+     * same parameters and journal completes the remaining trials and
+     * reports the same classification counts as an uninterrupted run.
+     * A file that cannot be opened throws SimError(Io). The journal
+     * assumes the campaign parameters (kernels, seed, machine config)
+     * are unchanged between runs; it records outcomes, not
      * configuration.
      */
     std::string journalPath;

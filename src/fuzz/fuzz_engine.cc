@@ -1,9 +1,12 @@
 #include "fuzz/fuzz_engine.hh"
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 
+#include "common/journal.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "fuzz/corpus.hh"
@@ -179,12 +182,6 @@ trialSeed(uint64_t campaign_seed, uint64_t trial)
 
 FuzzEngine::FuzzEngine(FuzzConfig config) : config_(std::move(config)) {}
 
-FuzzEngine::~FuzzEngine()
-{
-    if (journal_)
-        std::fclose(journal_);
-}
-
 TrialResult
 FuzzEngine::runTrial(uint64_t trial)
 {
@@ -295,84 +292,33 @@ FuzzEngine::bundleFailure(const FuzzProgram &prog, TrialResult &result)
 uint64_t
 FuzzEngine::resumeFromJournal(FuzzResult &result)
 {
-    std::FILE *f = std::fopen(config_.journalPath.c_str(), "rb");
-    if (!f)
-        return 0; // nothing to resume
-    std::string text;
-    char buf[65536];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-
     uint64_t next = 0;
-    uint64_t torn = 0;
-    size_t start = 0;
-    while (start < text.size()) {
-        size_t end = text.find('\n', start);
-        if (end == std::string::npos)
-            end = text.size();
-        const std::string line = text.substr(start, end - start);
-        start = end + 1;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        try {
-            const json::Value rec = json::parse(line);
-            // Records replay in trial order; a duplicate index is the
-            // re-run of a trial whose original line was torn.
-            if (rec.at("trial").asUint() != next) {
-                ++torn;
-                continue;
-            }
-            std::vector<unsigned> cells;
-            for (const json::Value &cell :
-                 rec.at("new_cells").asArray())
-                cells.push_back(
-                    static_cast<unsigned>(cell.asUint()));
-            coverage_.commit(cells);
-            const TrialOutcome soft =
-                outcomeFromName(rec.at("soft").asString());
-            const TrialOutcome host =
-                outcomeFromName(rec.at("host").asString());
-            const TrialOutcome worst = soft > host ? soft : host;
-            ++result.trials;
-            ++result.counts[static_cast<unsigned>(worst)];
-            ++next;
-        } catch (const FatalError &) {
-            ++torn; // torn tail of a killed campaign
+    journal::replay(config_.journalPath, [&](const json::Value &rec) {
+        // Records replay in trial order; a duplicate index is the
+        // re-run of a trial whose original line was torn. The whole
+        // record is checked before any of it is committed.
+        const uint64_t trial = rec.at("trial").asUint();
+        if (trial != next)
+            fatal(ErrCode::BadOperand,
+                  "trial " + std::to_string(trial) + " out of order");
+        const TrialOutcome soft = outcomeFromName(rec.at("soft").asString());
+        const TrialOutcome host = outcomeFromName(rec.at("host").asString());
+        std::vector<unsigned> cells;
+        for (const json::Value &cell : rec.at("new_cells").asArray()) {
+            const uint64_t index = cell.asUint();
+            if (index >= kNumCells)
+                fatal(ErrCode::BadOperand, "coverage cell " +
+                                               std::to_string(index) +
+                                               " out of range");
+            cells.push_back(static_cast<unsigned>(index));
         }
-    }
-    if (torn)
-        warn("fuzz journal " + config_.journalPath + ": skipped " +
-             std::to_string(torn) + " torn/duplicate line(s)");
+        coverage_.commit(cells);
+        const TrialOutcome worst = soft > host ? soft : host;
+        ++result.trials;
+        ++result.counts[static_cast<unsigned>(worst)];
+        ++next;
+    });
     return next;
-}
-
-void
-FuzzEngine::openJournal(bool append)
-{
-    journal_ = std::fopen(config_.journalPath.c_str(),
-                          append ? "ab" : "wb");
-    if (!journal_) {
-        warn("fuzz: cannot open journal " + config_.journalPath);
-        return;
-    }
-    if (append && std::fseek(journal_, 0, SEEK_END) == 0 &&
-        std::ftell(journal_) > 0) {
-        // An unconditional newline keeps every new record on its own
-        // line even after a torn final write.
-        std::fputc('\n', journal_);
-    }
-}
-
-void
-FuzzEngine::appendJournal(const TrialResult &result)
-{
-    if (!journal_)
-        return;
-    const std::string line = result.to_json() + "\n";
-    std::fwrite(line.data(), 1, line.size(), journal_);
-    std::fflush(journal_);
 }
 
 FuzzResult
@@ -380,10 +326,10 @@ FuzzEngine::run(const std::function<void(const TrialResult &)> &on_trial)
 {
     FuzzResult result;
     uint64_t first = 0;
+    std::optional<journal::Appender> appender;
     if (!config_.journalPath.empty()) {
-        if (config_.resume)
-            first = resumeFromJournal(result);
-        openJournal(config_.resume);
+        first = resumeFromJournal(result);
+        appender.emplace(config_.journalPath);
     }
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -403,7 +349,8 @@ FuzzEngine::run(const std::function<void(const TrialResult &)> &on_trial)
         ++result.counts[static_cast<unsigned>(res.worst())];
         if (outcomeIsFailure(res.worst()))
             result.failures.push_back(res);
-        appendJournal(res);
+        if (appender)
+            appender->append(res.to_json());
         if (on_trial)
             on_trial(res);
     }

@@ -26,7 +26,6 @@
 #define MTFPU_FUZZ_FUZZ_ENGINE_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -106,11 +105,12 @@ struct FuzzConfig
     /** Where coverage-novel programs go (empty = don't write). */
     std::string corpusDir;
 
-    /** Trial journal for resumable campaigns (empty = none). */
+    /**
+     * Trial journal (common/journal; empty = none). A campaign always
+     * continues the journal it is given: it replays the recorded
+     * trials and runs on from the first one missing.
+     */
     std::string journalPath;
-
-    /** Continue over an existing journal instead of starting fresh. */
-    bool resume = false;
 };
 
 /** One classified trial. */
@@ -165,12 +165,11 @@ class FuzzEngine
 {
   public:
     explicit FuzzEngine(FuzzConfig config);
-    ~FuzzEngine();
 
     /**
-     * Run the campaign (trial count or wall-clock budget, journaled
-     * and resumable per the config). @p on_trial, when set, observes
-     * every finished trial in order.
+     * Run the campaign (trial count or wall-clock budget), continuing
+     * the configured journal. @p on_trial, when set, observes every
+     * trial this call runs, in order.
      */
     FuzzResult run(
         const std::function<void(const TrialResult &)> &on_trial = {});
@@ -188,16 +187,12 @@ class FuzzEngine
      *  counters; returns the next trial index. */
     uint64_t resumeFromJournal(FuzzResult &result);
 
-    void openJournal(bool append);
-    void appendJournal(const TrialResult &result);
-
     /** Minimize + write the crash bundle for a failed trial. */
     void bundleFailure(const FuzzProgram &prog, TrialResult &result);
 
     FuzzConfig config_;
     ProgramGen gen_;
     CoverageMap coverage_;
-    std::FILE *journal_ = nullptr;
 };
 
 /** Deterministic per-trial seed derivation. */

@@ -1,9 +1,7 @@
 #include "service/supervisor.hh"
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <sys/wait.h>
@@ -75,29 +73,14 @@ RespawnBackoff::recordCrash()
     return delay > maxMs_ ? maxMs_ : static_cast<unsigned>(delay);
 }
 
-JobJournal::JobJournal(std::string path) : path_(std::move(path))
+namespace
 {
-    const std::filesystem::path parent =
-        std::filesystem::path(path_).parent_path();
-    if (!parent.empty())
-        std::filesystem::create_directories(parent);
-    file_ = std::fopen(path_.c_str(), "a");
-    if (!file_)
-        fatal(ErrCode::Io, "cannot open job journal " + path_ + ": " +
-                               std::strerror(errno));
-}
 
-JobJournal::~JobJournal()
+/** The accept event's record. */
+std::string
+acceptRecord(uint64_t id, const std::string &spec_json,
+             const std::string &idem_key)
 {
-    if (file_)
-        std::fclose(file_);
-}
-
-void
-JobJournal::accept(uint64_t id, const std::string &spec_json,
-                   const std::string &idem_key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
     json::Writer w;
     w.beginObject();
     w.key("op").value("accept");
@@ -106,48 +89,39 @@ JobJournal::accept(uint64_t id, const std::string &spec_json,
     if (!idem_key.empty())
         w.key("idem").value(idem_key);
     w.endObject();
-    const std::string line = w.str();
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fputc('\n', file_);
-    // One flush per event: a SIGKILLed daemon loses at most the line
-    // in flight, and recover() skips that torn tail.
-    std::fflush(file_);
+    return w.str();
+}
+
+} // anonymous namespace
+
+JobJournal::JobJournal(std::string path) : out_(std::move(path)) {}
+
+void
+JobJournal::accept(uint64_t id, const std::string &spec_json,
+                   const std::string &idem_key)
+{
+    out_.append(acceptRecord(id, spec_json, idem_key));
 }
 
 void
 JobJournal::done(uint64_t id)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     json::Writer w;
     w.beginObject();
     w.key("op").value("done");
     w.key("id").value(id);
     w.endObject();
-    const std::string line = w.str();
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fputc('\n', file_);
-    std::fflush(file_);
+    out_.append(w.str());
 }
 
 JobJournal::Recovery
 JobJournal::recover(const std::string &path)
 {
-    Recovery recovery;
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return recovery; // no journal: nothing in flight
-
     // Replay in file order into an id-keyed map: accept inserts, done
     // erases. std::map keeps the survivors in ascending id order.
+    Recovery recovery;
     std::map<uint64_t, Recovered> open;
-    std::string line;
-    int c;
-    bool sawNewline = true;
-    auto apply = [&](const std::string &text) {
-        // Interior lines that fail to parse are corruption worth a
-        // warning; the torn tail (no trailing newline) is expected
-        // after a SIGKILL and is skipped by the caller below.
-        const json::Value v = json::parse(text);
+    journal::replay(path, [&](const json::Value &v) {
         const std::string op = v.at("op").asString();
         const uint64_t id = v.at("id").asUint();
         if (id > recovery.maxId)
@@ -165,34 +139,7 @@ JobJournal::recover(const std::string &path)
         } else if (op == "done") {
             open.erase(id);
         }
-    };
-    while ((c = std::fgetc(f)) != EOF) {
-        if (c == '\n') {
-            if (!line.empty()) {
-                try {
-                    apply(line);
-                } catch (const FatalError &err) {
-                    warn("job journal " + path + ": skipping bad line (" +
-                         err.what() + ")");
-                }
-            }
-            line.clear();
-            sawNewline = true;
-        } else {
-            line.push_back(static_cast<char>(c));
-            sawNewline = false;
-        }
-    }
-    std::fclose(f);
-    if (!sawNewline && !line.empty()) {
-        // Torn tail: the write the crash interrupted. Try it — it may
-        // be complete except for the newline — but drop it silently
-        // when it is not.
-        try {
-            apply(line);
-        } catch (const FatalError &) {
-        }
-    }
+    });
     for (auto &[id, rec] : open)
         recovery.unfinished.push_back(std::move(rec));
     return recovery;
@@ -202,32 +149,27 @@ void
 JobJournal::compact(const std::string &path,
                     const std::vector<Recovered> &unfinished)
 {
+    // Write a fresh file beside the journal and rename it over the
+    // journal, so a crash mid-compaction leaves the old journal whole.
     const std::string tmp =
         path + ".tmp." + std::to_string(::getpid());
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    if (!f) {
-        warn("job journal: cannot compact to " + tmp);
-        return;
-    }
-    for (const Recovered &job : unfinished) {
-        json::Writer w;
-        w.beginObject();
-        w.key("op").value("accept");
-        w.key("id").value(job.id);
-        w.key("spec").raw(job.specJson);
-        if (!job.idemKey.empty())
-            w.key("idem").value(job.idemKey);
-        w.endObject();
-        const std::string line = w.str();
-        std::fwrite(line.data(), 1, line.size(), f);
-        std::fputc('\n', f);
-    }
-    const bool ok = std::fclose(f) == 0;
     std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    bool ok = true;
+    try {
+        journal::Appender out(tmp);
+        for (const Recovered &job : unfinished) {
+            ok = out.append(acceptRecord(job.id, job.specJson, job.idemKey));
+            if (!ok)
+                break;
+        }
+    } catch (const SimError &) {
+        ok = false;
+    }
     if (ok)
         std::filesystem::rename(tmp, path, ec);
     if (!ok || ec) {
-        std::remove(tmp.c_str());
+        std::filesystem::remove(tmp, ec);
         warn("job journal: compaction of " + path + " failed");
     }
 }

@@ -4,9 +4,9 @@
  * (DESIGN.md §12): crash classification, respawn backoff, and the
  * crash-safe in-flight job journal. Everything here is policy with no
  * process management — the WorkerPool owns fork/exec and waitpid and
- * feeds raw wait statuses through classifyExit(); the journal is the
- * same torn-tail-tolerant NDJSON discipline the fuzz campaign journal
- * uses, applied to the daemon's accepted-but-unfinished job set.
+ * feeds raw wait statuses through classifyExit(); the job journal
+ * keeps the daemon's accepted-but-unfinished job set in a
+ * common/journal file.
  *
  * Supervision model: each pool slot is a one-for-one supervisor of
  * its worker process. A worker that exits (signal, OOM kill, rlimit
@@ -22,10 +22,10 @@
 #define MTFPU_SERVICE_SUPERVISOR_HH
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/journal.hh"
 #include "common/sim_error.hh"
 
 namespace mtfpu::service
@@ -94,12 +94,13 @@ class RespawnBackoff
 
 /**
  * Crash-safe journal of accepted-but-unfinished jobs: one NDJSON line
- * per event, fflushed so a SIGKILLed daemon loses at most the line
- * being written. On restart, recover() replays the file — accepted
- * ids minus done ids are the jobs that were queued or running when
- * the daemon died, and the server re-submits them under their
- * original ids. A torn trailing line (the flush that never finished)
- * is skipped, exactly like the fuzz campaign journal's tail rule.
+ * per event in a common/journal file, so a SIGKILLed daemon loses at
+ * most the line being written. On restart, recover() replays the
+ * file — accepted ids minus done ids are the jobs that were queued or
+ * running when the daemon died, and the server re-submits them under
+ * their original ids. Torn lines follow common/journal's rules: a
+ * torn tail is skipped on replay, and the next append starts on a
+ * fresh line.
  *
  * Events:
  *   {"op":"accept","id":N,"spec":{...}[,"idem":K]}  job admitted
@@ -135,10 +136,6 @@ class JobJournal
      * Throws SimError(Io) when the file cannot be opened.
      */
     explicit JobJournal(std::string path);
-    ~JobJournal();
-
-    JobJournal(const JobJournal &) = delete;
-    JobJournal &operator=(const JobJournal &) = delete;
 
     /** Append an accept event; @p spec_json is the spec object and
      *  @p idem_key the client idempotency key (empty = none). */
@@ -148,12 +145,13 @@ class JobJournal
     /** Append a done event (completion, failure, or cancellation). */
     void done(uint64_t id);
 
-    const std::string &path() const { return path_; }
+    const std::string &path() const { return out_.path(); }
 
     /**
      * Replay a journal file without opening it for append. A missing
-     * file is an empty recovery; unparseable interior lines are
-     * skipped with a warning, a torn tail silently.
+     * file is an empty recovery; lines that are not valid events (an
+     * accept whose spec is not a valid JobSpec included) are skipped
+     * with one warning.
      */
     static Recovery recover(const std::string &path);
 
@@ -166,9 +164,7 @@ class JobJournal
                         const std::vector<Recovered> &unfinished);
 
   private:
-    std::string path_;
-    std::mutex mutex_;
-    std::FILE *file_ = nullptr;
+    journal::Appender out_;
 };
 
 /**

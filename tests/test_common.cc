@@ -1,14 +1,20 @@
 /**
  * @file
  * Unit tests for the common utilities: bit fields, statistics
- * helpers, and the table formatter.
+ * helpers, the table formatter, JSON, and the NDJSON journal.
  */
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/bitfield.hh"
+#include "common/journal.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
@@ -214,6 +220,173 @@ TEST(Json, WriterCommasAndEmptyContainers)
     json::Writer top;
     top.value(uint64_t{42});
     EXPECT_EQ(top.str(), "42");
+}
+
+/** A fresh directory for one journal test, removed afterwards. */
+class JournalDir
+{
+  public:
+    explicit JournalDir(const std::string &tag)
+        : path_(std::filesystem::temp_directory_path() /
+                ("mtfpu_journal_" + tag))
+    {
+        std::filesystem::remove_all(path_);
+        std::filesystem::create_directories(path_);
+    }
+    ~JournalDir() { std::filesystem::remove_all(path_); }
+
+    std::string file(const std::string &name) const
+    {
+        return (path_ / name).string();
+    }
+
+  private:
+    std::filesystem::path path_;
+};
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(Journal, ReplaySkipsAndCountsWhatItCannotApply)
+{
+    const struct
+    {
+        const char *name;
+        const char *text; // nullptr: no file at all
+        std::vector<uint64_t> applied;
+        size_t skipped;
+    } cases[] = {
+        {"absent file", nullptr, {}, 0},
+        {"blank lines and interior garbage",
+         "{\"n\":1}\n\n \t\r\n{garbage\n{\"n\":2}\n", {1, 2}, 1},
+        {"torn tail", "{\"n\":1}\n{\"n\":2,\"x", {1}, 1},
+        {"complete last record without its newline",
+         "{\"n\":1}\n{\"n\":2}", {1, 2}, 0},
+        {"record the callback rejects",
+         "{\"n\":1}\n{\"n\":2,\"reject\":true}\n{\"n\":3}\n", {1, 3}, 1},
+    };
+    JournalDir dir("replay");
+    const std::string path = dir.file("j.ndjson");
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        std::filesystem::remove(path);
+        if (c.text)
+            std::ofstream(path, std::ios::binary) << c.text;
+        std::vector<uint64_t> applied;
+        const size_t skipped =
+            journal::replay(path, [&](const json::Value &v) {
+                if (v.has("reject"))
+                    fatal(ErrCode::BadOperand, "record rejected");
+                applied.push_back(v.at("n").asUint());
+            });
+        EXPECT_EQ(applied, c.applied);
+        EXPECT_EQ(skipped, c.skipped);
+    }
+}
+
+TEST(Journal, AppendStartsAFreshLineOnlyAfterATornRecord)
+{
+    const struct
+    {
+        const char *name;
+        const char *before; // nullptr: neither the file nor its directory
+        const char *after;
+    } cases[] = {
+        // No leading newline on an empty journal: readers count
+        // exactly one '\n' per record.
+        {"absent file and directory", nullptr,
+         "{\"n\":1}\n{\"n\":2}\n"},
+        {"empty file", "", "{\"n\":1}\n{\"n\":2}\n"},
+        {"whole last record", "{\"n\":0}\n",
+         "{\"n\":0}\n{\"n\":1}\n{\"n\":2}\n"},
+        {"torn tail", "{\"n\":0", "{\"n\":0\n{\"n\":1}\n{\"n\":2}\n"},
+    };
+    JournalDir dir("append");
+    const std::string path = dir.file("sub/j.ndjson");
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        std::filesystem::remove_all(dir.file("sub"));
+        if (c.before) {
+            std::filesystem::create_directories(dir.file("sub"));
+            std::ofstream(path, std::ios::binary) << c.before;
+        }
+        {
+            journal::Appender out(path);
+            EXPECT_TRUE(out.append("{\"n\":1}"));
+            EXPECT_TRUE(out.append("{\"n\":2}"));
+        }
+        EXPECT_EQ(slurp(path), c.after);
+    }
+}
+
+TEST(Journal, ConcurrentAppendsStayWholeLines)
+{
+    constexpr uint64_t kThreads = 4;
+    constexpr uint64_t kRecords = 250;
+    JournalDir dir("threads");
+    const std::string path = dir.file("j.ndjson");
+    {
+        journal::Appender out(path);
+        std::vector<std::thread> threads;
+        for (uint64_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&out, t] {
+                for (uint64_t i = 0; i < kRecords; ++i) {
+                    json::Writer w;
+                    w.beginObject();
+                    w.key("t").value(t);
+                    w.key("i").value(i);
+                    w.key("pad").value(std::string(300, 'x'));
+                    w.endObject();
+                    out.append(w.str());
+                }
+            });
+        }
+        for (std::thread &thread : threads)
+            thread.join();
+    }
+    const std::string text = slurp(path);
+    EXPECT_EQ(static_cast<uint64_t>(
+                  std::count(text.begin(), text.end(), '\n')),
+              kThreads * kRecords);
+    std::set<std::pair<uint64_t, uint64_t>> seen;
+    EXPECT_EQ(journal::replay(path,
+                              [&](const json::Value &v) {
+                                  seen.emplace(v.at("t").asUint(),
+                                               v.at("i").asUint());
+                              }),
+              0u);
+    EXPECT_EQ(seen.size(), kThreads * kRecords);
+}
+
+TEST(Journal, UnusablePathIsAnIoError)
+{
+    JournalDir dir("unusable");
+    const std::string plain = dir.file("plain");
+    std::ofstream(plain) << "a regular file\n";
+    const auto expectIo = [](const std::function<void()> &open) {
+        try {
+            open();
+            ADD_FAILURE() << "no error";
+        } catch (const SimError &err) {
+            EXPECT_EQ(err.code(), ErrCode::Io) << err.what();
+        }
+    };
+    {
+        SCOPED_TRACE("append under a regular file");
+        expectIo([&] { journal::Appender out(plain + "/j.ndjson"); });
+    }
+    {
+        SCOPED_TRACE("replay of a directory");
+        expectIo([&] {
+            journal::replay(dir.file(""), [](const json::Value &) {});
+        });
+    }
 }
 
 } // anonymous namespace

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 #include <sstream>
 
+#include "common/json.hh"
 #include "fuzz/corpus.hh"
 #include "fuzz/fuzz_engine.hh"
 #include "fuzz/minimizer.hh"
@@ -234,7 +235,6 @@ TEST(FuzzJournal, ResumeContinuesWhereItStopped)
     part.journalPath = dir.file("part.jsonl");
     FuzzEngine(part).run();
     part.trials = 12;
-    part.resume = true;
     const FuzzResult resumed = FuzzEngine(part).run();
 
     EXPECT_EQ(journalLines(full.journalPath),
@@ -255,7 +255,6 @@ TEST(FuzzJournal, TornTailIsTolerated)
         << text.substr(0, text.size() - 25);
 
     config.trials = 6;
-    config.resume = true;
     const FuzzResult resumed = FuzzEngine(config).run();
     EXPECT_EQ(resumed.trials, 6u);
     // The re-run of the torn trial matches what the straight run wrote.
@@ -266,6 +265,57 @@ TEST(FuzzJournal, TornTailIsTolerated)
     const std::vector<std::string> b = journalLines(fresh.journalPath);
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a.back(), b.back());
+}
+
+TEST(FuzzJournal, OutOfRangeCellIsSkipped)
+{
+    // Each case damages trial 2's record of a 3-trial journal. Resume
+    // must reject the whole record before committing any of it, count
+    // it as skipped, and re-run trial 2 exactly as a fresh run does.
+    TempDir dir("journal_cells");
+    FuzzConfig fresh = smallConfig(19, 3);
+    fresh.journalPath = dir.file("fresh.jsonl");
+    FuzzEngine(fresh).run();
+    const std::vector<std::string> want = journalLines(fresh.journalPath);
+    ASSERT_EQ(want.size(), 3u);
+    const json::Value record = json::parse(want[2]);
+    const std::vector<json::Value> &cells = record.at("new_cells").asArray();
+    ASSERT_FALSE(cells.empty());
+
+    const auto replaceField = [&](const std::string &after, char end,
+                                  const std::string &text) {
+        std::string line = want[2];
+        const size_t from = line.find(after) + after.size();
+        return line.replace(from, line.find(end, from) - from, text);
+    };
+    const struct
+    {
+        const char *name;
+        std::string line;
+    } cases[] = {
+        {"cell one past the map",
+         replaceField("\"new_cells\":[", ']', std::to_string(kNumCells))},
+        {"cell that aliases a real one in 32 bits",
+         replaceField("\"new_cells\":[", ']',
+                      std::to_string((uint64_t{1} << 32) +
+                                     cells.front().asUint()))},
+        {"unknown outcome", replaceField("\"soft\":\"", '"', "bogus")},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        FuzzConfig config = smallConfig(19, 3);
+        config.journalPath = dir.file("damaged.jsonl");
+        std::ofstream(config.journalPath, std::ios::trunc)
+            << want[0] << '\n' << want[1] << '\n' << c.line << '\n';
+        std::vector<uint64_t> ran;
+        const FuzzResult resumed = FuzzEngine(config).run(
+            [&](const TrialResult &trial) { ran.push_back(trial.trial); });
+        EXPECT_EQ(ran, std::vector<uint64_t>{2});
+        EXPECT_EQ(resumed.trials, 3u);
+        const std::vector<std::string> got = journalLines(config.journalPath);
+        ASSERT_FALSE(got.empty());
+        EXPECT_EQ(got.back(), want[2]);
+    }
 }
 
 // --- Minimizer ---------------------------------------------------------

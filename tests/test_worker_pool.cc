@@ -220,6 +220,36 @@ TEST(Supervisor, JournalRecoversUnfinishedAndToleratesTornTail)
     EXPECT_EQ(none.maxId, 0u);
 }
 
+TEST(Supervisor, AppendAfterTornTailIsRecovered)
+{
+    // A daemon killed mid-append leaves a torn accept line. The next
+    // daemon's first event must start a line of its own, or it is lost
+    // with the torn one and its id is handed out again.
+    TempDir dir("journal_torn_append");
+    const std::string path = dir.file("jobs.ndjson");
+    {
+        service::JobJournal journal(path);
+        journal.accept(1, countdownSpec(5).to_json());
+    }
+    {
+        std::FILE *f = std::fopen(path.c_str(), "a");
+        ASSERT_NE(f, nullptr);
+        std::fputs("{\"op\":\"accept\",\"id\":2,\"spe", f);
+        std::fclose(f);
+    }
+    {
+        service::JobJournal journal(path);
+        journal.accept(3, countdownSpec(7).to_json());
+    }
+
+    const service::JobJournal::Recovery recovery =
+        service::JobJournal::recover(path);
+    ASSERT_EQ(recovery.unfinished.size(), 2u);
+    EXPECT_EQ(recovery.unfinished[0].id, 1u);
+    EXPECT_EQ(recovery.unfinished[1].id, 3u);
+    EXPECT_EQ(recovery.maxId, 3u);
+}
+
 TEST(DirLock, RefusesLiveHolderAndTakesOverStaleLock)
 {
     TempDir dir("dirlock");
