@@ -278,10 +278,21 @@ class Archive
     void
     count(std::vector<T> &v, size_t elemBytes)
     {
+        uint32_t n = static_cast<uint32_t>(v.size());
+        count(n, elemBytes);
         if (in_)
-            v.assign(in_->count(elemBytes), T{});
+            v.assign(n, T{});
+    }
+
+    /** A u32 element count; loading bounds it by @p elemBytes per
+     *  element, as for a vector. */
+    void
+    count(uint32_t &n, size_t elemBytes)
+    {
+        if (in_)
+            n = in_->count(elemBytes);
         else
-            out_->u32(static_cast<uint32_t>(v.size()));
+            out_->u32(n);
     }
 
   private:

@@ -1,5 +1,8 @@
 #include "fpu/fpu.hh"
 
+#include <cstdio>
+#include <string>
+
 #include "common/log.hh"
 #include "exec/semantics.hh"
 
@@ -12,20 +15,18 @@ Fpu::Fpu(unsigned latency, softfp::Backend backend)
 }
 
 void
-Fpu::retirePswState(const std::vector<PendingOp> &retired)
+Fpu::retirePswState(const PendingOp &op)
 {
-    // Accumulate PSW state of retiring ALU operations. An element
+    // Accumulate PSW state of the retiring ALU operation. An element
     // that overflowed discards all remaining elements of its own
     // vector instruction when it retires (paper §2.3.1); elements
     // already in the pipeline behind it complete normally.
-    for (const PendingOp &op : retired) {
-        psw_.flags.merge(op.flags);
-        if (op.flags.overflow) {
-            psw_.recordOverflow(op.reg);
-            if (ir_.busy() && ir_.currentSeq() == op.seq) {
-                stats_.squashedElements += ir_.remainingElements();
-                ir_.squash();
-            }
+    psw_.flags.merge(op.flags);
+    if (op.flags.overflow) {
+        psw_.recordOverflow(op.reg);
+        if (ir_.busy() && ir_.currentSeq() == op.seq) {
+            stats_.squashedElements += ir_.remainingElements();
+            ir_.squash();
         }
     }
 }
@@ -68,7 +69,7 @@ Fpu::tryIssueElementSlow()
         corruptArmed_ = false;
     }
 
-    sb_.reserve(element.rr);
+    sb_.reserve(element.rr, units_.latency());
     units_.issue(element.op, element.rr, value, flags, seq);
 
     ++stats_.elementsIssued;
@@ -154,11 +155,41 @@ Fpu::reset()
 }
 
 void
+Fpu::restoreScoreboard(uint64_t reserved)
+{
+    // Each reservation belongs to the one op in flight to its
+    // register and lapses at that op's writeback.
+    sb_.clear();
+    units_.forEach([this](const PendingOp &op, unsigned left) {
+        if (sb_.reserved(op.reg))
+            fatal(ErrCode::BadSnapshot,
+                  "FunctionalUnits: two in-flight ops to f" +
+                      std::to_string(op.reg));
+        sb_.reserve(op.reg, left);
+    });
+    if (sb_.reservedWord() != reserved) {
+        char msg[112];
+        std::snprintf(msg, sizeof(msg),
+                      "Scoreboard: reservation word 0x%llx, but the ops in "
+                      "flight write 0x%llx",
+                      static_cast<unsigned long long>(reserved),
+                      static_cast<unsigned long long>(sb_.reservedWord()));
+        fatal(ErrCode::BadSnapshot, msg);
+    }
+}
+
+void
 Fpu::visit(Archive &ar)
 {
     regs_.visit(ar);
-    sb_.visit(ar);
+    // The scoreboard travels as its reservation word (f0 in bit 0)
+    // ahead of the ops that made the reservations; loading rebuilds
+    // the ready-at times from the ops.
+    uint64_t reserved = sb_.reservedWord();
+    ar.u64(reserved);
     units_.visit(ar);
+    if (ar.loading())
+        restoreScoreboard(reserved);
     ir_.visit(ar);
     lsu_.visit(ar);
     psw_.flags.visit(ar);

@@ -24,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "fpu/functional_unit.hh"
 #include "fpu/load_store_unit.hh"
@@ -83,20 +84,28 @@ class Fpu
                  softfp::Backend backend = softfp::Backend::Soft);
 
     /**
-     * Start an active cycle: retire finished ALU operations (merging
-     * their flags into the PSW and applying overflow squash) and
-     * complete in-flight load writes. Returns the operations retired
-     * this cycle so the Machine can publish them to its observers;
-     * the reference is into a buffer reused on the next active cycle.
-     * Inline: runs every active cycle, usually with nothing retiring.
+     * Start an active cycle: lapse due scoreboard reservations, retire
+     * the ALU operation whose latency elapsed (merging its flags into
+     * the PSW and applying overflow squash) and complete the in-flight
+     * load write. Returns the operation retired this cycle, if any, so
+     * the Machine can publish it to its observers; the span stays
+     * valid until the next element issues. Inline: runs every active
+     * cycle, usually with nothing retiring.
      */
-    const std::vector<PendingOp> &
+    std::span<const PendingOp>
     beginCycle()
     {
         elementIssuedThisCycle_ = false;
-        const std::vector<PendingOp> &retired = units_.advance(regs_, sb_);
-        if (!retired.empty())
-            retirePswState(retired);
+        std::span<const PendingOp> retired;
+        // Every reservation belongs to an op in flight, so with none
+        // in flight the scoreboard's count may pause: nothing is
+        // reserved, and a new reservation is relative to the count.
+        if (units_.busy()) {
+            sb_.beginCycle();
+            retired = units_.advance(regs_);
+            if (!retired.empty())
+                retirePswState(retired.front());
+        }
         lsu_.advance(regs_);
         return retired;
     }
@@ -187,7 +196,11 @@ class Fpu
 
   private:
     /** Out-of-line tail of beginCycle(): PSW merge + overflow squash. */
-    void retirePswState(const std::vector<PendingOp> &retired);
+    void retirePswState(const PendingOp &op);
+
+    /** Loading tail of visit(): rebuild the scoreboard from the ops in
+     *  flight and reject a reservation word they do not account for. */
+    void restoreScoreboard(uint64_t reserved);
 
     /** Out-of-line tail of tryIssueElement(): the IR holds work. */
     ElementEvent tryIssueElementSlow();

@@ -2,29 +2,29 @@
  * @file
  * The three fully pipelined functional units (add, multiply,
  * reciprocal; paper §2). Every operation has the same three-cycle
- * latency including bypass, so a single in-flight queue models all
- * three: each entry counts down the remaining pipeline stages and the
- * result is written back (and its reservation released) when the
- * count reaches zero. Because all units share one latency and at most
- * one element issues per cycle, the register-file write port never
- * conflicts (paper §2.3.1).
+ * latency including bypass and at most one element issues per cycle,
+ * so at most one result is written back per cycle and the
+ * register-file write port never conflicts (paper §2.3.1). One ring
+ * of `latency` slots therefore models all three units: an op issued
+ * in active cycle t sits in the slot that comes due at t + latency,
+ * when it is written back. The scoreboard reservation it made at
+ * issue lapses in the same cycle (scoreboard.hh).
  */
 
 #ifndef MTFPU_FPU_FUNCTIONAL_UNIT_HH
 #define MTFPU_FPU_FUNCTIONAL_UNIT_HH
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/bytestream.hh"
+#include "common/delay_ring.hh"
+#include "fpu/register_file.hh"
 #include "isa/fpu_instr.hh"
 #include "softfp/fp64.hh"
 
 namespace mtfpu::fpu
 {
-
-class RegisterFile;
-class Scoreboard;
 
 /** Latency in cycles of every FPU ALU operation, including bypass. */
 constexpr unsigned kFpuLatency = 3;
@@ -32,7 +32,6 @@ constexpr unsigned kFpuLatency = 3;
 /** One operation in flight through a functional-unit pipeline. */
 struct PendingOp
 {
-    unsigned remaining;  // active cycles until writeback
     uint8_t reg;         // destination register
     uint64_t value;      // computed result (execute-at-issue model)
     softfp::Flags flags; // exception flags of this operation
@@ -55,53 +54,53 @@ class FunctionalUnits
      * Enter a newly issued element. Its result becomes architecturally
      * visible @p latency active cycles later.
      */
-    void issue(isa::FpOp op, unsigned reg, uint64_t value,
-               const softfp::Flags &flags, uint64_t seq);
+    void
+    issue(isa::FpOp op, unsigned reg, uint64_t value,
+          const softfp::Flags &flags, uint64_t seq)
+    {
+        ring_.push(PendingOp{static_cast<uint8_t>(reg), value, flags, op,
+                             seq});
+    }
 
     /**
-     * Advance one active cycle: write back every operation whose
-     * latency has elapsed, releasing its reservation and merging its
-     * flags. Returns the operations retired this cycle; the reference
-     * points into a reused internal buffer (no per-cycle allocation)
-     * and is valid until the next advance() or clear().
-     * Inline empty fast path: idle pipelines cost one branch.
+     * Advance one active cycle: write back the operation whose latency
+     * has elapsed, if any, and return it (zero or one op). The span
+     * stays valid until the next issue() or clear().
      */
-    const std::vector<PendingOp> &
-    advance(RegisterFile &regs, Scoreboard &sb)
+    std::span<const PendingOp>
+    advance(RegisterFile &regs)
     {
-        if (inflight_.empty()) {
-            retired_.clear();
-            return retired_;
-        }
-        return advanceSlow(regs, sb);
+        const PendingOp *op = ring_.advance();
+        if (!op)
+            return {};
+        regs.write(op->reg, op->value);
+        return {op, 1};
     }
 
     /** True if any operation is still in flight. */
-    bool busy() const { return !inflight_.empty(); }
+    bool busy() const { return ring_.busy(); }
 
     /** Configured latency. */
-    unsigned latency() const { return latency_; }
+    unsigned latency() const { return ring_.delay(); }
 
-    /** Drop all in-flight state (reset). */
+    /** Call fn(op, left) for every op in flight, oldest first, with
+     *  @p left (1..latency) the cycles until its writeback. */
+    template <typename Fn>
     void
-    clear()
+    forEach(Fn &&fn) const
     {
-        inflight_.clear();
-        retired_.clear();
+        ring_.forEach(fn);
     }
 
-    /** Visit the in-flight queue (latency is configuration and
-     *  retired_ is transient). */
+    /** Drop all in-flight state (reset). */
+    void clear() { ring_.clear(); }
+
+    /** Visit the in-flight ops, oldest first, each with the stages it
+     *  has left (latency is configuration). */
     void visit(Archive &ar);
 
   private:
-    /** Out-of-line tail of advance(): retire elapsed operations. */
-    const std::vector<PendingOp> &advanceSlow(RegisterFile &regs,
-                                              Scoreboard &sb);
-
-    unsigned latency_;
-    std::vector<PendingOp> inflight_;
-    std::vector<PendingOp> retired_; // reused advance() result buffer
+    DelayRing<PendingOp> ring_;
 };
 
 } // namespace mtfpu::fpu

@@ -1,9 +1,20 @@
 #include "fpu/register_file.hh"
 
 #include <cstring>
+#include <string>
+
+#include "common/log.hh"
 
 namespace mtfpu::fpu
 {
+
+void
+RegisterFile::rangeError(const char *access, unsigned reg)
+{
+    fatal(ErrCode::RegFileRange,
+          std::string("RegisterFile: ") + access + " of f" +
+              std::to_string(reg));
+}
 
 double
 RegisterFile::readDouble(unsigned reg) const

@@ -7,7 +7,9 @@
  * the issue logic, not here.
  *
  * read() and write() are inline — they run several times per
- * simulated cycle on the element issue and retire paths.
+ * simulated cycle on the element issue and retire paths — and compile
+ * to a bounds check plus the access; the out-of-range message is built
+ * out of line.
  */
 
 #ifndef MTFPU_FPU_REGISTER_FILE_HH
@@ -15,10 +17,8 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "common/bytestream.hh"
-#include "common/log.hh"
 #include "isa/fpu_instr.hh"
 
 namespace mtfpu::fpu
@@ -33,8 +33,7 @@ class RegisterFile
     read(unsigned reg) const
     {
         if (reg >= isa::kNumFpuRegs)
-            fatal(ErrCode::RegFileRange,
-                  "RegisterFile: read of f" + std::to_string(reg));
+            rangeError("read", reg);
         return regs_[reg];
     }
 
@@ -43,8 +42,7 @@ class RegisterFile
     write(unsigned reg, uint64_t value)
     {
         if (reg >= isa::kNumFpuRegs)
-            fatal(ErrCode::RegFileRange,
-                  "RegisterFile: write of f" + std::to_string(reg));
+            rangeError("write", reg);
         regs_[reg] = value;
     }
 
@@ -65,6 +63,8 @@ class RegisterFile
     }
 
   private:
+    [[noreturn]] static void rangeError(const char *access, unsigned reg);
+
     std::array<uint64_t, isa::kNumFpuRegs> regs_{};
 };
 

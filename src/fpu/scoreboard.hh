@@ -1,93 +1,83 @@
 /**
  * @file
- * The register write reservation table (paper §2.3.1): one bit per
- * register, set when an outstanding ALU operation will write that
- * register, cleared when the operation retires. Loads and stores read
- * the table through their own port but never set bits.
+ * The register write reservation table (paper §2.3.1). In hardware a
+ * bit is set when an ALU element issues and cleared when its result
+ * is written back. Every unit has the same latency, so the clearing
+ * cycle is known at issue: the table keeps, per register, the active
+ * cycle at which its reservation lapses, and a register is reserved
+ * while that cycle lies ahead. Active cycles are the ones in which
+ * the pipelines advance; beginCycle() is the only thing that moves
+ * the count, so a lock-step memory stall, which skips it, freezes
+ * every reservation with the pipelines. Loads and stores read the
+ * table through their own port but never reserve.
  *
- * Everything is defined inline: reserved() sits on the per-element
- * issue path (several probes per simulated cycle), so it must compile
- * down to a bit test.
+ * The accessors are inline and compile to a bounds check plus a
+ * compare; the out-of-range message is built out of line.
  */
 
 #ifndef MTFPU_FPU_SCOREBOARD_HH
 #define MTFPU_FPU_SCOREBOARD_HH
 
-#include <bitset>
-#include <string>
+#include <array>
+#include <cstdint>
 
-#include "common/bytestream.hh"
-#include "common/log.hh"
 #include "isa/fpu_instr.hh"
 
 namespace mtfpu::fpu
 {
 
-/** The one-bit-per-register reservation table. */
+/** The ready-at-cycle reservation table. */
 class Scoreboard
 {
   public:
-    /** Set the reservation bit at ALU element issue. */
+    /** Start an active cycle; reservations due now lapse. */
+    void beginCycle() { ++now_; }
+
+    /** The active-cycle count. Its owner may pause it while nothing
+     *  is reserved: reservations are relative to it. */
+    uint64_t now() const { return now_; }
+
+    /** Reserve @p reg at ALU element issue, until the writeback
+     *  @p latency active cycles from now. */
     void
-    reserve(unsigned reg)
+    reserve(unsigned reg, unsigned latency)
     {
         if (reg >= isa::kNumFpuRegs)
-            fatal(ErrCode::RegFileRange,
-                  "Scoreboard: reserve of f" + std::to_string(reg) +
-                      " (register file holds f0..f" +
-                      std::to_string(isa::kNumFpuRegs - 1) + ")");
-        if (bits_[reg])
-            panic("Scoreboard: double reservation of f" +
-                  std::to_string(reg));
-        bits_[reg] = true;
+            rangeError("reserve", reg);
+        if (readyAt_[reg] > now_)
+            doubleReservation(reg);
+        readyAt_[reg] = now_ + latency;
     }
 
-    /** Clear the reservation bit at ALU operation retire. */
-    void
-    release(unsigned reg)
+    /** First active cycle in which @p reg is not reserved. */
+    uint64_t
+    readyAt(unsigned reg) const
     {
         if (reg >= isa::kNumFpuRegs)
-            fatal(ErrCode::RegFileRange,
-                  "Scoreboard: release of f" + std::to_string(reg) +
-                      " (register file holds f0..f" +
-                      std::to_string(isa::kNumFpuRegs - 1) + ")");
-        if (!bits_[reg])
-            panic("Scoreboard: release of unreserved f" +
-                  std::to_string(reg));
-        bits_[reg] = false;
+            rangeError("probe", reg);
+        return readyAt_[reg];
     }
 
     /** True if an outstanding ALU write targets @p reg. */
-    bool
-    reserved(unsigned reg) const
-    {
-        if (reg >= isa::kNumFpuRegs)
-            fatal(ErrCode::RegFileRange,
-                  "Scoreboard: probe of f" + std::to_string(reg) +
-                      " (register file holds f0..f" +
-                      std::to_string(isa::kNumFpuRegs - 1) + ")");
-        return bits_[reg];
-    }
+    bool reserved(unsigned reg) const { return readyAt(reg) > now_; }
 
-    /** Clear every bit. */
-    void clear() { bits_.reset(); }
+    /** The reserved registers as one word, f0 in bit 0. */
+    uint64_t reservedWord() const;
 
-    /** Number of set bits (for invariants in tests). */
-    size_t count() const { return bits_.count(); }
-
-    /** Visit the bits as one u64, f0 in bit 0; loading drops bits
-     *  past f51. */
+    /** Drop every reservation and restart the cycle count. */
     void
-    visit(Archive &ar)
+    clear()
     {
-        uint64_t bits = bits_.to_ullong();
-        ar.u64(bits);
-        if (ar.loading())
-            bits_ = std::bitset<isa::kNumFpuRegs>(bits);
+        readyAt_.fill(0);
+        now_ = 0;
     }
 
   private:
-    std::bitset<isa::kNumFpuRegs> bits_;
+    [[noreturn]] static void rangeError(const char *access, unsigned reg);
+    [[noreturn]] static void doubleReservation(unsigned reg);
+
+    std::array<uint64_t, isa::kNumFpuRegs> readyAt_{};
+    uint64_t now_ = 0;
 };
 
 } // namespace mtfpu::fpu

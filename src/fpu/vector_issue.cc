@@ -15,12 +15,19 @@ AluInstructionRegister::transfer(const isa::FpuAluInstr &instr,
         panic("AluInstructionRegister: transfer while busy");
     current_ = Live{instr.op, instr.rr, instr.ra, instr.rb, instr.vlm1,
                     instr.sra, instr.srb, seq};
+    restartProbe();
 }
 
 void
 AluInstructionRegister::squash()
 {
-    current_.reset();
+    clear();
+}
+
+void
+AluInstructionRegister::specifierOverflow()
+{
+    fatal("vector element specifier incremented past f51");
 }
 
 bool
@@ -73,8 +80,10 @@ AluInstructionRegister::visit(Archive &ar)
 {
     bool occupied = current_.has_value();
     ar.b(occupied);
-    if (ar.loading())
+    if (ar.loading()) {
         current_ = occupied ? std::optional<Live>(Live{}) : std::nullopt;
+        restartProbe();
+    }
     if (!occupied)
         return;
     Live &live = *current_;

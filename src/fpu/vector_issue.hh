@@ -21,7 +21,6 @@
 #include <optional>
 
 #include "common/bytestream.hh"
-#include "common/log.hh"
 #include "exec/semantics.hh"
 #include "fpu/scoreboard.hh"
 #include "isa/fpu_instr.hh"
@@ -70,28 +69,49 @@ class AluInstructionRegister
      * destination; the IR advances its specifiers (or clears itself
      * after the last element). Inline: this runs once per occupied
      * active cycle and dominated the issue-path profile out of line.
+     *
+     * Only the element in the IR can reserve a register, so the
+     * ready-at times it waits on cannot move while it waits. Each is
+     * read once, in the hardware's order — Ra, then Rb for binary
+     * operations, then Rr once the sources are ready — and a stalled
+     * cycle costs one compare against the cycle the current wait
+     * ends. A specifier outside the file therefore faults on the
+     * cycle the probe of it would.
      */
     IssueStall
     tryIssue(const Scoreboard &sb, ElementIssue &out)
     {
         if (!current_)
             return IssueStall::Empty;
+        const uint64_t now = sb.now();
+        if (now < waitUntil_)
+            return waitingOn_;
 
         Live &live = *current_;
-
-        // Scalar scoreboarding of this element: both source
-        // reservation bits must be clear (unary operations read only
-        // Ra), and the destination must not carry an outstanding
-        // reservation.
-        if (sb.reserved(live.ra))
-            return IssueStall::SourceBusy;
-        if (!exec::fpOpIsUnary(live.op) && sb.reserved(live.rb))
-            return IssueStall::SourceBusy;
-        if (sb.reserved(live.rr))
-            return IssueStall::DestBusy;
+        switch (probe_) {
+          case Probe::Ra:
+            if (waits(sb.readyAt(live.ra), now, IssueStall::SourceBusy,
+                      Probe::Rb))
+                return waitingOn_;
+            [[fallthrough]];
+          case Probe::Rb:
+            if (!exec::fpOpIsUnary(live.op) &&
+                waits(sb.readyAt(live.rb), now, IssueStall::SourceBusy,
+                      Probe::Rr))
+                return waitingOn_;
+            [[fallthrough]];
+          case Probe::Rr:
+            if (waits(sb.readyAt(live.rr), now, IssueStall::DestBusy,
+                      Probe::Done))
+                return waitingOn_;
+            [[fallthrough]];
+          case Probe::Done:
+            break;
+        }
 
         out = ElementIssue{live.op, live.rr, live.ra, live.rb,
                            live.vl == 0};
+        probe_ = Probe::Ra;
 
         // After issue: check the VL field; if zero, clear the IR,
         // otherwise decrement it and increment the register specifiers
@@ -108,7 +128,7 @@ class AluInstructionRegister
             if (live.rr >= isa::kNumFpuRegs ||
                 live.ra >= isa::kNumFpuRegs ||
                 live.rb >= isa::kNumFpuRegs) {
-                fatal("vector element specifier incremented past f51");
+                specifierOverflow();
             }
         }
         return IssueStall::None;
@@ -145,13 +165,50 @@ class AluInstructionRegister
     unsigned remainingElements() const;
 
     /** Reset to empty. */
-    void clear() { current_.reset(); }
+    void
+    clear()
+    {
+        current_.reset();
+        restartProbe();
+    }
 
     /** Visit the occupying instruction (or its absence); loading
      *  rejects an op, specifier or VL field the IR cannot hold. */
     void visit(Archive &ar);
 
   private:
+    /** The next ready-at time the current element reads. */
+    enum class Probe : uint8_t
+    {
+        Ra,
+        Rb,
+        Rr,
+        Done,
+    };
+
+    /** Record the probe of one operand: move on to @p next and, if the
+     *  operand is ready only after @p now, wait for it as @p why. */
+    bool
+    waits(uint64_t ready, uint64_t now, IssueStall why, Probe next)
+    {
+        probe_ = next;
+        if (ready <= now)
+            return false;
+        waitUntil_ = ready;
+        waitingOn_ = why;
+        return true;
+    }
+
+    /** Read the current element's operands afresh at the next probe. */
+    void
+    restartProbe()
+    {
+        probe_ = Probe::Ra;
+        waitUntil_ = 0;
+    }
+
+    [[noreturn]] static void specifierOverflow();
+
     /** The live IR fields (mutated between elements). */
     struct Live
     {
@@ -163,6 +220,13 @@ class AluInstructionRegister
     };
 
     std::optional<Live> current_;
+
+    // Where the current element's scoreboard check stands. Not
+    // serialized: it is a function of the scoreboard, rebuilt by
+    // probing from Ra after a transfer, squash, reset or restore.
+    Probe probe_ = Probe::Ra;
+    uint64_t waitUntil_ = 0;  // first active cycle worth probing
+    IssueStall waitingOn_ = IssueStall::None; // the stall until then
 };
 
 } // namespace mtfpu::fpu

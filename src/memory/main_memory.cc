@@ -71,6 +71,19 @@ MainMemory::writeDouble(uint64_t addr, double value)
 }
 
 void
+MainMemory::accessError(uint64_t addr) const
+{
+    if (addr % 8 != 0)
+        fatal(ErrCode::MemAlign,
+              "MainMemory: unaligned 64-bit access at " +
+                  std::to_string(addr));
+    fatal(ErrCode::MemRange,
+          "MainMemory: access past end of memory at " +
+              std::to_string(addr) + " (size " +
+              std::to_string(words_ * 8) + ")");
+}
+
+void
 MainMemory::requireSameSize(const MainMemory &other) const
 {
     if (other.words_ != words_)

@@ -50,7 +50,8 @@ class MainMemory
     size_t size() const { return words_ * 8; }
 
     // read64/write64 are inline: they run once per simulated load or
-    // store, and the bounds check folds into the word-index shift.
+    // store, and the bounds check folds into the word-index shift. The
+    // error message is built out of line.
 
     /** Read an aligned 64-bit word; fatal() on misalignment/range. */
     uint64_t
@@ -125,16 +126,12 @@ class MainMemory
     void
     check(uint64_t addr) const
     {
-        if (addr % 8 != 0)
-            fatal(ErrCode::MemAlign,
-                  "MainMemory: unaligned 64-bit access at " +
-                      std::to_string(addr));
-        if (addr / 8 >= words_)
-            fatal(ErrCode::MemRange,
-                  "MainMemory: access past end of memory at " +
-                      std::to_string(addr) + " (size " +
-                      std::to_string(words_ * 8) + ")");
+        if (addr % 8 != 0 || addr / 8 >= words_)
+            accessError(addr);
     }
+
+    /** fatal(MemAlign) or fatal(MemRange) for the access check() refused. */
+    [[noreturn]] void accessError(uint64_t addr) const;
 
     /**
      * Record the page holding word @p word as written. The bit is

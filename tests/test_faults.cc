@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -18,14 +19,19 @@
 #include <gtest/gtest.h>
 
 #include "common/log.hh"
+#include "cpu/cpu.hh"
 #include "faults/campaign.hh"
 #include "faults/fault_injector.hh"
 #include "faults/fault_plan.hh"
+#include "fpu/register_file.hh"
+#include "fpu/scoreboard.hh"
+#include "fpu/vector_issue.hh"
 #include "kernels/livermore/livermore.hh"
 #include "kernels/runner.hh"
 #include "machine/lockstep.hh"
 #include "machine/machine.hh"
 #include "machine/sim_driver.hh"
+#include "memory/main_memory.hh"
 
 namespace mtfpu::faults
 {
@@ -87,6 +93,59 @@ TEST(SimErrorTest, LegacyFatalStillCatchableAsFatalError)
     EXPECT_THROW(fatal(ErrCode::MemRange, "typed"), FatalError);
     EXPECT_THROW(panic("invariant"), InvariantError);
     EXPECT_THROW(panic("invariant"), FatalError); // base class too
+}
+
+TEST(SimErrorTest, RangeChecksKeepTheirCodeAndMessage)
+{
+    // The hot accessors check their ranges inline and build the
+    // message out of line; every check must still throw its code and
+    // text.
+    fpu::RegisterFile regs;
+    fpu::Scoreboard sb;
+    cpu::Cpu cpu;
+    memory::MainMemory mem(4096);
+    fpu::AluInstructionRegister ir;
+    isa::FpuAluInstr pastEnd; // f51..f52 := f0 + f0
+    pastEnd.rr = 51;
+    pastEnd.vlm1 = 1;
+    ir.transfer(pastEnd, 1);
+    fpu::ElementIssue element;
+    struct Row
+    {
+        const char *what;
+        std::function<void()> access;
+        ErrCode code;
+        const char *message;
+    };
+    const Row rows[] = {
+        {"register read", [&] { regs.read(52); }, ErrCode::RegFileRange,
+         "RegisterFile: read of f52"},
+        {"register write", [&] { regs.write(52, 1); },
+         ErrCode::RegFileRange, "RegisterFile: write of f52"},
+        {"scoreboard probe", [&] { sb.reserved(52); },
+         ErrCode::RegFileRange,
+         "Scoreboard: probe of f52 (register file holds f0..f51)"},
+        {"cpu read", [&] { cpu.readReg(32); }, ErrCode::RegFileRange,
+         "Cpu: read of r32"},
+        {"cpu write", [&] { cpu.writeReg(32, 1); }, ErrCode::RegFileRange,
+         "Cpu: write of r32"},
+        {"unaligned access", [&] { mem.read64(12); }, ErrCode::MemAlign,
+         "MainMemory: unaligned 64-bit access at 12"},
+        {"access past the end", [&] { mem.write64(4096, 1); },
+         ErrCode::MemRange,
+         "MainMemory: access past end of memory at 4096 (size 4096)"},
+        {"vector past f51", [&] { ir.tryIssue(sb, element); },
+         ErrCode::Unknown, "vector element specifier incremented past f51"},
+    };
+    for (const Row &row : rows) {
+        try {
+            row.access();
+            ADD_FAILURE() << row.what << " did not throw";
+        } catch (const SimError &err) {
+            EXPECT_EQ(err.code(), row.code) << row.what;
+            EXPECT_STREQ(err.what(), row.message) << row.what;
+        }
+    }
 }
 
 TEST(SimErrorTest, MachineStampsContextOnDecodeErrors)

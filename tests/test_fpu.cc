@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "common/log.hh"
 #include "fpu/fpu.hh"
 #include "isa/cpu_instr.hh"
@@ -44,12 +46,24 @@ TEST(Scoreboard, ReserveReleaseProbe)
 {
     Scoreboard sb;
     EXPECT_FALSE(sb.reserved(7));
-    sb.reserve(7);
+    sb.reserve(7, 2); // written back two active cycles from now
     EXPECT_TRUE(sb.reserved(7));
-    EXPECT_EQ(sb.count(), 1u);
-    sb.release(7);
+    EXPECT_EQ(sb.readyAt(7), sb.now() + 2);
+    EXPECT_EQ(sb.reservedWord(), uint64_t{1} << 7);
+    sb.beginCycle();
+    EXPECT_TRUE(sb.reserved(7));
+    sb.beginCycle(); // the writeback cycle: the reservation lapses
     EXPECT_FALSE(sb.reserved(7));
+    EXPECT_EQ(sb.reservedWord(), 0u);
     EXPECT_THROW(sb.reserved(52), FatalError);
+}
+
+/** One active cycle of a bare pipeline, as Fpu::beginCycle runs it. */
+std::span<const PendingOp>
+activeCycle(Scoreboard &sb, FunctionalUnits &fu, RegisterFile &rf)
+{
+    sb.beginCycle();
+    return fu.advance(rf);
 }
 
 TEST(FunctionalUnits, ThreeCycleLatency)
@@ -57,15 +71,15 @@ TEST(FunctionalUnits, ThreeCycleLatency)
     RegisterFile rf;
     Scoreboard sb;
     FunctionalUnits fu(3);
-    sb.reserve(5);
+    sb.reserve(5, fu.latency());
     softfp::Flags flags;
     fu.issue(FpOp::Add, 5, softfp::fromDouble(9.0), flags, 1);
 
     EXPECT_TRUE(fu.busy());
-    EXPECT_TRUE(fu.advance(rf, sb).empty()); // cycle +1
-    EXPECT_TRUE(fu.advance(rf, sb).empty()); // cycle +2
+    EXPECT_TRUE(activeCycle(sb, fu, rf).empty()); // cycle +1
+    EXPECT_TRUE(activeCycle(sb, fu, rf).empty()); // cycle +2
     EXPECT_TRUE(sb.reserved(5));
-    const auto retired = fu.advance(rf, sb); // cycle +3
+    const auto retired = activeCycle(sb, fu, rf); // cycle +3
     ASSERT_EQ(retired.size(), 1u);
     EXPECT_EQ(retired[0].reg, 5);
     EXPECT_FALSE(sb.reserved(5));
@@ -81,22 +95,22 @@ TEST(FunctionalUnits, FullyPipelined)
     softfp::Flags flags;
     // One issue per cycle into the same pipeline: issues at cycles
     // 0, 1, 2; retirements at cycles 3, 4, 5 — one per cycle.
-    sb.reserve(0);
+    sb.reserve(0, fu.latency());
     fu.issue(FpOp::Mul, 0, softfp::fromDouble(0), flags, 1);
-    fu.advance(rf, sb); // cycle 1
-    sb.reserve(1);
+    activeCycle(sb, fu, rf); // cycle 1
+    sb.reserve(1, fu.latency());
     fu.issue(FpOp::Mul, 1, softfp::fromDouble(1), flags, 1);
-    fu.advance(rf, sb); // cycle 2
-    sb.reserve(2);
+    activeCycle(sb, fu, rf); // cycle 2
+    sb.reserve(2, fu.latency());
     fu.issue(FpOp::Mul, 2, softfp::fromDouble(2), flags, 1);
 
-    EXPECT_EQ(fu.advance(rf, sb).size(), 1u); // cycle 3: op 0 retires
+    EXPECT_EQ(activeCycle(sb, fu, rf).size(), 1u); // cycle 3: op 0 retires
     EXPECT_FALSE(sb.reserved(0));
     EXPECT_TRUE(sb.reserved(1));
     EXPECT_TRUE(sb.reserved(2));
-    EXPECT_EQ(fu.advance(rf, sb).size(), 1u); // cycle 4: op 1
+    EXPECT_EQ(activeCycle(sb, fu, rf).size(), 1u); // cycle 4: op 1
     EXPECT_TRUE(sb.reserved(2));
-    EXPECT_EQ(fu.advance(rf, sb).size(), 1u); // cycle 5: op 2
+    EXPECT_EQ(activeCycle(sb, fu, rf).size(), 1u); // cycle 5: op 2
     EXPECT_FALSE(fu.busy());
 }
 
@@ -156,12 +170,14 @@ TEST(AluIr, SourceReservationStallsElement)
 {
     AluInstructionRegister ir;
     Scoreboard sb;
-    sb.reserve(1);
+    sb.reserve(1, 2);
     ir.transfer(makeInstr(FpOp::Add, 8, 0, 1, 1, false, false), 1);
     ElementIssue e;
     EXPECT_EQ(ir.tryIssue(sb, e), IssueStall::SourceBusy);
     EXPECT_TRUE(ir.busy()); // still occupied
-    sb.release(1);
+    sb.beginCycle();
+    EXPECT_EQ(ir.tryIssue(sb, e), IssueStall::SourceBusy);
+    sb.beginCycle(); // f1's writeback cycle
     EXPECT_EQ(ir.tryIssue(sb, e), IssueStall::None);
 }
 
@@ -169,7 +185,7 @@ TEST(AluIr, DestReservationStallsElement)
 {
     AluInstructionRegister ir;
     Scoreboard sb;
-    sb.reserve(8);
+    sb.reserve(8, 3);
     ir.transfer(makeInstr(FpOp::Add, 8, 0, 1, 1, false, false), 1);
     ElementIssue e;
     EXPECT_EQ(ir.tryIssue(sb, e), IssueStall::DestBusy);
@@ -179,7 +195,7 @@ TEST(AluIr, UnaryOpsIgnoreRbReservation)
 {
     AluInstructionRegister ir;
     Scoreboard sb;
-    sb.reserve(0); // rb field = 0 is reserved, but frecip reads only ra
+    sb.reserve(0, 3); // rb field = 0 is reserved, but frecip reads only ra
     ir.transfer(makeInstr(FpOp::Recip, 8, 2, 0, 1, false, false), 1);
     ElementIssue e;
     EXPECT_EQ(ir.tryIssue(sb, e), IssueStall::None);
@@ -256,6 +272,37 @@ TEST(Fpu, OnlyOneElementPerCycle)
     EXPECT_FALSE(fpu.tryIssueElement().issued); // same cycle: no
     fpu.beginCycle();
     EXPECT_TRUE(fpu.tryIssueElement().issued);
+}
+
+TEST(Fpu, SourceThenDestWaitCountsEachCycleOnce)
+{
+    // With a 6-cycle latency: f1 := f0 + f0 issues at active cycle 1
+    // (ready at 7); f8..f10 := f0 + f0 issues at 2, 3, 4 (f10 ready
+    // at 10). f10 := f1 + f2 transfers at 5, waits on its source f1
+    // through cycles 5 and 6, then on its destination f10 through 7,
+    // 8 and 9, and issues at 10.
+    Fpu fpu(6);
+    const auto cycle = [&](const isa::FpuAluInstr *transfer) {
+        fpu.beginCycle();
+        if (transfer) {
+            EXPECT_TRUE(fpu.canTransferAlu());
+            fpu.transferAlu(*transfer);
+        }
+        return fpu.tryIssueElement().issued;
+    };
+    const FpuAluInstr a = makeInstr(FpOp::Add, 1, 0, 0, 1, false, false);
+    const FpuAluInstr b = makeInstr(FpOp::Add, 8, 0, 0, 3, false, false);
+    const FpuAluInstr c = makeInstr(FpOp::Add, 10, 1, 2, 1, false, false);
+    EXPECT_TRUE(cycle(&a)); // 1
+    EXPECT_TRUE(cycle(&b)); // 2
+    EXPECT_TRUE(cycle(nullptr));
+    EXPECT_TRUE(cycle(nullptr)); // 4: f10 reserved until 10
+    EXPECT_FALSE(cycle(&c));     // 5
+    for (int t = 6; t <= 9; ++t)
+        EXPECT_FALSE(cycle(nullptr)) << "cycle " << t;
+    EXPECT_TRUE(cycle(nullptr)); // 10
+    EXPECT_EQ(fpu.stats().sourceStallCycles, 2u);
+    EXPECT_EQ(fpu.stats().destStallCycles, 3u);
 }
 
 TEST(Fpu, TransferBlockedWhileIrBusyOrElementIssued)

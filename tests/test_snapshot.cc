@@ -172,6 +172,14 @@ putU32(std::vector<uint8_t> &bytes, size_t at, uint32_t v)
         bytes.at(at + i) = static_cast<uint8_t>(v >> (8 * i));
 }
 
+/** Overwrite the little-endian u64 at @p at. */
+void
+putU64(std::vector<uint8_t> &bytes, size_t at, uint64_t v)
+{
+    putU32(bytes, at, static_cast<uint32_t>(v));
+    putU32(bytes, at + 4, static_cast<uint32_t>(v >> 32));
+}
+
 /**
  * Seal @p snap in a container with a fresh CRC, parse it back and
  * restore it into a new machine: the path a hostile file that passes
@@ -195,12 +203,13 @@ restoreSealed(const snapshot::MachineSnapshot &snap)
 // Offsets into the state blob of a freshly loaded machine, where no
 // write, op or load is in flight and the ALU IR is empty: the Cpu's
 // registers then its pending-write count; the rest of the Cpu (pc,
-// redirect, halted); the FPU's registers and scoreboard bits, then
+// redirect, halted) and the FPU's registers; the scoreboard word, then
 // the functional units' count, the empty IR's flag byte and the
 // load/store unit's count.
 constexpr size_t kCpuPendingCount = isa::kNumIntRegs * 8;
-constexpr size_t kFuCount =
-    kCpuPendingCount + 4 + 10 + isa::kNumFpuRegs * 8 + 8;
+constexpr size_t kScoreboard =
+    kCpuPendingCount + 4 + 10 + isa::kNumFpuRegs * 8;
+constexpr size_t kFuCount = kScoreboard + 8;
 constexpr size_t kIrFlag = kFuCount + 4;
 constexpr size_t kLsuCount = kIrFlag + 1;
 
@@ -275,11 +284,13 @@ TEST(SnapshotHostile, ProgramLengthIsBounded)
 
 TEST(SnapshotHostile, FunctionalUnitOpNeedsAStageLeft)
 {
-    // Splice one in-flight op into the idle state. With no stage left
-    // (remaining == 0) advance() would wrap it and it would never
-    // retire; the run would spin to maxCycles.
+    // Splice one in-flight op to f1, with f1's scoreboard bit, into
+    // the idle state. With no stage left (remaining == 0) the op
+    // would never come due; more stages than the latency cannot
+    // exist.
     const auto withOp = [](uint32_t remaining) {
         snapshot::MachineSnapshot snap = idleSnapshot();
+        putU64(snap.state, kScoreboard, uint64_t{1} << 1);
         ByteWriter op;
         op.u32(remaining);
         op.u8(1);  // f1
@@ -319,6 +330,77 @@ TEST(SnapshotHostile, DelayedWritesNeedACycleLeft)
     EXPECT_EQ(restoreSealed(withPending(kLsuCount, 1)), "");
     EXPECT_NE(restoreSealed(withPending(kLsuCount, 0)), "");
     EXPECT_NE(restoreSealed(withPending(kLsuCount, 2)), "");
+}
+
+/** Pipeline contents to splice into the idle state: entries are
+ *  (cycles or stages left, register). */
+struct PipelineState
+{
+    std::vector<std::pair<uint32_t, uint8_t>> cpuWrites;
+    uint64_t reserved = 0; // the scoreboard word
+    std::vector<std::pair<uint32_t, uint8_t>> ops;
+    std::vector<std::pair<uint32_t, uint8_t>> loads;
+};
+
+snapshot::MachineSnapshot
+withPipeline(const PipelineState &p)
+{
+    snapshot::MachineSnapshot snap = idleSnapshot();
+    std::vector<uint8_t> &state = snap.state;
+    // Set a count and insert its entries; from the back of the blob
+    // forward, so the earlier offsets still hold.
+    const auto splice = [&](size_t at, const auto &entries, bool op) {
+        ByteWriter out;
+        for (const auto &[left, reg] : entries) {
+            out.u32(left);
+            out.u8(reg);
+            out.u64(7); // value
+            if (op) {
+                out.u8(0);  // flags
+                out.u8(0);  // add
+                out.u64(1); // seq
+            }
+        }
+        putU32(state, at, static_cast<uint32_t>(entries.size()));
+        state.insert(state.begin() + at + 4, out.data().begin(),
+                     out.data().end());
+    };
+    splice(kLsuCount, p.loads, false);
+    splice(kFuCount, p.ops, true);
+    putU64(state, kScoreboard, p.reserved);
+    splice(kCpuPendingCount, p.cpuWrites, false);
+    return snap;
+}
+
+TEST(SnapshotHostile, PipelineStateMustBeReachable)
+{
+    // Each scoreboard reservation belongs to exactly one op in flight,
+    // one op at most comes due per cycle, the memory port lets one
+    // FPU load be in flight, and the CPU's interlock lets one delayed
+    // write per register be in flight, one coming due per cycle.
+    struct Row
+    {
+        const char *what;
+        PipelineState state;
+    };
+    const uint64_t f1 = uint64_t{1} << 1, f2 = uint64_t{1} << 2;
+    const Row rows[] = {
+        {"op whose scoreboard bit is clear", {{}, 0, {{1, 1}}, {}}},
+        {"scoreboard bit with no op", {{}, f1, {}, {}}},
+        {"scoreboard bit past f51", {{}, uint64_t{1} << 52, {}, {}}},
+        {"two ops due in one cycle", {{}, f1 | f2, {{2, 1}, {2, 2}}, {}}},
+        {"two FPU loads", {{}, 0, {}, {{1, 1}, {1, 2}}}},
+        {"two CPU writes due in one cycle", {{{2, 1}, {2, 2}}, 0, {}, {}}},
+        {"two CPU writes to one register", {{{1, 1}, {2, 1}}, 0, {}, {}}},
+    };
+    for (const Row &row : rows)
+        EXPECT_NE(restoreSealed(withPipeline(row.state)), "") << row.what;
+
+    // Controls: the same entries in states the machine does reach.
+    EXPECT_EQ(restoreSealed(withPipeline({{}, f1 | f2, {{1, 1}, {2, 2}}, {}})),
+              "");
+    EXPECT_EQ(restoreSealed(withPipeline({{{1, 1}, {2, 2}}, 0, {}, {{1, 3}}})),
+              "");
 }
 
 TEST(SnapshotHostile, AluIrFieldsAreInRange)
