@@ -689,11 +689,13 @@ SimServer::cmdHealth()
 {
     // Readiness census for load balancers and sweep drivers
     // (DESIGN.md §13.5): one cheap round trip answers "should I send
-    // this daemon more work" without touching the job queue.
+    // this daemon more work" without touching the job queue. Uptime
+    // counts started milliseconds (rounded up): a daemon answering
+    // within its first millisecond has been up, so it reports 1, not
+    // the 0 a client sees when the field is absent.
     using namespace std::chrono;
     const uint64_t uptime = static_cast<uint64_t>(
-        duration_cast<milliseconds>(steady_clock::now() - startTime_)
-            .count());
+        ceil<milliseconds>(steady_clock::now() - startTime_).count());
     uint64_t queued = 0, running = 0, done = 0, cancelled = 0, shed = 0;
     size_t conns = 0;
     bool draining = false;
