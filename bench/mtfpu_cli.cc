@@ -1,9 +1,8 @@
 /**
  * @file
  * Command-line front end for the simulation service (DESIGN.md §11):
- * runs the daemon, submits JobSpecs to it, and drives the inspect
- * interface — the out-of-process counterpart of calling SimDriver
- * directly.
+ * runs the daemon and submits JobSpecs to it — the out-of-process
+ * counterpart of calling SimDriver directly.
  *
  * Usage:
  *   mtfpu-cli serve [--socket=PATH] [--listen=HOST:PORT] [--threads=N]
@@ -27,8 +26,6 @@
  *   mtfpu-cli shutdown <addr>
  *   mtfpu-cli cache-stats <addr>
  *   mtfpu-cli cache-clear <addr>
- *   mtfpu-cli inspect <addr> --spec=FILE [--run=CYCLES]
- *                     [--reg=unit:N,...] [--mem=ADDR[:COUNT]]
  *
  * <addr> is --socket=PATH (Unix socket) or --connect=HOST:PORT (TCP;
  * DESIGN.md §13). serve can open either listener or both; --listen
@@ -85,8 +82,8 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: mtfpu-cli <serve|ping|health|submit|sweep|status|"
-                 "result|cancel|drain|shutdown|cache-stats|cache-clear|"
-                 "inspect> --socket=PATH|--connect=HOST:PORT [options]\n");
+                 "result|cancel|drain|shutdown|cache-stats|cache-clear> "
+                 "--socket=PATH|--connect=HOST:PORT [options]\n");
     return 2;
 }
 
@@ -249,60 +246,6 @@ cmdSweep(service::SimClient &client, const std::string &specs_path,
     return failures == 0 ? 0 : 1;
 }
 
-int
-cmdInspect(service::SimClient &client, const std::string &spec_path,
-           uint64_t run_cycles, const std::string &regs,
-           const std::string &mem)
-{
-    const service::JobSpec spec =
-        service::JobSpec::parse(readWholeFile(spec_path));
-    const uint64_t session = client.inspectOpen(spec);
-    if (run_cycles > 0) {
-        const service::SimClient::InspectRun run =
-            client.inspectRun(session, run_cycles);
-        std::printf("ran to cycle %llu (%s)\n",
-                    static_cast<unsigned long long>(run.cycle),
-                    run.status.c_str());
-    }
-    // --reg=cpu:1,fpu:2 — unit:number pairs, comma-separated.
-    size_t start = 0;
-    while (start < regs.size()) {
-        size_t comma = regs.find(',', start);
-        if (comma == std::string::npos)
-            comma = regs.size();
-        const std::string item = regs.substr(start, comma - start);
-        const size_t colon = item.find(':');
-        if (colon == std::string::npos)
-            fatal(ErrCode::BadOperand, "--reg items are unit:number");
-        const std::string unit = item.substr(0, colon);
-        const unsigned reg = static_cast<unsigned>(
-            std::stoul(item.substr(colon + 1)));
-        const uint64_t value = client.inspectReg(session, unit, reg);
-        std::printf("%s r%u = 0x%016llx\n", unit.c_str(), reg,
-                    static_cast<unsigned long long>(value));
-        start = comma + 1;
-    }
-    if (!mem.empty()) {
-        const size_t colon = mem.find(':');
-        const uint64_t addr = std::stoull(
-            colon == std::string::npos ? mem : mem.substr(0, colon), nullptr,
-            0);
-        const uint64_t count =
-            colon == std::string::npos
-                ? 1
-                : std::stoull(mem.substr(colon + 1));
-        const std::vector<uint64_t> words =
-            client.inspectMem(session, addr, count);
-        for (size_t i = 0; i < words.size(); ++i) {
-            std::printf("mem[0x%llx] = 0x%016llx\n",
-                        static_cast<unsigned long long>(addr + i * 8),
-                        static_cast<unsigned long long>(words[i]));
-        }
-    }
-    client.inspectClose(session);
-    return 0;
-}
-
 } // anonymous namespace
 
 int
@@ -312,8 +255,7 @@ main(int argc, char **argv)
         return usage();
     const std::string cmd = argv[1];
 
-    std::string socket, listen, connect, spec, specs, id_text, regs, mem;
-    uint64_t run_cycles = 0;
+    std::string socket, listen, connect, spec, specs, id_text;
     uint64_t connect_timeout_ms = 5000;
     uint64_t wait_timeout_ms = 0;
     uint64_t deadline_ms = 0;
@@ -333,12 +275,6 @@ main(int argc, char **argv)
             specs = value;
         else if (flagValue(argv[i], "--id", value))
             id_text = value;
-        else if (flagValue(argv[i], "--run", value))
-            run_cycles = std::stoull(value);
-        else if (flagValue(argv[i], "--reg", value))
-            regs = value;
-        else if (flagValue(argv[i], "--mem", value))
-            mem = value;
         else if (flagValue(argv[i], "--connect-timeout", value))
             connect_timeout_ms = std::stoull(value) * 1000;
         else if (flagValue(argv[i], "--wait-timeout", value))
@@ -507,11 +443,6 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(
                             client.cacheClear()));
             return 0;
-        }
-        if (cmd == "inspect") {
-            if (spec.empty())
-                return usage();
-            return cmdInspect(client, spec, run_cycles, regs, mem);
         }
         return usage();
     } catch (const FatalError &e) {

@@ -70,7 +70,13 @@ SimClient::connect(uint64_t timeout_ms)
     channel_ = std::make_unique<LineChannel>(
         timeout_ms > 0 ? connectRetry(address_, timeout_ms)
                        : connectEndpoint(address_));
-    handshake();
+    // The hello handshake, an exact revision check: a daemon of
+    // another revision answers with a structured "unsupported-proto"
+    // error, which request() throws as SimError(Io).
+    request(simpleRequest("hello", [](json::Writer &w) {
+        w.key("proto").value(kProtoRevision);
+        w.key("client").value("mtfpu-client");
+    }));
 }
 
 void
@@ -81,51 +87,6 @@ SimClient::reconnect()
     // exists to ride out transient faults, and a zero-budget redial
     // would turn every momentary hiccup into a hard failure.
     connect(std::max<uint64_t>(connectTimeoutMs_, 1000));
-}
-
-void
-SimClient::handshake()
-{
-    proto_ = 1;
-    features_.clear();
-    const std::string hello =
-        simpleRequest("hello", [&](json::Writer &w) {
-            w.key("proto").value(static_cast<uint64_t>(kProtoRevision));
-            w.key("min_proto").value(static_cast<uint64_t>(1));
-            w.key("client").value("mtfpu-client");
-        });
-    if (!channel_->writeLine(hello))
-        fatal(ErrCode::Io, "service client: connection lost during hello");
-    std::string line;
-    if (!channel_->readLine(line))
-        fatal(ErrCode::Io, "service client: connection lost during hello");
-    const json::Value response = json::parse(line);
-    if (!response.isObject() || !response.has("ok"))
-        fatal(ErrCode::Io, "service client: malformed hello response");
-    if (!response.at("ok").asBool()) {
-        // A daemon that negotiates refuses with "unsupported-proto";
-        // a legacy daemon just doesn't know the command. The latter
-        // is fine — serve it at revision 1 with no features.
-        if (response.has("error_code") &&
-            response.at("error_code").asString() == "unsupported-proto") {
-            fatal(ErrCode::Io,
-                  "daemon: " + response.at("error").asString());
-        }
-        return;
-    }
-    proto_ = static_cast<int>(response.at("proto").asUint());
-    if (response.has("features"))
-        for (const json::Value &f : response.at("features").asArray())
-            features_.push_back(f.asString());
-}
-
-bool
-SimClient::hasFeature(const std::string &feature) const
-{
-    for (const std::string &f : features_)
-        if (f == feature)
-            return true;
-    return false;
 }
 
 json::Value
@@ -194,7 +155,6 @@ SimClient::submit(const JobSpec &spec, const std::string &idem_key,
     const json::Value response =
         request(simpleRequest("submit", [&](json::Writer &w) {
             w.key("spec").raw(spec_json);
-            // Additive fields: a legacy daemon ignores unknown keys.
             if (!idem_key.empty())
                 w.key("idem_key").value(idem_key);
             if (deadline_ms > 0)
@@ -285,7 +245,6 @@ SimClient::resultWait(uint64_t id, uint64_t timeout_ms)
 {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms);
-    const bool longPoll = hasFeature("long-poll");
     for (;;) {
         const auto now = std::chrono::steady_clock::now();
         if (now >= deadline) {
@@ -299,29 +258,20 @@ SimClient::resultWait(uint64_t id, uint64_t timeout_ms)
                 deadline - now)
                 .count());
         try {
-            if (longPoll) {
-                // Block server-side in bounded windows: the daemon
-                // parks the connection on its result condvar instead
-                // of us burning a round trip every 50ms. Bounded so a
-                // daemon that wedges can't hold us past our budget.
-                const uint64_t window = std::min<uint64_t>(
-                    std::max<uint64_t>(remaining, 1), 2000);
-                const json::Value response = request(
-                    simpleRequest("result", [&](json::Writer &w) {
-                        w.key("id").value(id);
-                        w.key("wait_ms").value(window);
-                    }));
-                const std::string state =
-                    response.at("state").asString();
-                if (state == "done" || state == "cancelled")
-                    return decodeResult(response);
-            } else {
-                const std::string state = status(id);
-                if (state == "done" || state == "cancelled")
-                    return result(id, false);
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
-            }
+            // Block server-side in bounded windows: the daemon parks
+            // the connection on its result condvar until the job
+            // finishes. Bounded so a daemon that wedges can't hold us
+            // past our budget.
+            const uint64_t window = std::min<uint64_t>(
+                std::max<uint64_t>(remaining, 1), 2000);
+            const json::Value response =
+                request(simpleRequest("result", [&](json::Writer &w) {
+                    w.key("id").value(id);
+                    w.key("wait_ms").value(window);
+                }));
+            const std::string state = response.at("state").asString();
+            if (state == "done" || state == "cancelled")
+                return decodeResult(response);
         } catch (const SimError &) {
             // Result fetches are read-only, so a redial-and-reissue
             // is always safe. Anything other than a torn connection
@@ -408,77 +358,6 @@ SimClient::health()
         h.cacheHitRate = response.at("cache_hit_rate").asNumber();
     }
     return h;
-}
-
-uint64_t
-SimClient::inspectOpen(const JobSpec &spec)
-{
-    const std::string spec_json = spec.to_json();
-    const json::Value response =
-        request(simpleRequest("inspect-open", [&](json::Writer &w) {
-            w.key("spec").raw(spec_json);
-        }));
-    return response.at("session").asUint();
-}
-
-SimClient::InspectRun
-SimClient::inspectRun(uint64_t session, uint64_t cycles)
-{
-    const json::Value response =
-        request(simpleRequest("inspect-run", [&](json::Writer &w) {
-            w.key("session").value(session);
-            w.key("cycles").value(cycles);
-        }));
-    InspectRun run;
-    run.status = response.at("status").asString();
-    run.cycle = response.at("cycle").asUint();
-    return run;
-}
-
-uint64_t
-SimClient::inspectReg(uint64_t session, const std::string &unit,
-                      unsigned reg)
-{
-    const json::Value response =
-        request(simpleRequest("inspect-reg", [&](json::Writer &w) {
-            w.key("session").value(session);
-            w.key("unit").value(unit);
-            w.key("reg").value(static_cast<uint64_t>(reg));
-        }));
-    return response.at("value").asUint();
-}
-
-std::vector<uint64_t>
-SimClient::inspectMem(uint64_t session, uint64_t addr, uint64_t count)
-{
-    const json::Value response =
-        request(simpleRequest("inspect-mem", [&](json::Writer &w) {
-            w.key("session").value(session);
-            w.key("addr").value(addr);
-            w.key("count").value(count);
-        }));
-    std::vector<uint64_t> words;
-    for (const json::Value &word : response.at("words").asArray())
-        words.push_back(word.asUint());
-    return words;
-}
-
-uint64_t
-SimClient::inspectCycle(uint64_t session)
-{
-    const json::Value response =
-        request(simpleRequest("inspect-cycle", [&](json::Writer &w) {
-            w.key("session").value(session);
-        }));
-    return response.at("cycle").asUint();
-}
-
-void
-SimClient::inspectClose(uint64_t session)
-{
-    request(simpleRequest("inspect-close", [&](json::Writer &w) {
-        w.key("session").value(session);
-    }));
 }
 
 } // namespace mtfpu::service

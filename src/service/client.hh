@@ -7,11 +7,9 @@
  *
  * Addressing: the constructor takes an endpoint address — a Unix
  * socket path, or "tcp:HOST:PORT" for a remote daemon (DESIGN.md
- * §13). On connect the client performs the versioned hello handshake
- * and records the negotiated protocol revision and the server's
- * feature flags; a legacy (revision-1) daemon that answers hello with
- * an error is served at revision-1 semantics — no features, polling
- * instead of long-poll, no idempotent replay.
+ * §13). On connect the client sends hello with kProtoRevision; a
+ * daemon that speaks another revision refuses it, and the constructor
+ * throws SimError(Io).
  *
  * Remote hardening: submitRetry() stamps each logical submission with
  * a client-generated idempotency key and reuses it across retries, so
@@ -36,7 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/json.hh"
 #include "machine/sim_job.hh"
@@ -64,13 +61,6 @@ class SimClient
     /** True when the daemon answers a ping. */
     bool ping();
 
-    /** Negotiated protocol revision (1 for a legacy daemon). */
-    int proto() const { return proto_; }
-
-    /** True when the handshake advertised @p feature ("idempotency",
-     *  "deadline", "long-poll", "health"). */
-    bool hasFeature(const std::string &feature) const;
-
     /** Drop and redial the connection, re-running the handshake.
      *  Uses the constructor's connect timeout (min 1s). */
     void reconnect();
@@ -97,11 +87,9 @@ class SimClient
 
     /**
      * Wait for a result, giving up with SimError(Io) after
-     * @p timeout_ms. Against a revision-2 daemon this long-polls
-     * server-side in bounded windows (no wasted round trips); against
-     * a legacy daemon it falls back to fixed-interval polling. Either
-     * way the connection never blocks unboundedly server-side, and
-     * transport failures redial and resume waiting.
+     * @p timeout_ms. Long-polls server-side in bounded windows, so the
+     * connection never blocks unboundedly server-side, and transport
+     * failures redial and resume waiting.
      */
     machine::SimJobResult resultWait(uint64_t id, uint64_t timeout_ms);
 
@@ -166,27 +154,6 @@ class SimClient
     };
     Health health();
 
-    /** Open a paused-machine inspect session for a pure spec. */
-    uint64_t inspectOpen(const JobSpec &spec);
-
-    struct InspectRun
-    {
-        std::string status; // "paused" / "ok" / guard names
-        uint64_t cycle = 0; // cycle the machine paused before
-    };
-    InspectRun inspectRun(uint64_t session, uint64_t cycles);
-
-    /** Read one register; @p unit is "cpu" or "fpu". */
-    uint64_t inspectReg(uint64_t session, const std::string &unit,
-                        unsigned reg);
-
-    /** Read @p count 64-bit words starting at byte address @p addr. */
-    std::vector<uint64_t> inspectMem(uint64_t session, uint64_t addr,
-                                     uint64_t count = 1);
-
-    uint64_t inspectCycle(uint64_t session);
-    void inspectClose(uint64_t session);
-
     /**
      * Raw round trip: send one request object (a complete JSON line),
      * return the parsed response. Throws SimError on transport
@@ -202,10 +169,6 @@ class SimClient
     /** Dial address_ (with retry window) and run the handshake. */
     void connect(uint64_t timeout_ms);
 
-    /** Run the hello handshake on the current channel; tolerant of
-     *  legacy daemons (falls back to revision 1). */
-    void handshake();
-
     /** Decode a "result" response body into a SimJobResult. */
     static machine::SimJobResult decodeResult(const json::Value &response);
 
@@ -213,8 +176,6 @@ class SimClient
     uint64_t connectTimeoutMs_ = 0;
     std::unique_ptr<LineChannel> channel_;
     uint64_t retryAfterMs_ = 0;
-    int proto_ = 1;
-    std::vector<std::string> features_;
     /** The last request() failure was transport-level (connection
      *  torn / malformed bytes), not a clean daemon error response —
      *  the signal that a redial-and-replay is the right recovery. */

@@ -15,12 +15,6 @@ namespace mtfpu::service
 namespace
 {
 
-/** Feature flags advertised to revision-2 peers by hello
- *  (revisions live in server.hh so the client shares them). */
-constexpr const char *kFeatures[] = {
-    "handshake", "idempotency", "deadline", "long-poll", "health",
-};
-
 /**
  * Locate the worker binary next to the running executable — the
  * install layout for both the build tree (build/bench/) and any flat
@@ -87,7 +81,35 @@ writeResultBody(json::Writer &w, const machine::SimJobResult &r)
         w.key("stats_hex").value(statsToHex(r.stats));
 }
 
+/** A client time budget (deadline_ms, wait_ms), refused as
+ *  bad-operand above kMaxClientMs so it cannot overflow the steady
+ *  clock it is added to. */
+std::chrono::milliseconds
+clientMs(const json::Value &req, const char *field)
+{
+    const uint64_t ms = req.at(field).asUint();
+    if (ms > kMaxClientMs)
+        fatal(ErrCode::BadOperand,
+              std::string(field) + " " + std::to_string(ms) +
+                  " exceeds the one-year cap of " +
+                  std::to_string(kMaxClientMs) + " ms");
+    return std::chrono::milliseconds(ms);
+}
+
 } // anonymous namespace
+
+struct SimServer::JobCounts
+{
+    uint64_t queued = 0, running = 0, done = 0, cancelled = 0;
+
+    void write(json::Writer &w) const
+    {
+        w.key("queued").value(queued);
+        w.key("running").value(running);
+        w.key("done").value(done);
+        w.key("cancelled").value(cancelled);
+    }
+};
 
 const char *
 jobStateName(JobState state)
@@ -517,11 +539,11 @@ SimServer::handleConnection(int fd)
     channel.setMaxLineBytes(config_.maxLineBytes);
     if (config_.writeTimeoutMs > 0)
         channel.setWriteTimeout(static_cast<int>(config_.writeTimeoutMs));
-    Conn conn;
+    uint64_t clientId = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         connFds_.push_back(fd);
-        conn.id = nextConnId_++;
+        clientId = nextConnId_++;
     }
     const int idle = config_.idleTimeoutMs > 0
                          ? static_cast<int>(config_.idleTimeoutMs)
@@ -553,20 +575,16 @@ SimServer::handleConnection(int fd)
         }
         if (status != LineChannel::ReadStatus::Line)
             break; // EOF or read error
-        const std::string response = handleRequest(line, conn);
+        bool shutdownRequested = false;
+        const std::string response =
+            handleRequest(line, clientId, shutdownRequested);
         if (!channel.writeLine(response))
             break;
         // A shutdown request stops the server after the reply is on
         // the wire, so the client sees its acknowledgement.
-        try {
-            const json::Value req = json::parse(line);
-            if (req.isObject() && req.has("cmd") &&
-                req.at("cmd").asString() == "shutdown") {
-                stop();
-                break;
-            }
-        } catch (const FatalError &) {
-            // unparseable line already answered with an error
+        if (shutdownRequested) {
+            stop();
+            break;
         }
     }
     std::lock_guard<std::mutex> lock(mutex_);
@@ -574,7 +592,8 @@ SimServer::handleConnection(int fd)
 }
 
 std::string
-SimServer::handleRequest(const std::string &line, Conn &conn)
+SimServer::handleRequest(const std::string &line, uint64_t client_id,
+                         bool &shutdown_requested)
 {
     try {
         const json::Value req = json::parse(line);
@@ -582,13 +601,13 @@ SimServer::handleRequest(const std::string &line, Conn &conn)
             return errorResponse("request must be an object with 'cmd'");
         const std::string cmd = req.at("cmd").asString();
         if (cmd == "hello")
-            return cmdHello(req, conn);
+            return cmdHello(req);
         if (cmd == "ping")
             return cmdPing();
         if (cmd == "health")
             return cmdHealth();
         if (cmd == "submit")
-            return cmdSubmit(req, conn);
+            return cmdSubmit(req, client_id);
         if (cmd == "status")
             return cmdStatus(req);
         if (cmd == "result")
@@ -597,18 +616,16 @@ SimServer::handleRequest(const std::string &line, Conn &conn)
             return cmdCancel(req);
         if (cmd == "drain")
             return cmdDrain(req);
-        if (cmd == "shutdown")
+        if (cmd == "shutdown") {
+            shutdown_requested = true;
             return okResponse([](json::Writer &w) {
                 w.key("stopping").value(true);
             });
+        }
         if (cmd == "cache-stats")
             return cmdCacheStats();
         if (cmd == "cache-clear")
             return cmdCacheClear();
-        if (cmd == "inspect-open")
-            return cmdInspectOpen(req);
-        if (cmd.rfind("inspect-", 0) == 0)
-            return cmdInspect(cmd, req);
         return errorResponse("unknown command '" + cmd + "'");
     } catch (const SimError &e) {
         return errorResponse(e.what(), errCodeName(e.code()));
@@ -617,55 +634,48 @@ SimServer::handleRequest(const std::string &line, Conn &conn)
     }
 }
 
-std::string
-SimServer::cmdHello(const json::Value &req, Conn &conn)
+SimServer::JobCounts
+SimServer::countJobs() const
 {
-    // The versioned handshake (DESIGN.md §13.2). The peer states the
-    // highest revision it speaks (and optionally the lowest it will
-    // accept); the server negotiates down to the common revision or
-    // rejects with a structured error — never silently misparses.
+    JobCounts counts;
+    for (const auto &[id, entry] : jobs_) {
+        switch (entry.state) {
+          case JobState::Queued: ++counts.queued; break;
+          case JobState::Running: ++counts.running; break;
+          case JobState::Done: ++counts.done; break;
+          case JobState::Cancelled: ++counts.cancelled; break;
+        }
+    }
+    return counts;
+}
+
+std::string
+SimServer::cmdHello(const json::Value &req)
+{
+    // The versioned handshake (DESIGN.md §13.2): an exact check of the
+    // one revision this build speaks. A mismatch gets a structured
+    // error, never a silent misparse, and the connection stays open.
     if (!req.has("proto"))
         return errorResponse("hello needs a numeric 'proto'",
                              errCodeName(ErrCode::BadOperand));
-    const int peer = static_cast<int>(req.at("proto").asUint());
-    const int peerMin = req.has("min_proto")
-                            ? static_cast<int>(req.at("min_proto").asUint())
-                            : 1;
-    if (peer < 1)
-        return errorResponse("hello proto must be >= 1",
-                             errCodeName(ErrCode::BadOperand));
-    const int negotiated = std::min(peer, kProtoRevision);
-    if (negotiated < kProtoMin || negotiated < peerMin) {
+    const uint64_t peer = req.at("proto").asUint();
+    if (peer != kProtoRevision) {
         json::Writer w;
         w.beginObject();
         w.key("ok").value(false);
-        w.key("error").value(
-            "no common protocol revision (server speaks " +
-            std::to_string(kProtoMin) + ".." +
-            std::to_string(kProtoRevision) + ", peer wants " +
-            std::to_string(peerMin) + ".." + std::to_string(peer) + ")");
+        w.key("error").value("unsupported protocol revision " +
+                             std::to_string(peer) + " (server speaks " +
+                             std::to_string(kProtoRevision) + ")");
         w.key("error_code").value("unsupported-proto");
-        w.key("proto_min").value(static_cast<uint64_t>(kProtoMin));
-        w.key("proto_max").value(static_cast<uint64_t>(kProtoRevision));
+        w.key("proto").value(kProtoRevision);
         w.endObject();
         return w.str();
     }
-    conn.proto = negotiated;
-    conn.saidHello = true;
     return okResponse([&](json::Writer &w) {
-        w.key("proto").value(static_cast<uint64_t>(negotiated));
+        w.key("proto").value(kProtoRevision);
         w.key("server").value("mtfpu-simserver");
         w.key("version").value(std::to_string(kProtoRevision));
-        // Feature vocabulary exists only from revision 2 on; a
-        // revision-1 peer gets no key at all rather than an empty
-        // list it has no business parsing.
-        if (negotiated >= 2) {
-            w.key("features").beginArray();
-            for (const char *feature : kFeatures)
-                w.value(feature);
-            w.endArray();
-        }
-        // Negotiated limits: what this connection may send and expect.
+        // The limits this connection may send and expect.
         w.key("max_line_bytes")
             .value(static_cast<uint64_t>(config_.maxLineBytes));
         w.key("idle_timeout_ms").value(config_.idleTimeoutMs);
@@ -696,19 +706,13 @@ SimServer::cmdHealth()
     using namespace std::chrono;
     const uint64_t uptime = static_cast<uint64_t>(
         ceil<milliseconds>(steady_clock::now() - startTime_).count());
-    uint64_t queued = 0, running = 0, done = 0, cancelled = 0, shed = 0;
+    JobCounts counts;
+    uint64_t shed = 0;
     size_t conns = 0;
     bool draining = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &[id, entry] : jobs_) {
-            switch (entry.state) {
-              case JobState::Queued: ++queued; break;
-              case JobState::Running: ++running; break;
-              case JobState::Done: ++done; break;
-              case JobState::Cancelled: ++cancelled; break;
-            }
-        }
+        counts = countJobs();
         shed = deadlineShed_;
         conns = connFds_.size();
         draining = draining_;
@@ -718,10 +722,7 @@ SimServer::cmdHealth()
         w.key("uptime_ms").value(uptime);
         w.key("draining").value(draining);
         w.key("connections").value(static_cast<uint64_t>(conns));
-        w.key("queued").value(queued);
-        w.key("running").value(running);
-        w.key("done").value(done);
-        w.key("cancelled").value(cancelled);
+        counts.write(w);
         w.key("deadline_shed").value(shed);
         w.key("isolated").value(pool_ != nullptr);
         if (pool_) {
@@ -748,7 +749,7 @@ SimServer::cmdHealth()
 }
 
 std::string
-SimServer::cmdSubmit(const json::Value &req, const Conn &conn)
+SimServer::cmdSubmit(const json::Value &req, uint64_t client_id)
 {
     if (!req.has("spec"))
         return errorResponse("submit needs a 'spec' object");
@@ -757,7 +758,7 @@ SimServer::cmdSubmit(const json::Value &req, const Conn &conn)
     entry.pure = spec.pure();
     entry.job = spec.resolve(); // throws on bad programs: caught above
     entry.specJson = spec.to_json();
-    entry.clientId = conn.id;
+    entry.clientId = client_id;
     entry.cancel = std::make_shared<std::atomic<bool>>(false);
     if (req.has("idem_key"))
         entry.idemKey = req.at("idem_key").asString();
@@ -765,8 +766,7 @@ SimServer::cmdSubmit(const json::Value &req, const Conn &conn)
         // The client's delivery budget, made absolute at admission:
         // queue time counts against it, which is the whole point.
         entry.deadline = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(
-                             req.at("deadline_ms").asUint());
+                         clientMs(req, "deadline_ms");
     }
     uint64_t id = 0;
     bool duplicate = false;
@@ -799,10 +799,10 @@ SimServer::cmdSubmit(const json::Value &req, const Conn &conn)
                                     100 + 25 * (queue_.size() -
                                                 config_.maxQueue + 1));
             }
-            if (config_.maxInflightPerClient > 0 && conn.id != 0) {
+            if (config_.maxInflightPerClient > 0 && client_id != 0) {
                 size_t inflight = 0;
                 for (const auto &[jid, j] : jobs_) {
-                    if (j.clientId == conn.id &&
+                    if (j.clientId == client_id &&
                         (j.state == JobState::Queued ||
                          j.state == JobState::Running))
                         ++inflight;
@@ -848,21 +848,10 @@ SimServer::cmdStatus(const json::Value &req)
             w.key("pure").value(entry.pure);
         });
     }
-    uint64_t queued = 0, running = 0, done = 0, cancelled = 0;
-    for (const auto &[id, entry] : jobs_) {
-        switch (entry.state) {
-          case JobState::Queued: ++queued; break;
-          case JobState::Running: ++running; break;
-          case JobState::Done: ++done; break;
-          case JobState::Cancelled: ++cancelled; break;
-        }
-    }
+    const JobCounts counts = countJobs();
     return okResponse([&](json::Writer &w) {
         w.key("jobs").value(static_cast<uint64_t>(jobs_.size()));
-        w.key("queued").value(queued);
-        w.key("running").value(running);
-        w.key("done").value(done);
-        w.key("cancelled").value(cancelled);
+        counts.write(w);
         w.key("draining").value(draining_);
         w.key("isolated").value(pool_ != nullptr);
         if (pool_) {
@@ -879,6 +868,9 @@ SimServer::cmdResult(const json::Value &req)
         return errorResponse("result needs an 'id'");
     const uint64_t id = req.at("id").asUint();
     const bool wait = !req.has("wait") || req.at("wait").asBool();
+    const std::optional<std::chrono::milliseconds> window =
+        req.has("wait_ms") ? std::optional(clientMs(req, "wait_ms"))
+                           : std::nullopt;
 
     std::unique_lock<std::mutex> lock(mutex_);
     const auto it = jobs_.find(id);
@@ -888,15 +880,13 @@ SimServer::cmdResult(const json::Value &req)
         return stopping_ || it->second.state == JobState::Done ||
                it->second.state == JobState::Cancelled;
     };
-    if (req.has("wait_ms")) {
+    if (window) {
         // Bounded long-poll (DESIGN.md §13.5): block server-side up
         // to the window, then answer with whatever state the job is
-        // in — the client repeats as its own budget allows. Replaces
-        // fixed-interval polling without ever parking a connection
-        // thread forever; a shutdown wakes every waiter.
-        resultCv_.wait_for(
-            lock, std::chrono::milliseconds(req.at("wait_ms").asUint()),
-            finished);
+        // in — the client repeats as its own budget allows, without
+        // ever parking a connection thread forever; a shutdown wakes
+        // every waiter.
+        resultCv_.wait_for(lock, *window, finished);
     } else if (wait) {
         resultCv_.wait(lock, finished);
     }
@@ -999,131 +989,6 @@ SimServer::cmdCacheClear()
         w.key("enabled").value(true);
         w.key("removed").value(removed);
     });
-}
-
-std::string
-SimServer::cmdInspectOpen(const json::Value &req)
-{
-    if (!req.has("spec"))
-        return errorResponse("inspect-open needs a 'spec' object");
-    const JobSpec spec = JobSpec::from_json(req.at("spec"));
-    if (!spec.pure()) {
-        return errorResponse(
-            "inspect sessions take pure specs (no fault plan)");
-    }
-    const machine::SimJob job = spec.resolve();
-    auto session = std::make_shared<InspectSession>();
-    session->machine = std::make_unique<machine::Machine>(job.config);
-    session->machine->loadProgram(job.program);
-    machine::applyJobInit(job, *session->machine);
-
-    uint64_t id = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (stopping_)
-            return errorResponse("server is shutting down");
-        id = nextSessionId_++;
-        sessions_.emplace(id, std::move(session));
-    }
-    return okResponse([&](json::Writer &w) {
-        w.key("session").value(id);
-    });
-}
-
-std::string
-SimServer::cmdInspect(const std::string &cmd, const json::Value &req)
-{
-    if (!req.has("session"))
-        return errorResponse(cmd + " needs a 'session'");
-    const uint64_t id = req.at("session").asUint();
-
-    std::shared_ptr<InspectSession> session;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = sessions_.find(id);
-        if (it == sessions_.end())
-            return errorResponse("no inspect session " +
-                                 std::to_string(id));
-        session = it->second;
-        if (cmd == "inspect-close") {
-            sessions_.erase(it);
-            return okResponse([&](json::Writer &w) {
-                w.key("session").value(id);
-                w.key("closed").value(true);
-            });
-        }
-    }
-
-    // Per-session serialization; distinct sessions run concurrently.
-    std::lock_guard<std::mutex> guard(session->mutex);
-    machine::Machine &m = *session->machine;
-
-    if (cmd == "inspect-run") {
-        if (!req.has("cycles"))
-            return errorResponse("inspect-run needs 'cycles'");
-        const uint64_t cycles = req.at("cycles").asUint();
-        const machine::RunStats stats = m.runUntil(m.nextCycle() + cycles);
-        return okResponse([&](json::Writer &w) {
-            w.key("session").value(id);
-            w.key("status").value(machine::runStatusName(stats.status));
-            w.key("cycle").value(m.nextCycle());
-            w.key("cycles_done").value(stats.cycles);
-        });
-    }
-    if (cmd == "inspect-reg") {
-        if (!req.has("unit") || !req.has("reg"))
-            return errorResponse("inspect-reg needs 'unit' and 'reg'");
-        const std::string unit = req.at("unit").asString();
-        const unsigned reg =
-            static_cast<unsigned>(req.at("reg").asUint());
-        uint64_t value = 0;
-        if (unit == "cpu")
-            value = m.cpu().readReg(reg);
-        else if (unit == "fpu")
-            value = m.fpu().regs().read(reg);
-        else
-            return errorResponse("unit must be 'cpu' or 'fpu'");
-        return okResponse([&](json::Writer &w) {
-            w.key("session").value(id);
-            w.key("unit").value(unit);
-            w.key("reg").value(static_cast<uint64_t>(reg));
-            w.key("value_hex").value(bytesToHex({
-                static_cast<uint8_t>(value >> 56),
-                static_cast<uint8_t>(value >> 48),
-                static_cast<uint8_t>(value >> 40),
-                static_cast<uint8_t>(value >> 32),
-                static_cast<uint8_t>(value >> 24),
-                static_cast<uint8_t>(value >> 16),
-                static_cast<uint8_t>(value >> 8),
-                static_cast<uint8_t>(value),
-            }));
-            w.key("value").value(value);
-        });
-    }
-    if (cmd == "inspect-mem") {
-        if (!req.has("addr"))
-            return errorResponse("inspect-mem needs 'addr'");
-        const uint64_t addr = req.at("addr").asUint();
-        const uint64_t count =
-            req.has("count") ? req.at("count").asUint() : 1;
-        if (count > 4096)
-            return errorResponse("inspect-mem count capped at 4096");
-        return okResponse([&](json::Writer &w) {
-            w.key("session").value(id);
-            w.key("addr").value(addr);
-            w.key("words").beginArray();
-            for (uint64_t i = 0; i < count; ++i)
-                w.value(m.mem().read64(addr + i * 8));
-            w.endArray();
-        });
-    }
-    if (cmd == "inspect-cycle") {
-        return okResponse([&](json::Writer &w) {
-            w.key("session").value(id);
-            w.key("cycle").value(m.nextCycle());
-        });
-    }
-    return errorResponse("unknown command '" + cmd + "'");
 }
 
 } // namespace mtfpu::service

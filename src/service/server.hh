@@ -2,20 +2,22 @@
  * @file
  * The simulation daemon (DESIGN.md §11). SimServer listens on a
  * Unix-domain socket, accepts newline-delimited-JSON requests, and
- * schedules submitted JobSpecs onto a SimDriver worker pool backed by
- * the shared on-disk ResultCache — so a sweep submitted twice (or
+ * queues submitted JobSpecs for its worker threads, in front of the
+ * shared on-disk ResultCache — so a sweep submitted twice (or
  * resubmitted after a daemon restart) is served warm without
- * simulating. Failure containment is the driver's own policy: a
- * deterministic job that fails twice is quarantined with a crash
- * report, and the rest of the queue keeps draining.
+ * simulating. A worker thread hands each job to WorkerPool::execute
+ * (pool mode) or SimDriver::runJob (in-process mode); both apply one
+ * containment policy: a deterministic job that fails twice is
+ * quarantined with a crash report, and the rest of the queue keeps
+ * draining.
  *
  * Protocol (one JSON object per line; every request carries "cmd",
  * every response carries "ok"):
  *
  *   cmd            request fields        response fields
  *   ----------     -------------------   ------------------------------
- *   hello          proto [, min_proto,   proto, server, features[],
- *                  client]               max_line_bytes, ... limits
+ *   hello          proto [, client]      proto, server, max_line_bytes,
+ *                                        ... limits
  *   ping                                 version
  *   health                               uptime/queue/pool/cache census
  *   submit         spec [, idem_key,     id, cached-eligible "pure",
@@ -27,38 +29,26 @@
  *   shutdown                             (server stops after replying)
  *   cache-stats                          hits/misses/stores + disk census
  *   cache-clear                          removed count
- *   inspect-open   spec                  session
- *   inspect-run    session, cycles       cycle, status (paused machine)
- *   inspect-reg    session, unit, reg    value (hex string)
- *   inspect-mem    session, addr [,n]    words (hex strings)
- *   inspect-cycle  session               cycle
- *   inspect-close  session               closed
  *
  * Remote hardening (DESIGN.md §13): the daemon can additionally
  * listen on TCP (ServerConfig::listenAddr) for genuinely remote
- * clients; both transports carry the same protocol. A connection
- * should open with "hello" — the versioned handshake that negotiates
- * the protocol revision and advertises feature flags ("idempotency",
- * "deadline", "long-poll", "health") and limits, replacing the old
- * implicit version stamp; a peer asking for a revision the server
- * cannot serve gets a structured "unsupported-proto" error instead of
- * undefined behavior, and a legacy peer that never says hello is
- * served at protocol 1 semantics. Submission is idempotent
- * end-to-end: a client-generated "idem_key" dedupes retried submits
- * against live jobs and the journal, so a retry after a dropped
- * response returns the original job id instead of double-executing.
- * A client "deadline_ms" rides the queue with the job; work whose
- * deadline lapses before a worker frees is shed with a Busy-coded
- * result rather than simulated into a void. The wire itself is
- * bounded: max request-line length (oversize → structured Io error +
- * disconnect), per-connection idle reaping, a write deadline against
- * slow-loris readers, and a max-connections cap.
- *
- * The inspect commands hold a private paused Machine per session —
- * the interactive read-registers/read-memory/step loop mgsim exposes
- * through its monitor, here reached over the same socket as batch
- * submission. Inspect sessions are serialized per session by a mutex;
- * distinct sessions run concurrently.
+ * clients; both transports carry the same protocol. A client opens
+ * each connection with "hello", an exact check of the one protocol
+ * revision (kProtoRevision): any other number gets a structured
+ * "unsupported-proto" error and the connection stays open. The
+ * server keeps no per-connection protocol state, so a peer that
+ * never says hello is served the same protocol. Submission is
+ * idempotent end-to-end: a client-generated "idem_key" dedupes
+ * retried submits against live jobs and the journal, so a retry after
+ * a dropped response returns the original job id instead of
+ * double-executing. A client "deadline_ms" rides the queue with the
+ * job; work whose deadline lapses before a worker frees is shed with
+ * a Busy-coded result rather than simulated into a void. Client time
+ * budgets (deadline_ms, wait_ms) above kMaxClientMs are refused as
+ * bad-operand. The wire itself is bounded: max request-line length
+ * (oversize → structured Io error + disconnect), per-connection idle
+ * reaping, a write deadline against slow-loris readers, and a
+ * max-connections cap.
  *
  * Admission control (DESIGN.md §12.3): a submit the daemon will not
  * take — queue full, per-client in-flight cap hit, or drain mode —
@@ -103,16 +93,18 @@ namespace mtfpu::service
 {
 
 /**
- * Protocol revisions (DESIGN.md §13.2). Revision 1 is the PR 6 wire:
- * implicit versioning via ping, no handshake. Revision 2 adds the
- * hello handshake, idempotent submits, deadline propagation,
- * long-poll results, and the health probe. The server still serves
- * revision-1 peers (every revision-2 field is additive), so kProtoMin
- * stays at 1; a future incompatible revision raises it and mismatched
- * peers get a structured rejection instead of undefined behavior.
+ * The protocol revision (DESIGN.md §13.2). The client and the daemon
+ * ship together, so a daemon speaks exactly this revision: hello with
+ * any other number is refused with a structured "unsupported-proto"
+ * error. An incompatible wire change bumps it.
  */
-constexpr int kProtoRevision = 2;
-constexpr int kProtoMin = 1;
+constexpr uint64_t kProtoRevision = 2;
+
+/** The largest client time budget, in milliseconds, the daemon takes
+ *  for deadline_ms or wait_ms: one year. Anything larger is refused
+ *  as bad-operand before it reaches the steady clock, where adding it
+ *  to now() could overflow. */
+constexpr uint64_t kMaxClientMs = 365ull * 24 * 3600 * 1000;
 
 struct ServerConfig
 {
@@ -260,19 +252,8 @@ class SimServer
         machine::SimJobResult result;
     };
 
-    struct InspectSession
-    {
-        std::mutex mutex;
-        std::unique_ptr<machine::Machine> machine;
-    };
-
-    /** Per-connection negotiated state (the hello handshake). */
-    struct Conn
-    {
-        uint64_t id = 0;   // monotonic connection id (client cap)
-        int proto = 1;     // negotiated protocol revision
-        bool saidHello = false;
-    };
+    /** Jobs per lifecycle state: the census health and status share. */
+    struct JobCounts;
 
     void acceptLoop();
     void workerLoop();
@@ -290,23 +271,27 @@ class SimServer
     /** Re-queue journaled jobs that were in flight at the last exit. */
     void recoverJournal();
 
-    /** Dispatch one request line; returns the response line. @p conn
-     *  carries the connection's identity (for the per-client in-flight
-     *  cap) and its negotiated handshake state. */
-    std::string handleRequest(const std::string &line, Conn &conn);
+    /** Dispatch one request line; returns the response line.
+     *  @p client_id identifies the connection for the per-client
+     *  in-flight cap. @p shutdown_requested is set when the request
+     *  was a shutdown, which the connection acts on once the reply is
+     *  on the wire. */
+    std::string handleRequest(const std::string &line, uint64_t client_id,
+                              bool &shutdown_requested);
 
-    std::string cmdHello(const json::Value &req, Conn &conn);
+    /** Count jobs_ by state; the caller holds mutex_. */
+    JobCounts countJobs() const;
+
+    std::string cmdHello(const json::Value &req);
     std::string cmdPing();
     std::string cmdHealth();
-    std::string cmdSubmit(const json::Value &req, const Conn &conn);
+    std::string cmdSubmit(const json::Value &req, uint64_t client_id);
     std::string cmdStatus(const json::Value &req);
     std::string cmdResult(const json::Value &req);
     std::string cmdCancel(const json::Value &req);
     std::string cmdDrain(const json::Value &req);
     std::string cmdCacheStats();
     std::string cmdCacheClear();
-    std::string cmdInspectOpen(const json::Value &req);
-    std::string cmdInspect(const std::string &cmd, const json::Value &req);
 
     ServerConfig config_;
     machine::SimDriver driver_;
@@ -325,7 +310,7 @@ class SimServer
     std::vector<std::thread> connections_;
     std::vector<int> connFds_; // live connections, for stop() wakeups
 
-    std::mutex mutex_; // guards jobs_, queue_, sessions_, stopping_
+    std::mutex mutex_; // guards jobs_, queue_, stopping_
     std::condition_variable queueCv_;  // workers wait for jobs
     std::condition_variable resultCv_; // result-waiters wait for Done
     std::map<uint64_t, Job> jobs_;
@@ -337,8 +322,6 @@ class SimServer
     uint64_t deadlineShed_ = 0; // jobs shed past deadline (mutex_)
     uint64_t nextJobId_ = 1;
     uint64_t nextConnId_ = 1; // guarded by mutex_
-    std::map<uint64_t, std::shared_ptr<InspectSession>> sessions_;
-    uint64_t nextSessionId_ = 1;
     bool stopping_ = false;
 };
 

@@ -775,57 +775,6 @@ TEST(SimServer, CancelsQueuedJobBehindLongRun)
     client.shutdown();
 }
 
-TEST(SimServer, InspectSessionReadsPausedMachineState)
-{
-    TempDir dir("daemon_inspect");
-    service::ServerConfig config;
-    config.socketPath = dir.file("sim.sock");
-    config.threads = 1;
-    service::SimServer server(config);
-    server.start();
-
-    service::SimClient client(config.socketPath);
-    service::JobSpec spec;
-    spec.name = "inspectee";
-    spec.kind = service::JobKind::Assembly;
-    spec.assembly = countdownAsm(1000);
-    spec.memInit = {{0x400, 0x1122334455667788ull}};
-    spec.fpuRegInit = {{2, 0x4008000000000000ull}}; // 3.0
-
-    const uint64_t session = client.inspectOpen(spec);
-    EXPECT_EQ(client.inspectCycle(session), 0u);
-
-    // Declarative images are visible before the first cycle.
-    EXPECT_EQ(client.inspectMem(session, 0x400).at(0),
-              0x1122334455667788ull);
-    EXPECT_EQ(client.inspectReg(session, "fpu", 2),
-              0x4008000000000000ull);
-
-    // Step 5 cycles: the machine pauses mid-run.
-    const service::SimClient::InspectRun paused =
-        client.inspectRun(session, 5);
-    EXPECT_EQ(paused.status, "paused");
-    EXPECT_EQ(paused.cycle, 5u);
-    EXPECT_EQ(client.inspectCycle(session), 5u);
-
-    // Run to completion: r1 counted down to zero.
-    const service::SimClient::InspectRun done =
-        client.inspectRun(session, 100'000);
-    EXPECT_EQ(done.status, "ok");
-    EXPECT_EQ(client.inspectReg(session, "cpu", 1), 0u);
-
-    EXPECT_THROW(client.inspectReg(session, "dsp", 1), SimError);
-    client.inspectClose(session);
-    EXPECT_THROW(client.inspectCycle(session), SimError);
-
-    // Fault-plan specs are rejected at open.
-    service::JobSpec faulting = spec;
-    faulting.faultPlan =
-        faults::FaultPlan::randomSingle(1, 100).describe();
-    EXPECT_THROW(client.inspectOpen(faulting), SimError);
-    client.shutdown();
-}
-
 TEST(SimServer, ProtocolErrorsKeepConnectionAlive)
 {
     TempDir dir("daemon_proto");

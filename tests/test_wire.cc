@@ -1,16 +1,16 @@
 /**
  * @file
  * Remote-transport hardening tests (DESIGN.md §13): TCP listener
- * parity with the Unix socket, the versioned hello handshake
- * (negotiation, downgrade, structured rejection), malformed-frame
- * handling (binary garbage, truncated JSON, torn UTF-8, oversize
- * lines) without leaking connection slots, idle reaping and the
+ * parity with the Unix socket, the exact-revision hello handshake
+ * (acceptance, structured rejection), malformed-frame handling
+ * (binary garbage, truncated JSON, torn UTF-8, oversize lines)
+ * without leaking connection slots, idle reaping and the
  * max-connections cap, end-to-end idempotent submission (live dedupe
- * and journal-recovered dedupe), client deadline shedding, long-poll
- * result waits, the health probe, and the seeded chaos proxy — a
- * sweep through injected disconnects/truncation/garbage completes
- * bit-identical to quiet in-process runs with zero duplicate
- * executions.
+ * and journal-recovered dedupe), client deadline shedding and the cap
+ * on client time budgets, long-poll result waits, the health probe,
+ * and the seeded chaos proxy — a sweep through injected
+ * disconnects/truncation/garbage completes bit-identical to quiet
+ * in-process runs with zero duplicate executions.
  */
 
 #include <gtest/gtest.h>
@@ -109,7 +109,7 @@ slowSpec(int outer, int inner)
 }
 
 /** A raw wire connection below SimClient: no handshake, no retry —
- *  for speaking protocol 1, torn frames, and hostile bytes. */
+ *  for hand-built requests, torn frames, and hostile bytes. */
 class RawConn
 {
   public:
@@ -232,44 +232,26 @@ TEST(Wire, HelloNegotiatesCurrentRevision)
     ASSERT_TRUE(reply.at("ok").asBool());
     EXPECT_EQ(reply.at("proto").asUint(), 2u);
     EXPECT_EQ(reply.at("server").asString(), "mtfpu-simserver");
-    ASSERT_TRUE(reply.has("features"));
-    bool sawIdem = false, sawLongPoll = false;
-    for (const json::Value &f : reply.at("features").asArray()) {
-        sawIdem |= f.asString() == "idempotency";
-        sawLongPoll |= f.asString() == "long-poll";
-    }
-    EXPECT_TRUE(sawIdem);
-    EXPECT_TRUE(sawLongPoll);
     EXPECT_TRUE(reply.has("max_line_bytes"));
-}
-
-TEST(Wire, HelloDowngradesToOldPeerRevision)
-{
-    TcpServer tcp(tcpConfig());
-    RawConn conn(tcp.address());
-    const json::Value reply =
-        conn.roundTrip("{\"cmd\":\"hello\",\"proto\":1}");
-    ASSERT_TRUE(reply.at("ok").asBool());
-    EXPECT_EQ(reply.at("proto").asUint(), 1u);
-    // Revision-1 peers don't know the feature vocabulary.
-    EXPECT_FALSE(reply.has("features"));
 }
 
 TEST(Wire, HelloRejectsUnsupportedRevisionWithStructuredError)
 {
     TcpServer tcp(tcpConfig());
     RawConn conn(tcp.address());
-    // A future peer that refuses to speak anything below 99.
-    const json::Value reply = conn.roundTrip(
-        "{\"cmd\":\"hello\",\"proto\":99,\"min_proto\":99}");
-    ASSERT_FALSE(reply.at("ok").asBool());
-    EXPECT_EQ(reply.at("error_code").asString(), "unsupported-proto");
-    EXPECT_EQ(reply.at("proto_min").asUint(),
-              static_cast<uint64_t>(service::kProtoMin));
-    EXPECT_EQ(reply.at("proto_max").asUint(),
-              static_cast<uint64_t>(service::kProtoRevision));
+    // Every revision but kProtoRevision is refused: the old revision
+    // 1, a future one, and a number that equals 2 only when truncated
+    // to 32 bits (2^32 + 2).
+    for (const char *proto : {"1", "99", "4294967298"}) {
+        SCOPED_TRACE(proto);
+        const json::Value reply = conn.roundTrip(
+            std::string("{\"cmd\":\"hello\",\"proto\":") + proto + "}");
+        ASSERT_FALSE(reply.at("ok").asBool());
+        EXPECT_EQ(reply.at("error_code").asString(), "unsupported-proto");
+        EXPECT_EQ(reply.at("proto").asUint(), service::kProtoRevision);
+    }
 
-    // The connection survives the rejection: the peer may retry an
+    // The connection survives the rejections: the peer may retry an
     // acceptable revision rather than redialing.
     const json::Value retry =
         conn.roundTrip("{\"cmd\":\"hello\",\"proto\":2}");
@@ -288,8 +270,9 @@ TEST(Wire, HelloWithoutProtoIsBadOperand)
 
 TEST(Wire, LegacyPeerWithoutHelloIsServed)
 {
-    // The PR 6/7/8 client never says hello; the daemon must keep
-    // serving it at revision-1 semantics.
+    // hello is a check, not a gate: the server keeps no
+    // per-connection protocol state, so a peer that skips it is
+    // served the same protocol.
     TcpServer tcp(tcpConfig());
     RawConn conn(tcp.address());
     const json::Value pong = conn.roundTrip("{\"cmd\":\"ping\"}");
@@ -303,18 +286,6 @@ TEST(Wire, LegacyPeerWithoutHelloIsServed)
         std::to_string(sub.at("id").asUint()) + ",\"wait\":true}");
     EXPECT_TRUE(res.at("ok").asBool());
     EXPECT_EQ(res.at("state").asString(), "done");
-}
-
-TEST(Wire, ClientNegotiatesFeaturesOnConnect)
-{
-    TcpServer tcp(tcpConfig());
-    service::SimClient client(tcp.address());
-    EXPECT_EQ(client.proto(), service::kProtoRevision);
-    EXPECT_TRUE(client.hasFeature("idempotency"));
-    EXPECT_TRUE(client.hasFeature("deadline"));
-    EXPECT_TRUE(client.hasFeature("long-poll"));
-    EXPECT_TRUE(client.hasFeature("health"));
-    EXPECT_FALSE(client.hasFeature("time-travel"));
 }
 
 // ------------------------------------------------------ malformed frames
@@ -566,6 +537,56 @@ TEST(Wire, ExpiredDeadlineShedsQueuedWorkWithBusyResult)
 
     const json::Value health = conn.roundTrip("{\"cmd\":\"health\"}");
     EXPECT_GE(health.at("deadline_shed").asUint(), 1u);
+}
+
+TEST(Wire, ClientTimeBudgetsPastTheCapAreBadOperand)
+{
+    // deadline_ms and wait_ms are added to the steady clock; a value
+    // past kMaxClientMs must be refused before it can overflow it.
+    TcpServer tcp(tcpConfig());
+    RawConn conn(tcp.address());
+    const std::string spec = countdownSpec(30).to_json();
+    const std::string cap = std::to_string(service::kMaxClientMs);
+    const std::string tooBig[] = {
+        std::to_string(service::kMaxClientMs + 1),
+        "9223372036854775807",  // INT64_MAX
+        "18446744073709551615", // UINT64_MAX
+    };
+    for (const std::string &ms : tooBig) {
+        SCOPED_TRACE(ms);
+        const json::Value reply = conn.roundTrip(
+            "{\"cmd\":\"submit\",\"spec\":" + spec +
+            ",\"deadline_ms\":" + ms + "}");
+        ASSERT_FALSE(reply.at("ok").asBool());
+        EXPECT_EQ(reply.at("error_code").asString(),
+                  errCodeName(ErrCode::BadOperand));
+    }
+    // None of the refused submits made a job.
+    EXPECT_EQ(conn.roundTrip("{\"cmd\":\"status\"}").at("jobs").asUint(),
+              0u);
+
+    // The cap itself is a valid (if generous) deadline.
+    const json::Value sub = conn.roundTrip(
+        "{\"cmd\":\"submit\",\"spec\":" + spec + ",\"deadline_ms\":" +
+        cap + "}");
+    ASSERT_TRUE(sub.at("ok").asBool());
+    const std::string id = std::to_string(sub.at("id").asUint());
+    const json::Value done = conn.roundTrip(
+        "{\"cmd\":\"result\",\"id\":" + id + ",\"wait_ms\":" + cap +
+        "}");
+    ASSERT_TRUE(done.at("ok").asBool());
+    EXPECT_EQ(done.at("state").asString(), "done");
+    EXPECT_TRUE(done.at("job_ok").asBool());
+
+    for (const std::string &ms : tooBig) {
+        SCOPED_TRACE(ms);
+        const json::Value reply = conn.roundTrip(
+            "{\"cmd\":\"result\",\"id\":" + id + ",\"wait_ms\":" + ms +
+            "}");
+        ASSERT_FALSE(reply.at("ok").asBool());
+        EXPECT_EQ(reply.at("error_code").asString(),
+                  errCodeName(ErrCode::BadOperand));
+    }
 }
 
 // ------------------------------------------------------------- long-poll
