@@ -26,7 +26,7 @@
 #include <unistd.h>
 
 #include "common/log.hh"
-#include "service/chaos.hh"
+#include "bench/chaos.hh"
 
 using namespace mtfpu;
 

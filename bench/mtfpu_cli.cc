@@ -6,8 +6,8 @@
  *
  * Usage:
  *   mtfpu-cli serve [--socket=PATH] [--listen=HOST:PORT] [--threads=N]
- *                   [--cache-dir=DIR] [--crash-dir=DIR] [--no-memoize]
- *                   [--inproc] [--worker=PATH] [--journal=PATH]
+ *                   [--cache-dir=DIR] [--crash-dir=DIR]
+ *                   [--worker=PATH] [--journal=PATH]
  *                   [--job-timeout-ms=N] [--hb-timeout-ms=N]
  *                   [--rlimit-cpu=SECONDS] [--rlimit-as-mb=MB]
  *                   [--max-queue=N] [--max-inflight=N]
@@ -29,7 +29,11 @@
  *
  * <addr> is --socket=PATH (Unix socket) or --connect=HOST:PORT (TCP;
  * DESIGN.md §13). serve can open either listener or both; --listen
- * with port 0 binds an ephemeral port and prints it.
+ * with port 0 binds an ephemeral port and prints it. The daemon runs
+ * every job in a supervised mtfpu-workerd process: --worker names the
+ * binary, else it must sit next to mtfpu-cli, or serve exits with an
+ * Io error. --crash-dir receives a <job>.worker-crash.json report per
+ * quarantined job, which `replay` re-runs.
  *
  * --spec takes one JSON JobSpec ("-" reads stdin); --specs takes a
  * file with one spec per line (the format `fault_campaign
@@ -164,10 +168,6 @@ cmdServe(const std::string &socket, const std::string &listen, int argc,
             config.cacheDir = value;
         else if (flagValue(argv[i], "--crash-dir", value))
             config.crashDir = value;
-        else if (std::strcmp(argv[i], "--no-memoize") == 0)
-            config.memoize = false;
-        else if (std::strcmp(argv[i], "--inproc") == 0)
-            config.inproc = true;
         else if (flagValue(argv[i], "--worker", value))
             config.workerPath = value;
         else if (flagValue(argv[i], "--journal", value))
@@ -408,7 +408,7 @@ main(int argc, char **argv)
             if (id_text.empty())
                 return usage();
             const bool cancelled = client.cancel(std::stoull(id_text));
-            std::printf("%s\n", cancelled ? "cancelled" : "not queued");
+            std::printf("%s\n", cancelled ? "cancelled" : "already finished");
             return 0;
         }
         if (cmd == "drain") {

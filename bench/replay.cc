@@ -1,13 +1,20 @@
 /**
  * @file
- * Deterministic crash replay: consume a SimDriver crash report (the
- * JSON artifact written for a quarantined job) together with its
- * sibling .snap snapshot of the post-setup, pre-run machine state,
- * re-execute the failed job under a Tracer, and verify that the same
- * structured error fires at the same cycle. Because a Machine is a
- * closed deterministic system, a genuine simulator failure reproduces
- * exactly — and the trace tail around the faulting cycle is the
- * debugging view the batch run could not afford to collect.
+ * Deterministic crash replay: consume a crash report, rebuild the
+ * failed job's initial machine state, re-execute it under a Tracer,
+ * and verify that the same structured error fires at the same cycle.
+ * Two report shapes carry that state:
+ *
+ *   - the daemon's <job>.worker-crash.json for a quarantined job
+ *     carries the job's JobSpec: the replay resolves it, so a fault
+ *     plan re-attaches, because it is data;
+ *   - a fuzzer crash bundle names a sibling .snap snapshot of the
+ *     pre-run state, which the replay restores.
+ *
+ * Because a Machine is a closed deterministic system, a genuine
+ * simulator failure reproduces exactly — and the trace tail around
+ * the faulting cycle is the debugging view the original run could not
+ * afford to collect.
  *
  * Usage:
  *   replay <crash-report.json> [--tail=N] [--timeline]
@@ -27,12 +34,16 @@
 #include <string>
 #include <vector>
 
+#include <memory>
+#include <optional>
+
 #include "common/json.hh"
 #include "common/log.hh"
 #include "machine/lockstep.hh"
 #include "machine/machine.hh"
 #include "machine/stats.hh"
 #include "machine/tracer.hh"
+#include "service/job_spec.hh"
 #include "snapshot/snapshot.hh"
 
 using namespace mtfpu;
@@ -109,8 +120,8 @@ main(int argc, char **argv)
 
     std::string wantCode;
     int64_t wantCycle = -1;
+    std::optional<service::JobSpec> spec;
     std::string snapPath;
-    bool hadHook = false;
     bool lockstep = false;
     machine::SemanticsMutation mutation =
         machine::SemanticsMutation::None;
@@ -126,17 +137,20 @@ main(int argc, char **argv)
         if (report.has("mutation"))
             mutation = machine::mutationFromName(
                 report.at("mutation").asString());
-        if (!report.has("snapshot") || report.at("snapshot").isNull()) {
+        if (report.has("spec")) {
+            spec = service::JobSpec::from_json(report.at("spec"));
+        } else if (report.has("snapshot") &&
+                   !report.at("snapshot").isNull()) {
+            snapPath = dirOf(reportPath) + "/" +
+                       report.at("snapshot").asString();
+        } else {
             std::fprintf(stderr,
-                         "%s records no snapshot — written by an older "
-                         "build, or the snapshot write failed; re-run the "
-                         "batch to regenerate it\n",
+                         "%s records neither a spec nor a snapshot — "
+                         "written by an older build; re-run the job to "
+                         "regenerate it\n",
                          reportPath.c_str());
             return 2;
         }
-        snapPath = dirOf(reportPath) + "/" +
-                   report.at("snapshot").asString();
-        hadHook = report.has("hook") && report.at("hook").asBool();
         const json::Value &error = report.at("error");
         if (!error.isNull()) {
             wantCode = error.at("code").asString();
@@ -154,20 +168,30 @@ main(int argc, char **argv)
                 wantCode.empty() ? "(none)" : wantCode.c_str(),
                 wantCycle >= 0 ? std::to_string(wantCycle).c_str()
                                : "(unknown)");
-    if (hadHook) {
-        std::printf("  note: the job carried a mutating hook (fault "
-                    "injection); hooks are closures and cannot be "
-                    "re-attached from an artifact, so the replay may "
-                    "diverge from the original failure\n");
-    }
+    if (spec && !spec->faultPlan.empty())
+        std::printf("  fault plan re-attached from the spec\n");
 
     std::string haveCode;
     int64_t haveCycle = -1;
     try {
-        const snapshot::MachineSnapshot snap =
-            snapshot::readFile(snapPath);
-        machine::Machine m(snap.config);
-        snapshot::restore(m, snap);
+        std::unique_ptr<machine::Machine> owned;
+        std::shared_ptr<machine::MachineHook> hook;
+        if (spec) {
+            const machine::SimJob job = spec->resolve();
+            owned = std::make_unique<machine::Machine>(job.config);
+            owned->loadProgram(job.program);
+            machine::applyJobInit(job, *owned);
+            if (job.hookFactory) {
+                hook = job.hookFactory(*owned);
+                owned->setHook(hook.get());
+            }
+        } else {
+            const snapshot::MachineSnapshot snap =
+                snapshot::readFile(snapPath);
+            owned = std::make_unique<machine::Machine>(snap.config);
+            snapshot::restore(*owned, snap);
+        }
+        machine::Machine &m = *owned;
         machine::LockstepChecker checker(m);
         if (lockstep) {
             checker.interpreter().setMutation(mutation);

@@ -38,8 +38,9 @@ namespace mtfpu::faults
 /**
  * Wire @p plan into @p job: installs a hookFactory building a
  * FaultInjector (plus, when @p lockstep, a LockstepChecker observer
- * sharing its lifetime) and flags the job faultExpected so the driver
- * treats failure as a normal outcome. An empty plan still attaches
+ * sharing its lifetime) and flags the job faultExpected so the
+ * daemon's worker pool treats failure as a normal outcome (one
+ * attempt, no quarantine). An empty plan still attaches
  * (useful for golden runs under identical instrumentation) but leaves
  * faultExpected false.
  */

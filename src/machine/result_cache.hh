@@ -1,11 +1,11 @@
 /**
  * @file
- * Persistent result cache backing the SimDriver's content-hash memo
- * table (DESIGN.md §11). The in-memory memoizer deduplicates pure
- * jobs *within* one batch; this cache extends that identity across
- * batches, across daemon restarts, and across client processes: one
- * file per job content hash, holding the canonical content blob (the
- * collision guard) and the serialized RunStats of a completed run.
+ * Persistent result cache behind the simulation daemon (DESIGN.md
+ * §11). The SimDriver's in-memory memoizer deduplicates pure jobs
+ * *within* one batch; this cache extends that content identity across
+ * daemon restarts and client processes: one file per job content
+ * hash, holding the canonical content blob (the collision guard) and
+ * the serialized RunStats of a completed run.
  *
  * File discipline — the same rules as ck-*.snap checkpoints:
  *  - writes go to a unique temp file and land with an atomic rename,
@@ -74,7 +74,8 @@ class DirLock
     bool held_ = false;
 };
 
-/** On-disk result cache; thread-safe, shared by driver and service. */
+/** On-disk result cache; thread-safe, shared by the daemon's
+ *  dispatch threads. */
 class ResultCache
 {
   public:

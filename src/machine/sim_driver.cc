@@ -9,8 +9,6 @@
 #include <unordered_map>
 
 #include "common/log.hh"
-#include "isa/disasm.hh"
-#include "machine/result_cache.hh"
 #include "snapshot/snapshot.hh"
 
 namespace mtfpu::machine
@@ -18,23 +16,6 @@ namespace mtfpu::machine
 
 namespace
 {
-
-/** Flatten a job name into a safe artifact file name. */
-std::string
-artifactName(const std::string &name)
-{
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-        const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                          (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                          c == '.';
-        out.push_back(keep ? c : '_');
-    }
-    if (out.empty())
-        out = "job";
-    return out;
-}
 
 /** Checkpoint file name for a job: its content hash in hex. */
 std::string
@@ -148,10 +129,12 @@ SimDriver::runCheckpointed(const SimJob &job, Machine &machine) const
 }
 
 SimJobResult
-SimDriver::attemptOne(const SimJob &job) const
+SimDriver::runAttempt(const SimJob &job) const
 {
+    LogJobScope scope(job.name);
     SimJobResult result;
     result.name = job.name;
+    result.attempts = 1;
     try {
         Machine machine(job.config);
         machine.loadProgram(job.program);
@@ -187,160 +170,6 @@ SimDriver::attemptOne(const SimJob &job) const
             SimError(ErrCode::Unknown, err.what()).to_json();
     }
     return result;
-}
-
-SimJobResult
-SimDriver::runAttempt(const SimJob &job) const
-{
-    LogJobScope scope(job.name);
-    SimJobResult result = attemptOne(job);
-    result.attempts = 1;
-    return result;
-}
-
-SimJobResult
-SimDriver::runOne(const SimJob &job) const
-{
-    LogJobScope scope(job.name);
-    SimJobResult result = attemptOne(job);
-    result.attempts = 1;
-    if (result.ok || job.faultExpected)
-        return result;
-
-    // Guard statuses are deterministic timeouts — the retry would
-    // burn the same cycle/wall-clock budget to learn nothing.
-    const bool guarded = result.status != RunStatus::Ok;
-    if (!guarded) {
-        warn("job failed (" + result.errorCode + "), retrying once: " +
-             result.error);
-        SimJobResult retry = attemptOne(job);
-        retry.attempts = 2;
-        if (retry.ok) {
-            warn("job succeeded on retry — nondeterministic failure?");
-            return retry;
-        }
-        result = std::move(retry);
-        result.quarantined = true;
-    } else {
-        result.quarantined = true;
-    }
-    writeCrashReport(job, result);
-    return result;
-}
-
-SimJobResult
-SimDriver::runJob(const SimJob &job) const
-{
-    // Persistent-cache fast path: a valid entry replaces the whole
-    // simulate/retry pipeline. Only deterministic outcomes are ever
-    // stored, so serving one is equivalent to re-simulating.
-    if (resultCache_ && isPureJob(job)) {
-        if (std::optional<RunStats> cached = resultCache_->lookup(job)) {
-            SimJobResult result;
-            result.name = job.name;
-            result.stats = *cached;
-            result.status = result.stats.status;
-            result.ok = result.status == RunStatus::Ok;
-            result.attempts = 0;
-            result.fromCache = true;
-            if (!result.ok)
-                fillGuardError(result);
-            return result;
-        }
-    }
-    SimJobResult result = runOne(job);
-    // Store only outcomes that are a pure function of the job content:
-    // a completed run, or a CycleGuard stop (the bound is part of the
-    // content identity). A thrown-error result carries default stats
-    // (status Ok but !result.ok) and must not masquerade as one;
-    // Watchdog depends on host wall-clock speed and is never stored.
-    const bool deterministic =
-        ResultCache::cacheable(result.stats) &&
-        (result.ok || result.status == RunStatus::CycleGuard);
-    if (resultCache_ && isPureJob(job) && deterministic)
-        resultCache_->store(job, result.stats);
-    return result;
-}
-
-void
-SimDriver::writeCrashReport(const SimJob &job,
-                            const SimJobResult &result) const
-{
-    if (crashReportDir_.empty())
-        return;
-    try {
-        std::filesystem::create_directories(crashReportDir_);
-        const std::string base = crashReportDir_ + "/" +
-                                 artifactName(job.name);
-        const std::string path = base + ".json";
-
-        // Sibling snapshot of the post-setup, pre-run state: a replay
-        // tool restores it and re-executes the failure under a tracer
-        // without re-deriving the initial image from closures.
-        std::string snapName;
-        try {
-            Machine machine(job.config);
-            machine.loadProgram(job.program);
-            applyJobInit(job, machine);
-            if (job.setup)
-                job.setup(machine);
-            snapshot::writeFile(base + ".snap", snapshot::capture(machine));
-            snapName = artifactName(job.name) + ".snap";
-        } catch (const std::exception &err) {
-            warn(std::string("crash-report snapshot failed: ") + err.what());
-        }
-
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            warn("cannot write crash report " + path);
-            return;
-        }
-        const MachineConfig &c = job.config;
-        std::string json = "{\n  \"job\": \"" + jsonEscape(job.name) +
-                           "\",\n  \"attempts\": " +
-                           std::to_string(result.attempts) +
-                           ",\n  \"snapshot\": " +
-                           (snapName.empty()
-                                ? "null"
-                                : "\"" + jsonEscape(snapName) + "\"") +
-                           ",\n  \"hook\": " +
-                           (job.hookFactory ? "true" : "false") +
-                           ",\n  \"error\": " +
-                           (result.errorJson.empty() ? "null"
-                                                     : result.errorJson) +
-                           ",\n  \"config\": {\"fpu_latency\": " +
-                           std::to_string(c.fpuLatency) +
-                           ", \"store_cycles\": " +
-                           std::to_string(c.storeCycles) +
-                           ", \"overlap_with_vector\": " +
-                           (c.overlapWithVector ? "true" : "false") +
-                           ", \"hazard_policy\": " +
-                           std::to_string(static_cast<int>(c.hazardPolicy)) +
-                           ", \"fp_backend\": " +
-                           std::to_string(static_cast<int>(c.fpBackend)) +
-                           ", \"model_caches\": " +
-                           (c.memory.modelCaches ? "true" : "false") +
-                           ", \"max_cycles\": " +
-                           std::to_string(c.maxCycles) +
-                           ", \"watchdog_ms\": " +
-                           std::to_string(c.watchdogMs) +
-                           "},\n  \"mem_init_words\": " +
-                           std::to_string(job.memInit.size()) +
-                           ",\n  \"reg_init_count\": " +
-                           std::to_string(job.cpuRegInit.size() +
-                                          job.fpuRegInit.size()) +
-                           ",\n  \"cycle_of_death\": " +
-                           std::to_string(result.stats.cycles) +
-                           ",\n  \"program\": \"" +
-                           jsonEscape(isa::disassembleProgram(job.program)) +
-                           "\"\n}\n";
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        inform("crash report written to " + path);
-    } catch (const std::exception &err) {
-        // Artifact writing must never fail the batch.
-        warn(std::string("crash report failed: ") + err.what());
-    }
 }
 
 std::vector<SimJobResult>
@@ -380,7 +209,7 @@ SimDriver::run(const std::vector<SimJob> &jobs) const
     const unsigned workers = threadsFor(work.size());
     if (workers <= 1) {
         for (size_t i : work) {
-            results[i] = runJob(jobs[i]);
+            results[i] = runAttempt(jobs[i]);
             if (resultCallback_)
                 resultCallback_(i, results[i]);
         }
@@ -395,7 +224,7 @@ SimDriver::run(const std::vector<SimJob> &jobs) const
                     next.fetch_add(1, std::memory_order_relaxed);
                 if (w >= work.size())
                     return;
-                results[work[w]] = runJob(jobs[work[w]]);
+                results[work[w]] = runAttempt(jobs[work[w]]);
                 if (resultCallback_)
                     resultCallback_(work[w], results[work[w]]);
             }

@@ -2,12 +2,12 @@
  * @file
  * Parallel batch-simulation scheduler. The *description* of a job —
  * SimJob, its purity rules, and its content identity — lives in
- * sim_job.hh; this class owns only scheduling policy: the worker
- * pool, in-batch memoization, the retry-once-then-quarantine failure
- * containment, periodic checkpointing, and the persistent result
- * cache hookup. The simulation service (src/service) schedules
- * through the same runJob() entry point the batch path uses, so both
- * layers share one containment policy.
+ * sim_job.hh; this class owns only scheduling policy: the thread
+ * pool, in-batch memoization, periodic checkpointing, and the
+ * per-result callback. The simulation daemon does not schedule
+ * through it: each of its jobs runs as one runAttempt() in an
+ * isolated worker process, under the worker pool's
+ * retry-once-then-quarantine policy (service/worker_pool.hh).
  *
  * Determinism: a Machine is a closed system — no shared mutable state
  * exists between jobs (each worker builds its own Machine, memory, and
@@ -20,19 +20,13 @@
  * reference rows. Because jobs are closed systems, two *pure* jobs
  * (see sim_job.hh) with identical content must produce identical
  * RunStats, so the driver simulates one and copies the result to the
- * rest. With a ResultCache attached the same identity extends across
- * processes and restarts: a pure job whose content hash has a valid
- * on-disk entry is served without simulating at all.
+ * rest.
  *
  * Error containment: a job that fatal()s (bad program, hazard-policy
- * violation, runaway cycle guard) fails alone; its SimJobResult
- * carries the structured SimError and the remaining jobs still run.
- * Failure triage distinguishes *expected* failures (fault-injection
- * jobs, flagged faultExpected) from surprises: a deterministic job
- * that throws is retried once — a Machine is a closed system, so a
- * genuine simulator error reproduces exactly — and a twice-failing
- * job is quarantined and dumped as a crash-report artifact
- * (setCrashReportDir) for offline reproduction.
+ * violation, runaway cycle guard) fails alone after one attempt; its
+ * SimJobResult carries the structured SimError and the remaining jobs
+ * still run. There is no in-process retry: a Machine is a closed
+ * system, so a second attempt would only reproduce the same error.
  */
 
 #ifndef MTFPU_MACHINE_SIM_DRIVER_HH
@@ -48,8 +42,6 @@
 
 namespace mtfpu::machine
 {
-
-class ResultCache;
 
 /** The batch runner. */
 class SimDriver
@@ -68,28 +60,6 @@ class SimDriver
 
     /** Configured worker count (after the 0 → hardware resolution). */
     unsigned threads() const { return threads_; }
-
-    /** Whether identical pure jobs share one simulation. */
-    bool memoize() const { return memoize_; }
-
-    /**
-     * Directory for crash-report artifacts (one JSON file per
-     * quarantined or guard-failed job: config, program disassembly,
-     * cycle of death, structured error). Created on first use; empty
-     * (the default) disables artifact writing.
-     */
-    void setCrashReportDir(std::string dir) { crashReportDir_ = std::move(dir); }
-    const std::string &crashReportDir() const { return crashReportDir_; }
-
-    /**
-     * Attach a persistent result cache (nullptr detaches). Pure jobs
-     * consult it before simulating and store their stats after an Ok
-     * or CycleGuard run; closure-carrying jobs bypass it entirely.
-     * The cache must outlive the driver; it is thread-safe and may be
-     * shared between drivers and the simulation service.
-     */
-    void setResultCache(ResultCache *cache) { resultCache_ = cache; }
-    ResultCache *resultCache() const { return resultCache_; }
 
     /**
      * Enable periodic checkpointing of pure jobs. Every
@@ -140,22 +110,13 @@ class SimDriver
     std::vector<SimJobResult> run(const std::vector<SimJob> &jobs) const;
 
     /**
-     * Run one job under the full scheduling policy — result-cache
-     * lookup/store, retry-once-then-quarantine containment, crash
-     * reports, checkpointing — on the calling thread. This is the
-     * entry point the simulation service schedules through; run()
-     * invokes it once per unique job.
-     */
-    SimJobResult runJob(const SimJob &job) const;
-
-    /**
-     * Run exactly one containment-free simulation attempt on the
-     * calling thread: no cache, no retry, no quarantine, no crash
-     * report — just the machine build, the run, and a structured
-     * result. This is the execution primitive an isolated worker
-     * process exposes; the supervising pool re-founds the
-     * retry-once-then-quarantine policy on top of the process
-     * boundary, where it also covers attempts that die by signal.
+     * Run exactly one simulation attempt on the calling thread: the
+     * machine build, the run (checkpointed when configured), and a
+     * structured result. run() invokes it once per unique job, and it
+     * is the execution primitive an isolated worker process exposes;
+     * the supervising pool founds its retry-once-then-quarantine
+     * policy on top of the process boundary, where it also covers
+     * attempts that die by signal.
      */
     SimJobResult runAttempt(const SimJob &job) const;
 
@@ -174,13 +135,7 @@ class SimDriver
      */
     static std::string checkpointFileName(const SimJob &job);
 
-    /** Memoizable: carries no setup/body/hook closure. */
-    static bool isPure(const SimJob &job) { return isPureJob(job); }
-
   private:
-    /** One simulation attempt on a freshly constructed Machine. */
-    SimJobResult attemptOne(const SimJob &job) const;
-
     /**
      * Checkpointed run body for a pure job: resume from the job's
      * checkpoint file if a valid one exists, then run in
@@ -188,20 +143,11 @@ class SimDriver
      */
     RunStats runCheckpointed(const SimJob &job, Machine &machine) const;
 
-    /** Containment policy only (no cache): retry/quarantine/report. */
-    SimJobResult runOne(const SimJob &job) const;
-
-    /** Write the crash-report artifact for a quarantined job. */
-    void writeCrashReport(const SimJob &job,
-                          const SimJobResult &result) const;
-
     unsigned threads_;
     bool memoize_;
-    std::string crashReportDir_;
     std::string checkpointDir_;
     uint64_t checkpointInterval_ = 0;
     ResultCallback resultCallback_;
-    ResultCache *resultCache_ = nullptr;
 };
 
 } // namespace mtfpu::machine

@@ -3,8 +3,8 @@
  * The batch/service job description layer, split out of the SimDriver
  * (which keeps only scheduling policy). A SimJob names everything one
  * independent simulation needs; the driver, the checkpointing path,
- * the on-disk result cache, and the simulation service all consume
- * this one description.
+ * the on-disk result cache, and the simulation service's workers all
+ * consume this one description.
  *
  * Purity: a job whose behavior is fully captured by declarative data
  * (program code, memInit, regInit, config) is *pure* — two pure jobs
@@ -93,18 +93,16 @@ struct SimJob
      * Optional per-cycle mutating hook factory (fault injection).
      * Called on the worker thread after setup and before the run; the
      * returned hook is installed with Machine::setHook and kept alive
-     * for the duration of the job. Disqualifies memoization — and,
-     * because the hook mutates state, also marks attempts as
-     * non-deterministic for retry purposes unless faultExpected says
-     * otherwise. Use faults::attachPlan() to populate this from a
-     * FaultPlan.
+     * for the duration of the job. Disqualifies memoization. Use
+     * faults::attachPlan() to populate this from a FaultPlan.
      */
     std::function<std::shared_ptr<MachineHook>(Machine &)> hookFactory;
 
     /**
      * This job deliberately injects faults and is *expected* to fail:
-     * a failure is a normal campaign outcome — single attempt, no
-     * retry, no quarantine, no crash-report artifact.
+     * a failure is a normal campaign outcome. The daemon's worker pool
+     * gives such a job a single attempt, no quarantine and no crash
+     * report (service/worker_pool.hh).
      */
     bool faultExpected = false;
 };
@@ -123,13 +121,16 @@ struct SimJobResult
      */
     RunStatus status = RunStatus::Ok;
 
-    /** Simulation attempts consumed (2 = failed once, retried). */
+    /** Simulation attempts consumed: 1 for a SimDriver run; the
+     *  daemon's pool reports 2 for a failed-then-retried job and 0 for
+     *  a result-cache hit. */
     unsigned attempts = 0;
 
     /**
-     * A deterministic (non-faultExpected) job failed twice in a row:
-     * the failure reproduces and needs human triage. A crash report
-     * was written if a report directory is configured.
+     * Set by the daemon's worker pool: a deterministic
+     * (non-faultExpected) job failed twice in a row, or exhausted its
+     * cycle or wall-clock budget, and needs human triage. A crash
+     * report was written if a report directory is configured.
      */
     bool quarantined = false;
 
@@ -170,16 +171,16 @@ std::vector<uint8_t> jobContentBlob(const SimJob &job);
 /**
  * Apply the declarative initial image to a freshly loaded machine:
  * memInit words, then CPU registers, then FPU registers. Shared by
- * the driver's attempt path and the crash-report snapshot writer.
+ * the driver's attempt path, its checkpoint fallback, and crash
+ * replay.
  */
 void applyJobInit(const SimJob &job, Machine &machine);
 
 /**
  * Fill the error fields of a result whose run ended on a guard
- * (CycleGuard/Watchdog). Shared by the driver's attempt path, its
- * result-cache hit path, and the service's worker-pool cache path, so
- * a cached or relayed guard outcome carries the same structured error
- * a fresh simulation would.
+ * (CycleGuard/Watchdog). Shared by the driver's attempt path and the
+ * daemon's result-cache hit path, so a cached guard outcome carries
+ * the same structured error a fresh simulation would.
  */
 void fillGuardError(SimJobResult &result);
 

@@ -111,7 +111,8 @@ class SimClient
      */
     machine::SimJobResult result(uint64_t id, bool wait = true);
 
-    /** True if the job was still queued and is now cancelled. */
+    /** True if the job was queued (now cancelled) or running (its
+     *  worker is being killed); false once it has finished. */
     bool cancel(uint64_t id);
 
     /** Ask the daemon to stop (acknowledged before it exits). */

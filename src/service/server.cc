@@ -1,5 +1,6 @@
 #include "service/server.hh"
 
+#include <algorithm>
 #include <filesystem>
 #include <poll.h>
 #include <sys/socket.h>
@@ -16,24 +17,30 @@ namespace
 {
 
 /**
- * Locate the worker binary next to the running executable — the
- * install layout for both the build tree (build/bench/) and any flat
- * deployment. Empty when /proc/self/exe is unreadable or no sibling
- * exists.
+ * The mtfpu-workerd binary: @p configured when set, else a sibling of
+ * the running executable — the install layout for both the build tree
+ * (build/bench/) and any flat deployment. A daemon without a worker
+ * could only fail every job, so a missing binary is a structured Io
+ * error at construction.
  */
 std::string
-siblingWorkerPath()
+workerBinary(const std::string &configured)
 {
+    std::filesystem::path path = configured;
     std::error_code ec;
-    const std::filesystem::path self =
-        std::filesystem::read_symlink("/proc/self/exe", ec);
-    if (ec)
-        return "";
-    const std::filesystem::path candidate =
-        self.parent_path() / "mtfpu-workerd";
-    if (std::filesystem::exists(candidate, ec) && !ec)
-        return candidate.string();
-    return "";
+    if (path.empty()) {
+        const std::filesystem::path self =
+            std::filesystem::read_symlink("/proc/self/exe", ec);
+        if (!ec)
+            path = self.parent_path() / "mtfpu-workerd";
+    }
+    if (path.empty() || !std::filesystem::exists(path, ec) || ec)
+        fatal(ErrCode::Io,
+              configured.empty()
+                  ? std::string("no mtfpu-workerd next to this binary "
+                                "and no worker path given")
+                  : "worker binary " + configured + " not found");
+    return path.string();
 }
 
 /** The structured Busy response (admission control, DESIGN.md §12.3). */
@@ -177,16 +184,26 @@ statsFromHex(const std::string &hex)
     return stats;
 }
 
-SimServer::SimServer(ServerConfig config)
-    : config_(std::move(config)), driver_(1, config_.memoize)
+SimServer::SimServer(ServerConfig config) : config_(std::move(config))
 {
     startTime_ = std::chrono::steady_clock::now();
     if (config_.socketPath.empty() && config_.listenAddr.empty())
         fatal(ErrCode::BadOperand,
               "SimServer needs a Unix socket path or a TCP listen "
               "address (or both)");
-    if (!config_.crashDir.empty())
-        driver_.setCrashReportDir(config_.crashDir);
+    WorkerPoolConfig pool;
+    pool.workerPath = workerBinary(config_.workerPath);
+    if (config_.threads == 0)
+        config_.threads = std::max(1u, std::thread::hardware_concurrency());
+    pool.workers = config_.threads;
+    pool.jobTimeoutMs = config_.jobTimeoutMs;
+    pool.heartbeatTimeoutMs = config_.heartbeatTimeoutMs;
+    pool.rlimitCpuS = config_.workerRlimitCpuS;
+    pool.rlimitAsMb = config_.workerRlimitAsMb;
+    pool.crashDir = config_.crashDir;
+    pool.testCrashHooks = config_.workerTestCrash;
+    pool_ = std::make_unique<WorkerPool>(std::move(pool));
+
     if (!config_.cacheDir.empty()) {
         // One daemon per cache directory: a second daemon pointed at
         // the same cache fails loudly here instead of interleaving
@@ -194,35 +211,6 @@ SimServer::SimServer(ServerConfig config)
         // SIGKILLed daemon is taken over (stale-pid check).
         cacheLock_.emplace(config_.cacheDir, "daemon.lock");
         cache_ = std::make_unique<machine::ResultCache>(config_.cacheDir);
-        driver_.setResultCache(cache_.get());
-    }
-
-    if (!config_.inproc) {
-        std::string workerPath = config_.workerPath.empty()
-                                     ? siblingWorkerPath()
-                                     : config_.workerPath;
-        if (workerPath.empty()) {
-            warn("service: no mtfpu-workerd next to this binary and no "
-                 "--worker path given; falling back to in-process "
-                 "execution (no crash isolation)");
-        } else {
-            WorkerPoolConfig pool;
-            pool.workerPath = std::move(workerPath);
-            unsigned workers = config_.threads;
-            if (workers == 0) {
-                workers = std::thread::hardware_concurrency();
-                if (workers == 0)
-                    workers = 1;
-            }
-            pool.workers = workers;
-            pool.jobTimeoutMs = config_.jobTimeoutMs;
-            pool.heartbeatTimeoutMs = config_.heartbeatTimeoutMs;
-            pool.rlimitCpuS = config_.workerRlimitCpuS;
-            pool.rlimitAsMb = config_.workerRlimitAsMb;
-            pool.crashDir = config_.crashDir;
-            pool.testCrashHooks = config_.workerTestCrash;
-            pool_ = std::make_unique<WorkerPool>(std::move(pool));
-        }
     }
 
     if (!config_.journalPath.empty())
@@ -298,13 +286,7 @@ SimServer::start()
         listenFd_ = listenUnix(config_.socketPath);
     if (!config_.listenAddr.empty())
         tcpListenFd_ = listenTcp(config_.listenAddr, 16, &tcpPort_);
-    unsigned threads = config_.threads;
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
-    for (unsigned i = 0; i < threads; ++i)
+    for (unsigned i = 0; i < config_.threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });
     acceptThread_ = std::thread([this] { acceptLoop(); });
     std::string where;
@@ -317,8 +299,7 @@ SimServer::start()
                  " (port " + std::to_string(tcpPort_) + ")";
     }
     inform("service: listening on " + where + " with " +
-           std::to_string(threads) +
-           (pool_ ? " isolated worker processes" : " in-process workers") +
+           std::to_string(config_.threads) + " isolated worker processes" +
            (cache_ ? ", cache at " + config_.cacheDir : ", no cache") +
            (journal_ ? ", journal at " + config_.journalPath : ""));
 }
@@ -345,10 +326,9 @@ SimServer::stop()
     queueCv_.notify_all();
     resultCv_.notify_all();
     // Kill the worker processes: a stopping daemon abandons running
-    // jobs (the journal re-runs them on restart) rather than waiting
-    // out arbitrarily long simulations.
-    if (pool_)
-        pool_->stop();
+    // and queued jobs (the journal re-runs them on restart) rather
+    // than waiting out arbitrarily long simulations.
+    pool_->stop();
     // Unblock accept() and every connection parked in read().
     // shutdown() reaches a thread inside the syscall, which a bare
     // close() would not.
@@ -428,11 +408,10 @@ SimServer::workerLoop()
             std::unique_lock<std::mutex> lock(mutex_);
             queueCv_.wait(lock,
                           [this] { return stopping_ || !queue_.empty(); });
-            // In-process mode drains the queue before exiting (the
-            // historical contract); pool mode abandons it — stop()
-            // already killed the workers, and with a journal the
-            // abandoned jobs are re-run by the next daemon.
-            if (stopping_ && (queue_.empty() || pool_))
+            // A stopping daemon abandons its queue: stop() already
+            // killed the workers, and with a journal the abandoned
+            // jobs are re-run by the next daemon.
+            if (stopping_)
                 return;
             id = queue_.front();
             queue_.pop_front();
@@ -469,11 +448,8 @@ SimServer::workerLoop()
         machine::SimJobResult result;
         bool cancelled = false;
         bool aborted = false;
-        if (pool_)
-            runPooled(id, job, specJson, pure, cancel.get(), result,
-                      cancelled, aborted);
-        else
-            result = driver_.runJob(job);
+        runPooled(job, specJson, pure, cancel.get(), result, cancelled,
+                  aborted);
 
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -490,17 +466,15 @@ SimServer::workerLoop()
 }
 
 void
-SimServer::runPooled(uint64_t id, const machine::SimJob &job,
+SimServer::runPooled(const machine::SimJob &job,
                      const std::string &spec_json, bool pure,
                      std::atomic<bool> *cancel,
                      machine::SimJobResult &result, bool &cancelled,
                      bool &aborted)
 {
-    (void)id;
     // The result cache stays on the daemon side of the process
     // boundary: a warm hit answers without spawning any work, and one
-    // cache serves every worker. Same lookup/store rules as
-    // SimDriver::runJob.
+    // cache serves every worker.
     if (cache_ && pure) {
         if (std::optional<machine::RunStats> cached = cache_->lookup(job)) {
             result.name = job.name;
@@ -525,6 +499,11 @@ SimServer::runPooled(uint64_t id, const machine::SimJob &job,
     aborted = outcome.aborted;
     result = std::move(outcome.result);
 
+    // Store only outcomes that are a pure function of the job content:
+    // a completed run, or a CycleGuard stop (the bound is part of the
+    // content identity). A thrown-error result carries default stats
+    // (status Ok but !result.ok) and must not masquerade as one;
+    // Watchdog depends on host wall-clock speed and is never stored.
     const bool deterministic =
         machine::ResultCache::cacheable(result.stats) &&
         (result.ok || result.status == machine::RunStatus::CycleGuard);
@@ -724,15 +703,11 @@ SimServer::cmdHealth()
         w.key("connections").value(static_cast<uint64_t>(conns));
         counts.write(w);
         w.key("deadline_shed").value(shed);
-        w.key("isolated").value(pool_ != nullptr);
-        if (pool_) {
-            w.key("pool_slots")
-                .value(static_cast<uint64_t>(pool_->slots()));
-            w.key("pool_busy")
-                .value(static_cast<uint64_t>(pool_->busySlots()));
-            w.key("worker_crashes").value(pool_->crashes());
-            w.key("worker_respawns").value(pool_->respawns());
-        }
+        w.key("isolated").value(true);
+        w.key("pool_slots").value(static_cast<uint64_t>(pool_->slots()));
+        w.key("pool_busy").value(static_cast<uint64_t>(pool_->busySlots()));
+        w.key("worker_crashes").value(pool_->crashes());
+        w.key("worker_respawns").value(pool_->respawns());
         w.key("cache_enabled").value(cache_ != nullptr);
         if (cache_) {
             const uint64_t hits = cache_->hits();
@@ -853,11 +828,9 @@ SimServer::cmdStatus(const json::Value &req)
         w.key("jobs").value(static_cast<uint64_t>(jobs_.size()));
         counts.write(w);
         w.key("draining").value(draining_);
-        w.key("isolated").value(pool_ != nullptr);
-        if (pool_) {
-            w.key("worker_crashes").value(pool_->crashes());
-            w.key("worker_respawns").value(pool_->respawns());
-        }
+        w.key("isolated").value(true);
+        w.key("worker_crashes").value(pool_->crashes());
+        w.key("worker_respawns").value(pool_->respawns());
     });
 }
 
@@ -922,7 +895,7 @@ SimServer::cmdCancel(const json::Value &req)
         // restart would resurrect a job its owner explicitly killed.
         if (journal_)
             journal_->done(id);
-    } else if (it->second.state == JobState::Running && pool_ &&
+    } else if (it->second.state == JobState::Running &&
                it->second.cancel) {
         // Accepted: the pool's supervision loop sees the flag within
         // one poll tick and SIGKILLs the worker. The state flips to

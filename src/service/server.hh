@@ -5,9 +5,10 @@
  * queues submitted JobSpecs for its worker threads, in front of the
  * shared on-disk ResultCache — so a sweep submitted twice (or
  * resubmitted after a daemon restart) is served warm without
- * simulating. A worker thread hands each job to WorkerPool::execute
- * (pool mode) or SimDriver::runJob (in-process mode); both apply one
- * containment policy: a deterministic job that fails twice is
+ * simulating. The daemon never simulates itself: a dispatch thread
+ * hands each cache miss to WorkerPool::execute, which runs it in a
+ * supervised mtfpu-workerd process under the one containment policy
+ * (worker_pool.hh) — a deterministic job that fails twice is
  * quarantined with a crash report, and the rest of the queue keeps
  * draining.
  *
@@ -53,12 +54,9 @@
  * Admission control (DESIGN.md §12.3): a submit the daemon will not
  * take — queue full, per-client in-flight cap hit, or drain mode —
  * is answered with {"ok":false,"error_code":"busy","reason":...,
- * "retry_after_ms":N}; clients back off and resubmit. Execution runs
- * in supervised mtfpu-workerd processes by default (crash isolation,
- * deadlines, rlimits — see worker_pool.hh); --inproc restores the
- * old in-process path. With a journal configured, accepted jobs
- * survive a daemon SIGKILL: the restart re-queues everything not
- * marked done.
+ * "retry_after_ms":N}; clients back off and resubmit. With a journal
+ * configured, accepted jobs survive a daemon SIGKILL: the restart
+ * re-queues everything not marked done.
  *
  * RunStats crosses the wire as "stats_hex": the hex encoding of the
  * stats saveState() blob. A summary (cycles, status, mflops inputs)
@@ -84,7 +82,6 @@
 #include <vector>
 
 #include "machine/result_cache.hh"
-#include "machine/sim_driver.hh"
 #include "service/job_spec.hh"
 #include "service/supervisor.hh"
 #include "service/worker_pool.hh"
@@ -117,8 +114,8 @@ struct ServerConfig
      *  the TCP listener. At least one transport must be configured. */
     std::string listenAddr;
 
-    /** Simulation worker threads; 0 = hardware_concurrency. In pool
-     *  mode this is also the worker-process count. */
+    /** Dispatch threads and worker processes, one each per pool
+     *  slot; 0 = hardware_concurrency. */
     unsigned threads = 0;
 
     /** On-disk result cache directory; empty disables persistence.
@@ -129,26 +126,15 @@ struct ServerConfig
     /** Crash-report directory for quarantined jobs; empty disables. */
     std::string crashDir;
 
-    /** In-process memoization inside the driver (kept on for parity
-     *  with batch runs; the on-disk cache is separate). */
-    bool memoize = true;
-
-    /**
-     * Force in-process execution (the pre-isolation scheduling path
-     * through SimDriver::runJob). When false the daemon execs
-     * mtfpu-workerd per slot — from workerPath when set, else a
-     * sibling of the daemon binary — and falls back to in-process
-     * with a warning when no worker binary can be found.
-     */
-    bool inproc = false;
-
-    /** Explicit mtfpu-workerd path; empty = auto-detect. */
+    /** The mtfpu-workerd binary the pool execs per slot; empty = a
+     *  sibling of the daemon binary. The constructor throws a
+     *  SimError (Io) when neither exists. */
     std::string workerPath;
 
     /** Crash-safe in-flight job journal; empty disables recovery. */
     std::string journalPath;
 
-    /** Pool policy knobs (pool mode only; see WorkerPoolConfig). */
+    /** Pool policy knobs (see WorkerPoolConfig). */
     uint64_t jobTimeoutMs = 30000;
     uint64_t heartbeatTimeoutMs = 5000;
     unsigned workerRlimitCpuS = 0;
@@ -198,6 +184,8 @@ const char *jobStateName(JobState state);
 class SimServer
 {
   public:
+    /** Throws SimError: BadOperand without a transport, Io when no
+     *  mtfpu-workerd binary can be found. */
     explicit SimServer(ServerConfig config);
     ~SimServer();
 
@@ -218,7 +206,7 @@ class SimServer
     /** The shared cache, for tests; nullptr when persistence is off. */
     machine::ResultCache *cache() { return cache_.get(); }
 
-    /** The worker pool, for tests; nullptr in in-process mode. */
+    /** The worker pool, for tests. */
     WorkerPool *pool() { return pool_.get(); }
 
     /** Bound TCP port after start(); 0 when no TCP listener. The way
@@ -245,9 +233,9 @@ class SimServer
          *  not inherit a closed client's jobs toward its cap. 0 =
          *  internal/unattributed (e.g. journal recovery). */
         uint64_t clientId = 0;
-        /** Cooperative cancel for a running job (pool mode: the pool
-         *  polls it and kills the worker). Heap-allocated so the
-         *  address stays stable while jobs_ rebalances. */
+        /** Cooperative cancel for a running job: the pool polls it
+         *  and kills the worker. Heap-allocated so the address stays
+         *  stable while jobs_ rebalances. */
         std::shared_ptr<std::atomic<bool>> cancel;
         machine::SimJobResult result;
     };
@@ -259,10 +247,11 @@ class SimServer
     void workerLoop();
     void handleConnection(int fd);
 
-    /** Run one job through the pool (cache + policy); pool mode.
-     *  @p aborted reports a shutdown kill: the job is left in the
-     *  journal so the next daemon re-runs it. */
-    void runPooled(uint64_t id, const machine::SimJob &job,
+    /** Run one job: a result-cache hit, or the pool (and a cache
+     *  store of a deterministic outcome). @p aborted reports a
+     *  shutdown kill: the job is left in the journal so the next
+     *  daemon re-runs it. */
+    void runPooled(const machine::SimJob &job,
                    const std::string &spec_json, bool pure,
                    std::atomic<bool> *cancel,
                    machine::SimJobResult &result, bool &cancelled,
@@ -294,7 +283,6 @@ class SimServer
     std::string cmdCacheClear();
 
     ServerConfig config_;
-    machine::SimDriver driver_;
     std::unique_ptr<machine::ResultCache> cache_;
     std::optional<machine::DirLock> cacheLock_;
     std::unique_ptr<WorkerPool> pool_;

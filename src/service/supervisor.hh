@@ -168,16 +168,19 @@ class JobJournal
 };
 
 /**
- * Write a crash-report artifact for a job whose isolated worker died
- * (the process-boundary sibling of SimDriver's quarantine reports).
- * The report names the signal so triage can separate a simulator bug
- * (SIGSEGV) from resource kills (SIGXCPU, OOM). Best-effort: failures
- * warn and return.
+ * Write the crash-report artifact <job>.worker-crash.json for a
+ * quarantined job. A death names its signal, so triage can separate a
+ * simulator bug (SIGSEGV) from resource kills (SIGXCPU, OOM). The
+ * report carries the job's spec and @p error_json, the result's
+ * structured SimError (code and cycle), so bench/replay can re-run
+ * the job and check that the same error fires at the same cycle.
+ * Best-effort: failures warn and return.
  */
 void writeWorkerCrashReport(const std::string &dir,
                             const std::string &job_name,
                             const std::string &spec_json,
-                            const CrashInfo &crash, unsigned attempts);
+                            const CrashInfo &crash, unsigned attempts,
+                            const std::string &error_json);
 
 } // namespace mtfpu::service
 

@@ -43,6 +43,16 @@ crashResult(const PoolJob &job, const CrashInfo &crash)
     return result;
 }
 
+/** The report fields of a failure the worker survived to report. */
+CrashInfo
+structuredFailure(const machine::SimJobResult &result)
+{
+    CrashInfo info;
+    info.code = errCodeFromName(result.errorCode);
+    info.summary = result.error;
+    return info;
+}
+
 /** Decode a worker's {"ev":"result"} line into a SimJobResult. */
 machine::SimJobResult
 parseResultLine(const json::Value &v)
@@ -483,7 +493,7 @@ WorkerPool::execute(const PoolJob &job)
     }
     if (!firstFailed || job.faultExpected) {
         // Success, or an expected fault-campaign failure: single
-        // attempt, never quarantined, no artifact — PR-3 semantics.
+        // attempt, never quarantined, no artifact.
         releaseSlot(index);
         return out;
     }
@@ -497,16 +507,12 @@ WorkerPool::execute(const PoolJob &job)
          out.result.status != machine::RunStatus::Ok);
     if (budget) {
         out.result.quarantined = true;
-        if (first == WorkerProcess::Outcome::Timeout) {
-            writeWorkerCrashReport(config_.crashDir, job.name,
-                                   job.specJson, crash, 1);
-        } else {
-            CrashInfo guard;
-            guard.code = errCodeFromName(out.result.errorCode);
-            guard.summary = out.result.error;
-            writeWorkerCrashReport(config_.crashDir, job.name,
-                                   job.specJson, guard, 1);
-        }
+        writeWorkerCrashReport(
+            config_.crashDir, job.name, job.specJson,
+            first == WorkerProcess::Outcome::Timeout
+                ? crash
+                : structuredFailure(out.result),
+            1, out.result.errorJson);
         releaseSlot(index);
         return out;
     }
@@ -543,21 +549,12 @@ WorkerPool::execute(const PoolJob &job)
     // simulator SIGSEGV from a resource kill.
     out.result = std::move(retryResult);
     out.result.quarantined = true;
-    const CrashInfo *reported = nullptr;
-    if (second != WorkerProcess::Outcome::Result)
-        reported = &retryCrash;
-    else if (first != WorkerProcess::Outcome::Result)
-        reported = &crash;
-    if (reported != nullptr) {
-        writeWorkerCrashReport(config_.crashDir, job.name, job.specJson,
-                               *reported, 2);
-    } else {
-        CrashInfo structured;
-        structured.code = errCodeFromName(out.result.errorCode);
-        structured.summary = out.result.error;
-        writeWorkerCrashReport(config_.crashDir, job.name, job.specJson,
-                               structured, 2);
-    }
+    const CrashInfo reported =
+        second != WorkerProcess::Outcome::Result  ? retryCrash
+        : first != WorkerProcess::Outcome::Result ? crash
+                                                  : structuredFailure(out.result);
+    writeWorkerCrashReport(config_.crashDir, job.name, job.specJson,
+                           reported, 2, out.result.errorJson);
     releaseSlot(index);
     return out;
 }

@@ -1,19 +1,20 @@
 /**
  * @file
- * Process-isolated execution tier for the simulation daemon
- * (DESIGN.md §12). Each pool slot supervises one long-lived
+ * The simulation daemon's execution tier (DESIGN.md §12): every
+ * daemon job runs here. Each pool slot supervises one long-lived
  * mtfpu-workerd child connected over a socketpair; jobs cross the
  * boundary as JobSpec JSON and come back as the same result fields the
  * wire protocol uses (stats as a saveState hex blob), so pool results
- * are bit-identical to in-process execution.
+ * are bit-identical to in-process SimDriver runs.
  *
  * The process boundary is what makes the daemon robust: a job that
  * SIGSEGVs the simulator, leaks until the OOM killer fires, or spins
  * past its CPU rlimit kills only its disposable worker. The pool
- * classifies the death (supervisor.hh), re-founds the driver's
- * retry-once-then-quarantine policy on top of it — a crash is just
- * another first-attempt failure — and respawns the slot with
- * exponential backoff.
+ * classifies the death (supervisor.hh), applies the service's one
+ * retry-once-then-quarantine policy — a crash is just another
+ * first-attempt failure — and respawns the slot with exponential
+ * backoff. A quarantined job leaves a crash report that bench/replay
+ * re-runs from its spec.
  *
  * Worker protocol (NDJSON over the socketpair, worker side on fd 0):
  *   worker → pool  {"ev":"ready"}                     after exec
@@ -173,11 +174,12 @@ class WorkerProcess
 };
 
 /**
- * The supervised pool. execute() blocks until a slot is free, runs
- * the job with full containment policy, and returns a result that is
- * field-for-field what SimDriver::runJob would produce for the same
- * failure class — the service's response writer cannot tell them
- * apart.
+ * The supervised pool. execute() blocks until a slot is free and runs
+ * the job under the containment policy: a structured error or a
+ * worker death is retried once in a fresh worker and quarantined if
+ * it fails again; a guard stop or deadline timeout is quarantined
+ * without a retry (a deterministic budget would be burned again); a
+ * faultExpected job gets one attempt and is never quarantined.
  */
 class WorkerPool
 {

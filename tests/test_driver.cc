@@ -170,8 +170,8 @@ TEST(SimDriverMemo, UniqueJobsPartition)
     EXPECT_EQ(leader[2], 0u); // memoized onto job 0
     EXPECT_EQ(leader[3], 3u); // config differs -> unique
     EXPECT_EQ(leader[4], 4u); // hooks disqualify memoization
-    EXPECT_TRUE(machine::SimDriver::isPure(jobs[0]));
-    EXPECT_FALSE(machine::SimDriver::isPure(jobs[4]));
+    EXPECT_TRUE(machine::isPureJob(jobs[0]));
+    EXPECT_FALSE(machine::isPureJob(jobs[4]));
 }
 
 TEST(SimDriverMemo, MemoizedMatchesUnmemoized)

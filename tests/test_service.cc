@@ -2,22 +2,32 @@
  * @file
  * Simulation-service tests (DESIGN.md §11): JobSpec JSON round-trips
  * and resolution, the on-disk ResultCache (corruption fallback,
- * cross-restart hits, concurrent writers), the driver's cache hookup
- * and closure-disqualification batch log, the NDJSON wire framing,
- * and the daemon end-to-end — a client thread drives a sweep over the
+ * cross-restart hits, concurrent writers), the driver's
+ * closure-disqualification batch log, the NDJSON wire framing, and
+ * the daemon end-to-end — a client thread drives a sweep over the
  * Unix socket, results come back bit-identical to in-process
- * SimDriver runs, a repeated pure job is served from cache, and a
- * restarted daemon serves the same sweep warm from disk.
+ * SimDriver runs, a repeated pure job and a cycle-guard stop are
+ * served from cache while a thrown error never is, a restarted daemon
+ * serves the same sweep warm from disk, and a quarantined job's crash
+ * report replays to the same error at the same cycle.
+ *
+ * Every daemon runs its jobs in the real mtfpu-workerd binary, whose
+ * path comes in as MTFPU_WORKERD_PATH; the replay binary comes in as
+ * MTFPU_REPLAY_PATH.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 
@@ -91,6 +101,29 @@ countdownJob(int n)
     job.name = "count-" + std::to_string(n);
     job.program = assembler::assemble(countdownAsm(n));
     return job;
+}
+
+/** A daemon on a Unix socket in @p dir, running the real worker. */
+service::ServerConfig
+daemonConfig(const TempDir &dir, unsigned threads)
+{
+    service::ServerConfig config;
+    config.socketPath = dir.file("sim.sock");
+    config.threads = threads;
+    config.workerPath = MTFPU_WORKERD_PATH;
+    return config;
+}
+
+/** A program with no halt runs off its end: a deterministic
+ *  pc-runaway error, thrown rather than returned. */
+service::JobSpec
+runawaySpec()
+{
+    service::JobSpec spec;
+    spec.name = "runaway";
+    spec.kind = service::JobKind::Assembly;
+    spec.assembly = "        nop\n";
+    return spec;
 }
 
 // ---------------------------------------------------------------- JSON
@@ -175,7 +208,7 @@ TEST(JobSpec, ResolveAssemblyRuns)
     const machine::SimJob job = spec.resolve();
     EXPECT_TRUE(machine::isPureJob(job));
     const machine::SimJobResult result =
-        machine::SimDriver(1).runJob(job);
+        machine::SimDriver(1).runAttempt(job);
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_GT(result.stats.cycles, 0u);
 }
@@ -263,8 +296,8 @@ TEST(SimJob, RegInitKeepsJobPureAndChangesContent)
     // The register image really reaches the machine: more iterations,
     // more cycles.
     const machine::SimDriver driver(1);
-    const machine::SimJobResult five = driver.runJob(job);
-    const machine::SimJobResult fifty = driver.runJob(longer);
+    const machine::SimJobResult five = driver.runAttempt(job);
+    const machine::SimJobResult fifty = driver.runAttempt(longer);
     ASSERT_TRUE(five.ok) << five.error;
     ASSERT_TRUE(fifty.ok) << fifty.error;
     EXPECT_GT(fifty.stats.cycles, five.stats.cycles);
@@ -277,7 +310,7 @@ TEST(ResultCache, HitReturnsBitIdenticalStatsAcrossRestart)
     TempDir dir("cache_hit");
     const machine::SimJob job = countdownJob(64);
     const machine::SimJobResult run =
-        machine::SimDriver(1).runJob(job);
+        machine::SimDriver(1).runAttempt(job);
     ASSERT_TRUE(run.ok) << run.error;
 
     {
@@ -308,7 +341,7 @@ TEST(ResultCache, ClosureJobsNeverStoreOrHit)
     machine::SimJob job = countdownJob(8);
     job.setup = [](machine::Machine &) {};
     const machine::SimJobResult run =
-        machine::SimDriver(1).runJob(job);
+        machine::SimDriver(1).runAttempt(job);
     ASSERT_TRUE(run.ok);
     cache.store(job, run.stats);
     EXPECT_EQ(cache.stores(), 0u);
@@ -320,7 +353,7 @@ TEST(ResultCache, CorruptEntriesFallBackToRecompute)
 {
     const machine::SimJob job = countdownJob(32);
     const machine::SimJobResult run =
-        machine::SimDriver(1).runJob(job);
+        machine::SimDriver(1).runAttempt(job);
     ASSERT_TRUE(run.ok);
 
     struct Corruption
@@ -406,7 +439,7 @@ TEST(ResultCache, HashCollisionMissesWithoutDeleting)
     const machine::SimJob jobA = countdownJob(16);
     const machine::SimJob jobB = countdownJob(24);
     const machine::SimJobResult runA =
-        machine::SimDriver(1).runJob(jobA);
+        machine::SimDriver(1).runAttempt(jobA);
     ASSERT_TRUE(runA.ok);
 
     ByteWriter out;
@@ -440,7 +473,7 @@ TEST(ResultCache, ConcurrentWritersOfOneHashRaceBenignly)
     machine::ResultCache cache(dir.path());
     const machine::SimJob job = countdownJob(48);
     const machine::SimJobResult run =
-        machine::SimDriver(1).runJob(job);
+        machine::SimDriver(1).runAttempt(job);
     ASSERT_TRUE(run.ok);
 
     std::vector<std::thread> writers;
@@ -463,37 +496,6 @@ TEST(ResultCache, ConcurrentWritersOfOneHashRaceBenignly)
     EXPECT_EQ(cache.clear(), 1u);
     EXPECT_EQ(cache.scan().entries, 0u);
     EXPECT_FALSE(cache.lookup(job).has_value());
-}
-
-TEST(SimDriver, ServesRepeatJobsFromAttachedCache)
-{
-    TempDir dir("driver_cache");
-    machine::ResultCache cache(dir.path());
-    machine::SimDriver driver(1);
-    driver.setResultCache(&cache);
-
-    const machine::SimJob job = countdownJob(40);
-    const machine::SimJobResult cold = driver.runJob(job);
-    ASSERT_TRUE(cold.ok) << cold.error;
-    EXPECT_FALSE(cold.fromCache);
-    EXPECT_EQ(cold.attempts, 1u);
-
-    const machine::SimJobResult warm = driver.runJob(job);
-    ASSERT_TRUE(warm.ok);
-    EXPECT_TRUE(warm.fromCache);
-    EXPECT_EQ(warm.attempts, 0u);
-    EXPECT_TRUE(warm.stats == cold.stats);
-
-    // A failing job (thrown error, default-Ok stats) must not be
-    // stored as a success.
-    machine::SimJob broken;
-    broken.name = "runaway";
-    broken.program = assembler::assemble("        nop\n");
-    const machine::SimJobResult fail = driver.runJob(broken);
-    EXPECT_FALSE(fail.ok);
-    const machine::SimJobResult fail2 = driver.runJob(broken);
-    EXPECT_FALSE(fail2.ok);
-    EXPECT_FALSE(fail2.fromCache);
 }
 
 TEST(SimDriver, BatchLogsClosureDisqualificationOnce)
@@ -568,7 +570,7 @@ TEST(Wire, LineChannelFramesAndDiscardsTornTail)
 TEST(Wire, StatsHexRoundTripsBitIdentically)
 {
     const machine::SimJobResult run =
-        machine::SimDriver(1).runJob(countdownJob(20));
+        machine::SimDriver(1).runAttempt(countdownJob(20));
     ASSERT_TRUE(run.ok);
     const machine::RunStats back =
         service::statsFromHex(service::statsToHex(run.stats));
@@ -608,9 +610,7 @@ acceptanceSweep()
 TEST(SimServer, EndToEndSweepBitIdenticalCachedAndWarmAfterRestart)
 {
     TempDir dir("daemon_e2e");
-    service::ServerConfig config;
-    config.socketPath = dir.file("sim.sock");
-    config.threads = 2;
+    service::ServerConfig config = daemonConfig(dir, 2);
     config.cacheDir = dir.file("cache");
     config.crashDir = dir.file("crash");
 
@@ -622,7 +622,7 @@ TEST(SimServer, EndToEndSweepBitIdenticalCachedAndWarmAfterRestart)
     std::vector<machine::SimJobResult> reference;
     reference.reserve(specs.size());
     for (const service::JobSpec &spec : specs)
-        reference.push_back(local.runJob(spec.resolve()));
+        reference.push_back(local.runAttempt(spec.resolve()));
 
     std::vector<machine::SimJobResult> coldResults(specs.size());
     {
@@ -658,11 +658,47 @@ TEST(SimServer, EndToEndSweepBitIdenticalCachedAndWarmAfterRestart)
         const machine::SimJobResult cached =
             client.result(again, true);
         EXPECT_TRUE(cached.fromCache);
+        EXPECT_EQ(cached.attempts, 0u);
         EXPECT_TRUE(cached.stats == reference[4].stats);
+
+        // (c) Only outcomes that are a pure function of the job are
+        // stored. A thrown error carries default stats, so it is never
+        // cached: the resubmitted runaway is simulated again.
+        const machine::SimJobResult fail =
+            client.result(client.submit(runawaySpec()), true);
+        EXPECT_FALSE(fail.ok);
+        const machine::SimJobResult fail2 =
+            client.result(client.submit(runawaySpec()), true);
+        EXPECT_FALSE(fail2.ok);
+        EXPECT_FALSE(fail2.fromCache);
+        EXPECT_EQ(fail2.errorCode, "pc-runaway");
+
+        // A CycleGuard stop is one (the bound is part of the job's
+        // content): the resubmit is served warm, with the same guard
+        // error a fresh simulation reports.
+        service::JobSpec guarded;
+        guarded.name = "guarded";
+        guarded.kind = service::JobKind::Assembly;
+        guarded.assembly = "spin:   j spin\n        nop\n";
+        guarded.config.maxCycles = 1000;
+        const machine::SimJobResult stop =
+            client.result(client.submit(guarded), true);
+        ASSERT_EQ(stop.status, machine::RunStatus::CycleGuard);
+        EXPECT_FALSE(stop.fromCache);
+        const machine::SimJobResult stop2 =
+            client.result(client.submit(guarded), true);
+        EXPECT_TRUE(stop2.fromCache);
+        EXPECT_EQ(stop2.attempts, 0u);
+        EXPECT_FALSE(stop2.ok);
+        EXPECT_EQ(stop2.status, machine::RunStatus::CycleGuard);
+        EXPECT_EQ(stop2.errorCode, "cycle-guard");
+        EXPECT_EQ(stop2.errorCode, stop.errorCode);
+        EXPECT_EQ(stop2.error, stop.error);
+        EXPECT_TRUE(stop2.stats == stop.stats);
         client.shutdown();
     } // daemon fully stopped (SIGKILL equivalent: no flush hooks run)
 
-    // (c) A restarted daemon serves the same sweep >= 90% warm from
+    // (d) A restarted daemon serves the same sweep >= 90% warm from
     // the on-disk cache.
     {
         service::SimServer server(config);
@@ -693,24 +729,17 @@ TEST(SimServer, EndToEndSweepBitIdenticalCachedAndWarmAfterRestart)
 TEST(SimServer, QuarantinesFaultingJobWhileSweepCompletes)
 {
     TempDir dir("daemon_quarantine");
-    service::ServerConfig config;
-    config.socketPath = dir.file("sim.sock");
-    config.threads = 2;
+    service::ServerConfig config = daemonConfig(dir, 2);
     config.crashDir = dir.file("crash");
     service::SimServer server(config);
     server.start();
 
     service::SimClient client(config.socketPath);
-    // A program with no halt runs off its end: a deterministic
-    // PC-runaway failure, retried once then quarantined.
-    service::JobSpec runaway;
-    runaway.name = "runaway";
-    runaway.kind = service::JobKind::Assembly;
-    runaway.assembly = "        nop\n";
-
+    // The runaway is a deterministic failure: retried once, then
+    // quarantined.
     std::vector<uint64_t> ids;
     ids.push_back(client.submit(countdownSpec(10)));
-    ids.push_back(client.submit(runaway));
+    ids.push_back(client.submit(runawaySpec()));
     ids.push_back(client.submit(countdownSpec(20)));
 
     const machine::SimJobResult good1 = client.result(ids[0], true);
@@ -730,16 +759,38 @@ TEST(SimServer, QuarantinesFaultingJobWhileSweepCompletes)
          std::filesystem::directory_iterator(config.crashDir))
         sawReport |= entry.path().extension() == ".json";
     EXPECT_TRUE(sawReport);
+
+    // It carries the spec and the structured error, so bench/replay
+    // re-runs the job and reproduces the error code at the reported
+    // cycle (exit 0).
+    const std::string report =
+        config.crashDir + "/runaway.worker-crash.json";
+    std::ifstream in(report);
+    std::stringstream text;
+    text << in.rdbuf();
+    const json::Value parsed = json::parse(text.str());
+    EXPECT_TRUE(parsed.has("spec"));
+    EXPECT_EQ(parsed.at("error").at("code").asString(), "pc-runaway");
+    EXPECT_FALSE(parsed.at("error").at("cycle").isNull());
+    const std::string replayOut = dir.file("replay.out");
+    const int status =
+        std::system((std::string(MTFPU_REPLAY_PATH) + " --tail=0 " +
+                     report + " > " + replayOut + " 2>&1")
+                        .c_str());
+    std::ifstream replayed(replayOut);
+    std::stringstream transcript;
+    transcript << replayed.rdbuf();
+    ASSERT_TRUE(WIFEXITED(status)) << transcript.str();
+    EXPECT_EQ(WEXITSTATUS(status), 0) << transcript.str();
     client.shutdown();
 }
 
 TEST(SimServer, CancelsQueuedJobBehindLongRun)
 {
     TempDir dir("daemon_cancel");
-    service::ServerConfig config;
-    config.socketPath = dir.file("sim.sock");
-    config.threads = 1; // one worker: the second job must queue
-    service::SimServer server(config);
+    // One worker: the second job must queue.
+    service::SimServer server(daemonConfig(dir, 1));
+    const service::ServerConfig &config = server.config();
     server.start();
 
     service::SimClient client(config.socketPath);
@@ -759,7 +810,6 @@ TEST(SimServer, CancelsQueuedJobBehindLongRun)
     // victim is deterministically stuck behind it in the queue.
     while (client.status(longId) == "queued")
         std::this_thread::yield();
-    EXPECT_FALSE(client.cancel(longId)); // already running
 
     const uint64_t victimId = client.submit(countdownSpec(50));
     EXPECT_TRUE(client.cancel(victimId));
@@ -769,18 +819,18 @@ TEST(SimServer, CancelsQueuedJobBehindLongRun)
         client.result(victimId, true);
     EXPECT_FALSE(victim.ok); // cancelled: no result payload
 
-    const machine::SimJobResult guard = client.result(longId, true);
-    EXPECT_FALSE(guard.ok);
-    EXPECT_EQ(guard.stats.status, machine::RunStatus::CycleGuard);
+    // A running job is cancellable too: the pool kills its worker.
+    EXPECT_TRUE(client.cancel(longId));
+    const machine::SimJobResult killed = client.result(longId, true);
+    EXPECT_FALSE(killed.ok);
+    EXPECT_EQ(client.status(longId), "cancelled");
     client.shutdown();
 }
 
 TEST(SimServer, ProtocolErrorsKeepConnectionAlive)
 {
     TempDir dir("daemon_proto");
-    service::ServerConfig config;
-    config.socketPath = dir.file("sim.sock");
-    config.threads = 1;
+    const service::ServerConfig config = daemonConfig(dir, 1);
     service::SimServer server(config);
     server.start();
 

@@ -795,7 +795,7 @@ TEST(SimDriverCheckpoint, CheckpointedRunIsBitIdentical)
     job.name = k.name;
     job.program = k.program;
     job.memInit = kernels::memImage(k);
-    ASSERT_TRUE(machine::SimDriver::isPure(job));
+    ASSERT_TRUE(machine::isPureJob(job));
 
     const auto plain =
         machine::SimDriver(1).run(std::vector<machine::SimJob>{job});

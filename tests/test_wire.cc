@@ -11,6 +11,9 @@
  * and the seeded chaos proxy — a sweep through injected
  * disconnects/truncation/garbage completes bit-identical to quiet
  * in-process runs with zero duplicate executions.
+ *
+ * Every daemon runs its jobs in the real mtfpu-workerd binary, whose
+ * path comes in as MTFPU_WORKERD_PATH.
  */
 
 #include <gtest/gtest.h>
@@ -26,10 +29,10 @@
 #include <unistd.h>
 #include <vector>
 
+#include "bench/chaos.hh"
 #include "common/log.hh"
 #include "common/json.hh"
 #include "machine/sim_driver.hh"
-#include "service/chaos.hh"
 #include "service/client.hh"
 #include "service/job_spec.hh"
 #include "service/server.hh"
@@ -133,7 +136,8 @@ class RawConn
     service::LineChannel channel_;
 };
 
-/** An in-process TCP daemon on an ephemeral port. */
+/** A TCP daemon on an ephemeral port, in this process; its jobs run
+ *  in worker processes. */
 struct TcpServer
 {
     explicit TcpServer(service::ServerConfig config)
@@ -155,7 +159,7 @@ tcpConfig()
 {
     service::ServerConfig config;
     config.listenAddr = "127.0.0.1:0";
-    config.inproc = true;
+    config.workerPath = MTFPU_WORKERD_PATH;
     config.threads = 2;
     return config;
 }
@@ -187,6 +191,21 @@ TEST(Wire, ServerRequiresATransport)
 {
     service::ServerConfig config; // neither socketPath nor listenAddr
     EXPECT_THROW(service::SimServer server(config), SimError);
+
+    // A transport but no worker binary: a daemon that could only fail
+    // every job refuses to start with a structured Io error.
+    TempDir dir("no_worker");
+    service::ServerConfig workerless = tcpConfig();
+    workerless.workerPath = dir.file("no-such-workerd");
+    try {
+        service::SimServer server(workerless);
+        FAIL() << "expected a missing-worker error";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.code(), ErrCode::Io);
+        EXPECT_NE(std::string(err.what()).find("no-such-workerd"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 // ------------------------------------------------------------- transport
@@ -202,7 +221,8 @@ TEST(Wire, TcpTransportParityWithUnixSocket)
     // all three must agree bit-for-bit.
     const service::JobSpec spec = countdownSpec(500);
     const machine::SimDriver local(1);
-    const machine::SimJobResult reference = local.runJob(spec.resolve());
+    const machine::SimJobResult reference =
+        local.runAttempt(spec.resolve());
 
     service::SimClient unixClient(config.socketPath);
     service::SimClient tcpClient(tcp.address());
@@ -474,8 +494,7 @@ TEST(Wire, IdemKeysSurviveJournalRecovery)
     config.threads = 1;
 
     // A journal as a crashed daemon leaves it: a keyed job accepted
-    // but never marked done. (In-process teardown drains the queue by
-    // contract, so forge the crash state directly.)
+    // but never marked done.
     const uint64_t id = 7;
     {
         service::JobJournal journal(config.journalPath);
@@ -640,7 +659,7 @@ TEST(Wire, HealthReportsUptimeQueueAndCacheCensus)
     EXPECT_FALSE(h.draining);
     EXPECT_GE(h.connections, 1u);
     EXPECT_EQ(h.done, 1u);
-    EXPECT_FALSE(h.isolated); // inproc config
+    EXPECT_TRUE(h.isolated); // every daemon runs worker processes
     EXPECT_TRUE(h.cacheEnabled);
     EXPECT_EQ(h.cacheMisses, 1u);
 
@@ -711,7 +730,7 @@ TEST(Wire, ChaosSweepBitIdenticalWithZeroDuplicateExecutions)
     const machine::SimDriver local(1);
     std::vector<machine::SimJobResult> reference;
     for (const service::JobSpec &spec : specs)
-        reference.push_back(local.runJob(spec.resolve()));
+        reference.push_back(local.runAttempt(spec.resolve()));
 
     service::ChaosPlan plan;
     plan.seed = 1009;

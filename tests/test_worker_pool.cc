@@ -5,11 +5,12 @@
  * job journal, the cache DirLock) and the daemon running with real
  * mtfpu-workerd processes — a job that SIGSEGVs its worker is retried
  * then quarantined with a signal-named crash report while the sweep
- * around it completes, a 20+ spec sweep through the pool is
- * bit-identical to in-process execution, cancel kills the worker
- * without quarantine, admission control answers Busy with a
- * retry-after hint, and a daemon restarted over its journal re-runs
- * every job that was in flight when the previous daemon died.
+ * around it completes, a failing fault-plan job gets one attempt and
+ * no quarantine, a 20+ spec sweep through the pool is bit-identical
+ * to in-process execution, cancel kills the worker without
+ * quarantine, admission control answers Busy with a retry-after hint,
+ * and a daemon restarted over its journal re-runs every job that was
+ * in flight when the previous daemon died.
  *
  * The worker binary path comes in as MTFPU_WORKERD_PATH (tests run
  * from build/tests/, the worker lives in build/bench/, so sibling
@@ -28,6 +29,7 @@
 #include <unistd.h>
 
 #include "common/log.hh"
+#include "faults/fault_plan.hh"
 #include "machine/result_cache.hh"
 #include "machine/sim_driver.hh"
 #include "service/client.hh"
@@ -328,6 +330,49 @@ TEST(WorkerPool, CrashingJobRetriedThenQuarantinedWithSignalReport)
     client.shutdown();
 }
 
+TEST(WorkerPool, FaultPlanJobFailsOnceWithoutQuarantine)
+{
+    TempDir dir("fault_plan");
+    service::ServerConfig config = poolConfig(dir, 1);
+    config.crashDir = dir.file("crash");
+    service::SimServer server(config);
+    server.start();
+
+    // A quiet-memory flip nothing overwrites: the lockstep shadow's
+    // final-state comparison always catches it.
+    service::JobSpec faulted;
+    faulted.name = "faulted";
+    faulted.kind = service::JobKind::Kernel;
+    faulted.kernel = "lfk03:vector";
+    faulted.faultPlan =
+        faults::FaultPlan({faults::Fault{40, faults::FaultSite::MemWord,
+                                         0x80000 / 8, 1ull << 40}})
+            .describe();
+    faulted.lockstep = true;
+
+    service::SimClient client(config.socketPath, 5000);
+    const uint64_t before = client.submit(countdownSpec(10));
+    const uint64_t planned = client.submit(faulted);
+    const uint64_t after = client.submit(countdownSpec(20));
+
+    const machine::SimJobResult good1 = client.result(before, true);
+    const machine::SimJobResult bad = client.result(planned, true);
+    const machine::SimJobResult good2 = client.result(after, true);
+    EXPECT_TRUE(good1.ok) << good1.error;
+    EXPECT_TRUE(good2.ok) << good2.error;
+
+    // An expected failure is a normal campaign outcome: one attempt,
+    // no quarantine, no crash report.
+    EXPECT_FALSE(bad.ok);
+    EXPECT_EQ(bad.errorCode, "lockstep-divergence");
+    EXPECT_EQ(bad.attempts, 1u);
+    EXPECT_FALSE(bad.quarantined);
+    EXPECT_FALSE(std::filesystem::exists(config.crashDir +
+                                         "/faulted.worker-crash.json"));
+    EXPECT_EQ(server.pool()->crashes(), 0u);
+    client.shutdown();
+}
+
 TEST(WorkerPool, SweepThroughPoolBitIdenticalToInprocess)
 {
     // The acceptance sweep: >= 20 mixed specs (assembly, kernels,
@@ -359,7 +404,7 @@ TEST(WorkerPool, SweepThroughPoolBitIdenticalToInprocess)
     std::vector<machine::SimJobResult> reference;
     reference.reserve(specs.size());
     for (const service::JobSpec &spec : specs)
-        reference.push_back(local.runJob(spec.resolve()));
+        reference.push_back(local.runAttempt(spec.resolve()));
 
     TempDir dir("sweep_e2e");
     service::SimServer server(poolConfig(dir, 2));
