@@ -13,6 +13,7 @@
 #include "assembler/assembler.hh"
 #include "bench/bench_util.hh"
 #include "machine/sim_driver.hh"
+#include "softfp/fp64.hh"
 
 using namespace mtfpu;
 using namespace mtfpu::bench;
@@ -38,11 +39,10 @@ main()
         ldf f7, 112(r1)
         halt
     )");
-    jobs[0].setup = [](machine::Machine &m) {
-        m.cpu().writeReg(1, 0x1000);
-        for (int i = 0; i < 8; ++i)
-            m.mem().writeDouble(0x1000 + 16 * i, 1.0 + i);
-    };
+    jobs[0].cpuRegInit = {{1, 0x1000}};
+    for (int i = 0; i < 8; ++i)
+        jobs[0].memInit.emplace_back(0x1000 + 16 * i,
+                                     softfp::fromDouble(1.0 + i));
 
     // Linked list: 8 elements through next pointers.
     std::string src;
@@ -56,14 +56,13 @@ main()
     jobs[1].name = "linked list";
     jobs[1].config = idealMemoryConfig();
     jobs[1].program = assembler::assemble(src);
-    jobs[1].setup = [](machine::Machine &m) {
-        for (int i = 0; i < 10; ++i) {
-            m.mem().write64(0x2000 + 0x100 * i,
-                            0x2000 + 0x100 * (i + 1));
-            m.mem().writeDouble(0x2000 + 0x100 * i + 8, 10.0 + i);
-        }
-        m.cpu().writeReg(2, 0x2000);
-    };
+    for (int i = 0; i < 10; ++i) {
+        jobs[1].memInit.emplace_back(0x2000 + 0x100 * i,
+                                     0x2000 + 0x100 * (i + 1));
+        jobs[1].memInit.emplace_back(0x2000 + 0x100 * i + 8,
+                                     softfp::fromDouble(10.0 + i));
+    }
+    jobs[1].cpuRegInit = {{2, 0x2000}};
 
     const auto results = machine::SimDriver().run(jobs);
     for (const auto &r : results) {

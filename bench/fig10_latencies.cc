@@ -15,6 +15,7 @@
 #include "bench/bench_util.hh"
 #include "common/table.hh"
 #include "machine/sim_driver.hh"
+#include "softfp/fp64.hh"
 
 using namespace mtfpu;
 using namespace mtfpu::bench;
@@ -30,10 +31,8 @@ measureJob(const char *name, const char *source, double num, double den)
     job.name = name;
     job.config = idealMemoryConfig();
     job.program = assembler::assemble(source);
-    job.setup = [num, den](machine::Machine &m) {
-        m.fpu().regs().writeDouble(0, num);
-        m.fpu().regs().writeDouble(1, den);
-    };
+    job.fpuRegInit = {{0, softfp::fromDouble(num)},
+                      {1, softfp::fromDouble(den)}};
     return job;
 }
 

@@ -5,8 +5,9 @@
  * the socketpair the daemon dup2'ed onto fd 0, runs each job as a
  * single containment-free attempt (SimDriver::runAttempt — retry and
  * quarantine policy live in the supervising pool, where they also
- * cover deaths by signal), and writes the result back as the same
- * fields the wire protocol uses, stats as a saveState hex blob.
+ * cover deaths by signal), and writes the result back with the wire's
+ * job-result codec (service::writeJobResult), stats as a saveState
+ * hex blob.
  *
  * The job runs on a separate thread while the main thread emits a
  * heartbeat line every ~100ms: the supervisor can then distinguish a
@@ -44,7 +45,6 @@
 #include "common/log.hh"
 #include "machine/sim_driver.hh"
 #include "service/job_spec.hh"
-#include "service/server.hh" // statsToHex
 #include "service/wire.hh"
 
 using namespace mtfpu;
@@ -68,17 +68,7 @@ resultLine(const machine::SimJobResult &r)
     json::Writer w;
     w.beginObject();
     w.key("ev").value("result");
-    w.key("name").value(r.name);
-    w.key("job_ok").value(r.ok);
-    w.key("status").value(machine::runStatusName(r.status));
-    if (!r.error.empty())
-        w.key("job_error").value(r.error);
-    if (!r.errorCode.empty())
-        w.key("job_error_code").value(r.errorCode);
-    if (!r.errorJson.empty())
-        w.key("job_error_json").value(r.errorJson);
-    if (r.ok || r.status != machine::RunStatus::Ok)
-        w.key("stats_hex").value(service::statsToHex(r.stats));
+    service::writeJobResult(w, r);
     w.endObject();
     return w.str();
 }
@@ -88,7 +78,7 @@ workerMain(bool crash_hooks)
 {
     service::ignoreSigpipe();
     service::LineChannel channel(0);
-    machine::SimDriver driver(1, false);
+    const machine::SimDriver driver(1);
 
     channel.writeLineOrThrow("{\"ev\":\"ready\"}", "workerd");
 

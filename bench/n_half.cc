@@ -11,12 +11,12 @@
  */
 
 #include <cstdio>
-#include <deque>
 #include <vector>
 
 #include "baseline/hockney.hh"
 #include "bench/bench_util.hh"
 #include "kernels/builder.hh"
+#include "kernels/runner.hh"
 #include "machine/sim_driver.hh"
 
 using namespace mtfpu;
@@ -29,12 +29,12 @@ namespace
  * Job measuring one memory-to-memory vector add of length n. With
  * @p strip_overhead the measurement includes the pointer bumps and
  * the strip-mining branch a real loop body carries — the context the
- * paper's n1/2 ~ 4 describes. @p b must outlive the batch run: the
- * job's setup uses it to lay out memory.
+ * paper's n1/2 ~ 4 describes.
  */
 machine::SimJob
-vectorAddJob(kernels::KernelBuilder &b, unsigned n, bool strip_overhead)
+vectorAddJob(unsigned n, bool strip_overhead)
 {
+    kernels::KernelBuilder b;
     b.array("x", 16);
     b.array("y", 16);
     b.array("z", 16);
@@ -66,13 +66,15 @@ vectorAddJob(kernels::KernelBuilder &b, unsigned n, bool strip_overhead)
                (strip_overhead ? " strip" : " bare");
     job.config = idealMemoryConfig();
     job.program = b.build();
-    job.setup = [&b](machine::Machine &m) {
-        b.initConstants(m.mem());
-        for (unsigned i = 0; i < 16; ++i) {
-            m.mem().writeDouble(b.layout().base("x") + 8 * i, 1.0 + i);
-            m.mem().writeDouble(b.layout().base("y") + 8 * i, 2.0 * i);
-        }
-    };
+    job.memInit = kernels::memImage(
+        [&b](memory::MainMemory &mem) {
+            b.initConstants(mem);
+            for (unsigned i = 0; i < 16; ++i) {
+                mem.writeDouble(b.layout().base("x") + 8 * i, 1.0 + i);
+                mem.writeDouble(b.layout().base("y") + 8 * i, 2.0 * i);
+            }
+        },
+        job.config.memory.memBytes);
     return job;
 }
 
@@ -84,16 +86,10 @@ main()
     banner("Section 2.2.1: vector half-performance length n1/2");
 
     // All 32 measurements (16 lengths x {bare, strip}) as one batch.
-    // The builders live in a deque so the setup closures' references
-    // stay valid while jobs are still being queued.
-    std::deque<kernels::KernelBuilder> builders;
     std::vector<machine::SimJob> jobs;
     for (unsigned n = 1; n <= 16; ++n) {
-        for (const bool strip_overhead : {false, true}) {
-            builders.emplace_back();
-            jobs.push_back(
-                vectorAddJob(builders.back(), n, strip_overhead));
-        }
+        for (const bool strip_overhead : {false, true})
+            jobs.push_back(vectorAddJob(n, strip_overhead));
     }
     const auto results = machine::SimDriver().run(jobs);
     for (const auto &r : results) {

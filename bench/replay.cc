@@ -9,7 +9,10 @@
  *     carries the job's JobSpec: the replay resolves it, so a fault
  *     plan re-attaches, because it is data;
  *   - a fuzzer crash bundle names a sibling .snap snapshot of the
- *     pre-run state, which the replay restores.
+ *     pre-run state, which becomes the replayed job's start snapshot.
+ *
+ * Either way the replay builds a SimJob and starts it through
+ * machine::startJob, the path every other run takes.
  *
  * Because a Machine is a closed deterministic system, a genuine
  * simulator failure reproduces exactly — and the trace tail around
@@ -31,16 +34,16 @@
 
 #include <cstdio>
 #include <cstring>
-#include <string>
-#include <vector>
-
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/log.hh"
 #include "machine/lockstep.hh"
 #include "machine/machine.hh"
+#include "machine/sim_job.hh"
 #include "machine/stats.hh"
 #include "machine/tracer.hh"
 #include "service/job_spec.hh"
@@ -174,24 +177,20 @@ main(int argc, char **argv)
     std::string haveCode;
     int64_t haveCycle = -1;
     try {
-        std::unique_ptr<machine::Machine> owned;
-        std::shared_ptr<machine::MachineHook> hook;
+        // Both report shapes become a job, and the job starts the one
+        // way every job does.
+        machine::SimJob job;
         if (spec) {
-            const machine::SimJob job = spec->resolve();
-            owned = std::make_unique<machine::Machine>(job.config);
-            owned->loadProgram(job.program);
-            machine::applyJobInit(job, *owned);
-            if (job.hookFactory) {
-                hook = job.hookFactory(*owned);
-                owned->setHook(hook.get());
-            }
+            job = spec->resolve();
         } else {
-            const snapshot::MachineSnapshot snap =
-                snapshot::readFile(snapPath);
-            owned = std::make_unique<machine::Machine>(snap.config);
-            snapshot::restore(*owned, snap);
+            auto snap = std::make_shared<snapshot::MachineSnapshot>(
+                snapshot::readFile(snapPath));
+            job.config = snap->config;
+            job.start = std::move(snap);
         }
-        machine::Machine &m = *owned;
+        machine::Machine m(job.config);
+        const std::shared_ptr<machine::MachineHook> hook =
+            machine::startJob(job, m);
         machine::LockstepChecker checker(m);
         if (lockstep) {
             checker.interpreter().setMutation(mutation);

@@ -13,12 +13,6 @@ hockneyRate(const HockneyParams &params, double n)
     return params.rInfMflops * n / (n + params.nHalf);
 }
 
-double
-hockneyTimeUs(const HockneyParams &params, double n)
-{
-    return (n + params.nHalf) / params.rInfMflops;
-}
-
 HockneyFit
 fitHockney(const std::vector<std::pair<double, double>> &samples)
 {

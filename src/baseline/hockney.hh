@@ -30,9 +30,6 @@ struct HockneyParams
 /** Achieved MFLOPS at vector length @p n. */
 double hockneyRate(const HockneyParams &params, double n);
 
-/** Time in microseconds for one vector operation of length @p n. */
-double hockneyTimeUs(const HockneyParams &params, double n);
-
 /**
  * Fit (n1/2, r_inf) from measured (length, cycles) samples by least
  * squares on the linear model cycles = t0 + tau*n; then

@@ -2,7 +2,7 @@
  * @file
  * The append-only NDJSON journal behind every resumable run: the fault
  * and fuzz campaigns' trial journals and the daemon's job journal
- * (DESIGN.md §9.4). Callers own only their record format and what a
+ * (DESIGN.md §9.3). Callers own only their record format and what a
  * record means; the rules that let a journal survive a SIGKILL live
  * here, once.
  */

@@ -46,7 +46,6 @@ class Value
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
     bool isObject() const { return kind_ == Kind::Object; }
-    bool isArray() const { return kind_ == Kind::Array; }
 
     /** Typed accessors; throw SimError(BadOperand) on kind mismatch. */
     bool asBool() const;

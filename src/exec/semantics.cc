@@ -63,12 +63,6 @@ linkAddress(uint32_t pc)
     return pc + 2;
 }
 
-bool
-jumpReadsRegister(isa::JumpKind kind)
-{
-    return kind == isa::JumpKind::Jr || kind == isa::JumpKind::Jalr;
-}
-
 JumpEffect
 evalJump(const isa::Instr &in, uint32_t pc, uint64_t rs1)
 {

@@ -43,9 +43,6 @@ uint64_t effectiveAddress(uint64_t base, int32_t imm);
  */
 uint32_t linkAddress(uint32_t pc);
 
-/** True if @p kind takes its target from rs1 (jr/jalr). */
-bool jumpReadsRegister(isa::JumpKind kind);
-
 /** The architectural effect of a jump instruction. */
 struct JumpEffect
 {

@@ -112,22 +112,19 @@ struct ForkPoint
 /**
  * Run one reference machine to each distinct injection cycle of a
  * kernel's trial sweep and capture a fork point at each pause. The
- * reference runs under the *trial* configuration (snapshot restore
- * requires config equality) with the same lockstep shadow the trials
- * use, so a restored trial is indistinguishable from one that
- * simulated the prefix itself.
+ * reference starts like a from-scratch trial (@p base: the kernel
+ * under the *trial* configuration, which snapshot restore requires)
+ * with the same lockstep shadow the trials use, so a trial started
+ * from a fork point is indistinguishable from one that simulated the
+ * prefix itself.
  */
 std::shared_ptr<std::map<uint64_t, ForkPoint>>
-captureForkPoints(const kernels::Kernel &kernel,
-                  const machine::MachineConfig &trial_cfg,
-                  const std::vector<std::pair<uint64_t, uint64_t>> &image,
+captureForkPoints(const machine::SimJob &base,
                   const std::set<uint64_t> &cycles, bool lockstep)
 {
     auto forks = std::make_shared<std::map<uint64_t, ForkPoint>>();
-    machine::Machine ref(trial_cfg);
-    ref.loadProgram(kernel.program);
-    for (const auto &[addr, word] : image)
-        ref.mem().write64(addr, word);
+    machine::Machine ref(base.config);
+    machine::startJob(base, ref);
     std::unique_ptr<machine::LockstepChecker> checker;
     if (lockstep) {
         checker = std::make_unique<machine::LockstepChecker>(ref);
@@ -136,7 +133,7 @@ captureForkPoints(const kernels::Kernel &kernel,
     for (const uint64_t c : cycles) { // std::set iterates ascending
         const machine::RunStats st = ref.runUntil(c);
         if (st.status != machine::RunStatus::Paused) {
-            fatal("fault campaign: reference run of " + kernel.name +
+            fatal("fault campaign: reference run of " + base.name +
                   " ended (" + machine::runStatusName(st.status) +
                   ") before injection cycle " + std::to_string(c));
         }
@@ -293,8 +290,8 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
             golden[k].name = kernel.name + "-golden";
             golden[k].program = kernel.program;
             golden[k].config = config.machine;
-            golden[k].memInit =
-                kernels::memImage(kernel, config.machine.memory.memBytes);
+            golden[k].memInit = kernels::memImage(
+                kernel.init, config.machine.memory.memBytes);
             double *slot = &goldenSums[k];
             golden[k].body = [checksum = kernel.checksum,
                               slot](machine::Machine &m) {
@@ -349,11 +346,16 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
     std::vector<double> sums(total, 0.0);
     for (size_t k = 0; k < nk; ++k) {
         const kernels::Kernel &kernel = kernel_list[k];
-        const std::vector<std::pair<uint64_t, uint64_t>> image =
-            kernels::memImage(kernel, config.machine.memory.memBytes);
-        machine::MachineConfig trial_cfg = config.machine;
-        trial_cfg.maxCycles =
+        // A from-scratch trial starts from the kernel's image under
+        // the trial configuration.
+        machine::SimJob base;
+        base.name = kernel.name;
+        base.program = kernel.program;
+        base.config = config.machine;
+        base.config.maxCycles =
             result.goldenCycles[k] * config.guardFactor + 10000;
+        base.memInit =
+            kernels::memImage(kernel.init, base.config.memory.memBytes);
 
         // Gather this kernel's pending trials first: fork mode needs
         // the set of injection cycles before any job can be built.
@@ -390,16 +392,13 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
 
         std::shared_ptr<std::map<uint64_t, ForkPoint>> forks;
         if (config.fork && !forkCycles.empty())
-            forks = captureForkPoints(kernel, trial_cfg, image, forkCycles,
-                                      config.lockstep);
+            forks = captureForkPoints(base, forkCycles, config.lockstep);
 
         for (Pending &p : pending) {
             const FaultTrial &trial = trials[p.trial];
             machine::SimJob job;
             job.name = kernel.name + "-fault-" + std::to_string(trial.seed);
-            job.program = kernel.program;
-            job.config = trial_cfg;
-            job.memInit = image;
+            job.config = base.config;
             double *slot = &sums[jobs.size()];
             job.body = [checksum = kernel.checksum,
                         slot](machine::Machine &m) {
@@ -408,23 +407,27 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
                 return stats;
             };
             if (forks && !p.plan.empty()) {
-                // Fork mode: restore the paired machine + checker
-                // snapshot instead of simulating the prefix. setup
-                // runs before hookFactory on the worker, so the
-                // program is in place when the checker reloads it.
-                const uint64_t at = p.plan.faults().front().cycle;
+                // Fork mode: start from the paired machine + checker
+                // snapshot instead of simulating the prefix. startJob
+                // restores the machine before it calls hookFactory,
+                // so the program is in place when the checker reloads
+                // it. Both aliases share ownership of the fork map.
+                const ForkPoint &fork =
+                    forks->at(p.plan.faults().front().cycle);
+                job.start = std::shared_ptr<const snapshot::MachineSnapshot>(
+                    forks, &fork.machine);
+                std::shared_ptr<const std::vector<uint8_t>> checker(
+                    forks, &fork.checker);
                 job.faultExpected = true;
-                job.setup = [forks, at](machine::Machine &m) {
-                    snapshot::restore(m, forks->at(at).machine);
-                };
-                job.hookFactory = [plan = std::move(p.plan), forks, at,
+                job.hookFactory = [plan = std::move(p.plan),
+                                   checker = std::move(checker),
                                    lockstep =
                                        config.lockstep](machine::Machine &m) {
-                    auto hook = std::make_shared<PlanHook>(std::move(plan));
+                    auto hook = std::make_shared<PlanHook>(plan);
                     if (lockstep) {
                         hook->checker =
                             std::make_unique<machine::LockstepChecker>(m);
-                        ByteReader in(forks->at(at).checker);
+                        ByteReader in(*checker);
                         hook->checker->restoreState(in);
                         m.addObserver(hook->checker.get());
                     }
@@ -432,6 +435,8 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
                         std::move(hook));
                 };
             } else {
+                job.program = base.program;
+                job.memInit = base.memInit;
                 attachPlan(job, std::move(p.plan), config.lockstep);
             }
             jobTrial.push_back(p.trial);

@@ -18,7 +18,10 @@
  *
  * attachPlan() is the bridge into the batch driver: it wires a
  * FaultPlan into a machine::SimJob via the hookFactory surface, so
- * the SimDriver itself stays fault-agnostic.
+ * the SimDriver itself stays fault-agnostic. A snapshot-forked trial
+ * (CampaignConfig::fork) is a SimJob too: its start snapshot aliases
+ * the campaign's fork point, so it carries no memory image and
+ * simulates only from its injection cycle.
  */
 
 #ifndef MTFPU_FAULTS_CAMPAIGN_HH
@@ -129,9 +132,9 @@ struct CampaignConfig
      * Snapshot-fork the shared golden prefix: one reference machine
      * per kernel runs under the trial configuration (lockstep shadow
      * attached), pausing at each distinct injection cycle to capture
-     * a paired machine + checker snapshot; each trial then restores
-     * its fork point and simulates only from its injection cycle
-     * onward. Classification is bit-identical to the from-scratch
+     * a paired machine + checker snapshot; each trial then starts
+     * from its fork point (SimJob::start) and simulates only from its
+     * injection cycle onward. Classification is bit-identical to the from-scratch
      * sweep — the injector is stateless before its fault fires, so
      * the forked prefix and the full run agree exactly.
      */

@@ -184,9 +184,6 @@ class Fpu
         corruptArmed_ = true;
     }
 
-    /** True while an armed element corruption has not yet fired. */
-    bool elementCorruptionArmed() const { return corruptArmed_; }
-
     /** Full reset (registers, pipelines, PSW, statistics). */
     void reset();
 

@@ -1,6 +1,7 @@
 #include "kernels/graphics/transform.hh"
 
 #include "common/log.hh"
+#include "softfp/fp64.hh"
 
 namespace mtfpu::kernels::graphics
 {
@@ -67,22 +68,19 @@ makeTransformJob(const machine::MachineConfig &config, bool load_matrix,
                            : "transform (matrix preloaded)";
     job.config = config;
     job.program = assembler::assemble(transformSource(load_matrix));
-    job.setup = [matrix, point, load_matrix](machine::Machine &m) {
-        m.cpu().writeReg(1, base);
-        for (int i = 0; i < 4; ++i)
-            m.mem().writeDouble(base + 8 * i, point[i]);
-        // Column c of the matrix occupies register group c*4..c*4+3;
-        // in memory the matrix image is stored column-major at
-        // base+64.
-        for (int c = 0; c < 4; ++c) {
-            for (int r = 0; r < 4; ++r) {
-                const double v = matrix[r * 4 + c];
-                m.mem().writeDouble(base + 64 + 8 * (c * 4 + r), v);
-                if (!load_matrix)
-                    m.fpu().regs().writeDouble(c * 4 + r, v);
-            }
+    job.cpuRegInit = {{1, base}};
+    for (int i = 0; i < 4; ++i)
+        job.memInit.emplace_back(base + 8 * i, softfp::fromDouble(point[i]));
+    // Column c of the matrix occupies register group c*4..c*4+3; in
+    // memory the matrix image is stored column-major at base+64.
+    for (int c = 0; c < 4; ++c) {
+        for (int r = 0; r < 4; ++r) {
+            const uint64_t v = softfp::fromDouble(matrix[r * 4 + c]);
+            job.memInit.emplace_back(base + 64 + 8 * (c * 4 + r), v);
+            if (!load_matrix)
+                job.fpuRegInit.emplace_back(c * 4 + r, v);
         }
-    };
+    }
     job.body = [&out, cycle_ns = config.cycleNs](machine::Machine &m) {
         const machine::RunStats stats = m.run();
         out.cycles = stats.cycles;

@@ -45,9 +45,10 @@ TransformResult runTransform(const machine::MachineConfig &config,
                              const std::array<double, 4> &point);
 
 /**
- * Batch-friendly form of runTransform: a SimJob whose body fills
- * @p out. @p out must outlive the SimDriver::run call; matrix and
- * point are captured by value.
+ * Batch-friendly form of runTransform: a SimJob that starts from the
+ * point, the matrix and its base register as a declarative image, and
+ * whose body fills @p out. @p out must outlive the SimDriver::run
+ * call.
  */
 machine::SimJob makeTransformJob(const machine::MachineConfig &config,
                                  bool load_matrix,

@@ -37,9 +37,6 @@ class Layout
     /** Byte address of element @p index. */
     uint64_t addr(const std::string &name, size_t index) const;
 
-    /** Total bytes consumed (for sizing memory). */
-    uint64_t bytesUsed() const { return next_ - kDataBase; }
-
     /** Write @p values into the array (shorter vectors zero-fill). */
     void fill(memory::MainMemory &mem, const std::string &name,
               const std::vector<double> &values) const;

@@ -106,10 +106,11 @@ runKernel(const Kernel &kernel, const machine::MachineConfig &config)
 }
 
 std::vector<std::pair<uint64_t, uint64_t>>
-memImage(const Kernel &kernel, size_t mem_bytes)
+memImage(const std::function<void(memory::MainMemory &)> &init,
+         size_t mem_bytes)
 {
     memory::MainMemory scratch(mem_bytes);
-    kernel.init(scratch);
+    init(scratch);
     std::vector<std::pair<uint64_t, uint64_t>> image;
     scratch.forEachNonzero([&image](uint64_t addr, uint64_t word) {
         image.emplace_back(addr, word);
@@ -160,18 +161,8 @@ pureKernelJob(const Kernel &kernel, const machine::MachineConfig &config)
     job.name = kernel.name + "/" + kernel.variant;
     job.program = kernel.program;
     job.config = config;
-    job.memInit = memImage(kernel, config.memory.memBytes);
+    job.memInit = memImage(kernel.init, config.memory.memBytes);
     return job;
-}
-
-double
-kernelError(const Kernel &kernel, const machine::MachineConfig &config)
-{
-    machine::Machine m(config);
-    m.loadProgram(kernel.program);
-    kernel.init(m.mem());
-    m.run();
-    return relativeError(kernel.checksum(m.mem()), kernel.reference());
 }
 
 } // namespace mtfpu::kernels

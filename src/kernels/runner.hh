@@ -14,6 +14,7 @@
 #ifndef MTFPU_KERNELS_RUNNER_HH
 #define MTFPU_KERNELS_RUNNER_HH
 
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -72,14 +73,16 @@ KernelResult runKernel(const Kernel &kernel,
                            machine::MachineConfig{});
 
 /**
- * Materialize a kernel's init closure into the declarative SimJob
- * memInit form: the (address, word) pairs of every nonzero word the
- * initializer writes into a fresh @p mem_bytes memory. A SimJob built
- * from a kernel's program plus this image needs no setup hook, which
- * makes it pure — and therefore memoizable by the SimDriver.
+ * Materialize a memory initializer (a kernel's init, or any other
+ * function that lays out data) into the declarative SimJob memInit
+ * form: the (address, word) pairs of every nonzero word @p init
+ * writes into a fresh @p mem_bytes memory. A job that starts from
+ * this image is pure — and therefore memoizable by the SimDriver —
+ * and does not keep @p init or anything it references alive.
  */
 std::vector<std::pair<uint64_t, uint64_t>> memImage(
-    const Kernel &kernel, size_t mem_bytes = 4u << 20);
+    const std::function<void(memory::MainMemory &)> &init,
+    size_t mem_bytes = 4u << 20);
 
 /**
  * Resolve a kernel reference to its descriptor. The grammar is
@@ -94,19 +97,12 @@ Kernel findKernel(const std::string &ref);
 
 /**
  * The closure-free form of a kernel run: program + materialized
- * memImage under @p config, no setup/body hooks — pure, and
- * therefore memoizable, checkpointable, and result-cacheable. This
- * measures one (cold) run; the cold+warm measurement protocol of
- * runKernelBatch inherently needs a body closure and remains the
- * escape hatch.
+ * memImage under @p config — pure, and therefore memoizable and
+ * result-cacheable. This measures one (cold) run; the cold+warm
+ * measurement protocol of runKernelBatch still needs a body closure.
  */
 machine::SimJob pureKernelJob(const Kernel &kernel,
                               const machine::MachineConfig &config);
-
-/** Validate a kernel's simulated checksum only (used by tests). */
-double kernelError(const Kernel &kernel,
-                   const machine::MachineConfig &config =
-                       machine::MachineConfig{});
 
 } // namespace mtfpu::kernels
 

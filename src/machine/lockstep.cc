@@ -59,8 +59,8 @@ LockstepChecker::arm()
 {
     interp_.loadProgram(machine_.program());
     interp_.mem().copyFrom(machine_.mem());
-    // Setup hooks may preload registers before run() (e.g. a graphics
-    // matrix in f0..f15); mirror them into the shadow.
+    // A job's start image may preload registers before run() (e.g. a
+    // graphics matrix in f0..f15); mirror them into the shadow.
     for (unsigned r = 1; r < isa::kNumIntRegs; ++r)
         interp_.setIntReg(r, machine_.cpu().readReg(r));
     for (unsigned r = 0; r < isa::kNumFpuRegs; ++r)

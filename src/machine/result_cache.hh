@@ -7,7 +7,7 @@
  * hash, holding the canonical content blob (the collision guard) and
  * the serialized RunStats of a completed run.
  *
- * File discipline — the same rules as ck-*.snap checkpoints:
+ * File discipline:
  *  - writes go to a unique temp file and land with an atomic rename,
  *    so a reader only ever sees a complete old entry or a complete
  *    new one, and concurrent writers of the same hash race benignly

@@ -2,35 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <thread>
 #include <unordered_map>
 
 #include "common/log.hh"
-#include "snapshot/snapshot.hh"
 
 namespace mtfpu::machine
 {
 
-namespace
-{
-
-/** Checkpoint file name for a job: its content hash in hex. */
-std::string
-checkpointName(const SimJob &job)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "ck-%016llx.snap",
-                  static_cast<unsigned long long>(jobContentHash(job)));
-    return buf;
-}
-
-} // anonymous namespace
-
-SimDriver::SimDriver(unsigned threads, bool memoize)
-    : threads_(threads), memoize_(memoize)
+SimDriver::SimDriver(unsigned threads) : threads_(threads)
 {
     if (threads_ == 0) {
         threads_ = std::thread::hardware_concurrency();
@@ -74,60 +55,6 @@ SimDriver::uniqueJobs(const std::vector<SimJob> &jobs)
     return leader;
 }
 
-std::string
-SimDriver::checkpointFileName(const SimJob &job)
-{
-    return checkpointName(job);
-}
-
-RunStats
-SimDriver::runCheckpointed(const SimJob &job, Machine &machine) const
-{
-    std::filesystem::create_directories(checkpointDir_);
-    const std::string path = checkpointDir_ + "/" + checkpointName(job);
-
-    // Resume from an existing checkpoint when one decodes cleanly and
-    // matches this job exactly; anything else (torn write, stale hash
-    // collision, format drift) falls back to a fresh start.
-    if (std::filesystem::exists(path)) {
-        try {
-            const snapshot::MachineSnapshot snap = snapshot::readFile(path);
-            if (snap.kind == snapshot::SnapshotKind::Machine &&
-                snap.config == job.config &&
-                snap.program.code == job.program.code) {
-                snapshot::restore(machine, snap);
-                inform("resuming from checkpoint " + path + " at cycle " +
-                       std::to_string(machine.nextCycle()));
-            } else {
-                warn("checkpoint " + path + " does not match job, ignoring");
-            }
-        } catch (const SimError &err) {
-            // A failed restore may leave partial state; rebuild the
-            // initial image (the job is pure, so this is complete).
-            warn(std::string("checkpoint unusable, starting fresh: ") +
-                 err.what());
-            machine.loadProgram(job.program);
-            applyJobInit(job, machine);
-        }
-    }
-
-    RunStats stats;
-    for (;;) {
-        stats = machine.runUntil(machine.nextCycle() + checkpointInterval_);
-        if (stats.status != RunStatus::Paused)
-            break;
-        try {
-            snapshot::writeFile(path, snapshot::capture(machine));
-        } catch (const SimError &err) {
-            // A checkpoint that cannot be written only costs resume
-            // coverage — the run itself must not fail.
-            warn(std::string("checkpoint write failed: ") + err.what());
-        }
-    }
-    std::remove(path.c_str());
-    return stats;
-}
-
 SimJobResult
 SimDriver::runAttempt(const SimJob &job) const
 {
@@ -137,20 +64,8 @@ SimDriver::runAttempt(const SimJob &job) const
     result.attempts = 1;
     try {
         Machine machine(job.config);
-        machine.loadProgram(job.program);
-        applyJobInit(job, machine);
-        if (job.setup)
-            job.setup(machine);
-        std::shared_ptr<MachineHook> hook;
-        if (job.hookFactory) {
-            hook = job.hookFactory(machine);
-            machine.setHook(hook.get());
-        }
-        const bool checkpoint = !checkpointDir_.empty() &&
-                                checkpointInterval_ > 0 && isPureJob(job);
-        result.stats = job.body     ? job.body(machine)
-                       : checkpoint ? runCheckpointed(job, machine)
-                                    : machine.run();
+        const std::shared_ptr<MachineHook> hook = startJob(job, machine);
+        result.stats = job.body ? job.body(machine) : machine.run();
         result.status = result.stats.status;
         // A guarded partial run keeps its stats but does not count as
         // a successful simulation of the program.
@@ -178,32 +93,12 @@ SimDriver::run(const std::vector<SimJob> &jobs) const
     std::vector<SimJobResult> results(jobs.size());
 
     // Memoization partition: only representatives simulate.
+    const std::vector<size_t> leader = uniqueJobs(jobs);
     std::vector<size_t> work; // indices of jobs that actually run
-    std::vector<size_t> leader;
-    if (memoize_) {
-        leader = uniqueJobs(jobs);
-        work.reserve(jobs.size());
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            if (leader[i] == i)
-                work.push_back(i);
-        }
-        // Discoverability: closures silently opt a job out of every
-        // reuse layer (memo, checkpoint, result cache). One line per
-        // batch tells the sweep author how much purity would buy.
-        size_t closured = 0;
-        for (const SimJob &job : jobs)
-            closured += !isPureJob(job);
-        if (closured > 0) {
-            inform(std::to_string(closured) + " of " +
-                   std::to_string(jobs.size()) +
-                   " jobs carry setup/body/hook closures and were "
-                   "disqualified from memoization; declarative "
-                   "memInit/regInit would make them cacheable");
-        }
-    } else {
-        work.resize(jobs.size());
-        for (size_t i = 0; i < jobs.size(); ++i)
-            work[i] = i;
+    work.reserve(jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        if (leader[i] == i)
+            work.push_back(i);
     }
 
     const unsigned workers = threadsFor(work.size());
@@ -238,12 +133,10 @@ SimDriver::run(const std::vector<SimJob> &jobs) const
     }
 
     // Duplicates inherit their representative's outcome, renamed.
-    if (memoize_) {
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            if (leader[i] != i) {
-                results[i] = results[leader[i]];
-                results[i].name = jobs[i].name;
-            }
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        if (leader[i] != i) {
+            results[i] = results[leader[i]];
+            results[i].name = jobs[i].name;
         }
     }
     return results;

@@ -1,10 +1,9 @@
 /**
  * @file
  * Parallel batch-simulation scheduler. The *description* of a job —
- * SimJob, its purity rules, and its content identity — lives in
- * sim_job.hh; this class owns only scheduling policy: the thread
- * pool, in-batch memoization, periodic checkpointing, and the
- * per-result callback. The simulation daemon does not schedule
+ * SimJob, its purity rules, its content identity and its start state
+ * — lives in sim_job.hh; this class owns only scheduling policy: the
+ * thread pool, in-batch memoization, and the per-result callback. The simulation daemon does not schedule
  * through it: each of its jobs runs as one runAttempt() in an
  * isolated worker process, under the worker pool's
  * retry-once-then-quarantine policy (service/worker_pool.hh).
@@ -20,7 +19,8 @@
  * reference rows. Because jobs are closed systems, two *pure* jobs
  * (see sim_job.hh) with identical content must produce identical
  * RunStats, so the driver simulates one and copies the result to the
- * rest.
+ * rest. Memoization is always on: it changes no result, only how many
+ * simulations produce them.
  *
  * Error containment: a job that fatal()s (bad program, hazard-policy
  * violation, runaway cycle guard) fails alone after one attempt; its
@@ -32,9 +32,7 @@
 #ifndef MTFPU_MACHINE_SIM_DRIVER_HH
 #define MTFPU_MACHINE_SIM_DRIVER_HH
 
-#include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -50,37 +48,14 @@ class SimDriver
     /**
      * @param threads Worker count; 0 means hardware_concurrency()
      * (min 1). The pool is capped at the job count per batch.
-     * @param memoize Deduplicate identical pure jobs (see file
-     * comment); pass false to force every job to simulate.
      */
-    explicit SimDriver(unsigned threads = 0, bool memoize = true);
+    explicit SimDriver(unsigned threads = 0);
 
     /** Effective worker count for a batch of @p jobs jobs. */
     unsigned threadsFor(size_t jobs) const;
 
     /** Configured worker count (after the 0 → hardware resolution). */
     unsigned threads() const { return threads_; }
-
-    /**
-     * Enable periodic checkpointing of pure jobs. Every
-     * @p interval_cycles simulated cycles the worker pauses the run
-     * and writes an atomic snapshot ck-<contenthash>.snap under
-     * @p dir; a later batch containing the same job (identical
-     * program, memInit, regInit, and config — the memoization
-     * identity) picks the file up and resumes from the last
-     * checkpoint, producing bit-identical final RunStats. A stale,
-     * torn, or mismatched checkpoint is discarded and the job starts
-     * fresh; the file is removed once its job completes. Jobs
-     * carrying setup/body/hook closures never checkpoint — a closure
-     * cannot be re-applied from a file. Pass an empty dir or 0
-     * interval to disable.
-     */
-    void setCheckpoint(std::string dir, uint64_t interval_cycles)
-    {
-        checkpointDir_ = std::move(dir);
-        checkpointInterval_ = interval_cycles;
-    }
-    const std::string &checkpointDir() const { return checkpointDir_; }
 
     /**
      * Per-result callback, fired on the worker thread right after each
@@ -98,22 +73,17 @@ class SimDriver
     /**
      * Run every job; returns results in job order. Unique jobs are
      * handed to workers through an atomic cursor, so completion order
-     * is arbitrary but the result vector is not. With memoization on,
-     * duplicate pure jobs inherit their representative's stats (under
-     * their own name) without simulating.
-     *
-     * When any job was disqualified from memoization by a closure the
-     * batch logs one summary line through the job-tagged sink, so
-     * sweep authors notice when a setup closure should have been the
-     * declarative memInit/regInit.
+     * is arbitrary but the result vector is not. Duplicate pure jobs
+     * inherit their representative's stats (under their own name)
+     * without simulating.
      */
     std::vector<SimJobResult> run(const std::vector<SimJob> &jobs) const;
 
     /**
      * Run exactly one simulation attempt on the calling thread: the
-     * machine build, the run (checkpointed when configured), and a
-     * structured result. run() invokes it once per unique job, and it
-     * is the execution primitive an isolated worker process exposes;
+     * start state (startJob), the run, and a structured result. run()
+     * invokes it once per unique job, and it is the execution
+     * primitive an isolated worker process exposes;
      * the supervising pool founds its retry-once-then-quarantine
      * policy on top of the process boundary, where it also covers
      * attempts that die by signal.
@@ -128,25 +98,8 @@ class SimDriver
      */
     static std::vector<size_t> uniqueJobs(const std::vector<SimJob> &jobs);
 
-    /**
-     * File name (relative to the checkpoint dir) a pure job's
-     * checkpoint is stored under: "ck-<contenthash>.snap". Exposed so
-     * tests and tooling can seed or inspect a job's checkpoint.
-     */
-    static std::string checkpointFileName(const SimJob &job);
-
   private:
-    /**
-     * Checkpointed run body for a pure job: resume from the job's
-     * checkpoint file if a valid one exists, then run in
-     * checkpointInterval_-cycle slices, snapshotting after each pause.
-     */
-    RunStats runCheckpointed(const SimJob &job, Machine &machine) const;
-
     unsigned threads_;
-    bool memoize_;
-    std::string checkpointDir_;
-    uint64_t checkpointInterval_ = 0;
     ResultCallback resultCallback_;
 };
 

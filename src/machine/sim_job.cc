@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/sim_error.hh"
+#include "snapshot/snapshot.hh"
 
 namespace mtfpu::machine
 {
@@ -99,15 +100,26 @@ jobContentBlob(const SimJob &job)
     return out.take();
 }
 
-void
-applyJobInit(const SimJob &job, Machine &machine)
+std::shared_ptr<MachineHook>
+startJob(const SimJob &job, Machine &machine)
 {
-    for (const auto &[addr, word] : job.memInit)
-        machine.mem().write64(addr, word);
-    for (const auto &[reg, value] : job.cpuRegInit)
-        machine.cpu().writeReg(reg, value);
-    for (const auto &[reg, value] : job.fpuRegInit)
-        machine.fpu().regs().write(reg, value);
+    if (job.start) {
+        snapshot::restore(machine, *job.start);
+    } else {
+        machine.loadProgram(job.program);
+        for (const auto &[addr, word] : job.memInit)
+            machine.mem().write64(addr, word);
+        for (const auto &[reg, value] : job.cpuRegInit)
+            machine.cpu().writeReg(reg, value);
+        for (const auto &[reg, value] : job.fpuRegInit)
+            machine.fpu().regs().write(reg, value);
+    }
+    std::shared_ptr<MachineHook> hook;
+    if (job.hookFactory) {
+        hook = job.hookFactory(machine);
+        machine.setHook(hook.get());
+    }
+    return hook;
 }
 
 void

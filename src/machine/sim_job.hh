@@ -2,20 +2,23 @@
  * @file
  * The batch/service job description layer, split out of the SimDriver
  * (which keeps only scheduling policy). A SimJob names everything one
- * independent simulation needs; the driver, the checkpointing path,
- * the on-disk result cache, and the simulation service's workers all
- * consume this one description.
+ * independent simulation needs; the driver, the on-disk result cache,
+ * the simulation service's workers, crash replay and the fault
+ * campaign's fork trials all consume this one description, and all of
+ * them build a job's first machine state through startJob().
  *
- * Purity: a job whose behavior is fully captured by declarative data
- * (program code, memInit, regInit, config) is *pure* — two pure jobs
- * with identical content must produce identical RunStats, which is
- * what memoization, checkpoint resume, and the persistent result
- * cache all rely on. The setup/body/hookFactory closures are the
- * explicit escape hatch for in-process-only jobs: a std::function is
- * not content-hashable, so a closure-carrying job never memoizes,
- * never checkpoints, and never hits the result cache. Prefer the
- * declarative memInit/regInit fields whenever a closure would only
- * write memory words or registers.
+ * A job starts one of two ways, both data: from its program plus the
+ * declarative memInit/cpuRegInit/fpuRegInit image, or from a start
+ * snapshot (a fork trial resumes the campaign's paused reference
+ * run).
+ *
+ * Purity: a job whose behavior is fully captured by its program,
+ * image and config is *pure* — two pure jobs with identical content
+ * must produce identical RunStats, which is what memoization and the
+ * persistent result cache rely on. A start snapshot, a body closure
+ * or a hookFactory makes a job impure: none of them is part of the
+ * content identity, so such a job never memoizes and never hits the
+ * result cache.
  *
  * Content identity: jobContentHash() folds every behavior-affecting
  * field into a 64-bit FNV-1a hash (collisions are harmless — callers
@@ -40,6 +43,11 @@
 #include "machine/machine.hh"
 #include "machine/stats.hh"
 
+namespace mtfpu::snapshot
+{
+struct MachineSnapshot;
+} // namespace mtfpu::snapshot
+
 namespace mtfpu::machine
 {
 
@@ -57,44 +65,41 @@ struct SimJob
 
     /**
      * Declarative initial memory image: (byte address, 64-bit word)
-     * pairs written after loadProgram and before setup. Prefer this
-     * over a setup closure for plain data initialization — it keeps
-     * the job pure, and therefore memoizable.
+     * pairs written after loadProgram.
      */
     std::vector<std::pair<uint64_t, uint64_t>> memInit;
 
-    /**
-     * Declarative CPU register initialization: (register, value)
-     * pairs written after memInit and before setup. Absorbs the most
-     * common setup-closure use (seeding pointer/count registers), so
-     * jobs that only need register values stay pure.
-     */
+    /** Declarative CPU register image: (register, value) pairs
+     *  written after memInit. */
     std::vector<std::pair<unsigned, uint64_t>> cpuRegInit;
 
-    /** Declarative FPU register initialization (raw 64-bit images). */
+    /** Declarative FPU register image (raw 64-bit values). */
     std::vector<std::pair<unsigned, uint64_t>> fpuRegInit;
 
     /**
-     * Optional pre-run hook, called after loadProgram, memInit, and
-     * regInit (observer attachment, exotic state). Must only touch
-     * the given Machine — it runs on a worker thread. Disqualifies
-     * the job from memoization.
+     * Optional start snapshot: the job resumes this machine state
+     * instead of loading program and applying the image above, which
+     * it then ignores. config must equal the snapshot's. Shared, not
+     * copied — a fork trial's start aliases the campaign's fork
+     * point. Makes the job impure.
      */
-    std::function<void(Machine &)> setup;
+    std::shared_ptr<const snapshot::MachineSnapshot> start;
 
     /**
      * Optional run body replacing the default `return m.run()` —
-     * e.g. cold+warm double runs or interrupt scheduling. Same
-     * threading rules as setup; also disqualifies memoization.
+     * e.g. cold+warm double runs, observer attachment or register
+     * readback. It runs on a worker thread and must only touch the
+     * given Machine and its own output slot. Makes the job impure.
      */
     std::function<RunStats(Machine &)> body;
 
     /**
      * Optional per-cycle mutating hook factory (fault injection).
-     * Called on the worker thread after setup and before the run; the
-     * returned hook is installed with Machine::setHook and kept alive
-     * for the duration of the job. Disqualifies memoization. Use
-     * faults::attachPlan() to populate this from a FaultPlan.
+     * Called on the worker thread once the start state is built and
+     * before the run; the returned hook is installed with
+     * Machine::setHook and kept alive for the duration of the job.
+     * Makes the job impure. Use faults::attachPlan() to populate this
+     * from a FaultPlan.
      */
     std::function<std::shared_ptr<MachineHook>(Machine &)> hookFactory;
 
@@ -142,11 +147,11 @@ struct SimJobResult
     std::string errorJson; // SimError::to_json() when !ok
 };
 
-/** Memoizable: carries no setup/body/hook closure. */
+/** Memoizable: no start snapshot and no body or hook closure. */
 inline bool
 isPureJob(const SimJob &job)
 {
-    return !job.setup && !job.body && !job.hookFactory;
+    return !job.start && !job.body && !job.hookFactory;
 }
 
 /**
@@ -169,12 +174,14 @@ bool sameJobContent(const SimJob &a, const SimJob &b);
 std::vector<uint8_t> jobContentBlob(const SimJob &job);
 
 /**
- * Apply the declarative initial image to a freshly loaded machine:
- * memInit words, then CPU registers, then FPU registers. Shared by
- * the driver's attempt path, its checkpoint fallback, and crash
- * replay.
+ * Build the state @p job starts from in @p machine, which must have
+ * been constructed with job.config: restore the start snapshot, or
+ * else load the program and write memInit, then the CPU registers,
+ * then the FPU registers. Then build the hookFactory hook, if any,
+ * and install it. The caller keeps the returned hook (null without a
+ * hookFactory) alive for as long as the machine runs.
  */
-void applyJobInit(const SimJob &job, Machine &machine);
+std::shared_ptr<MachineHook> startJob(const SimJob &job, Machine &machine);
 
 /**
  * Fill the error fields of a result whose run ended on a guard

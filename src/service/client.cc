@@ -8,7 +8,7 @@
 #include <unistd.h>
 
 #include "common/log.hh"
-#include "service/server.hh" // statsFromHex, kProtoRevision
+#include "service/server.hh" // kProtoRevision
 
 namespace mtfpu::service
 {
@@ -176,24 +176,9 @@ SimClient::status(uint64_t id)
 machine::SimJobResult
 SimClient::decodeResult(const json::Value &response)
 {
-    machine::SimJobResult r;
     if (response.at("state").asString() != "done")
-        return r; // still pending / cancelled: ok stays false
-    r.name = response.at("name").asString();
-    r.ok = response.at("job_ok").asBool();
-    r.attempts =
-        static_cast<unsigned>(response.at("attempts").asUint());
-    r.quarantined = response.at("quarantined").asBool();
-    r.fromCache = response.at("from_cache").asBool();
-    if (response.has("job_error"))
-        r.error = response.at("job_error").asString();
-    if (response.has("job_error_code"))
-        r.errorCode = response.at("job_error_code").asString();
-    if (response.has("stats_hex")) {
-        r.stats = statsFromHex(response.at("stats_hex").asString());
-        r.status = r.stats.status;
-    }
-    return r;
+        return machine::SimJobResult{}; // pending / cancelled: not ok
+    return readJobResult(response);
 }
 
 machine::SimJobResult

@@ -12,12 +12,12 @@
  * content-hash result cache.
  *
  * Purity rules: a spec without a fault plan resolves to a *pure*
- * SimJob (memoizable, checkpointable, result-cacheable). A fault-plan
- * spec resolves to a hookFactory job — reproducible (the plan text is
- * part of the spec) but excluded from result reuse, exactly like the
- * closure escape hatch of in-process batches. What a spec cannot
- * express is precisely what closures are for: custom measurement
- * bodies, observer attachment, snapshot-restoring setups.
+ * SimJob (memoizable, result-cacheable). A fault-plan spec resolves
+ * to a hookFactory job — reproducible (the plan text is part of the
+ * spec) but excluded from result reuse, exactly like the closures of
+ * in-process batches. What a spec cannot express is what those are
+ * for: custom measurement bodies, observer attachment, register
+ * readback, and starting from a snapshot.
  */
 
 #ifndef MTFPU_SERVICE_JOB_SPEC_HH

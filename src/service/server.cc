@@ -69,25 +69,6 @@ okResponse(const std::function<void(json::Writer &)> &fill)
     return w.str();
 }
 
-/** Summary fields every result response carries next to stats_hex. */
-void
-writeResultBody(json::Writer &w, const machine::SimJobResult &r)
-{
-    w.key("name").value(r.name);
-    w.key("job_ok").value(r.ok);
-    w.key("status").value(machine::runStatusName(r.status));
-    w.key("cycles").value(r.stats.cycles);
-    w.key("attempts").value(static_cast<uint64_t>(r.attempts));
-    w.key("quarantined").value(r.quarantined);
-    w.key("from_cache").value(r.fromCache);
-    if (!r.error.empty())
-        w.key("job_error").value(r.error);
-    if (!r.errorCode.empty())
-        w.key("job_error_code").value(r.errorCode);
-    if (r.ok || r.status != machine::RunStatus::Ok)
-        w.key("stats_hex").value(statsToHex(r.stats));
-}
-
 /** A client time budget (deadline_ms, wait_ms), refused as
  *  bad-operand above kMaxClientMs so it cannot overflow the steady
  *  clock it is added to. */
@@ -128,60 +109,6 @@ jobStateName(JobState state)
       case JobState::Cancelled: return "cancelled";
     }
     return "queued";
-}
-
-std::string
-bytesToHex(const std::vector<uint8_t> &bytes)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(bytes.size() * 2);
-    for (uint8_t b : bytes) {
-        out.push_back(digits[b >> 4]);
-        out.push_back(digits[b & 0xf]);
-    }
-    return out;
-}
-
-std::vector<uint8_t>
-hexToBytes(const std::string &hex)
-{
-    if (hex.size() % 2 != 0)
-        fatal(ErrCode::BadOperand, "hex blob has odd length");
-    auto nibble = [](char c) -> unsigned {
-        if (c >= '0' && c <= '9')
-            return static_cast<unsigned>(c - '0');
-        if (c >= 'a' && c <= 'f')
-            return static_cast<unsigned>(c - 'a' + 10);
-        if (c >= 'A' && c <= 'F')
-            return static_cast<unsigned>(c - 'A' + 10);
-        fatal(ErrCode::BadOperand,
-              std::string("bad hex digit '") + c + "'");
-    };
-    std::vector<uint8_t> out;
-    out.reserve(hex.size() / 2);
-    for (size_t i = 0; i < hex.size(); i += 2)
-        out.push_back(
-            static_cast<uint8_t>(nibble(hex[i]) << 4 | nibble(hex[i + 1])));
-    return out;
-}
-
-std::string
-statsToHex(const machine::RunStats &stats)
-{
-    ByteWriter w;
-    stats.saveState(w);
-    return bytesToHex(w.data());
-}
-
-machine::RunStats
-statsFromHex(const std::string &hex)
-{
-    const std::vector<uint8_t> blob = hexToBytes(hex);
-    ByteReader r(blob);
-    machine::RunStats stats;
-    stats.restoreState(r);
-    return stats;
 }
 
 SimServer::SimServer(ServerConfig config) : config_(std::move(config))
@@ -873,7 +800,7 @@ SimServer::cmdResult(const json::Value &req)
     return okResponse([&](json::Writer &w) {
         w.key("id").value(id);
         w.key("state").value(jobStateName(entry.state));
-        writeResultBody(w, entry.result);
+        writeJobResult(w, entry.result);
     });
 }
 

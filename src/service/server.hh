@@ -84,6 +84,7 @@
 #include "machine/result_cache.hh"
 #include "service/job_spec.hh"
 #include "service/supervisor.hh"
+#include "service/wire.hh" // statsToHex, the job-result codec
 #include "service/worker_pool.hh"
 
 namespace mtfpu::service
@@ -312,14 +313,6 @@ class SimServer
     uint64_t nextConnId_ = 1; // guarded by mutex_
     bool stopping_ = false;
 };
-
-/** Hex helpers shared by server, client, and tests. */
-std::string bytesToHex(const std::vector<uint8_t> &bytes);
-std::vector<uint8_t> hexToBytes(const std::string &hex);
-
-/** RunStats <-> wire encoding (saveState blob as hex). */
-std::string statsToHex(const machine::RunStats &stats);
-machine::RunStats statsFromHex(const std::string &hex);
 
 } // namespace mtfpu::service
 

@@ -14,8 +14,9 @@
 
 #include <chrono>
 #include <mutex>
+#include <vector>
 
-#include "common/json.hh"
+#include "common/bytestream.hh"
 #include "common/log.hh"
 
 namespace mtfpu::service
@@ -402,6 +403,107 @@ errorResponse(const std::string &message, const std::string &error_code)
         w.key("error_code").value(error_code);
     w.endObject();
     return w.str();
+}
+
+namespace
+{
+
+std::string
+bytesToHex(const std::vector<uint8_t> &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    out.reserve(bytes.size() * 2);
+    for (uint8_t b : bytes) {
+        out.push_back(digits[b >> 4]);
+        out.push_back(digits[b & 0xf]);
+    }
+    return out;
+}
+
+std::vector<uint8_t>
+hexToBytes(const std::string &hex)
+{
+    if (hex.size() % 2 != 0)
+        fatal(ErrCode::BadOperand, "hex blob has odd length");
+    auto nibble = [](char c) -> unsigned {
+        if (c >= '0' && c <= '9')
+            return static_cast<unsigned>(c - '0');
+        if (c >= 'a' && c <= 'f')
+            return static_cast<unsigned>(c - 'a' + 10);
+        if (c >= 'A' && c <= 'F')
+            return static_cast<unsigned>(c - 'A' + 10);
+        fatal(ErrCode::BadOperand,
+              std::string("bad hex digit '") + c + "'");
+    };
+    std::vector<uint8_t> out;
+    out.reserve(hex.size() / 2);
+    for (size_t i = 0; i < hex.size(); i += 2)
+        out.push_back(
+            static_cast<uint8_t>(nibble(hex[i]) << 4 | nibble(hex[i + 1])));
+    return out;
+}
+
+} // anonymous namespace
+
+std::string
+statsToHex(const machine::RunStats &stats)
+{
+    ByteWriter w;
+    stats.saveState(w);
+    return bytesToHex(w.data());
+}
+
+machine::RunStats
+statsFromHex(const std::string &hex)
+{
+    const std::vector<uint8_t> blob = hexToBytes(hex);
+    ByteReader r(blob);
+    machine::RunStats stats;
+    stats.restoreState(r);
+    return stats;
+}
+
+void
+writeJobResult(json::Writer &w, const machine::SimJobResult &r)
+{
+    w.key("name").value(r.name);
+    w.key("job_ok").value(r.ok);
+    w.key("status").value(machine::runStatusName(r.status));
+    w.key("cycles").value(r.stats.cycles);
+    w.key("attempts").value(static_cast<uint64_t>(r.attempts));
+    w.key("quarantined").value(r.quarantined);
+    w.key("from_cache").value(r.fromCache);
+    if (!r.error.empty())
+        w.key("job_error").value(r.error);
+    if (!r.errorCode.empty())
+        w.key("job_error_code").value(r.errorCode);
+    if (!r.errorJson.empty())
+        w.key("job_error_json").value(r.errorJson);
+    if (r.ok || r.status != machine::RunStatus::Ok)
+        w.key("stats_hex").value(statsToHex(r.stats));
+}
+
+machine::SimJobResult
+readJobResult(const json::Value &v)
+{
+    machine::SimJobResult r;
+    r.name = v.at("name").asString();
+    r.ok = v.at("job_ok").asBool();
+    r.attempts = static_cast<unsigned>(v.at("attempts").asUint());
+    r.quarantined = v.at("quarantined").asBool();
+    r.fromCache = v.at("from_cache").asBool();
+    if (v.has("job_error"))
+        r.error = v.at("job_error").asString();
+    if (v.has("job_error_code"))
+        r.errorCode = v.at("job_error_code").asString();
+    if (v.has("job_error_json"))
+        r.errorJson = v.at("job_error_json").asString();
+    if (v.has("stats_hex")) {
+        r.stats = statsFromHex(v.at("stats_hex").asString());
+        r.status = r.stats.status;
+    }
+    return r;
 }
 
 } // namespace mtfpu::service

@@ -18,6 +18,11 @@
  * errors never kill the connection — the server answers with an error
  * response and keeps reading.
  *
+ * A job result crosses both hops — worker to pool, daemon to client —
+ * as the same fields, written by writeJobResult() and read by
+ * readJobResult(); RunStats travel as "stats_hex", the hex of their
+ * saveState() blob, so a decoded result is bit-identical to the run.
+ *
  * Robustness contract (DESIGN.md §12.4, §13.3): SIGPIPE is ignored
  * process-wide the first time any endpoint is created, so a peer that
  * vanishes mid-write surfaces as EPIPE on the write, never as a
@@ -38,6 +43,9 @@
 
 #include <cstdint>
 #include <string>
+
+#include "common/json.hh"
+#include "machine/sim_job.hh"
 
 namespace mtfpu::service
 {
@@ -170,6 +178,24 @@ class LineChannel
 /** Build the standard error response line. */
 std::string errorResponse(const std::string &message,
                           const std::string &error_code = "");
+
+/** RunStats <-> wire encoding (saveState blob as hex). statsFromHex
+ *  throws SimError on a malformed or truncated blob. */
+std::string statsToHex(const machine::RunStats &stats);
+machine::RunStats statsFromHex(const std::string &hex);
+
+/**
+ * Write the fields of a job result into the object @p w has open:
+ * name, job_ok, status, cycles, attempts, quarantined, from_cache,
+ * job_error, job_error_code and job_error_json when set, and
+ * stats_hex when the stats are meaningful (a success or a guard
+ * stop).
+ */
+void writeJobResult(json::Writer &w, const machine::SimJobResult &result);
+
+/** Decode the fields writeJobResult() wrote; the status follows the
+ *  decoded stats. Throws SimError on a missing or mistyped field. */
+machine::SimJobResult readJobResult(const json::Value &v);
 
 } // namespace mtfpu::service
 

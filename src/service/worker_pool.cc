@@ -11,7 +11,6 @@
 
 #include "common/json.hh"
 #include "common/log.hh"
-#include "service/server.hh" // statsFromHex
 
 namespace mtfpu::service
 {
@@ -51,26 +50,6 @@ structuredFailure(const machine::SimJobResult &result)
     info.code = errCodeFromName(result.errorCode);
     info.summary = result.error;
     return info;
-}
-
-/** Decode a worker's {"ev":"result"} line into a SimJobResult. */
-machine::SimJobResult
-parseResultLine(const json::Value &v)
-{
-    machine::SimJobResult result;
-    result.name = v.at("name").asString();
-    result.ok = v.at("job_ok").asBool();
-    if (v.has("job_error"))
-        result.error = v.at("job_error").asString();
-    if (v.has("job_error_code"))
-        result.errorCode = v.at("job_error_code").asString();
-    if (v.has("job_error_json"))
-        result.errorJson = v.at("job_error_json").asString();
-    if (v.has("stats_hex")) {
-        result.stats = statsFromHex(v.at("stats_hex").asString());
-        result.status = result.stats.status;
-    }
-    return result;
 }
 
 } // anonymous namespace
@@ -244,7 +223,7 @@ WorkerProcess::runJob(const PoolJob &job, machine::SimJobResult &result,
                 if (ev == "hb" || ev == "ready")
                     continue;
                 if (ev == "result") {
-                    result = parseResultLine(v);
+                    result = readJobResult(v);
                     return Outcome::Result;
                 }
                 warn("worker pool: unexpected worker line: " + line);

@@ -94,7 +94,7 @@ MachineSnapshot
 deserialize(const uint8_t *data, size_t size)
 {
     // The trailing CRC-32 covers every byte before it; verify before
-    // interpreting anything (a torn checkpoint must never half-load).
+    // interpreting anything (a torn snapshot file must never half-load).
     if (size < sizeof(kMagic) + sizeof(uint32_t))
         fatal(ErrCode::BadSnapshot, "snapshot: file too short");
     ByteReader crcReader(data + size - sizeof(uint32_t),

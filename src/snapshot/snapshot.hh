@@ -12,7 +12,7 @@
  * format version, the snapshot kind, the payload sections, and a
  * trailing CRC-32 over everything before it. Readers reject unknown
  * magic/version/kind, CRC mismatches, and truncation with structured
- * SimError(ErrCode::BadSnapshot) — a half-written checkpoint from a
+ * SimError(ErrCode::BadSnapshot) — a half-written snapshot file from a
  * killed process must fail recoverably, never load as garbage state.
  *
  * Versioning rule: any change to the byte layout of the payload or to
@@ -104,8 +104,8 @@ MachineSnapshot deserialize(const std::vector<uint8_t> &data);
 
 /**
  * Write @p snap to @p path atomically (temp file + rename), so a
- * checkpoint file is always either the old complete snapshot or the
- * new one — never a torn write.
+ * snapshot file is always either the old complete snapshot or the new
+ * one — never a torn write.
  */
 void writeFile(const std::string &path, const MachineSnapshot &snap);
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 
 #include "assembler/assembler.hh"
@@ -16,6 +17,7 @@
 #include "kernels/livermore/livermore.hh"
 #include "kernels/runner.hh"
 #include "machine/sim_driver.hh"
+#include "snapshot/snapshot.hh"
 
 namespace
 {
@@ -35,9 +37,7 @@ livermoreJobs(int loops)
             machine::SimJob job;
             job.name = k.name + "/" + k.variant;
             job.program = k.program;
-            job.setup = [init = k.init](machine::Machine &m) {
-                init(m.mem());
-            };
+            job.memInit = kernels::memImage(k.init);
             jobs.push_back(std::move(job));
         }
     }
@@ -118,10 +118,7 @@ TEST(SimDriver, SetupAndBodyHooksRun)
     machine::SimJob job;
     job.name = "hooks";
     job.program = assembler::assemble("add r3, r1, r2\nhalt\n");
-    job.setup = [](machine::Machine &m) {
-        m.cpu().writeReg(1, 40);
-        m.cpu().writeReg(2, 2);
-    };
+    job.cpuRegInit = {{1, 40}, {2, 2}};
     uint64_t r3 = 0;
     job.body = [&r3](machine::Machine &m) {
         const machine::RunStats stats = m.run();
@@ -144,7 +141,7 @@ pureLivermoreJobs(int loops)
         machine::SimJob job;
         job.name = k.name + "/" + k.variant;
         job.program = k.program;
-        job.memInit = kernels::memImage(k);
+        job.memInit = kernels::memImage(k.init);
         jobs.push_back(std::move(job));
     }
     return jobs;
@@ -159,9 +156,13 @@ TEST(SimDriverMemo, UniqueJobsPartition)
     jobs.push_back(jobs[0]); // same content, different config
     jobs.back().name = "different-config";
     jobs.back().config.fpuLatency = 5;
-    jobs.push_back(jobs[0]); // same content, but impure (setup hook)
-    jobs.back().name = "impure";
-    jobs.back().setup = [](machine::Machine &) {};
+    jobs.push_back(jobs[0]); // same content, but starts from a snapshot
+    jobs.back().name = "started";
+    machine::Machine paused(jobs[0].config);
+    machine::startJob(jobs[0], paused);
+    ASSERT_EQ(paused.runUntil(100).status, machine::RunStatus::Paused);
+    jobs.back().start = std::make_shared<const snapshot::MachineSnapshot>(
+        snapshot::capture(paused));
 
     const std::vector<size_t> leader = machine::SimDriver::uniqueJobs(jobs);
     ASSERT_EQ(leader.size(), 5u);
@@ -169,15 +170,16 @@ TEST(SimDriverMemo, UniqueJobsPartition)
     EXPECT_EQ(leader[1], 1u);
     EXPECT_EQ(leader[2], 0u); // memoized onto job 0
     EXPECT_EQ(leader[3], 3u); // config differs -> unique
-    EXPECT_EQ(leader[4], 4u); // hooks disqualify memoization
+    EXPECT_EQ(leader[4], 4u); // a start snapshot disqualifies memoization
     EXPECT_TRUE(machine::isPureJob(jobs[0]));
     EXPECT_FALSE(machine::isPureJob(jobs[4]));
 }
 
 TEST(SimDriverMemo, MemoizedMatchesUnmemoized)
 {
-    // A batch full of duplicates: memoized and brute-force runs must
-    // produce identical per-job results, each under its own name.
+    // A batch full of duplicates: the memoized batch must produce the
+    // result each job gets when it simulates on its own, under its
+    // own name.
     std::vector<machine::SimJob> jobs = pureLivermoreJobs(4);
     const size_t unique = jobs.size();
     for (size_t i = 0; i < unique; ++i) {
@@ -185,15 +187,16 @@ TEST(SimDriverMemo, MemoizedMatchesUnmemoized)
         jobs.back().name = jobs[i].name + "/again";
     }
 
-    const auto memo = machine::SimDriver(2, true).run(jobs);
-    const auto brute = machine::SimDriver(2, false).run(jobs);
+    const machine::SimDriver driver(2);
+    const auto memo = driver.run(jobs);
     ASSERT_EQ(memo.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
         SCOPED_TRACE(jobs[i].name);
+        const machine::SimJobResult alone = driver.runAttempt(jobs[i]);
         EXPECT_EQ(memo[i].name, jobs[i].name);
         ASSERT_TRUE(memo[i].ok) << memo[i].error;
-        ASSERT_TRUE(brute[i].ok) << brute[i].error;
-        EXPECT_TRUE(memo[i].stats == brute[i].stats);
+        ASSERT_TRUE(alone.ok) << alone.error;
+        EXPECT_TRUE(memo[i].stats == alone.stats);
     }
 }
 
@@ -206,9 +209,12 @@ TEST(SimDriverMemo, HookedJobsAllSimulate)
     for (size_t i = 0; i < jobs.size(); ++i) {
         jobs[i].name = "hooked-" + std::to_string(i);
         jobs[i].program = assembler::assemble("add r1, r0, r0\nhalt\n");
-        jobs[i].setup = [&runs](machine::Machine &) { ++runs; };
+        jobs[i].hookFactory = [&runs](machine::Machine &) {
+            ++runs;
+            return std::shared_ptr<machine::MachineHook>();
+        };
     }
-    const auto results = machine::SimDriver(2, true).run(jobs);
+    const auto results = machine::SimDriver(2).run(jobs);
     EXPECT_EQ(runs.load(), 4);
     for (const auto &r : results)
         EXPECT_TRUE(r.ok) << r.error;
@@ -242,7 +248,7 @@ TEST(SimDriverMemo, FailingLeaderPropagatesToDuplicates)
     jobs[1] = jobs[0];
     jobs[1].name = "runs-off-b";
 
-    const auto results = machine::SimDriver(1, true).run(jobs);
+    const auto results = machine::SimDriver(1).run(jobs);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_FALSE(results[0].ok);
     EXPECT_FALSE(results[1].ok);

@@ -491,7 +491,7 @@ hazardJob(const std::string &name)
     )");
     job.config = idealMemory();
     job.config.hazardPolicy = machine::HazardPolicy::Fatal;
-    job.setup = [](machine::Machine &m) { m.cpu().writeReg(1, 0x1000); };
+    job.cpuRegInit = {{1, 0x1000}};
     return job;
 }
 
@@ -508,29 +508,32 @@ TEST(ContainmentTest, FaultExpectedJobFailsWithoutRetry)
 
 TEST(ContainmentTest, CorruptedJobFailsAloneSiblingsBitIdentical)
 {
-    // One batch: four identical clean kernel jobs and one with an
-    // injected fault, across 4 worker threads. The faulted job must
-    // fail (lockstep) while every sibling matches the reference run
-    // bit for bit.
+    // One batch: four clean kernel jobs and one with an injected
+    // fault, across 4 worker threads. The faulted job must fail
+    // (lockstep) while every sibling matches the reference run bit
+    // for bit. Each sibling's cycle guard differs (and never fires),
+    // so memoization cannot fold the siblings into one run.
     const kernels::Kernel kernel = kernels::livermore::make(3, true);
-    auto cleanJob = [&](const std::string &name) {
+    auto cleanJob = [&](const std::string &name, uint64_t guard) {
         machine::SimJob job;
         job.name = name;
         job.program = kernel.program;
         job.config = idealMemory();
-        job.memInit = kernels::memImage(kernel);
+        job.config.maxCycles = guard;
+        job.memInit = kernels::memImage(kernel.init);
         return job;
     };
 
     // Reference: one clean job, serial.
-    const machine::SimDriver serial(1, false);
+    const machine::SimDriver serial(1);
     const machine::RunStats reference =
-        serial.run({cleanJob("ref")})[0].stats;
+        serial.run({cleanJob("ref", 1'000'000)})[0].stats;
 
     std::vector<machine::SimJob> batch;
     for (int i = 0; i < 2; ++i)
-        batch.push_back(cleanJob("sibling-" + std::to_string(i)));
-    machine::SimJob faulted = cleanJob("faulted");
+        batch.push_back(
+            cleanJob("sibling-" + std::to_string(i), 1'000'001 + i));
+    machine::SimJob faulted = cleanJob("faulted", 1'000'000);
     // A quiet-memory flip guarantees a lockstep divergence (nothing
     // overwrites it before the final-state comparison).
     attachPlan(faulted,
@@ -539,9 +542,13 @@ TEST(ContainmentTest, CorruptedJobFailsAloneSiblingsBitIdentical)
                /*lockstep=*/true);
     batch.push_back(std::move(faulted));
     for (int i = 2; i < 4; ++i)
-        batch.push_back(cleanJob("sibling-" + std::to_string(i)));
+        batch.push_back(
+            cleanJob("sibling-" + std::to_string(i), 1'000'001 + i));
+    const std::vector<size_t> leader = machine::SimDriver::uniqueJobs(batch);
+    for (size_t i = 0; i < batch.size(); ++i)
+        ASSERT_EQ(leader[i], i) << batch[i].name << " would be memoized";
 
-    const machine::SimDriver pool(4, false);
+    const machine::SimDriver pool(4);
     const std::vector<machine::SimJobResult> res = pool.run(batch);
     ASSERT_EQ(res.size(), 5u);
     for (size_t i : {0u, 1u, 3u, 4u}) {
@@ -559,7 +566,7 @@ TEST(ContainmentTest, HookFactoryDisqualifiesMemoization)
     const kernels::Kernel kernel = kernels::livermore::make(1, true);
     machine::SimJob pure;
     pure.program = kernel.program;
-    pure.memInit = kernels::memImage(kernel);
+    pure.memInit = kernels::memImage(kernel.init);
     machine::SimJob hooked = pure;
     attachPlan(hooked, FaultPlan{}, false);
     EXPECT_TRUE(machine::isPureJob(pure));

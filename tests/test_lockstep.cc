@@ -99,8 +99,7 @@ TEST(Lockstep, GraphicsTransformBothVariants)
                                                     mat, p, out);
 
             machine::Machine m(job.config);
-            m.loadProgram(job.program);
-            job.setup(m);
+            machine::startJob(job, m);
             machine::LockstepChecker checker(m);
             m.addObserver(&checker);
 

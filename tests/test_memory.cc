@@ -151,7 +151,7 @@ TEST(MainMemoryPages, MemImageMatchesFullScan)
         k.init = [seed](MainMemory &m) { scribble(m, seed); };
         MainMemory reference;
         scribble(reference, seed);
-        EXPECT_EQ(kernels::memImage(k, reference.size()),
+        EXPECT_EQ(kernels::memImage(k.init, reference.size()),
                   fullScan(reference))
             << "seed " << seed;
     }

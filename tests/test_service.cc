@@ -2,8 +2,8 @@
  * @file
  * Simulation-service tests (DESIGN.md §11): JobSpec JSON round-trips
  * and resolution, the on-disk ResultCache (corruption fallback,
- * cross-restart hits, concurrent writers), the driver's
- * closure-disqualification batch log, the NDJSON wire framing, and
+ * cross-restart hits, concurrent writers, closure and start-snapshot
+ * jobs never cached), the NDJSON wire framing, and
  * the daemon end-to-end — a client thread drives a sweep over the
  * Unix socket, results come back bit-identical to in-process
  * SimDriver runs, a repeated pure job and a cycle-guard stop are
@@ -23,7 +23,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <sys/socket.h>
@@ -38,6 +38,7 @@
 #include "kernels/runner.hh"
 #include "machine/result_cache.hh"
 #include "machine/sim_driver.hh"
+#include "snapshot/snapshot.hh"
 #include "service/client.hh"
 #include "service/job_spec.hh"
 #include "service/server.hh"
@@ -338,15 +339,28 @@ TEST(ResultCache, ClosureJobsNeverStoreOrHit)
 {
     TempDir dir("cache_closure");
     machine::ResultCache cache(dir.path());
-    machine::SimJob job = countdownJob(8);
-    job.setup = [](machine::Machine &) {};
-    const machine::SimJobResult run =
-        machine::SimDriver(1).runAttempt(job);
-    ASSERT_TRUE(run.ok);
-    cache.store(job, run.stats);
+
+    // Neither a body closure nor a start snapshot is content the cache
+    // can hash, so neither job is ever stored or served.
+    machine::SimJob closured = countdownJob(8);
+    closured.body = [](machine::Machine &m) { return m.run(); };
+    machine::SimJob started = countdownJob(8);
+    machine::Machine paused(started.config);
+    machine::startJob(started, paused);
+    ASSERT_EQ(paused.runUntil(5).status, machine::RunStatus::Paused);
+    started.start = std::make_shared<const snapshot::MachineSnapshot>(
+        snapshot::capture(paused));
+
+    for (const machine::SimJob &job : {closured, started}) {
+        SCOPED_TRACE(job.start ? "start snapshot" : "body closure");
+        const machine::SimJobResult run =
+            machine::SimDriver(1).runAttempt(job);
+        ASSERT_TRUE(run.ok) << run.error;
+        cache.store(job, run.stats);
+        EXPECT_FALSE(cache.lookup(job).has_value());
+    }
     EXPECT_EQ(cache.stores(), 0u);
     EXPECT_EQ(cache.scan().entries, 0u);
-    EXPECT_FALSE(cache.lookup(job).has_value());
 }
 
 TEST(ResultCache, CorruptEntriesFallBackToRecompute)
@@ -496,52 +510,6 @@ TEST(ResultCache, ConcurrentWritersOfOneHashRaceBenignly)
     EXPECT_EQ(cache.clear(), 1u);
     EXPECT_EQ(cache.scan().entries, 0u);
     EXPECT_FALSE(cache.lookup(job).has_value());
-}
-
-TEST(SimDriver, BatchLogsClosureDisqualificationOnce)
-{
-    std::vector<std::string> informs;
-    std::mutex informsMutex;
-    setLogSink([&](LogLevel level, const std::string &,
-                   const std::string &msg) {
-        if (level == LogLevel::Info) {
-            std::lock_guard<std::mutex> lock(informsMutex);
-            informs.push_back(msg);
-        }
-    });
-
-    std::vector<machine::SimJob> jobs;
-    jobs.push_back(countdownJob(4));
-    for (int i = 0; i < 2; ++i) {
-        machine::SimJob closured = countdownJob(5 + i);
-        closured.setup = [](machine::Machine &) {};
-        jobs.push_back(std::move(closured));
-    }
-    machine::SimDriver(2).run(jobs);
-    setLogSink(nullptr);
-
-    size_t mentions = 0;
-    for (const std::string &msg : informs)
-        if (msg.find("disqualified from memoization") !=
-            std::string::npos) {
-            ++mentions;
-            EXPECT_NE(msg.find("2 of 3"), std::string::npos) << msg;
-        }
-    EXPECT_EQ(mentions, 1u);
-
-    // An all-pure batch stays quiet.
-    informs.clear();
-    setLogSink([&](LogLevel level, const std::string &,
-                   const std::string &msg) {
-        if (level == LogLevel::Info) {
-            std::lock_guard<std::mutex> lock(informsMutex);
-            informs.push_back(msg);
-        }
-    });
-    machine::SimDriver(2).run({countdownJob(4), countdownJob(6)});
-    setLogSink(nullptr);
-    for (const std::string &msg : informs)
-        EXPECT_EQ(msg.find("disqualified"), std::string::npos) << msg;
 }
 
 // ----------------------------------------------------------------- wire
@@ -772,6 +740,13 @@ TEST(SimServer, QuarantinesFaultingJobWhileSweepCompletes)
     EXPECT_TRUE(parsed.has("spec"));
     EXPECT_EQ(parsed.at("error").at("code").asString(), "pc-runaway");
     EXPECT_FALSE(parsed.at("error").at("cycle").isNull());
+
+    // The client's result carries the same structured error.
+    ASSERT_FALSE(bad.errorJson.empty());
+    const json::Value clientError = json::parse(bad.errorJson);
+    EXPECT_EQ(clientError.at("code").asString(), "pc-runaway");
+    EXPECT_EQ(clientError.at("cycle").asInt(),
+              parsed.at("error").at("cycle").asInt());
     const std::string replayOut = dir.file("replay.out");
     const int status =
         std::system((std::string(MTFPU_REPLAY_PATH) + " --tail=0 " +

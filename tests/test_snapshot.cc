@@ -4,11 +4,11 @@
  * every class of damage (corruption, truncation, version skew, config
  * mismatch); a mid-run capture/restore continues bit-identically to
  * the uninterrupted run for every benchmark kernel under both softfp
- * backends; the SimDriver checkpoint path demonstrably resumes from a
- * seeded checkpoint and falls back cleanly from a torn one; the fault
- * campaign's snapshot-fork and journal-resume modes classify exactly
- * like the from-scratch sweep; and a committed golden snapshot pins
- * the on-disk format (any layout change must bump kFormatVersion).
+ * backends; a SimJob that starts from a mid-run snapshot ends like
+ * the uninterrupted run; the fault campaign's snapshot-fork and
+ * journal-resume modes classify exactly like the from-scratch sweep;
+ * and a committed golden snapshot pins the on-disk format (any layout
+ * change must bump kFormatVersion).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -549,17 +550,12 @@ TEST(SnapshotContainer, WriteFileReadFileRoundTrip)
  * RunStats and complete final machine state (memory included).
  */
 void
-expectMidRunRoundTrip(const std::string &label,
-                      const assembler::Program &program,
-                      const std::function<void(machine::Machine &)> &setup,
-                      const machine::MachineConfig &cfg)
+expectMidRunRoundTrip(const std::string &label, const machine::SimJob &job)
 {
     SCOPED_TRACE(label);
 
-    machine::Machine a(cfg);
-    a.loadProgram(program);
-    if (setup)
-        setup(a);
+    machine::Machine a(job.config);
+    machine::startJob(job, a);
     const machine::RunStats ref = a.run();
     ASSERT_EQ(ref.status, machine::RunStatus::Ok);
     ASSERT_GT(ref.cycles, 0u);
@@ -571,17 +567,15 @@ expectMidRunRoundTrip(const std::string &label,
         h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ull;
     const uint64_t stop = 1 + h % ref.cycles;
 
-    machine::Machine b(cfg);
-    b.loadProgram(program);
-    if (setup)
-        setup(b);
+    machine::Machine b(job.config);
+    machine::startJob(job, b);
     ASSERT_EQ(b.runUntil(stop).status, machine::RunStatus::Paused);
 
     const std::vector<uint8_t> bytes =
         snapshot::serialize(snapshot::capture(b));
     const snapshot::MachineSnapshot snap = snapshot::deserialize(bytes);
 
-    machine::Machine c(cfg);
+    machine::Machine c(job.config);
     snapshot::restore(c, snap);
     const machine::RunStats done = c.run();
 
@@ -602,21 +596,19 @@ kernelRoundTrips(softfp::Backend backend)
     suite.push_back(kernels::linpack::make(true, 20));
 
     for (const kernels::Kernel &k : suite) {
-        expectMidRunRoundTrip(
-            k.name + "/" + k.variant, k.program,
-            [init = k.init](machine::Machine &m) { init(m.mem()); }, cfg);
+        expectMidRunRoundTrip(k.name + "/" + k.variant,
+                              kernels::pureKernelJob(k, cfg));
     }
 
-    // The §3.1 graphics transform (register-seeded setup, not just
-    // memory): reuse the batch job's setup closure verbatim.
+    // The §3.1 graphics transform (registers seeded too, not just
+    // memory): reuse the batch job's start image verbatim.
     const std::array<double, 16> matrix{2, 0, 0, 1, 0, 3, 0, 2,
                                         0, 0, 4, 3, 0, 0, 0, 1};
     const std::array<double, 4> point{1, 2, 3, 1};
     kernels::graphics::TransformResult out;
-    const machine::SimJob job = kernels::graphics::makeTransformJob(
-        cfg, true, matrix, point, out);
-    expectMidRunRoundTrip("graphics/transform", job.program, job.setup,
-                          cfg);
+    expectMidRunRoundTrip("graphics/transform",
+                          kernels::graphics::makeTransformJob(
+                              cfg, true, matrix, point, out));
 }
 
 TEST(SnapshotKernels, MidRunRoundTripHostBackend)
@@ -631,8 +623,8 @@ TEST(SnapshotKernels, MidRunRoundTripSoftBackend)
 
 TEST(SnapshotKernels, ChunkedRunMatchesUninterrupted)
 {
-    // Many small runUntil slices (the checkpoint loop's shape) end in
-    // the same stats as one uninterrupted run.
+    // Many small runUntil slices end in the same stats as one
+    // uninterrupted run.
     const kernels::Kernel k = kernels::livermore::make(3, true);
     const machine::MachineConfig cfg;
 
@@ -700,115 +692,32 @@ TEST(SnapshotInterpreter, MidRunRoundTrip)
         EXPECT_EQ(c.fpReg(r), a.fpReg(r)) << "f" << r;
 }
 
-/**
- * A program whose cycle count depends on a memory flag it reads only
- * after a long delay loop: mem[512] == 0 halts immediately, nonzero
- * runs a second loop. A checkpoint seeded with the flag set proves
- * the driver really resumed from the file — a fresh run cannot tell.
- */
-machine::SimJob
-flagJob()
+TEST(SnapshotStart, MidRunStartMatchesUninterrupted)
 {
-    machine::SimJob job;
-    job.name = "checkpoint-flag";
-    job.program = assembler::assemble(R"(
-            li   r2, 400
-    spin:   subi r2, r2, 1
-            bne  r2, r0, spin
-            nop
-            ld   r1, 512(r0)
-            nop
-            beq  r1, r0, done
-            nop
-            li   r3, 200
-    more:   subi r3, r3, 1
-            bne  r3, r0, more
-            nop
-    done:   halt
-    )");
-    return job;
-}
-
-TEST(SimDriverCheckpoint, ResumesFromSeededCheckpoint)
-{
-    const std::string dir = scratchDir("ck-seeded");
-    const machine::SimJob job = flagJob();
-
-    // Reference: a fresh run sees flag == 0 and halts early.
-    const auto fresh =
-        machine::SimDriver(1).run(std::vector<machine::SimJob>{job});
-    ASSERT_TRUE(fresh[0].ok) << fresh[0].error;
-    const uint64_t freshCycles = fresh[0].stats.cycles;
-
-    // Seed a checkpoint paused inside the delay loop, with the flag
-    // raised only in the checkpoint's memory image.
-    machine::Machine m(job.config);
-    m.loadProgram(job.program);
-    ASSERT_EQ(m.runUntil(30).status, machine::RunStatus::Paused);
-    m.mem().write64(512, 1);
-    const std::string path =
-        dir + "/" + machine::SimDriver::checkpointFileName(job);
-    snapshot::writeFile(path, snapshot::capture(m));
-
-    machine::SimDriver driver(1);
-    driver.setCheckpoint(dir, 1u << 20);
-    const auto resumed =
-        driver.run(std::vector<machine::SimJob>{job});
-    ASSERT_TRUE(resumed[0].ok) << resumed[0].error;
-    // The raised flag is only visible if the run restored the file.
-    EXPECT_GT(resumed[0].stats.cycles, freshCycles);
-    // A finished job deletes its checkpoint.
-    EXPECT_FALSE(std::filesystem::exists(path));
-}
-
-TEST(SimDriverCheckpoint, TornCheckpointFallsBackToFreshRun)
-{
-    const std::string dir = scratchDir("ck-torn");
-    const machine::SimJob job = flagJob();
-    const auto fresh =
-        machine::SimDriver(1).run(std::vector<machine::SimJob>{job});
-    ASSERT_TRUE(fresh[0].ok) << fresh[0].error;
-
-    const std::string path =
-        dir + "/" + machine::SimDriver::checkpointFileName(job);
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("this is not a snapshot", f);
-    std::fclose(f);
-
-    machine::SimDriver driver(1);
-    driver.setCheckpoint(dir, 1u << 20);
-    const auto resumed =
-        driver.run(std::vector<machine::SimJob>{job});
-    ASSERT_TRUE(resumed[0].ok) << resumed[0].error;
-    EXPECT_TRUE(resumed[0].stats == fresh[0].stats);
-    EXPECT_FALSE(std::filesystem::exists(path));
-}
-
-TEST(SimDriverCheckpoint, CheckpointedRunIsBitIdentical)
-{
-    // A short interval forces many save/pause/resume slices within
-    // one run; the result must not change, and no file survives.
-    const std::string dir = scratchDir("ck-slices");
+    // A job whose start is a mid-run snapshot of a pure job ends with
+    // the uninterrupted run's RunStats — and is never pure itself.
     const kernels::Kernel k = kernels::livermore::make(1, false);
-    machine::SimJob job;
-    job.name = k.name;
-    job.program = k.program;
-    job.memInit = kernels::memImage(k);
-    ASSERT_TRUE(machine::isPureJob(job));
+    const machine::SimJob pure =
+        kernels::pureKernelJob(k, machine::MachineConfig{});
+    ASSERT_TRUE(machine::isPureJob(pure));
+    const machine::SimDriver driver(1);
+    const machine::SimJobResult whole = driver.runAttempt(pure);
+    ASSERT_TRUE(whole.ok) << whole.error;
 
-    const auto plain =
-        machine::SimDriver(1).run(std::vector<machine::SimJob>{job});
-    machine::SimDriver driver(1);
-    driver.setCheckpoint(dir, 300);
-    const auto sliced =
-        driver.run(std::vector<machine::SimJob>{job});
+    machine::Machine m(pure.config);
+    machine::startJob(pure, m);
+    ASSERT_EQ(m.runUntil(whole.stats.cycles / 2).status,
+              machine::RunStatus::Paused);
+    machine::SimJob resumed;
+    resumed.name = "resumed";
+    resumed.config = pure.config;
+    resumed.start = std::make_shared<const snapshot::MachineSnapshot>(
+        snapshot::capture(m));
+    EXPECT_FALSE(machine::isPureJob(resumed));
 
-    ASSERT_TRUE(plain[0].ok) << plain[0].error;
-    ASSERT_TRUE(sliced[0].ok) << sliced[0].error;
-    EXPECT_TRUE(sliced[0].stats == plain[0].stats);
-    EXPECT_FALSE(std::filesystem::exists(
-        dir + "/" + machine::SimDriver::checkpointFileName(job)));
+    const machine::SimJobResult rest = driver.runAttempt(resumed);
+    ASSERT_TRUE(rest.ok) << rest.error;
+    EXPECT_TRUE(rest.stats == whole.stats);
 }
 
 /** Small campaign shared by the fork and journal tests. */
@@ -1011,7 +920,7 @@ TEST(SnapshotGolden, CommittedFormatIsStable)
 
     // Byte-for-byte: today's serializer must reproduce the committed
     // file exactly, so any layout drift fails here instead of in a
-    // user's checkpoint directory.
+    // user's saved snapshot.
     const snapshot::MachineSnapshot golden = snapshot::readFile(path);
     EXPECT_EQ(snapshot::serialize(golden),
               snapshot::serialize(snapshot::capture(m)));
