@@ -316,15 +316,12 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(h.done),
                         static_cast<unsigned long long>(h.cancelled),
                         static_cast<unsigned long long>(h.deadlineShed));
-            if (h.isolated)
-                std::printf("pool_slots=%llu pool_busy=%llu "
-                            "worker_crashes=%llu worker_respawns=%llu\n",
-                            static_cast<unsigned long long>(h.poolSlots),
-                            static_cast<unsigned long long>(h.poolBusy),
-                            static_cast<unsigned long long>(
-                                h.workerCrashes),
-                            static_cast<unsigned long long>(
-                                h.workerRespawns));
+            std::printf("pool_slots=%llu pool_busy=%llu "
+                        "worker_crashes=%llu worker_respawns=%llu\n",
+                        static_cast<unsigned long long>(h.poolSlots),
+                        static_cast<unsigned long long>(h.poolBusy),
+                        static_cast<unsigned long long>(h.workerCrashes),
+                        static_cast<unsigned long long>(h.workerRespawns));
             if (h.cacheEnabled)
                 std::printf("cache_hits=%llu cache_misses=%llu "
                             "cache_hit_rate=%.3f\n",
@@ -372,17 +369,13 @@ main(int argc, char **argv)
                                 response.at("done").asUint()),
                             static_cast<unsigned long long>(
                                 response.at("cancelled").asUint()));
-                if (response.has("isolated")) {
-                    std::printf(
-                        "isolated=%s draining=%s worker_crashes=%llu "
-                        "worker_respawns=%llu\n",
-                        response.at("isolated").asBool() ? "yes" : "no",
-                        response.at("draining").asBool() ? "yes" : "no",
-                        static_cast<unsigned long long>(
-                            response.at("worker_crashes").asUint()),
-                        static_cast<unsigned long long>(
-                            response.at("worker_respawns").asUint()));
-                }
+                std::printf(
+                    "draining=%s worker_crashes=%llu worker_respawns=%llu\n",
+                    response.at("draining").asBool() ? "yes" : "no",
+                    static_cast<unsigned long long>(
+                        response.at("worker_crashes").asUint()),
+                    static_cast<unsigned long long>(
+                        response.at("worker_respawns").asUint()));
                 return 0;
             }
             std::printf("%s\n",

@@ -9,10 +9,12 @@
  *     carries the job's JobSpec: the replay resolves it, so a fault
  *     plan re-attaches, because it is data;
  *   - a fuzzer crash bundle names a sibling .snap snapshot of the
- *     pre-run state, which becomes the replayed job's start snapshot.
+ *     pre-run state, which becomes the replayed job's start state; its
+ *     shadow bytes are empty, so the lockstep shadow arms fresh.
  *
  * Either way the replay builds a SimJob and starts it through
- * machine::startJob, the path every other run takes.
+ * machine::startJob, the path every other run takes, which also
+ * attaches the lockstep shadow the report asks for.
  *
  * Because a Machine is a closed deterministic system, a genuine
  * simulator failure reproduces exactly — and the trace tail around
@@ -41,7 +43,6 @@
 
 #include "common/json.hh"
 #include "common/log.hh"
-#include "machine/lockstep.hh"
 #include "machine/machine.hh"
 #include "machine/sim_job.hh"
 #include "machine/stats.hh"
@@ -183,18 +184,17 @@ main(int argc, char **argv)
         if (spec) {
             job = spec->resolve();
         } else {
-            auto snap = std::make_shared<snapshot::MachineSnapshot>(
-                snapshot::readFile(snapPath));
-            job.config = snap->config;
-            job.start = std::move(snap);
+            auto start = std::make_shared<machine::JobStart>();
+            start->machine = snapshot::readFile(snapPath);
+            job.config = start->machine.config;
+            job.start = std::move(start);
         }
+        job.lockstep = job.lockstep || lockstep;
         machine::Machine m(job.config);
-        const std::shared_ptr<machine::MachineHook> hook =
+        const machine::JobInstruments instruments =
             machine::startJob(job, m);
-        machine::LockstepChecker checker(m);
         if (lockstep) {
-            checker.interpreter().setMutation(mutation);
-            m.addObserver(&checker);
+            instruments.shadow->interpreter().setMutation(mutation);
             std::printf("  lockstep shadow attached%s%s\n",
                         mutation == machine::SemanticsMutation::None
                             ? ""

@@ -86,7 +86,7 @@ main(int argc, char **argv)
         machine::Machine m(cfg);
         machine::Tracer tracer;
         if (trace)
-            m.attachTracer(&tracer);
+            m.addObserver(&tracer);
         m.loadProgram(prog);
         for (const RegInit &r : inits) {
             if (r.fp)

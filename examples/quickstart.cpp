@@ -37,7 +37,7 @@ main()
 
     machine::Machine m;               // the paper's configuration
     machine::Tracer tracer;           // optional: cycle-level trace
-    m.attachTracer(&tracer);
+    m.addObserver(&tracer);
     m.loadProgram(assembler::assemble(source));
 
     // Architectural state is directly accessible.

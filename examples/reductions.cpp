@@ -26,7 +26,7 @@ demo(const char *title, const char *source,
     cfg.memory.modelCaches = false;
     machine::Machine m(cfg);
     machine::Tracer tracer;
-    m.attachTracer(&tracer);
+    m.addObserver(&tracer);
     m.loadProgram(assembler::assemble(source));
     setup(m);
     const machine::RunStats stats = m.run();

@@ -13,7 +13,6 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/table.hh"
-#include "faults/fault_injector.hh"
 #include "kernels/runner.hh"
 #include "machine/lockstep.hh"
 #include "snapshot/snapshot.hh"
@@ -23,26 +22,6 @@ namespace mtfpu::faults
 
 namespace
 {
-
-/**
- * The hook a plan attaches: the injector itself plus (optionally) a
- * lockstep checker whose lifetime it carries — the driver keeps the
- * hook alive for exactly the duration of the job, which is also the
- * window the checker's Machine reference is valid for.
- */
-struct PlanHook : machine::MachineHook
-{
-    explicit PlanHook(FaultPlan plan) : injector(std::move(plan)) {}
-
-    void
-    onCycleStart(uint64_t cycle, machine::Machine &m) override
-    {
-        injector.onCycleStart(cycle, m);
-    }
-
-    FaultInjector injector;
-    std::unique_ptr<machine::LockstepChecker> checker;
-};
 
 /** Bit-exact double comparison (NaN-safe, unlike operator==). */
 bool
@@ -101,35 +80,22 @@ classifyTrial(FaultTrial &trial, const machine::SimJobResult &r,
     }
 }
 
-/** A paused reference run at one injection cycle: the machine state
- *  plus the lockstep checker's own stream (empty if lockstep is off). */
-struct ForkPoint
-{
-    snapshot::MachineSnapshot machine;
-    std::vector<uint8_t> checker;
-};
-
 /**
  * Run one reference machine to each distinct injection cycle of a
- * kernel's trial sweep and capture a fork point at each pause. The
+ * kernel's trial sweep and capture a start state at each pause. The
  * reference starts like a from-scratch trial (@p base: the kernel
- * under the *trial* configuration, which snapshot restore requires)
- * with the same lockstep shadow the trials use, so a trial started
- * from a fork point is indistinguishable from one that simulated the
- * prefix itself.
+ * under the *trial* configuration, which snapshot restore requires,
+ * with the trials' lockstep setting), so a trial started from a fork
+ * point is indistinguishable from one that simulated the prefix
+ * itself.
  */
-std::shared_ptr<std::map<uint64_t, ForkPoint>>
+std::shared_ptr<std::map<uint64_t, machine::JobStart>>
 captureForkPoints(const machine::SimJob &base,
-                  const std::set<uint64_t> &cycles, bool lockstep)
+                  const std::set<uint64_t> &cycles)
 {
-    auto forks = std::make_shared<std::map<uint64_t, ForkPoint>>();
+    auto forks = std::make_shared<std::map<uint64_t, machine::JobStart>>();
     machine::Machine ref(base.config);
-    machine::startJob(base, ref);
-    std::unique_ptr<machine::LockstepChecker> checker;
-    if (lockstep) {
-        checker = std::make_unique<machine::LockstepChecker>(ref);
-        ref.addObserver(checker.get());
-    }
+    const machine::JobInstruments instruments = machine::startJob(base, ref);
     for (const uint64_t c : cycles) { // std::set iterates ascending
         const machine::RunStats st = ref.runUntil(c);
         if (st.status != machine::RunStatus::Paused) {
@@ -137,34 +103,18 @@ captureForkPoints(const machine::SimJob &base,
                   " ended (" + machine::runStatusName(st.status) +
                   ") before injection cycle " + std::to_string(c));
         }
-        ForkPoint fp;
-        fp.machine = snapshot::capture(ref);
-        if (checker) {
+        machine::JobStart &fork = (*forks)[c];
+        fork.machine = snapshot::capture(ref);
+        if (instruments.shadow) {
             ByteWriter out;
-            checker->saveState(out);
-            fp.checker = out.take();
+            instruments.shadow->saveState(out);
+            fork.shadow = out.take();
         }
-        (*forks)[c] = std::move(fp);
     }
     return forks;
 }
 
 } // anonymous namespace
-
-void
-attachPlan(machine::SimJob &job, FaultPlan plan, bool lockstep)
-{
-    job.faultExpected = !plan.empty();
-    job.hookFactory = [plan = std::move(plan),
-                       lockstep](machine::Machine &m) {
-        auto hook = std::make_shared<PlanHook>(plan);
-        if (lockstep) {
-            hook->checker = std::make_unique<machine::LockstepChecker>(m);
-            m.addObserver(hook->checker.get());
-        }
-        return std::shared_ptr<machine::MachineHook>(std::move(hook));
-    };
-}
 
 uint64_t
 campaignTrialSeed(uint64_t base, size_t kernel_index, unsigned trial)
@@ -280,26 +230,27 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
 
     // Phase 1: one golden run per kernel pins the fault-free checksum
     // and cycle count (the latter bounds trial fault cycles and sizes
-    // the runaway guard).
+    // the runaway guard). Each golden job's memory image is built
+    // once and moves on to the kernel's trials.
     const size_t nk = kernel_list.size();
     std::vector<double> goldenSums(nk, 0.0);
+    std::vector<machine::SimJob> golden(nk);
+    for (size_t k = 0; k < nk; ++k) {
+        const kernels::Kernel &kernel = kernel_list[k];
+        golden[k].name = kernel.name + "-golden";
+        golden[k].program = kernel.program;
+        golden[k].config = config.machine;
+        golden[k].memInit =
+            kernels::memImage(kernel.init, config.machine.memory.memBytes);
+        double *slot = &goldenSums[k];
+        golden[k].body = [checksum = kernel.checksum,
+                          slot](machine::Machine &m) {
+            machine::RunStats stats = m.run();
+            *slot = checksum(m.mem());
+            return stats;
+        };
+    }
     {
-        std::vector<machine::SimJob> golden(nk);
-        for (size_t k = 0; k < nk; ++k) {
-            const kernels::Kernel &kernel = kernel_list[k];
-            golden[k].name = kernel.name + "-golden";
-            golden[k].program = kernel.program;
-            golden[k].config = config.machine;
-            golden[k].memInit = kernels::memImage(
-                kernel.init, config.machine.memory.memBytes);
-            double *slot = &goldenSums[k];
-            golden[k].body = [checksum = kernel.checksum,
-                              slot](machine::Machine &m) {
-                machine::RunStats stats = m.run();
-                *slot = checksum(m.mem());
-                return stats;
-            };
-        }
         std::vector<machine::SimJobResult> res = driver.run(golden);
         for (size_t k = 0; k < nk; ++k) {
             if (!res[k].ok) {
@@ -346,37 +297,27 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
     std::vector<double> sums(total, 0.0);
     for (size_t k = 0; k < nk; ++k) {
         const kernels::Kernel &kernel = kernel_list[k];
-        // A from-scratch trial starts from the kernel's image under
-        // the trial configuration.
-        machine::SimJob base;
+        // A from-scratch trial starts from the golden job under the
+        // trial configuration.
+        machine::SimJob base = std::move(golden[k]);
         base.name = kernel.name;
-        base.program = kernel.program;
-        base.config = config.machine;
+        base.body = nullptr;
         base.config.maxCycles =
             result.goldenCycles[k] * config.guardFactor + 10000;
-        base.memInit =
-            kernels::memImage(kernel.init, base.config.memory.memBytes);
+        base.lockstep = config.lockstep;
 
         // Gather this kernel's pending trials first: fork mode needs
         // the set of injection cycles before any job can be built.
-        struct Pending
-        {
-            size_t trial;
-            FaultPlan plan;
-        };
-        std::vector<Pending> pending;
+        std::vector<size_t> pending; // indices of trials to simulate
         std::set<uint64_t> forkCycles;
         for (unsigned i = 0; i < config.faultsPerKernel; ++i) {
-            const uint64_t seed = trialSeed(config.seed, k, i);
-            FaultPlan plan =
-                FaultPlan::randomSingle(seed, result.goldenCycles[k]);
-
             FaultTrial trial;
             trial.kernel = kernel.name;
-            trial.seed = seed;
-            trial.plan = plan;
+            trial.seed = trialSeed(config.seed, k, i);
+            trial.plan =
+                FaultPlan::randomSingle(trial.seed, result.goldenCycles[k]);
 
-            const auto it = already.find(trialKey(kernel.name, seed));
+            const auto it = already.find(trialKey(kernel.name, trial.seed));
             if (it != already.end()) {
                 trial.outcome = it->second.outcome;
                 trial.errorCode = it->second.errorCode;
@@ -384,18 +325,18 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
                 trials.push_back(std::move(trial));
                 continue;
             }
+            if (config.fork && !trial.plan.empty())
+                forkCycles.insert(trial.plan.faults().front().cycle);
             trials.push_back(std::move(trial));
-            if (config.fork && !plan.empty())
-                forkCycles.insert(plan.faults().front().cycle);
-            pending.push_back({trials.size() - 1, std::move(plan)});
+            pending.push_back(trials.size() - 1);
         }
 
-        std::shared_ptr<std::map<uint64_t, ForkPoint>> forks;
+        std::shared_ptr<std::map<uint64_t, machine::JobStart>> forks;
         if (config.fork && !forkCycles.empty())
-            forks = captureForkPoints(base, forkCycles, config.lockstep);
+            forks = captureForkPoints(base, forkCycles);
 
-        for (Pending &p : pending) {
-            const FaultTrial &trial = trials[p.trial];
+        for (const size_t t : pending) {
+            const FaultTrial &trial = trials[t];
             machine::SimJob job;
             job.name = kernel.name + "-fault-" + std::to_string(trial.seed);
             job.config = base.config;
@@ -406,40 +347,19 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
                 *slot = checksum(m.mem());
                 return stats;
             };
-            if (forks && !p.plan.empty()) {
-                // Fork mode: start from the paired machine + checker
-                // snapshot instead of simulating the prefix. startJob
-                // restores the machine before it calls hookFactory,
-                // so the program is in place when the checker reloads
-                // it. Both aliases share ownership of the fork map.
-                const ForkPoint &fork =
-                    forks->at(p.plan.faults().front().cycle);
-                job.start = std::shared_ptr<const snapshot::MachineSnapshot>(
-                    forks, &fork.machine);
-                std::shared_ptr<const std::vector<uint8_t>> checker(
-                    forks, &fork.checker);
-                job.faultExpected = true;
-                job.hookFactory = [plan = std::move(p.plan),
-                                   checker = std::move(checker),
-                                   lockstep =
-                                       config.lockstep](machine::Machine &m) {
-                    auto hook = std::make_shared<PlanHook>(plan);
-                    if (lockstep) {
-                        hook->checker =
-                            std::make_unique<machine::LockstepChecker>(m);
-                        ByteReader in(*checker);
-                        hook->checker->restoreState(in);
-                        m.addObserver(hook->checker.get());
-                    }
-                    return std::shared_ptr<machine::MachineHook>(
-                        std::move(hook));
-                };
+            if (forks && !trial.plan.empty()) {
+                // Fork mode: start from the paired machine + shadow
+                // state instead of simulating the prefix. The alias
+                // shares ownership of the fork map.
+                job.start = std::shared_ptr<const machine::JobStart>(
+                    forks, &forks->at(trial.plan.faults().front().cycle));
             } else {
                 job.program = base.program;
                 job.memInit = base.memInit;
-                attachPlan(job, std::move(p.plan), config.lockstep);
             }
-            jobTrial.push_back(p.trial);
+            job.faultPlan = trial.plan;
+            job.lockstep = base.lockstep;
+            jobTrial.push_back(t);
             jobs.push_back(std::move(job));
         }
     }

@@ -16,12 +16,13 @@
  *     that reaches the output also diverges from the shadow), which
  *     is exactly what the CI smoke job asserts.
  *
- * attachPlan() is the bridge into the batch driver: it wires a
- * FaultPlan into a machine::SimJob via the hookFactory surface, so
- * the SimDriver itself stays fault-agnostic. A snapshot-forked trial
- * (CampaignConfig::fork) is a SimJob too: its start snapshot aliases
- * the campaign's fork point, so it carries no memory image and
- * simulates only from its injection cycle.
+ * Every trial is a machine::SimJob whose fault plan and lockstep flag
+ * are data (SimJob::faultPlan, SimJob::lockstep): machine::startJob
+ * builds the injector and the shadow, so the SimDriver itself stays
+ * fault-agnostic. A snapshot-forked trial (CampaignConfig::fork)
+ * starts from a JobStart that aliases the campaign's fork point, so
+ * it carries no memory image and simulates only from its injection
+ * cycle.
  */
 
 #ifndef MTFPU_FAULTS_CAMPAIGN_HH
@@ -37,17 +38,6 @@
 
 namespace mtfpu::faults
 {
-
-/**
- * Wire @p plan into @p job: installs a hookFactory building a
- * FaultInjector (plus, when @p lockstep, a LockstepChecker observer
- * sharing its lifetime) and flags the job faultExpected so the
- * daemon's worker pool treats failure as a normal outcome (one
- * attempt, no quarantine). An empty plan still attaches
- * (useful for golden runs under identical instrumentation) but leaves
- * faultExpected false.
- */
-void attachPlan(machine::SimJob &job, FaultPlan plan, bool lockstep);
 
 /** Outcome class of one fault-injection trial. */
 enum class FaultOutcome : uint8_t
@@ -132,11 +122,12 @@ struct CampaignConfig
      * Snapshot-fork the shared golden prefix: one reference machine
      * per kernel runs under the trial configuration (lockstep shadow
      * attached), pausing at each distinct injection cycle to capture
-     * a paired machine + checker snapshot; each trial then starts
-     * from its fork point (SimJob::start) and simulates only from its
-     * injection cycle onward. Classification is bit-identical to the from-scratch
-     * sweep — the injector is stateless before its fault fires, so
-     * the forked prefix and the full run agree exactly.
+     * a paired machine + shadow state (machine::JobStart); each
+     * trial then starts from its fork point (SimJob::start) and
+     * simulates only from its injection cycle onward. Classification
+     * is bit-identical to the from-scratch sweep — the injector is
+     * stateless before its fault fires, so the forked prefix and the
+     * full run agree exactly.
      */
     bool fork = false;
 };

@@ -37,7 +37,7 @@ Fpu::tryIssueElementSlow()
     ElementEvent event;
 
     const uint64_t seq = ir_.currentSeq();
-    ElementIssue element;
+    ElementIssue element{};
     switch (ir_.tryIssue(sb_, element)) {
       case IssueStall::SourceBusy:
         ++stats_.sourceStallCycles;

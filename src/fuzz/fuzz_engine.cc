@@ -12,6 +12,7 @@
 #include "fuzz/corpus.hh"
 #include "fuzz/minimizer.hh"
 #include "machine/machine.hh"
+#include "machine/sim_job.hh"
 
 namespace mtfpu::fuzz
 {
@@ -114,21 +115,23 @@ runLockstep(const FuzzProgram &prog, softfp::Backend backend,
             uint64_t max_cycles, size_t mem_bytes, CoverageObserver *cov,
             snapshot::MachineSnapshot *pre)
 {
-    machine::Machine m(trialConfig(backend, max_cycles, mem_bytes));
-    m.loadProgram(assembler::Program{prog.code, {}});
-    for (const auto &[addr, word] : prog.memInit)
-        m.mem().write64(addr, word);
-
-    // The crash-bundle snapshot is post-setup, pre-run, pre-observer:
-    // exactly the state bench/replay restores before re-running.
-    if (pre)
-        *pre = snapshot::capture(m);
-
-    machine::LockstepChecker checker(m);
+    machine::SimJob job;
+    job.program.code = prog.code;
+    job.config = trialConfig(backend, max_cycles, mem_bytes);
+    job.memInit = prog.memInit;
+    job.lockstep = true;
+    machine::Machine m(job.config);
+    const machine::JobInstruments instruments = machine::startJob(job, m);
+    machine::LockstepChecker &checker = *instruments.shadow;
     checker.interpreter().setMutation(shadow_mutation);
-    m.addObserver(&checker);
     if (cov)
         m.addObserver(cov);
+
+    // The crash-bundle snapshot is post-setup and pre-run: exactly
+    // the state bench/replay restores before re-running, where the
+    // shadow arms fresh at the first cycle as it does here.
+    if (pre)
+        *pre = snapshot::capture(m);
 
     BackendOutcome out;
     try {

@@ -105,10 +105,6 @@ class Interpreter
      *  already be loaded. */
     void visit(Archive &ar);
 
-    /** visit() as bytes, for callers outside the state code. */
-    void saveState(ByteWriter &out) const { Archive::save(out, *this); }
-    void restoreState(ByteReader &in) { Archive::load(in, *this); }
-
   private:
     assembler::Program program_;
     memory::MainMemory mem_;

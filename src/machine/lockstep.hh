@@ -82,7 +82,8 @@ class LockstepChecker : public exec::ExecObserver
      * Bind to @p machine (which must outlive the checker). Attach
      * with machine.addObserver(&checker); the checker snapshots the
      * program and memory image at the first active cycle of each run,
-     * so attach before run() and after memory setup.
+     * so attach before run() and after memory setup. machine::startJob
+     * does both for a job with SimJob::lockstep set.
      */
     explicit LockstepChecker(Machine &machine);
 

@@ -109,16 +109,6 @@ Machine::removeObserver(exec::ExecObserver *observer)
     hasObservers_ = !observers_.empty();
 }
 
-void
-Machine::attachTracer(Tracer *tracer)
-{
-    if (tracer_)
-        removeObserver(tracer_);
-    tracer_ = tracer;
-    if (tracer_)
-        addObserver(tracer_);
-}
-
 // Event fan-out. The built-in StatsCollector is a direct (devirtualized)
 // call; the registered-observer loops are skipped outright through the
 // cached hasObservers_ flag, so an unobserved simulation pays nothing

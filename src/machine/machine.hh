@@ -107,13 +107,6 @@ class Machine
     void removeObserver(exec::ExecObserver *observer);
 
     /**
-     * Convenience wrapper from the pre-observer interface: attach a
-     * trace sink (or detach the current one with nullptr). Equivalent
-     * to add/removeObserver on the Tracer.
-     */
-    void attachTracer(Tracer *tracer);
-
-    /**
      * Install the mutating per-cycle hook (nullptr detaches). Unlike
      * observers the hook may change machine state — fault injectors
      * use it to flip register/memory/cache bits at scheduled cycles.
@@ -225,7 +218,6 @@ class Machine
     StatsCollector collector_;
     std::vector<exec::ExecObserver *> observers_;
     bool hasObservers_ = false; // cached !observers_.empty()
-    Tracer *tracer_ = nullptr;  // attachTracer bookkeeping only
     MachineHook *hook_ = nullptr;
 
     // Per-run microarchitectural state.

@@ -80,7 +80,7 @@ class ResultCache
 {
   public:
     /** Entry format version; bump on any layout change. */
-    static constexpr uint32_t kFormatVersion = 1;
+    static constexpr uint32_t kFormatVersion = 2;
 
     /**
      * @param dir Cache directory (created on first store). One cache

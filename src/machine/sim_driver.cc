@@ -64,7 +64,7 @@ SimDriver::runAttempt(const SimJob &job) const
     result.attempts = 1;
     try {
         Machine machine(job.config);
-        const std::shared_ptr<MachineHook> hook = startJob(job, machine);
+        const JobInstruments instruments = startJob(job, machine);
         result.stats = job.body ? job.body(machine) : machine.run();
         result.status = result.stats.status;
         // A guarded partial run keeps its stats but does not count as

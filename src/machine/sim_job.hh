@@ -3,27 +3,29 @@
  * The batch/service job description layer, split out of the SimDriver
  * (which keeps only scheduling policy). A SimJob names everything one
  * independent simulation needs; the driver, the on-disk result cache,
- * the simulation service's workers, crash replay and the fault
- * campaign's fork trials all consume this one description, and all of
- * them build a job's first machine state through startJob().
+ * the simulation service's workers, crash replay, the fuzzer and the
+ * fault campaign all consume this one description, and all of them
+ * build a job's first machine state through startJob().
  *
  * A job starts one of two ways, both data: from its program plus the
  * declarative memInit/cpuRegInit/fpuRegInit image, or from a start
- * snapshot (a fork trial resumes the campaign's paused reference
- * run).
+ * state (a fork trial resumes the campaign's paused reference run).
+ * Its instruments are data too: a fault plan becomes a FaultInjector
+ * hook and the lockstep flag a LockstepChecker shadow, both built by
+ * startJob().
  *
  * Purity: a job whose behavior is fully captured by its program,
  * image and config is *pure* — two pure jobs with identical content
  * must produce identical RunStats, which is what memoization and the
- * persistent result cache rely on. A start snapshot, a body closure
- * or a hookFactory makes a job impure: none of them is part of the
- * content identity, so such a job never memoizes and never hits the
- * result cache.
+ * persistent result cache rely on. A start state, a body closure, a
+ * fault plan or the lockstep shadow makes a job impure: none of them
+ * is part of the content identity, so such a job never memoizes and
+ * never hits the result cache.
  *
- * Content identity: jobContentHash() folds every behavior-affecting
- * field into a 64-bit FNV-1a hash (collisions are harmless — callers
- * confirm with sameJobContent() or the serialized jobContentBlob()
- * before sharing results).
+ * Content identity: jobContentBlob() serializes every
+ * behavior-affecting field, and jobContentHash() is its 64-bit FNV-1a
+ * hash (collisions are harmless — callers confirm with
+ * sameJobContent() or the blob before sharing results).
  */
 
 #ifndef MTFPU_MACHINE_SIM_JOB_HH
@@ -38,18 +40,27 @@
 
 #include "assembler/assembler.hh"
 #include "common/bytestream.hh"
+#include "faults/fault_injector.hh"
+#include "faults/fault_plan.hh"
 #include "machine/config.hh"
-#include "machine/hook.hh"
+#include "machine/lockstep.hh"
 #include "machine/machine.hh"
 #include "machine/stats.hh"
-
-namespace mtfpu::snapshot
-{
-struct MachineSnapshot;
-} // namespace mtfpu::snapshot
+#include "snapshot/snapshot.hh"
 
 namespace mtfpu::machine
 {
+
+/**
+ * A job's start state: a machine snapshot and, from the same cycle,
+ * the lockstep shadow's saved bytes. Empty shadow bytes arm the
+ * shadow fresh at the first cycle, as a pre-run snapshot needs.
+ */
+struct JobStart
+{
+    snapshot::MachineSnapshot machine;
+    std::vector<uint8_t> shadow;
+};
 
 /** One independent simulation. */
 struct SimJob
@@ -77,13 +88,13 @@ struct SimJob
     std::vector<std::pair<unsigned, uint64_t>> fpuRegInit;
 
     /**
-     * Optional start snapshot: the job resumes this machine state
+     * Optional start state: the job resumes this machine state
      * instead of loading program and applying the image above, which
      * it then ignores. config must equal the snapshot's. Shared, not
      * copied — a fork trial's start aliases the campaign's fork
      * point. Makes the job impure.
      */
-    std::shared_ptr<const snapshot::MachineSnapshot> start;
+    std::shared_ptr<const JobStart> start;
 
     /**
      * Optional run body replacing the default `return m.run()` —
@@ -94,22 +105,19 @@ struct SimJob
     std::function<RunStats(Machine &)> body;
 
     /**
-     * Optional per-cycle mutating hook factory (fault injection).
-     * Called on the worker thread once the start state is built and
-     * before the run; the returned hook is installed with
-     * Machine::setHook and kept alive for the duration of the job.
-     * Makes the job impure. Use faults::attachPlan() to populate this
-     * from a FaultPlan.
+     * Faults to inject (empty = none). startJob installs a
+     * FaultInjector hook for a non-empty plan. A job with a plan is
+     * *expected* to fail: the daemon's worker pool gives it a single
+     * attempt, no quarantine and no crash report
+     * (service/worker_pool.hh). Makes the job impure.
      */
-    std::function<std::shared_ptr<MachineHook>(Machine &)> hookFactory;
+    faults::FaultPlan faultPlan;
 
     /**
-     * This job deliberately injects faults and is *expected* to fail:
-     * a failure is a normal campaign outcome. The daemon's worker pool
-     * gives such a job a single attempt, no quarantine and no crash
-     * report (service/worker_pool.hh).
+     * Run the LockstepChecker shadow beside the machine; startJob
+     * attaches it as an observer. Makes the job impure.
      */
-    bool faultExpected = false;
+    bool lockstep = false;
 };
 
 /** Outcome of one job. */
@@ -132,8 +140,8 @@ struct SimJobResult
     unsigned attempts = 0;
 
     /**
-     * Set by the daemon's worker pool: a deterministic
-     * (non-faultExpected) job failed twice in a row, or exhausted its
+     * Set by the daemon's worker pool: a deterministic job (one
+     * without a fault plan) failed twice in a row, or exhausted its
      * cycle or wall-clock budget, and needs human triage. A crash
      * report was written if a report directory is configured.
      */
@@ -147,41 +155,50 @@ struct SimJobResult
     std::string errorJson; // SimError::to_json() when !ok
 };
 
-/** Memoizable: no start snapshot and no body or hook closure. */
+/** Memoizable: no start state, body closure, fault plan or shadow. */
 inline bool
 isPureJob(const SimJob &job)
 {
-    return !job.start && !job.body && !job.hookFactory;
+    return !job.start && !job.body && job.faultPlan.empty() &&
+           !job.lockstep;
 }
 
-/**
- * Content hash of everything that can influence a pure job's
- * RunStats: the encoded instruction stream, the declarative memory
- * and register images, and every MachineConfig field. Names are
- * excluded — they do not affect stats.
- */
+/** FNV-1a hash of jobContentBlob(@p job). */
 uint64_t jobContentHash(const SimJob &job);
 
 /** Exact content equality (the collision guard behind the hash). */
 bool sameJobContent(const SimJob &a, const SimJob &b);
 
 /**
- * Canonical serialization of a pure job's content (program code,
- * memInit, regInit, config) — the byte-exact identity the on-disk
- * result cache stores next to each entry so a hash collision can
- * never return another job's stats.
+ * Canonical serialization of everything that can influence a pure
+ * job's RunStats: program code, memInit, the register images and
+ * every MachineConfig field (names are excluded — they do not affect
+ * stats). It is the byte-exact identity the on-disk result cache
+ * stores next to each entry so a hash collision can never return
+ * another job's stats.
  */
 std::vector<uint8_t> jobContentBlob(const SimJob &job);
 
+/** What startJob attaches to a machine. */
+struct JobInstruments
+{
+    /** The fault plan's hook; null without a fault plan. */
+    std::unique_ptr<faults::FaultInjector> injector;
+
+    /** The lockstep shadow observer; null unless job.lockstep. */
+    std::unique_ptr<LockstepChecker> shadow;
+};
+
 /**
  * Build the state @p job starts from in @p machine, which must have
- * been constructed with job.config: restore the start snapshot, or
- * else load the program and write memInit, then the CPU registers,
- * then the FPU registers. Then build the hookFactory hook, if any,
- * and install it. The caller keeps the returned hook (null without a
- * hookFactory) alive for as long as the machine runs.
+ * been constructed with job.config: restore the start state, or else
+ * load the program and write memInit, then the CPU registers, then
+ * the FPU registers. Then install the FaultInjector hook for a fault
+ * plan, and attach the lockstep shadow (resumed from the start
+ * state's shadow bytes when it has them). The caller keeps the
+ * returned instruments alive for as long as the machine runs.
  */
-std::shared_ptr<MachineHook> startJob(const SimJob &job, Machine &machine);
+JobInstruments startJob(const SimJob &job, Machine &machine);
 
 /**
  * Fill the error fields of a result whose run ended on a guard

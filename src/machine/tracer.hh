@@ -4,9 +4,9 @@
  * used to regenerate the paper's Figure 5-8 pipeline diagrams.
  *
  * The Tracer is an ExecObserver: it subscribes to the Machine's event
- * stream (Machine::addObserver / the attachTracer convenience) rather
- * than being wired into the pipeline, so tracing composes freely with
- * the other observers (stats collection, lockstep checking).
+ * stream (Machine::addObserver) rather than being wired into the
+ * pipeline, so tracing composes freely with the other observers
+ * (stats collection, lockstep checking).
  */
 
 #ifndef MTFPU_MACHINE_TRACER_HH

@@ -329,7 +329,6 @@ SimClient::health()
     h.done = response.at("done").asUint();
     h.cancelled = response.at("cancelled").asUint();
     h.deadlineShed = response.at("deadline_shed").asUint();
-    h.isolated = response.at("isolated").asBool();
     if (response.has("pool_slots")) {
         h.poolSlots = response.at("pool_slots").asUint();
         h.poolBusy = response.at("pool_busy").asUint();

@@ -143,7 +143,6 @@ class SimClient
         uint64_t done = 0;
         uint64_t cancelled = 0;
         uint64_t deadlineShed = 0;
-        bool isolated = false;
         uint64_t poolSlots = 0;
         uint64_t poolBusy = 0;
         uint64_t workerCrashes = 0;

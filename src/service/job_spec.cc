@@ -1,8 +1,9 @@
 #include "service/job_spec.hh"
 
+#include <utility>
+
 #include "assembler/assembler.hh"
 #include "common/log.hh"
-#include "faults/campaign.hh"
 #include "faults/fault_plan.hh"
 #include "fuzz/program_gen.hh"
 #include "kernels/runner.hh"
@@ -72,7 +73,8 @@ cacheConfigFromJson(const json::Value &v, memory::CacheConfig dflt)
     return dflt;
 }
 
-/** Decode a [[a, b], ...] pair array; throws BadOperand on shape. */
+/** Decode a [[a, b], ...] pair array; throws BadOperand on shape or
+ *  on a key that does not fit First. */
 template <typename First>
 std::vector<std::pair<First, uint64_t>>
 pairsFromJson(const json::Value &v, const char *what)
@@ -85,8 +87,13 @@ pairsFromJson(const json::Value &v, const char *what)
                   std::string("job spec: ") + what +
                       " entries must be [key, value] pairs");
         }
-        out.emplace_back(static_cast<First>(pair[0].asUint()),
-                         pair[1].asUint());
+        const uint64_t key = pair[0].asUint();
+        if (!std::in_range<First>(key)) {
+            fatal(ErrCode::BadOperand, std::string("job spec: ") + what +
+                                           " key " + std::to_string(key) +
+                                           " is out of range");
+        }
+        out.emplace_back(static_cast<First>(key), pair[1].asUint());
     }
     return out;
 }
@@ -343,8 +350,8 @@ JobSpec::resolve() const
     if (job.name.empty())
         job.name = "job";
     if (!faultPlan.empty()) {
-        faults::attachPlan(job, faults::FaultPlan::parse(faultPlan),
-                           lockstep);
+        job.faultPlan = faults::FaultPlan::parse(faultPlan);
+        job.lockstep = lockstep;
     }
     return job;
 }

@@ -13,11 +13,12 @@
  *
  * Purity rules: a spec without a fault plan resolves to a *pure*
  * SimJob (memoizable, result-cacheable). A fault-plan spec resolves
- * to a hookFactory job — reproducible (the plan text is part of the
- * spec) but excluded from result reuse, exactly like the closures of
- * in-process batches. What a spec cannot express is what those are
- * for: custom measurement bodies, observer attachment, register
- * readback, and starting from a snapshot.
+ * to a job with SimJob::faultPlan (and SimJob::lockstep) set —
+ * reproducible (the plan text is part of the spec) but excluded from
+ * result reuse, like the closures of in-process batches. What a spec
+ * cannot express is what those closures are for: custom measurement
+ * bodies, observer attachment and register readback; nor can it
+ * start from a snapshot.
  */
 
 #ifndef MTFPU_SERVICE_JOB_SPEC_HH
@@ -84,12 +85,13 @@ struct JobSpec
 
     /**
      * Fault-plan text (FaultPlan::parse format); empty = none. A
-     * non-empty plan resolves into a FaultInjector hookFactory and
-     * flags the job faultExpected, mirroring faults::attachPlan.
+     * non-empty plan resolves into SimJob::faultPlan, which
+     * machine::startJob turns into a FaultInjector hook.
      */
     std::string faultPlan;
 
-    /** Attach the lockstep shadow checker alongside the fault plan. */
+    /** Attach the lockstep shadow checker alongside the fault plan
+     *  (SimJob::lockstep); ignored without one. */
     bool lockstep = false;
 
     bool operator==(const JobSpec &) const = default;
@@ -112,7 +114,7 @@ struct JobSpec
     /**
      * Lower the spec into a runnable SimJob: assemble / decode /
      * resolve the program reference, copy the declarative images, and
-     * wire a fault plan into a hookFactory when present. Throws
+     * parse a fault plan into SimJob::faultPlan when present. Throws
      * SimError on bad program references, malformed assembly, or
      * undecodable words.
      */

@@ -195,9 +195,10 @@ SimServer::~SimServer()
     for (std::thread &t : workers_)
         if (t.joinable())
             t.join();
-    for (std::thread &t : connections_)
-        if (t.joinable())
-            t.join();
+    // The accept thread is gone, so nothing adds or reaps connections.
+    for (Connection &c : connections_)
+        if (c.thread.joinable())
+            c.thread.join();
     if (listenFd_ >= 0)
         ::close(listenFd_);
     if (tcpListenFd_ >= 0)
@@ -294,6 +295,7 @@ SimServer::acceptLoop()
                 return;
             continue;
         }
+        reapConnections();
         for (int i = 0; i < nfds; ++i) {
             if (ready > 0 && fds[i].revents == 0)
                 continue;
@@ -316,10 +318,30 @@ SimServer::acceptLoop()
                 reject.writeLine(busyResponse("max-connections", 500));
                 continue; // ~LineChannel closes fd
             }
-            connections_.emplace_back(
-                [this, fd] { handleConnection(fd); });
+            Connection &conn = connections_.emplace_back();
+            conn.thread = std::thread(
+                [this, fd, &conn] { handleConnection(fd, conn.done); });
         }
     }
+}
+
+void
+SimServer::reapConnections()
+{
+    std::list<Connection> finished;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (auto it = connections_.begin(); it != connections_.end();) {
+            const auto next = std::next(it);
+            if (it->done)
+                finished.splice(finished.end(), connections_, it);
+            it = next;
+        }
+    }
+    // A done thread has released mutex_ for the last time; it only
+    // has to close its channel and return.
+    for (Connection &c : finished)
+        c.thread.join();
 }
 
 void
@@ -419,7 +441,7 @@ SimServer::runPooled(const machine::SimJob &job,
     PoolJob poolJob;
     poolJob.name = job.name;
     poolJob.specJson = spec_json;
-    poolJob.faultExpected = job.faultExpected;
+    poolJob.faultExpected = !job.faultPlan.empty();
     poolJob.cancel = cancel;
     PoolOutcome outcome = pool_->execute(poolJob);
     cancelled = outcome.cancelled;
@@ -439,7 +461,7 @@ SimServer::runPooled(const machine::SimJob &job,
 }
 
 void
-SimServer::handleConnection(int fd)
+SimServer::handleConnection(int fd, bool &done)
 {
     LineChannel channel(fd);
     channel.setMaxLineBytes(config_.maxLineBytes);
@@ -495,6 +517,7 @@ SimServer::handleConnection(int fd)
     }
     std::lock_guard<std::mutex> lock(mutex_);
     std::erase(connFds_, fd);
+    done = true;
 }
 
 std::string
@@ -630,7 +653,6 @@ SimServer::cmdHealth()
         w.key("connections").value(static_cast<uint64_t>(conns));
         counts.write(w);
         w.key("deadline_shed").value(shed);
-        w.key("isolated").value(true);
         w.key("pool_slots").value(static_cast<uint64_t>(pool_->slots()));
         w.key("pool_busy").value(static_cast<uint64_t>(pool_->busySlots()));
         w.key("worker_crashes").value(pool_->crashes());
@@ -755,7 +777,6 @@ SimServer::cmdStatus(const json::Value &req)
         w.key("jobs").value(static_cast<uint64_t>(jobs_.size()));
         counts.write(w);
         w.key("draining").value(draining_);
-        w.key("isolated").value(true);
         w.key("worker_crashes").value(pool_->crashes());
         w.key("worker_respawns").value(pool_->respawns());
     });

@@ -73,6 +73,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -244,9 +245,26 @@ class SimServer
     /** Jobs per lifecycle state: the census health and status share. */
     struct JobCounts;
 
+    /** One connection's thread; done is set (under mutex_) as the
+     *  thread leaves handleConnection, so the accept loop can join
+     *  it while the daemon runs. The thread holds &done, so a
+     *  Connection never moves (std::list nodes stay put). */
+    struct Connection
+    {
+        Connection() = default;
+        Connection(const Connection &) = delete;
+        Connection &operator=(const Connection &) = delete;
+
+        std::thread thread;
+        bool done = false;
+    };
+
     void acceptLoop();
     void workerLoop();
-    void handleConnection(int fd);
+    void handleConnection(int fd, bool &done);
+
+    /** Join the threads of connections that have finished. */
+    void reapConnections();
 
     /** Run one job: a result-cache hit, or the pool (and a cache
      *  store of a deterministic outcome). @p aborted reports a
@@ -296,10 +314,10 @@ class SimServer
     std::chrono::steady_clock::time_point startTime_{};
     std::thread acceptThread_;
     std::vector<std::thread> workers_;
-    std::vector<std::thread> connections_;
+    std::list<Connection> connections_; // guarded by mutex_
     std::vector<int> connFds_; // live connections, for stop() wakeups
 
-    std::mutex mutex_; // guards jobs_, queue_, stopping_
+    std::mutex mutex_; // guards jobs_, queue_, stopping_, connections_
     std::condition_variable queueCv_;  // workers wait for jobs
     std::condition_variable resultCv_; // result-waiters wait for Done
     std::map<uint64_t, Job> jobs_;

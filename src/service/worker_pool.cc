@@ -20,6 +20,9 @@ namespace
 
 using clock_t_ = std::chrono::steady_clock;
 
+/** Startup window for a fresh worker's ready line. */
+constexpr int kSpawnTimeoutMs = 10000;
+
 uint64_t
 msSince(clock_t_::time_point t)
 {
@@ -116,8 +119,8 @@ WorkerProcess::spawn()
 
     // The ready line proves the worker survived exec and rlimit setup.
     std::string line;
-    const LineChannel::ReadStatus status = channel_->readLineTimed(
-        line, static_cast<int>(config_.spawnTimeoutMs));
+    const LineChannel::ReadStatus status =
+        channel_->readLineTimed(line, kSpawnTimeoutMs);
     if (status != LineChannel::ReadStatus::Line) {
         // On Timeout (and possibly Error) the child is still alive,
         // wedged before its ready line — the exact case this window
@@ -129,7 +132,7 @@ WorkerProcess::spawn()
         const std::string why =
             status == LineChannel::ReadStatus::Timeout
                 ? " (no ready line within " +
-                      std::to_string(config_.spawnTimeoutMs) +
+                      std::to_string(kSpawnTimeoutMs) +
                       "ms; killed)"
                 : "";
         warn("worker pool: worker " + std::to_string(pid) +
@@ -286,9 +289,6 @@ WorkerPool::WorkerPool(WorkerPoolConfig config) : config_(std::move(config))
     if (config_.workers == 0)
         config_.workers = 1;
     slots_.resize(config_.workers);
-    for (Slot &slot : slots_)
-        slot.backoff =
-            RespawnBackoff(config_.backoffBaseMs, config_.backoffMaxMs);
 }
 
 WorkerPool::~WorkerPool()
@@ -379,7 +379,7 @@ WorkerPool::attempt(Slot &slot, const PoolJob &job,
                     std::chrono::milliseconds(delay));
             }
         }
-        // Spawn outside mutex_ (it can block up to spawnTimeoutMs),
+        // Spawn outside mutex_ (it can block up to kSpawnTimeoutMs),
         // then install under it: stop() dereferences slot.worker under
         // mutex_, so the unique_ptr swap must not race its interrupt
         // sweep. The displaced worker is already dead, so destroying

@@ -64,9 +64,6 @@ struct WorkerPoolConfig
      *  as wedged and killed. Must exceed the worker's ~100ms beat. */
     uint64_t heartbeatTimeoutMs = 5000;
 
-    /** Startup window for a fresh worker's ready line. */
-    uint64_t spawnTimeoutMs = 10000;
-
     /** RLIMIT_CPU seconds for each worker; 0 = unlimited. */
     unsigned rlimitCpuS = 0;
 
@@ -75,10 +72,6 @@ struct WorkerPoolConfig
 
     /** Crash-report directory for worker deaths; empty disables. */
     std::string crashDir;
-
-    /** Respawn backoff base/cap (see RespawnBackoff). */
-    unsigned backoffBaseMs = 50;
-    unsigned backoffMaxMs = 5000;
 
     /** Pass --test-crash-hooks to workers (tests only): job names
      *  like "crash:segv" make the worker kill itself on purpose. */
@@ -91,7 +84,8 @@ struct PoolJob
     std::string name;
     std::string specJson;
 
-    /** faultExpected semantics: single attempt, never quarantined. */
+    /** The job injects faults (SimJob::faultPlan), so failing is a
+     *  normal outcome: single attempt, never quarantined. */
     bool faultExpected = false;
 
     /** Cooperative cancel; the pool polls it and kills the worker. */

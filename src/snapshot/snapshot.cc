@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/log.hh"
-#include "machine/interpreter.hh"
 #include "machine/machine.hh"
 
 namespace mtfpu::snapshot
@@ -14,13 +13,15 @@ namespace
 
 constexpr char kMagic[4] = {'M', 'T', 'S', 'N'};
 
+/** The container's kind byte: every snapshot holds a Machine. */
+constexpr uint8_t kMachineKind = 0;
+
 } // anonymous namespace
 
 MachineSnapshot
 capture(const machine::Machine &m)
 {
     MachineSnapshot snap;
-    snap.kind = SnapshotKind::Machine;
     snap.config = m.config();
     snap.program = m.program();
     ByteWriter state;
@@ -29,25 +30,9 @@ capture(const machine::Machine &m)
     return snap;
 }
 
-MachineSnapshot
-capture(const machine::Interpreter &interp)
-{
-    MachineSnapshot snap;
-    snap.kind = SnapshotKind::Interpreter;
-    snap.config.memory.memBytes = interp.mem().size();
-    snap.program = interp.program();
-    ByteWriter state;
-    interp.saveState(state);
-    snap.state = state.take();
-    return snap;
-}
-
 void
 restore(machine::Machine &m, const MachineSnapshot &snap)
 {
-    if (snap.kind != SnapshotKind::Machine)
-        fatal(ErrCode::BadSnapshot,
-              "snapshot: not a Machine snapshot");
     if (!(m.config() == snap.config))
         fatal(ErrCode::BadSnapshot,
               "snapshot: machine configuration does not match the "
@@ -61,20 +46,6 @@ restore(machine::Machine &m, const MachineSnapshot &snap)
               "snapshot: trailing bytes after machine state");
 }
 
-void
-restore(machine::Interpreter &interp, const MachineSnapshot &snap)
-{
-    if (snap.kind != SnapshotKind::Interpreter)
-        fatal(ErrCode::BadSnapshot,
-              "snapshot: not an Interpreter snapshot");
-    interp.loadProgram(snap.program);
-    ByteReader in(snap.state);
-    interp.restoreState(in);
-    if (!in.atEnd())
-        fatal(ErrCode::BadSnapshot,
-              "snapshot: trailing bytes after interpreter state");
-}
-
 std::vector<uint8_t>
 serialize(const MachineSnapshot &snap)
 {
@@ -82,7 +53,7 @@ serialize(const MachineSnapshot &snap)
     for (const char c : kMagic)
         out.u8(static_cast<uint8_t>(c));
     out.u32(kFormatVersion);
-    out.u8(static_cast<uint8_t>(snap.kind));
+    out.u8(kMachineKind);
     Archive::save(out, snap.config);
     Archive::save(out, snap.program);
     out.bytes(snap.state.data(), snap.state.size());
@@ -120,10 +91,9 @@ deserialize(const uint8_t *data, size_t size)
                   std::to_string(kFormatVersion) + ")");
     MachineSnapshot snap;
     const uint8_t kind = in.u8();
-    if (kind > static_cast<uint8_t>(SnapshotKind::Interpreter))
+    if (kind != kMachineKind)
         fatal(ErrCode::BadSnapshot,
               "snapshot: unknown kind " + std::to_string(kind));
-    snap.kind = static_cast<SnapshotKind>(kind);
     Archive::load(in, snap.config);
     Archive::load(in, snap.program);
     snap.state = in.bytes();

@@ -21,10 +21,10 @@
  * but must detect them; the committed golden-snapshot test pins the
  * current layout.
  *
- * Two kinds share the container:
- *  - Machine: full cycle-model state, pairable mid-run with a
- *    LockstepChecker's own saveState() (campaign snapshot-forking);
- *  - Interpreter: the untimed functional subset.
+ * The container holds full cycle-model state, pairable mid-run with a
+ * LockstepChecker's own saveState() (machine::JobStart, the campaign's
+ * snapshot forks). Its kind byte is always 0 (Machine): the format
+ * keeps the byte, and readers reject any other value.
  */
 
 #ifndef MTFPU_SNAPSHOT_SNAPSHOT_HH
@@ -41,7 +41,6 @@
 namespace mtfpu::machine
 {
 class Machine;
-class Interpreter;
 } // namespace mtfpu::machine
 
 namespace mtfpu::snapshot
@@ -50,35 +49,22 @@ namespace mtfpu::snapshot
 /** Current on-disk format version (see the versioning rule above). */
 constexpr uint32_t kFormatVersion = 1;
 
-/** Which engine a snapshot captures. */
-enum class SnapshotKind : uint8_t
-{
-    Machine = 0,
-    Interpreter = 1,
-};
-
 /** An in-memory snapshot: program + config + component state bytes. */
 struct MachineSnapshot
 {
-    SnapshotKind kind = SnapshotKind::Machine;
-
-    /** Full configuration (Machine kind; defaulted for Interpreter
-     *  except memory.memBytes, which sizes the restored memory). */
+    /** Full configuration. */
     machine::MachineConfig config;
 
     /** The program image. The label map is not preserved — snapshots
      *  restore mid-run state, past any label-based setup. */
     assembler::Program program;
 
-    /** The engine's saveState() stream. */
+    /** The machine's saveState() stream. */
     std::vector<uint8_t> state;
 };
 
 /** Capture the complete state of @p m. */
 MachineSnapshot capture(const machine::Machine &m);
-
-/** Capture the functional state of @p interp. */
-MachineSnapshot capture(const machine::Interpreter &interp);
 
 /**
  * Restore @p snap into @p m: reload the program (resetting the
@@ -88,9 +74,6 @@ MachineSnapshot capture(const machine::Interpreter &interp);
  * the configuration that produced it.
  */
 void restore(machine::Machine &m, const MachineSnapshot &snap);
-
-/** Restore an Interpreter snapshot (memory sizes must match). */
-void restore(machine::Interpreter &interp, const MachineSnapshot &snap);
 
 /** Encode to the versioned, CRC-protected binary format. */
 std::vector<uint8_t> serialize(const MachineSnapshot &snap);

@@ -14,6 +14,7 @@
 
 #include "assembler/assembler.hh"
 #include "common/log.hh"
+#include "faults/fault_plan.hh"
 #include "kernels/livermore/livermore.hh"
 #include "kernels/runner.hh"
 #include "machine/sim_driver.hh"
@@ -161,8 +162,8 @@ TEST(SimDriverMemo, UniqueJobsPartition)
     machine::Machine paused(jobs[0].config);
     machine::startJob(jobs[0], paused);
     ASSERT_EQ(paused.runUntil(100).status, machine::RunStatus::Paused);
-    jobs.back().start = std::make_shared<const snapshot::MachineSnapshot>(
-        snapshot::capture(paused));
+    jobs.back().start = std::make_shared<const machine::JobStart>(
+        machine::JobStart{snapshot::capture(paused), {}});
 
     const std::vector<size_t> leader = machine::SimDriver::uniqueJobs(jobs);
     ASSERT_EQ(leader.size(), 5u);
@@ -202,19 +203,27 @@ TEST(SimDriverMemo, MemoizedMatchesUnmemoized)
 
 TEST(SimDriverMemo, HookedJobsAllSimulate)
 {
-    // Jobs with closures must never share a result, even when their
-    // programs are identical.
-    std::atomic<int> runs{0};
+    // Jobs with a fault plan (an injector hook) or the lockstep shadow
+    // must never share a result, even when their programs are
+    // identical: every one simulates, so the result callback sees
+    // each of them.
     std::vector<machine::SimJob> jobs(4);
     for (size_t i = 0; i < jobs.size(); ++i) {
         jobs[i].name = "hooked-" + std::to_string(i);
         jobs[i].program = assembler::assemble("add r1, r0, r0\nhalt\n");
-        jobs[i].hookFactory = [&runs](machine::Machine &) {
-            ++runs;
-            return std::shared_ptr<machine::MachineHook>();
-        };
+        if (i % 2 == 0) {
+            // Flips r5, which the program never reads.
+            jobs[i].faultPlan = faults::FaultPlan(
+                {faults::Fault{0, faults::FaultSite::CpuReg, 4, 1}});
+        } else {
+            jobs[i].lockstep = true;
+        }
     }
-    const auto results = machine::SimDriver(2).run(jobs);
+    std::atomic<int> runs{0};
+    machine::SimDriver driver(2);
+    driver.setResultCallback(
+        [&runs](size_t, const machine::SimJobResult &) { ++runs; });
+    const auto results = driver.run(jobs);
     EXPECT_EQ(runs.load(), 4);
     for (const auto &r : results)
         EXPECT_TRUE(r.ok) << r.error;

@@ -497,11 +497,15 @@ hazardJob(const std::string &name)
 
 TEST(ContainmentTest, FaultExpectedJobFailsWithoutRetry)
 {
+    // A job with a fault plan is expected to fail: one attempt, no
+    // quarantine. The plan flips r5, which the program never reads,
+    // so the failure is the program's own hazard.
     machine::SimJob job = hazardJob("expected");
-    job.faultExpected = true;
+    job.faultPlan = FaultPlan({Fault{0, FaultSite::CpuReg, 4, 1}});
     const machine::SimDriver driver(1);
     const std::vector<machine::SimJobResult> res = driver.run({job});
     EXPECT_FALSE(res[0].ok);
+    EXPECT_EQ(res[0].errorCode, "hazard-violation");
     EXPECT_EQ(res[0].attempts, 1u); // no retry for planned faults
     EXPECT_FALSE(res[0].quarantined);
 }
@@ -536,10 +540,9 @@ TEST(ContainmentTest, CorruptedJobFailsAloneSiblingsBitIdentical)
     machine::SimJob faulted = cleanJob("faulted", 1'000'000);
     // A quiet-memory flip guarantees a lockstep divergence (nothing
     // overwrites it before the final-state comparison).
-    attachPlan(faulted,
-               FaultPlan({Fault{40, FaultSite::MemWord, 0x80000 / 8,
-                                1ull << 40}}),
-               /*lockstep=*/true);
+    faulted.faultPlan = FaultPlan(
+        {Fault{40, FaultSite::MemWord, 0x80000 / 8, 1ull << 40}});
+    faulted.lockstep = true;
     batch.push_back(std::move(faulted));
     for (int i = 2; i < 4; ++i)
         batch.push_back(
@@ -561,16 +564,33 @@ TEST(ContainmentTest, CorruptedJobFailsAloneSiblingsBitIdentical)
     EXPECT_FALSE(res[2].quarantined);
 }
 
-TEST(ContainmentTest, HookFactoryDisqualifiesMemoization)
+TEST(ContainmentTest, FaultPlanDisqualifiesMemoization)
 {
     const kernels::Kernel kernel = kernels::livermore::make(1, true);
     machine::SimJob pure;
     pure.program = kernel.program;
     pure.memInit = kernels::memImage(kernel.init);
-    machine::SimJob hooked = pure;
-    attachPlan(hooked, FaultPlan{}, false);
+    machine::SimJob faulted = pure;
+    faulted.faultPlan = FaultPlan({Fault{40, FaultSite::CpuReg, 4, 1}});
+    machine::SimJob shadowed = pure;
+    shadowed.lockstep = true;
     EXPECT_TRUE(machine::isPureJob(pure));
-    EXPECT_FALSE(machine::isPureJob(hooked));
+    EXPECT_FALSE(machine::isPureJob(faulted));
+    EXPECT_FALSE(machine::isPureJob(shadowed));
+
+    // startJob builds what the data asks for, and nothing else.
+    machine::Machine plain(pure.config);
+    const machine::JobInstruments none = machine::startJob(pure, plain);
+    EXPECT_FALSE(none.injector);
+    EXPECT_FALSE(none.shadow);
+    EXPECT_EQ(plain.hook(), nullptr);
+    machine::Machine hooked(faulted.config);
+    const machine::JobInstruments injected =
+        machine::startJob(faulted, hooked);
+    ASSERT_TRUE(injected.injector);
+    EXPECT_EQ(injected.injector->plan(), faulted.faultPlan);
+    EXPECT_EQ(hooked.hook(), injected.injector.get());
+    EXPECT_FALSE(injected.shadow);
 }
 
 // ---------------------------------------------------------------------

@@ -107,7 +107,7 @@ TEST(Figure7, TracerShowsPaperTimeline)
 {
     Machine m(idealMemoryConfig());
     Tracer tracer;
-    m.attachTracer(&tracer);
+    m.addObserver(&tracer);
     m.loadProgram(assembler::assemble(R"(
         fadd f8, f0, f4, vl=4, sra, srb
         fadd f12, f8, f10, vl=2, sra, srb

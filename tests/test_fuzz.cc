@@ -9,10 +9,12 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
+#include <sys/wait.h>
 
 #include "common/json.hh"
 #include "fuzz/corpus.hh"
@@ -429,6 +431,20 @@ TEST(FuzzBundle, WritesReplayableArtifacts)
     EXPECT_TRUE(std::filesystem::exists(stem + ".orig.prog"));
     const FuzzProgram min = readProgramFile(stem + ".prog");
     EXPECT_LE(min.code.size(), 8u);
+
+    // bench/replay re-runs the bundle with its shadow and mutation and
+    // reproduces the divergence at the reported cycle (exit 0).
+    const std::string out = dir.file("replay.out");
+    const int status =
+        std::system((std::string(MTFPU_REPLAY_PATH) + " --tail=0 " +
+                     bundle + " > " + out + " 2>&1")
+                        .c_str());
+    const std::string transcript = slurp(out);
+    ASSERT_TRUE(WIFEXITED(status)) << transcript;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << transcript;
+    EXPECT_NE(transcript.find("REPRODUCED: lockstep-divergence"),
+              std::string::npos)
+        << transcript;
 }
 
 // --- Corpus format -----------------------------------------------------

@@ -66,7 +66,7 @@ TEST(Interrupt, LastElementWrittenAtCycle48)
     // (issue at 0, 3, ..., 45 -> last write at cycle 48).
     Machine m(ideal());
     Tracer tracer;
-    m.attachTracer(&tracer);
+    m.addObserver(&tracer);
     m.loadProgram(assembler::assemble(R"(
         fadd f2, f1, f0, vl=16, sra, srb
         halt
@@ -231,7 +231,7 @@ TEST(TracerLog, RecordsEventKinds)
 {
     Machine m(ideal());
     Tracer tracer;
-    m.attachTracer(&tracer);
+    m.addObserver(&tracer);
     m.loadProgram(assembler::assemble(R"(
         ldf f0, 0(r1)
         fadd f8, f0, f0

@@ -199,6 +199,21 @@ TEST(JobSpec, FromJsonRejectsMalformedSpecs)
                      "{\"kind\":\"assembly\",\"assembly\":\"halt\","
                      "\"mem_init\":[[1]]}"),
                  SimError);
+    // Register indices past 32 bits are refused, not truncated onto
+    // r1 and f2.
+    for (const char *field : {"\"cpu_reg_init\":[[4294967297,5]]",
+                              "\"fpu_reg_init\":[[4294967298,5]]"}) {
+        SCOPED_TRACE(field);
+        try {
+            service::JobSpec::parse(
+                std::string("{\"kind\":\"assembly\",\"assembly\":"
+                            "\"halt\",") +
+                field + "}");
+            ADD_FAILURE() << "out-of-range register index accepted";
+        } catch (const SimError &err) {
+            EXPECT_EQ(err.code(), ErrCode::BadOperand);
+        }
+    }
 }
 
 // ----------------------------------------------------------- resolution
@@ -251,16 +266,27 @@ TEST(JobSpec, ResolveFaultPlanAttachesHook)
 {
     service::JobSpec spec = countdownSpec(100);
     spec.faultPlan = "";
+    spec.lockstep = true; // rides only with a plan
     EXPECT_TRUE(spec.pure());
-    EXPECT_TRUE(machine::isPureJob(spec.resolve()));
+    const machine::SimJob clean = spec.resolve();
+    EXPECT_TRUE(machine::isPureJob(clean));
+    EXPECT_FALSE(clean.lockstep);
 
-    // A plan makes the job a hookFactory job, flagged faultExpected.
-    spec.faultPlan = faults::FaultPlan::randomSingle(5, 200).describe();
+    // A plan resolves into job data, which startJob turns into the
+    // injector hook and the lockstep shadow.
+    const faults::FaultPlan plan = faults::FaultPlan::randomSingle(5, 200);
+    spec.faultPlan = plan.describe();
     EXPECT_FALSE(spec.pure());
     const machine::SimJob faulting = spec.resolve();
     EXPECT_FALSE(machine::isPureJob(faulting));
-    EXPECT_TRUE(static_cast<bool>(faulting.hookFactory));
-    EXPECT_TRUE(faulting.faultExpected);
+    EXPECT_TRUE(faulting.faultPlan == plan);
+    EXPECT_TRUE(faulting.lockstep);
+    machine::Machine m(faulting.config);
+    const machine::JobInstruments instruments =
+        machine::startJob(faulting, m);
+    ASSERT_TRUE(instruments.injector);
+    EXPECT_EQ(m.hook(), instruments.injector.get());
+    EXPECT_TRUE(instruments.shadow);
 }
 
 TEST(KernelRegistry, FindKernelReferences)
@@ -348,8 +374,8 @@ TEST(ResultCache, ClosureJobsNeverStoreOrHit)
     machine::Machine paused(started.config);
     machine::startJob(started, paused);
     ASSERT_EQ(paused.runUntil(5).status, machine::RunStatus::Paused);
-    started.start = std::make_shared<const snapshot::MachineSnapshot>(
-        snapshot::capture(paused));
+    started.start = std::make_shared<const machine::JobStart>(
+        machine::JobStart{snapshot::capture(paused), {}});
 
     for (const machine::SimJob &job : {closured, started}) {
         SCOPED_TRACE(job.start ? "start snapshot" : "body closure");
@@ -800,6 +826,46 @@ TEST(SimServer, CancelsQueuedJobBehindLongRun)
     EXPECT_FALSE(killed.ok);
     EXPECT_EQ(client.status(longId), "cancelled");
     client.shutdown();
+}
+
+/** This process's virtual size in kB (VmSize in /proc/self/status). */
+uint64_t
+vmSizeKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoull(line.substr(7));
+    }
+    return 0;
+}
+
+TEST(SimServer, ReapsFinishedConnectionThreads)
+{
+    TempDir dir("daemon_reap");
+    const service::ServerConfig config = daemonConfig(dir, 1);
+    service::SimServer server(config);
+    server.start();
+    const auto connectPingClose = [&] {
+        service::SimClient client(config.socketPath);
+        EXPECT_TRUE(client.ping());
+    };
+
+    // A finished connection whose thread is never joined keeps its
+    // stack mapped (8 MB by default), so 100 of them would grow the
+    // process by about 800 MB. Joined threads hand their stacks on.
+    for (int i = 0; i < 5; ++i)
+        connectPingClose();
+    const uint64_t before = vmSizeKb();
+    ASSERT_GT(before, 0u);
+    for (int i = 0; i < 100; ++i)
+        connectPingClose();
+    const uint64_t after = vmSizeKb();
+    const uint64_t grewKb = after > before ? after - before : 0;
+    EXPECT_LT(grewKb, 100u * 1024) << "VmSize grew by " << grewKb << " kB";
+
+    service::SimClient(config.socketPath).shutdown();
 }
 
 TEST(SimServer, ProtocolErrorsKeepConnectionAlive)

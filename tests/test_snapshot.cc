@@ -33,7 +33,6 @@
 #include "kernels/linpack/linpack.hh"
 #include "kernels/livermore/livermore.hh"
 #include "kernels/runner.hh"
-#include "machine/interpreter.hh"
 #include "machine/lockstep.hh"
 #include "machine/machine.hh"
 #include "machine/sim_driver.hh"
@@ -92,7 +91,6 @@ TEST(SnapshotContainer, SerializeDeserializeRoundTrip)
     const std::vector<uint8_t> bytes = snapshot::serialize(snap);
     const snapshot::MachineSnapshot back = snapshot::deserialize(bytes);
 
-    EXPECT_EQ(back.kind, snapshot::SnapshotKind::Machine);
     EXPECT_TRUE(back.config == snap.config);
     EXPECT_EQ(back.program.code, snap.program.code);
     EXPECT_EQ(back.state, snap.state);
@@ -482,13 +480,28 @@ TEST(SnapshotHostile, EnumFieldsAreInRange)
             << "config byte " << at;
     }
 
-    // The Interpreter's backend follows its registers, pc, halted,
-    // redirect flag and target, and element count.
-    machine::Interpreter interp;
-    snapshot::MachineSnapshot interpSnap = snapshot::capture(interp);
-    interpSnap.state.at((isa::kNumIntRegs + isa::kNumFpuRegs) * 8 + 4 +
-                        1 + 1 + 4 + 8) = 2;
-    EXPECT_TRUE(rejects([&] { snapshot::restore(interp, interpSnap); }));
+    // In an armed lockstep checker's stream, the shadow interpreter's
+    // backend follows the armed flag and two counters, then the
+    // interpreter's registers, pc, halted, redirect flag and target,
+    // and element count.
+    {
+        machine::Machine lm = smallMachine();
+        machine::LockstepChecker checker(lm);
+        lm.addObserver(&checker);
+        ASSERT_EQ(lm.runUntil(3).status, machine::RunStatus::Paused);
+        ByteWriter out;
+        checker.saveState(out);
+        std::vector<uint8_t> stream = out.take();
+        const size_t backend = 1 + 8 + 8 +
+                               (isa::kNumIntRegs + isa::kNumFpuRegs) * 8 +
+                               4 + 1 + 1 + 4 + 8;
+        ASSERT_EQ(stream.at(backend),
+                  static_cast<uint8_t>(lm.config().fpBackend));
+        stream.at(backend) = 2;
+        machine::LockstepChecker resumed(lm);
+        ByteReader in(stream);
+        EXPECT_TRUE(rejects([&] { resumed.restoreState(in); }));
+    }
 
     // RunStats (ResultCache entries, the wire's stats_hex) lead with
     // the status.
@@ -517,11 +530,16 @@ TEST(SnapshotContainer, RestoreRequiresMatchingConfig)
         EXPECT_EQ(err.code(), ErrCode::BadSnapshot);
     }
 
-    // Kind confusion: a Machine snapshot is not an Interpreter one.
-    machine::Interpreter interp;
+    // Kind confusion: the kind byte after magic and version must name
+    // a Machine (1 was the Interpreter kind, which is gone).
+    std::vector<uint8_t> bytes = snapshot::serialize(snap);
+    ASSERT_EQ(bytes.at(8), 0);
+    bytes.at(8) = 1;
+    putU32(bytes, bytes.size() - 4,
+           crc32(bytes.data(), bytes.size() - sizeof(uint32_t)));
     try {
-        snapshot::restore(interp, snap);
-        FAIL() << "restored a Machine snapshot into an Interpreter";
+        snapshot::deserialize(bytes);
+        FAIL() << "accepted a snapshot of another kind";
     } catch (const SimError &err) {
         EXPECT_EQ(err.code(), ErrCode::BadSnapshot);
     }
@@ -646,52 +664,6 @@ TEST(SnapshotKernels, ChunkedRunMatchesUninterrupted)
     EXPECT_EQ(stateBytes(b), stateBytes(a));
 }
 
-TEST(SnapshotInterpreter, MidRunRoundTrip)
-{
-    const assembler::Program program = assembler::assemble(R"(
-            li    r1, 0
-            li    r2, 10
-            fadd  f4, f0, f0, vl=4
-    loop:   add   r1, r1, r2
-            subi  r2, r2, 1
-            bne   r2, r0, loop
-            nop
-            st    r1, 256(r0)
-            halt
-    )");
-
-    machine::Interpreter a;
-    a.loadProgram(program);
-    a.run();
-    ASSERT_TRUE(a.halted());
-
-    machine::Interpreter b;
-    b.loadProgram(program);
-    for (int i = 0; i < 9; ++i)
-        b.step();
-    ASSERT_FALSE(b.halted());
-
-    const std::vector<uint8_t> bytes =
-        snapshot::serialize(snapshot::capture(b));
-    const snapshot::MachineSnapshot snap = snapshot::deserialize(bytes);
-    ASSERT_EQ(snap.kind, snapshot::SnapshotKind::Interpreter);
-
-    machine::Interpreter c(snap.config.memory.memBytes);
-    snapshot::restore(c, snap);
-    EXPECT_EQ(c.pc(), b.pc());
-    for (int step = 0; !c.halted(); ++step) {
-        ASSERT_LT(step, 1000) << "restored interpreter never halted";
-        c.step();
-    }
-
-    EXPECT_EQ(c.mem().read64(256), a.mem().read64(256));
-    EXPECT_EQ(c.fpElements(), a.fpElements());
-    for (unsigned r = 0; r < isa::kNumIntRegs; ++r)
-        EXPECT_EQ(c.intReg(r), a.intReg(r)) << "r" << r;
-    for (unsigned r = 0; r < isa::kNumFpuRegs; ++r)
-        EXPECT_EQ(c.fpReg(r), a.fpReg(r)) << "f" << r;
-}
-
 TEST(SnapshotStart, MidRunStartMatchesUninterrupted)
 {
     // A job whose start is a mid-run snapshot of a pure job ends with
@@ -711,8 +683,8 @@ TEST(SnapshotStart, MidRunStartMatchesUninterrupted)
     machine::SimJob resumed;
     resumed.name = "resumed";
     resumed.config = pure.config;
-    resumed.start = std::make_shared<const snapshot::MachineSnapshot>(
-        snapshot::capture(m));
+    resumed.start = std::make_shared<const machine::JobStart>(
+        machine::JobStart{snapshot::capture(m), {}});
     EXPECT_FALSE(machine::isPureJob(resumed));
 
     const machine::SimJobResult rest = driver.runAttempt(resumed);
@@ -937,9 +909,8 @@ TEST(SnapshotGolden, CommittedFormatIsStable)
 
     // CRC-32s of encodings this build must reproduce byte for byte,
     // pinned where golden.snap pins none: Machine states with work in
-    // flight in every pipeline, on both softfp backends; an
-    // Interpreter snapshot; an armed lockstep checker; a job content
-    // blob; and the wire's stats_hex.
+    // flight in every pipeline, on both softfp backends; an armed
+    // lockstep checker; a job content blob; and the wire's stats_hex.
     struct Pause
     {
         int kernel;
@@ -992,22 +963,8 @@ TEST(SnapshotGolden, CommittedFormatIsStable)
         EXPECT_EQ(bodyCrc(snapshot::serialize(snap)), pause.crc);
     }
 
-    // An Interpreter part-way through a vector kernel, on the
-    // non-default backend.
-    const kernels::Kernel lfk1v = kernels::livermore::make(1, true);
-    {
-        machine::Interpreter interp;
-        interp.setBackend(softfp::Backend::HostFast);
-        interp.loadProgram(lfk1v.program);
-        lfk1v.init(interp.mem());
-        for (int i = 0; i < 500; ++i)
-            interp.step();
-        ASSERT_FALSE(interp.halted());
-        EXPECT_EQ(bodyCrc(snapshot::serialize(snapshot::capture(interp))),
-                  0xe7276ad3u);
-    }
-
     // An armed lockstep checker (shadow interpreter included).
+    const kernels::Kernel lfk1v = kernels::livermore::make(1, true);
     {
         machine::Machine lm;
         lm.loadProgram(lfk1v.program);

@@ -659,7 +659,6 @@ TEST(Wire, HealthReportsUptimeQueueAndCacheCensus)
     EXPECT_FALSE(h.draining);
     EXPECT_GE(h.connections, 1u);
     EXPECT_EQ(h.done, 1u);
-    EXPECT_TRUE(h.isolated); // every daemon runs worker processes
     EXPECT_TRUE(h.cacheEnabled);
     EXPECT_EQ(h.cacheMisses, 1u);
 
