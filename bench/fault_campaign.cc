@@ -27,9 +27,10 @@
  * By default an existing journal is truncated (fresh campaign); with
  * --resume its recorded trials are kept and skipped, so a SIGKILLed
  * campaign rerun with the same parameters completes the remainder and
- * reports identical classification counts. --fork snapshot-forks each
- * kernel's shared golden prefix instead of re-simulating it per trial
- * (bit-identical classification, see src/faults/campaign.hh).
+ * reports identical classification counts. --fork starts each trial
+ * from its kernel's reference run at the trial's injection cycle
+ * instead of at cycle 0, so no trial re-simulates the shared golden
+ * prefix (bit-identical classification, see src/faults/campaign.hh).
  */
 
 #include <cstdio>

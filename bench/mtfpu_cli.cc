@@ -19,7 +19,7 @@
  *   mtfpu-cli submit <addr> --spec=FILE [--no-wait] [--deadline=SECS]
  *   mtfpu-cli sweep <addr> --specs=FILE [--wait-timeout=SECS]
  *                   [--deadline=SECS]
- *   mtfpu-cli status <addr> [--id=N]
+ *   mtfpu-cli status <addr> --id=N
  *   mtfpu-cli result <addr> --id=N [--no-wait]
  *   mtfpu-cli cancel <addr> --id=N
  *   mtfpu-cli drain <addr> [--resume]
@@ -354,30 +354,8 @@ main(int argc, char **argv)
             return cmdSweep(client, specs, wait_timeout_ms, deadline_ms);
         }
         if (cmd == "status") {
-            if (id_text.empty()) {
-                const json::Value response = client.request(
-                    "{\"cmd\":\"status\"}");
-                std::printf("jobs=%llu queued=%llu running=%llu "
-                            "done=%llu cancelled=%llu\n",
-                            static_cast<unsigned long long>(
-                                response.at("jobs").asUint()),
-                            static_cast<unsigned long long>(
-                                response.at("queued").asUint()),
-                            static_cast<unsigned long long>(
-                                response.at("running").asUint()),
-                            static_cast<unsigned long long>(
-                                response.at("done").asUint()),
-                            static_cast<unsigned long long>(
-                                response.at("cancelled").asUint()));
-                std::printf(
-                    "draining=%s worker_crashes=%llu worker_respawns=%llu\n",
-                    response.at("draining").asBool() ? "yes" : "no",
-                    static_cast<unsigned long long>(
-                        response.at("worker_crashes").asUint()),
-                    static_cast<unsigned long long>(
-                        response.at("worker_respawns").asUint()));
-                return 0;
-            }
+            if (id_text.empty())
+                return usage();
             std::printf("%s\n",
                         client.status(std::stoull(id_text)).c_str());
             return 0;

@@ -1,12 +1,11 @@
 #include "faults/campaign.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <unordered_map>
 
 #include "common/journal.hh"
@@ -22,26 +21,6 @@ namespace mtfpu::faults
 
 namespace
 {
-
-/** Bit-exact double comparison (NaN-safe, unlike operator==). */
-bool
-bitEqual(double a, double b)
-{
-    uint64_t ab, bb;
-    std::memcpy(&ab, &a, sizeof(ab));
-    std::memcpy(&bb, &b, sizeof(bb));
-    return ab == bb;
-}
-
-/** Deterministic per-trial seed from (base, kernel, trial). */
-uint64_t
-trialSeed(uint64_t base, size_t kernel, unsigned trial)
-{
-    uint64_t s = base;
-    s ^= (kernel + 1) * 0x9e3779b97f4a7c15ull;
-    s ^= (static_cast<uint64_t>(trial) + 1) * 0xc2b2ae3d27d4eb4full;
-    return s;
-}
 
 /** Journal/resume identity of a trial. */
 std::string
@@ -71,8 +50,10 @@ classifyTrial(FaultTrial &trial, const machine::SimJobResult &r,
     trial.cycles = r.stats.cycles;
     trial.errorCode = r.errorCode;
     if (r.ok) {
-        trial.outcome = bitEqual(sum, golden_sum) ? FaultOutcome::Masked
-                                                  : FaultOutcome::Sdc;
+        // Bit-exact, so a NaN checksum equals itself.
+        const bool same = std::bit_cast<uint64_t>(sum) ==
+                          std::bit_cast<uint64_t>(golden_sum);
+        trial.outcome = same ? FaultOutcome::Masked : FaultOutcome::Sdc;
     } else if (r.errorCode == errCodeName(ErrCode::LockstepDivergence)) {
         trial.outcome = FaultOutcome::DetectedLockstep;
     } else {
@@ -81,37 +62,32 @@ classifyTrial(FaultTrial &trial, const machine::SimJobResult &r,
 }
 
 /**
- * Run one reference machine to each distinct injection cycle of a
- * kernel's trial sweep and capture a start state at each pause. The
- * reference starts like a from-scratch trial (@p base: the kernel
- * under the *trial* configuration, which snapshot restore requires,
- * with the trials' lockstep setting), so a trial started from a fork
- * point is indistinguishable from one that simulated the prefix
- * itself.
+ * Advance the kernel's reference run to @p cycle and capture the
+ * paired machine + shadow state a trial starting there resumes. The
+ * reference started like a trial (the kernel under the trial
+ * configuration, which snapshot restore requires, with the trials'
+ * lockstep setting), so a trial started from the capture is
+ * indistinguishable from one that simulated the prefix itself.
  */
-std::shared_ptr<std::map<uint64_t, machine::JobStart>>
-captureForkPoints(const machine::SimJob &base,
-                  const std::set<uint64_t> &cycles)
+std::shared_ptr<const machine::JobStart>
+captureStart(machine::Machine &ref,
+             const machine::JobInstruments &instruments,
+             const std::string &kernel, uint64_t cycle)
 {
-    auto forks = std::make_shared<std::map<uint64_t, machine::JobStart>>();
-    machine::Machine ref(base.config);
-    const machine::JobInstruments instruments = machine::startJob(base, ref);
-    for (const uint64_t c : cycles) { // std::set iterates ascending
-        const machine::RunStats st = ref.runUntil(c);
-        if (st.status != machine::RunStatus::Paused) {
-            fatal("fault campaign: reference run of " + base.name +
-                  " ended (" + machine::runStatusName(st.status) +
-                  ") before injection cycle " + std::to_string(c));
-        }
-        machine::JobStart &fork = (*forks)[c];
-        fork.machine = snapshot::capture(ref);
-        if (instruments.shadow) {
-            ByteWriter out;
-            instruments.shadow->saveState(out);
-            fork.shadow = out.take();
-        }
+    const machine::RunStats st = ref.runUntil(cycle);
+    if (st.status != machine::RunStatus::Paused) {
+        fatal("fault campaign: reference run of " + kernel + " ended (" +
+              machine::runStatusName(st.status) + ") before cycle " +
+              std::to_string(cycle));
     }
-    return forks;
+    auto start = std::make_shared<machine::JobStart>();
+    start->machine = snapshot::capture(ref);
+    if (instruments.shadow) {
+        ByteWriter out;
+        instruments.shadow->saveState(out);
+        start->shadow = out.take();
+    }
+    return start;
 }
 
 } // anonymous namespace
@@ -119,7 +95,10 @@ captureForkPoints(const machine::SimJob &base,
 uint64_t
 campaignTrialSeed(uint64_t base, size_t kernel_index, unsigned trial)
 {
-    return trialSeed(base, kernel_index, trial);
+    uint64_t s = base;
+    s ^= (kernel_index + 1) * 0x9e3779b97f4a7c15ull;
+    s ^= (static_cast<uint64_t>(trial) + 1) * 0xc2b2ae3d27d4eb4full;
+    return s;
 }
 
 const char *
@@ -231,7 +210,7 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
     // Phase 1: one golden run per kernel pins the fault-free checksum
     // and cycle count (the latter bounds trial fault cycles and sizes
     // the runaway guard). Each golden job's memory image is built
-    // once and moves on to the kernel's trials.
+    // once and moves on to the kernel's reference run.
     const size_t nk = kernel_list.size();
     std::vector<double> goldenSums(nk, 0.0);
     std::vector<machine::SimJob> golden(nk);
@@ -285,104 +264,108 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
     }
 
     // Phase 2: the seeded trial sweep, one single-fault plan per
-    // (kernel, trial) pair, all across the driver pool. Trials found
-    // in the journal keep their recorded outcome and do not simulate.
+    // (kernel, trial) pair, one kernel at a time. Trials found in the
+    // journal keep their recorded outcome and do not simulate; every
+    // other trial starts from a capture of its kernel's reference
+    // run, at its injection cycle when forking and at cycle 0 if not.
     std::vector<machine::SimJob> jobs;
-    std::vector<FaultTrial> trials;
     std::vector<size_t> jobTrial; // batch index -> trial index
-    const size_t total = nk * config.faultsPerKernel;
-    jobs.reserve(total);
-    trials.reserve(total);
-    jobTrial.reserve(total);
-    std::vector<double> sums(total, 0.0);
+    std::vector<double> sums;     // batch index -> output checksum
+    const auto goldenSum = [&](size_t t) {
+        return result.goldenChecksums[t / config.faultsPerKernel];
+    };
+    if (appender) {
+        // Journal lines are written from worker threads the moment a
+        // trial finishes.
+        driver.setResultCallback(
+            [&](size_t j, const machine::SimJobResult &r) {
+                FaultTrial trial = result.trials[jobTrial[j]];
+                classifyTrial(trial, r, sums[j], goldenSum(jobTrial[j]));
+                appender->append(trial.to_json());
+            });
+    }
     for (size_t k = 0; k < nk; ++k) {
         const kernels::Kernel &kernel = kernel_list[k];
-        // A from-scratch trial starts from the golden job under the
-        // trial configuration.
-        machine::SimJob base = std::move(golden[k]);
-        base.name = kernel.name;
-        base.body = nullptr;
-        base.config.maxCycles =
-            result.goldenCycles[k] * config.guardFactor + 10000;
-        base.lockstep = config.lockstep;
-
-        // Gather this kernel's pending trials first: fork mode needs
-        // the set of injection cycles before any job can be built.
-        std::vector<size_t> pending; // indices of trials to simulate
-        std::set<uint64_t> forkCycles;
+        std::vector<size_t> pending; // trial indices, by start cycle
         for (unsigned i = 0; i < config.faultsPerKernel; ++i) {
             FaultTrial trial;
             trial.kernel = kernel.name;
-            trial.seed = trialSeed(config.seed, k, i);
+            trial.seed = campaignTrialSeed(config.seed, k, i);
             trial.plan =
                 FaultPlan::randomSingle(trial.seed, result.goldenCycles[k]);
-
             const auto it = already.find(trialKey(kernel.name, trial.seed));
             if (it != already.end()) {
                 trial.outcome = it->second.outcome;
                 trial.errorCode = it->second.errorCode;
                 trial.cycles = it->second.cycles;
-                trials.push_back(std::move(trial));
-                continue;
-            }
-            if (config.fork && !trial.plan.empty())
-                forkCycles.insert(trial.plan.faults().front().cycle);
-            trials.push_back(std::move(trial));
-            pending.push_back(trials.size() - 1);
-        }
-
-        std::shared_ptr<std::map<uint64_t, machine::JobStart>> forks;
-        if (config.fork && !forkCycles.empty())
-            forks = captureForkPoints(base, forkCycles);
-
-        for (const size_t t : pending) {
-            const FaultTrial &trial = trials[t];
-            machine::SimJob job;
-            job.name = kernel.name + "-fault-" + std::to_string(trial.seed);
-            job.config = base.config;
-            double *slot = &sums[jobs.size()];
-            job.body = [checksum = kernel.checksum,
-                        slot](machine::Machine &m) {
-                machine::RunStats stats = m.run();
-                *slot = checksum(m.mem());
-                return stats;
-            };
-            if (forks && !trial.plan.empty()) {
-                // Fork mode: start from the paired machine + shadow
-                // state instead of simulating the prefix. The alias
-                // shares ownership of the fork map.
-                job.start = std::shared_ptr<const machine::JobStart>(
-                    forks, &forks->at(trial.plan.faults().front().cycle));
             } else {
-                job.program = base.program;
-                job.memInit = base.memInit;
+                pending.push_back(result.trials.size());
             }
-            job.faultPlan = trial.plan;
-            job.lockstep = base.lockstep;
-            jobTrial.push_back(t);
-            jobs.push_back(std::move(job));
+            result.trials.push_back(std::move(trial));
+        }
+        if (pending.empty())
+            continue;
+        const auto startCycle = [&](size_t t) {
+            return config.fork ? result.trials[t].plan.faults().front().cycle
+                               : 0;
+        };
+        std::stable_sort(pending.begin(), pending.end(),
+                         [&](size_t a, size_t b) {
+                             return startCycle(a) < startCycle(b);
+                         });
+
+        // The reference is the golden job under the trial
+        // configuration; the kernel's memory image dies with it.
+        machine::SimJob base = std::move(golden[k]);
+        base.body = nullptr;
+        base.config.maxCycles =
+            result.goldenCycles[k] * config.guardFactor + 10000;
+        base.lockstep = config.lockstep;
+        machine::Machine ref(base.config);
+        const machine::JobInstruments instruments =
+            machine::startJob(base, ref);
+
+        // Windows of at most kForkWindow distinct start cycles, one
+        // batch each: capture the starts, run and classify the
+        // trials, then release the starts with the batch.
+        for (size_t next = 0; next < pending.size();) {
+            std::shared_ptr<const machine::JobStart> start;
+            uint64_t startAt = 0;
+            for (unsigned starts = 0; next < pending.size(); ++next) {
+                const size_t t = pending[next];
+                const uint64_t cycle = startCycle(t);
+                if (!start || cycle != startAt) {
+                    if (starts++ == kForkWindow)
+                        break;
+                    start = captureStart(ref, instruments, kernel.name,
+                                         cycle);
+                    startAt = cycle;
+                }
+                machine::SimJob job;
+                job.name = kernel.name + "-fault-" +
+                           std::to_string(result.trials[t].seed);
+                job.config = base.config;
+                job.start = start;
+                job.body = [checksum = kernel.checksum, &sums,
+                            j = jobs.size()](machine::Machine &m) {
+                    machine::RunStats stats = m.run();
+                    sums[j] = checksum(m.mem());
+                    return stats;
+                };
+                job.faultPlan = result.trials[t].plan;
+                job.lockstep = config.lockstep;
+                jobTrial.push_back(t);
+                jobs.push_back(std::move(job));
+            }
+            sums.assign(jobs.size(), 0.0);
+            const std::vector<machine::SimJobResult> res = driver.run(jobs);
+            for (size_t j = 0; j < res.size(); ++j)
+                classifyTrial(result.trials[jobTrial[j]], res[j], sums[j],
+                              goldenSum(jobTrial[j]));
+            jobs.clear();
+            jobTrial.clear();
         }
     }
-
-    // Journal lines are written from worker threads the moment a
-    // trial finishes.
-    if (appender) {
-        driver.setResultCallback(
-            [&](size_t j, const machine::SimJobResult &r) {
-                FaultTrial trial = trials[jobTrial[j]];
-                const size_t k = jobTrial[j] / config.faultsPerKernel;
-                classifyTrial(trial, r, sums[j], result.goldenChecksums[k]);
-                appender->append(trial.to_json());
-            });
-    }
-
-    const std::vector<machine::SimJobResult> res = driver.run(jobs);
-    for (size_t j = 0; j < res.size(); ++j) {
-        const size_t k = jobTrial[j] / config.faultsPerKernel;
-        classifyTrial(trials[jobTrial[j]], res[j], sums[j],
-                      result.goldenChecksums[k]);
-    }
-    result.trials = std::move(trials);
 
     if (!config.reportDir.empty()) {
         try {

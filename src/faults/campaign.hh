@@ -16,13 +16,16 @@
  *     that reaches the output also diverges from the shadow), which
  *     is exactly what the CI smoke job asserts.
  *
- * Every trial is a machine::SimJob whose fault plan and lockstep flag
- * are data (SimJob::faultPlan, SimJob::lockstep): machine::startJob
- * builds the injector and the shadow, so the SimDriver itself stays
- * fault-agnostic. A snapshot-forked trial (CampaignConfig::fork)
- * starts from a JobStart that aliases the campaign's fork point, so
- * it carries no memory image and simulates only from its injection
- * cycle.
+ * Every trial is a machine::SimJob of one shape: its fault plan and
+ * lockstep flag are data (SimJob::faultPlan, SimJob::lockstep), which
+ * machine::startJob turns into the injector and the shadow, so the
+ * SimDriver itself stays fault-agnostic; and it starts from a
+ * machine::JobStart (SimJob::start) that one reference run per kernel
+ * captured, so it carries no program or memory image. The campaign
+ * runs one kernel at a time, in windows of at most kForkWindow
+ * distinct start cycles, and releases a window's starts before it
+ * captures the next: its memory follows the trials in flight, not
+ * the trial count.
  */
 
 #ifndef MTFPU_FAULTS_CAMPAIGN_HH
@@ -38,6 +41,13 @@
 
 namespace mtfpu::faults
 {
+
+/**
+ * Most start states (machine snapshot + shadow bytes) a campaign holds
+ * at once: the distinct start cycles of one trial batch. One lfk07
+ * start costs about 117 KB.
+ */
+inline constexpr unsigned kForkWindow = 64;
 
 /** Outcome class of one fault-injection trial. */
 enum class FaultOutcome : uint8_t
@@ -119,15 +129,14 @@ struct CampaignConfig
     std::string journalPath;
 
     /**
-     * Snapshot-fork the shared golden prefix: one reference machine
-     * per kernel runs under the trial configuration (lockstep shadow
-     * attached), pausing at each distinct injection cycle to capture
-     * a paired machine + shadow state (machine::JobStart); each
-     * trial then starts from its fork point (SimJob::start) and
-     * simulates only from its injection cycle onward. Classification
-     * is bit-identical to the from-scratch sweep — the injector is
-     * stateless before its fault fires, so the forked prefix and the
-     * full run agree exactly.
+     * Pick each trial's start cycle. Every trial starts from a paired
+     * machine + shadow state (machine::JobStart) that its kernel's
+     * reference run, under the trial configuration with the shadow
+     * attached, captured on its way: at cycle 0 by default, or with
+     * fork set at the trial's injection cycle, so the trial simulates
+     * only from there on. Classification is bit-identical either way
+     * — the injector is stateless before its fault fires, so the
+     * shared prefix and the trial's own agree exactly.
      */
     bool fork = false;
 };

@@ -329,12 +329,10 @@ SimClient::health()
     h.done = response.at("done").asUint();
     h.cancelled = response.at("cancelled").asUint();
     h.deadlineShed = response.at("deadline_shed").asUint();
-    if (response.has("pool_slots")) {
-        h.poolSlots = response.at("pool_slots").asUint();
-        h.poolBusy = response.at("pool_busy").asUint();
-        h.workerCrashes = response.at("worker_crashes").asUint();
-        h.workerRespawns = response.at("worker_respawns").asUint();
-    }
+    h.poolSlots = response.at("pool_slots").asUint();
+    h.poolBusy = response.at("pool_busy").asUint();
+    h.workerCrashes = response.at("worker_crashes").asUint();
+    h.workerRespawns = response.at("worker_respawns").asUint();
     h.cacheEnabled = response.at("cache_enabled").asBool();
     if (h.cacheEnabled) {
         h.cacheHits = response.at("cache_hits").asUint();

@@ -201,8 +201,15 @@ configFromJson(const json::Value &v)
         if (m.has("instr_cache"))
             c.memory.instrCache = cacheConfigFromJson(
                 m.at("instr_cache"), c.memory.instrCache);
-        if (m.has("mem_bytes"))
-            c.memory.memBytes = m.at("mem_bytes").asUint();
+        if (m.has("mem_bytes")) {
+            const uint64_t bytes = m.at("mem_bytes").asUint();
+            if (bytes > kMaxMemBytes)
+                fatal(ErrCode::BadOperand,
+                      "mem_bytes " + std::to_string(bytes) +
+                          " exceeds the maximum of " +
+                          std::to_string(kMaxMemBytes));
+            c.memory.memBytes = bytes;
+        }
         if (m.has("model_caches"))
             c.memory.modelCaches = m.at("model_caches").asBool();
     }

@@ -121,7 +121,16 @@ struct JobSpec
     machine::SimJob resolve() const;
 };
 
-/** MachineConfig <-> JSON (shared with the wire protocol). */
+/**
+ * Largest memory.mem_bytes a config may ask for: 64 MB, 16x the
+ * default. Resolving a spec builds its image in a memory that size,
+ * so an unbounded request from a peer could exhaust the daemon.
+ */
+inline constexpr uint64_t kMaxMemBytes = 64ull << 20;
+
+/** MachineConfig <-> JSON (shared with the wire protocol).
+ *  configFromJson throws SimError(BadOperand) for mem_bytes above
+ *  kMaxMemBytes. */
 std::string configToJson(const machine::MachineConfig &config);
 machine::MachineConfig configFromJson(const json::Value &v);
 

@@ -1,6 +1,7 @@
 #include "service/server.hh"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <poll.h>
 #include <sys/socket.h>
@@ -86,19 +87,6 @@ clientMs(const json::Value &req, const char *field)
 
 } // anonymous namespace
 
-struct SimServer::JobCounts
-{
-    uint64_t queued = 0, running = 0, done = 0, cancelled = 0;
-
-    void write(json::Writer &w) const
-    {
-        w.key("queued").value(queued);
-        w.key("running").value(running);
-        w.key("done").value(done);
-        w.key("cancelled").value(cancelled);
-    }
-};
-
 const char *
 jobStateName(JobState state)
 {
@@ -164,8 +152,8 @@ SimServer::recoverJournal()
             Job entry;
             entry.id = rec.id;
             entry.pure = spec.pure();
-            entry.job = spec.resolve();
-            entry.specJson = rec.specJson;
+            entry.work = Job::Work{spec.resolve(), rec.specJson};
+            entry.name = entry.work->job.name;
             entry.idemKey = rec.idemKey;
             entry.cancel = std::make_shared<std::atomic<bool>>(false);
             // Rebuild the dedupe index: a client retrying its submit
@@ -349,8 +337,7 @@ SimServer::workerLoop()
 {
     for (;;) {
         uint64_t id = 0;
-        machine::SimJob job;
-        std::string specJson;
+        std::optional<Job::Work> work;
         bool pure = false;
         std::shared_ptr<std::atomic<bool>> cancel;
         {
@@ -375,7 +362,8 @@ SimServer::workerLoop()
                 // worker on an answer nobody will read — the
                 // backpressure story, applied at dequeue time.
                 entry.state = JobState::Done;
-                entry.result.name = entry.job.name;
+                entry.work.reset();
+                entry.result.name = entry.name;
                 entry.result.ok = false;
                 entry.result.error =
                     "deadline expired before execution (shed)";
@@ -387,8 +375,8 @@ SimServer::workerLoop()
                 continue;
             }
             entry.state = JobState::Running;
-            job = entry.job; // copy: simulate outside the lock
-            specJson = entry.specJson;
+            work = std::move(entry.work); // simulate outside the lock
+            entry.work.reset();
             pure = entry.pure;
             cancel = entry.cancel;
         }
@@ -397,8 +385,8 @@ SimServer::workerLoop()
         machine::SimJobResult result;
         bool cancelled = false;
         bool aborted = false;
-        runPooled(job, specJson, pure, cancel.get(), result, cancelled,
-                  aborted);
+        runPooled(work->job, work->specJson, pure, cancel.get(), result,
+                  cancelled, aborted);
 
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -558,24 +546,11 @@ SimServer::handleRequest(const std::string &line, uint64_t client_id,
         return errorResponse("unknown command '" + cmd + "'");
     } catch (const SimError &e) {
         return errorResponse(e.what(), errCodeName(e.code()));
-    } catch (const FatalError &e) {
+    } catch (const std::exception &e) {
+        // A FatalError, or anything else a hostile request provokes
+        // (bad_alloc, length_error): it fails this request alone.
         return errorResponse(e.what());
     }
-}
-
-SimServer::JobCounts
-SimServer::countJobs() const
-{
-    JobCounts counts;
-    for (const auto &[id, entry] : jobs_) {
-        switch (entry.state) {
-          case JobState::Queued: ++counts.queued; break;
-          case JobState::Running: ++counts.running; break;
-          case JobState::Done: ++counts.done; break;
-          case JobState::Cancelled: ++counts.cancelled; break;
-        }
-    }
-    return counts;
 }
 
 std::string
@@ -635,13 +610,14 @@ SimServer::cmdHealth()
     using namespace std::chrono;
     const uint64_t uptime = static_cast<uint64_t>(
         ceil<milliseconds>(steady_clock::now() - startTime_).count());
-    JobCounts counts;
+    std::array<uint64_t, 4> jobsIn{}; // jobs per JobState
     uint64_t shed = 0;
     size_t conns = 0;
     bool draining = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        counts = countJobs();
+        for (const auto &[id, entry] : jobs_)
+            ++jobsIn[static_cast<size_t>(entry.state)];
         shed = deadlineShed_;
         conns = connFds_.size();
         draining = draining_;
@@ -651,7 +627,9 @@ SimServer::cmdHealth()
         w.key("uptime_ms").value(uptime);
         w.key("draining").value(draining);
         w.key("connections").value(static_cast<uint64_t>(conns));
-        counts.write(w);
+        for (size_t state = 0; state < jobsIn.size(); ++state)
+            w.key(jobStateName(static_cast<JobState>(state)))
+                .value(jobsIn[state]);
         w.key("deadline_shed").value(shed);
         w.key("pool_slots").value(static_cast<uint64_t>(pool_->slots()));
         w.key("pool_busy").value(static_cast<uint64_t>(pool_->busySlots()));
@@ -680,8 +658,9 @@ SimServer::cmdSubmit(const json::Value &req, uint64_t client_id)
     const JobSpec spec = JobSpec::from_json(req.at("spec"));
     Job entry;
     entry.pure = spec.pure();
-    entry.job = spec.resolve(); // throws on bad programs: caught above
-    entry.specJson = spec.to_json();
+    // resolve() throws on bad programs: caught by handleRequest.
+    entry.work = Job::Work{spec.resolve(), spec.to_json()};
+    entry.name = entry.work->job.name;
     entry.clientId = client_id;
     entry.cancel = std::make_shared<std::atomic<bool>>(false);
     if (req.has("idem_key"))
@@ -740,7 +719,7 @@ SimServer::cmdSubmit(const json::Value &req, uint64_t client_id)
             if (!entry.idemKey.empty())
                 idemIndex_[entry.idemKey] = id;
             if (journal_)
-                journal_->accept(id, entry.specJson, entry.idemKey);
+                journal_->accept(id, entry.work->specJson, entry.idemKey);
             jobs_.emplace(id, std::move(entry));
             queue_.push_back(id);
         }
@@ -758,27 +737,21 @@ SimServer::cmdSubmit(const json::Value &req, uint64_t client_id)
 std::string
 SimServer::cmdStatus(const json::Value &req)
 {
+    // One job's state; the daemon-wide census is health's.
+    if (!req.has("id"))
+        return errorResponse("status needs an 'id'",
+                             errCodeName(ErrCode::BadOperand));
+    const uint64_t id = req.at("id").asUint();
     std::lock_guard<std::mutex> lock(mutex_);
-    if (req.has("id")) {
-        const uint64_t id = req.at("id").asUint();
-        const auto it = jobs_.find(id);
-        if (it == jobs_.end())
-            return errorResponse("no job " + std::to_string(id));
-        const Job &entry = it->second;
-        return okResponse([&](json::Writer &w) {
-            w.key("id").value(id);
-            w.key("state").value(jobStateName(entry.state));
-            w.key("name").value(entry.job.name);
-            w.key("pure").value(entry.pure);
-        });
-    }
-    const JobCounts counts = countJobs();
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end())
+        return errorResponse("no job " + std::to_string(id));
+    const Job &entry = it->second;
     return okResponse([&](json::Writer &w) {
-        w.key("jobs").value(static_cast<uint64_t>(jobs_.size()));
-        counts.write(w);
-        w.key("draining").value(draining_);
-        w.key("worker_crashes").value(pool_->crashes());
-        w.key("worker_respawns").value(pool_->respawns());
+        w.key("id").value(id);
+        w.key("state").value(jobStateName(entry.state));
+        w.key("name").value(entry.name);
+        w.key("pure").value(entry.pure);
     });
 }
 
@@ -838,6 +811,7 @@ SimServer::cmdCancel(const json::Value &req)
     bool cancelled = false;
     if (it->second.state == JobState::Queued) {
         it->second.state = JobState::Cancelled;
+        it->second.work.reset();
         cancelled = true;
         // Never ran, never will: retire it from the journal now, or a
         // restart would resurrect a job its owner explicitly killed.

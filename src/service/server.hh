@@ -23,7 +23,7 @@
  *   health                               uptime/queue/pool/cache census
  *   submit         spec [, idem_key,     id, cached-eligible "pure",
  *                  deadline_ms]          duplicate (idempotent replay)
- *   status         [id]                  one job / queue counters
+ *   status         id                    one job's state and name
  *   result         id [, wait, wait_ms]  state, stats summary, stats_hex
  *   cancel         id                    cancelled
  *   drain          [on]                  draining
@@ -218,11 +218,22 @@ class SimServer
   private:
     struct Job
     {
+        /** What running the job takes: the resolved SimJob and its
+         *  wire form (for the journal and the pool). */
+        struct Work
+        {
+            machine::SimJob job;
+            std::string specJson;
+        };
+
         uint64_t id = 0;
         JobState state = JobState::Queued;
         bool pure = false;
-        machine::SimJob job;        // resolved, ready to run
-        std::string specJson;       // wire form, for journal and pool
+        std::string name; // for status and the shed result
+        /** Set while queued: the dispatch thread takes it, and a job
+         *  cancelled or shed in the queue drops it, so a finished job
+         *  keeps only its result. */
+        std::optional<Work> work;
         /** Client idempotency key; empty = none. Indexed by
          *  idemIndex_ so a retried submit replays the original id. */
         std::string idemKey;
@@ -241,9 +252,6 @@ class SimServer
         std::shared_ptr<std::atomic<bool>> cancel;
         machine::SimJobResult result;
     };
-
-    /** Jobs per lifecycle state: the census health and status share. */
-    struct JobCounts;
 
     /** One connection's thread; done is set (under mutex_) as the
      *  thread leaves handleConnection, so the accept loop can join
@@ -286,9 +294,6 @@ class SimServer
      *  on the wire. */
     std::string handleRequest(const std::string &line, uint64_t client_id,
                               bool &shutdown_requested);
-
-    /** Count jobs_ by state; the caller holds mutex_. */
-    JobCounts countJobs() const;
 
     std::string cmdHello(const json::Value &req);
     std::string cmdPing();

@@ -192,7 +192,7 @@ class WorkerPool
 
     const WorkerPoolConfig &config() const { return config_; }
 
-    /** Lifetime counters (tests and status reporting). */
+    /** Lifetime counters (tests and the health census). */
     uint64_t crashes() const { return crashes_.load(); }
     uint64_t respawns() const { return respawns_.load(); }
 

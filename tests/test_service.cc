@@ -187,6 +187,11 @@ TEST(JobSpec, ConfigJsonRoundTrip)
     EXPECT_TRUE(back == config);
 }
 
+/** A kernel spec asking for an exabyte of simulated memory. */
+constexpr const char *kHugeMemSpec =
+    "{\"kind\":\"kernel\",\"kernel\":\"lfk01\",\"config\":"
+    "{\"memory\":{\"mem_bytes\":1152921504606846976}}}";
+
 TEST(JobSpec, FromJsonRejectsMalformedSpecs)
 {
     EXPECT_THROW(service::JobSpec::parse("[1,2]"), SimError);
@@ -213,6 +218,14 @@ TEST(JobSpec, FromJsonRejectsMalformedSpecs)
         } catch (const SimError &err) {
             EXPECT_EQ(err.code(), ErrCode::BadOperand);
         }
+    }
+    // A memory past kMaxMemBytes is refused before anything is built
+    // in it.
+    try {
+        service::JobSpec::parse(kHugeMemSpec);
+        ADD_FAILURE() << "mem_bytes above the maximum accepted";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.code(), ErrCode::BadOperand);
     }
 }
 
@@ -828,15 +841,15 @@ TEST(SimServer, CancelsQueuedJobBehindLongRun)
     client.shutdown();
 }
 
-/** This process's virtual size in kB (VmSize in /proc/self/status). */
+/** A /proc/self/status field of this process in kB, e.g. "VmSize". */
 uint64_t
-vmSizeKb()
+statusKb(const std::string &field)
 {
     std::ifstream status("/proc/self/status");
     std::string line;
     while (std::getline(status, line)) {
-        if (line.rfind("VmSize:", 0) == 0)
-            return std::stoull(line.substr(7));
+        if (line.rfind(field + ":", 0) == 0)
+            return std::stoull(line.substr(field.size() + 1));
     }
     return 0;
 }
@@ -857,15 +870,63 @@ TEST(SimServer, ReapsFinishedConnectionThreads)
     // process by about 800 MB. Joined threads hand their stacks on.
     for (int i = 0; i < 5; ++i)
         connectPingClose();
-    const uint64_t before = vmSizeKb();
+    const uint64_t before = statusKb("VmSize");
     ASSERT_GT(before, 0u);
     for (int i = 0; i < 100; ++i)
         connectPingClose();
-    const uint64_t after = vmSizeKb();
+    const uint64_t after = statusKb("VmSize");
     const uint64_t grewKb = after > before ? after - before : 0;
     EXPECT_LT(grewKb, 100u * 1024) << "VmSize grew by " << grewKb << " kB";
 
     service::SimClient(config.socketPath).shutdown();
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+extern "C" size_t __sanitizer_get_current_allocated_bytes();
+#endif
+
+/** Memory this process holds in kB: VmRSS, or under a sanitizer,
+ *  whose allocator holds freed blocks back, its live heap. */
+uint64_t
+heldKb()
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    return __sanitizer_get_current_allocated_bytes() / 1024;
+#else
+    return statusKb("VmRSS");
+#endif
+}
+
+TEST(SimServer, FinishedJobsKeepTheirResultNotTheirJob)
+{
+    TempDir dir("daemon_rss");
+    const service::ServerConfig config = daemonConfig(dir, 2);
+    service::SimServer server(config);
+    server.start();
+    service::SimClient client(config.socketPath);
+    service::JobSpec spec;
+    spec.kind = service::JobKind::Kernel;
+    spec.kernel = "lfk18:vector";
+    const auto runJobs = [&](int jobs) {
+        for (int i = 0; i < jobs; ++i) {
+            const machine::SimJobResult r =
+                client.result(client.submit(spec), true);
+            ASSERT_TRUE(r.ok) << r.error;
+        }
+    };
+
+    // A resolved lfk18 job holds its program and a memory image of
+    // about 145 KB. A daemon that kept each finished job's SimJob
+    // would grow by some 40 MB over 300 jobs; one that keeps only
+    // the results grows by their few hundred bytes each.
+    runJobs(20);
+    const uint64_t before = heldKb();
+    ASSERT_GT(before, 0u);
+    runJobs(300);
+    const uint64_t after = heldKb();
+    const uint64_t grewKb = after > before ? after - before : 0;
+    EXPECT_LT(grewKb, 12u * 1024) << "memory grew by " << grewKb << " kB";
+    client.shutdown();
 }
 
 TEST(SimServer, ProtocolErrorsKeepConnectionAlive)
@@ -881,6 +942,20 @@ TEST(SimServer, ProtocolErrorsKeepConnectionAlive)
     EXPECT_THROW(client.request("{\"no_cmd\":1}"), SimError);
     EXPECT_THROW(client.request("{\"cmd\":\"result\",\"id\":999}"),
                  SimError);
+    // status reports one job (the census is health's), and a spec
+    // that would make the daemon allocate an exabyte is refused.
+    for (const std::string &request :
+         {std::string("{\"cmd\":\"status\"}"),
+          std::string("{\"cmd\":\"submit\",\"spec\":") + kHugeMemSpec +
+              "}"}) {
+        SCOPED_TRACE(request);
+        try {
+            client.request(request);
+            ADD_FAILURE() << "request answered ok";
+        } catch (const SimError &err) {
+            EXPECT_EQ(err.code(), ErrCode::BadOperand);
+        }
+    }
     // The same connection still serves real commands afterwards.
     EXPECT_TRUE(client.ping());
     client.shutdown();

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -727,20 +728,120 @@ expectSameTrials(const faults::CampaignResult &a,
     }
 }
 
+/**
+ * The campaign @p cfg describes, simulated without runCampaign: every
+ * trial rebuilt from scratch (the kernel's program and memory image,
+ * its plan, lockstep and cycle guard) and run through SimDriver.
+ */
+faults::CampaignResult
+fromScratchCampaign(const std::vector<kernels::Kernel> &kernel_list,
+                    const faults::CampaignConfig &cfg)
+{
+    faults::CampaignResult ref;
+    const machine::SimDriver driver(cfg.threads);
+    for (size_t k = 0; k < kernel_list.size(); ++k) {
+        const kernels::Kernel &kernel = kernel_list[k];
+        std::vector<double> sums(cfg.faultsPerKernel + 1, 0.0);
+        machine::SimJob golden;
+        golden.name = kernel.name;
+        golden.program = kernel.program;
+        golden.config = cfg.machine;
+        golden.memInit =
+            kernels::memImage(kernel.init, cfg.machine.memory.memBytes);
+        const auto checksumInto = [&](size_t j) {
+            return [&sums, j,
+                    checksum = kernel.checksum](machine::Machine &m) {
+                const machine::RunStats stats = m.run();
+                sums[j] = checksum(m.mem());
+                return stats;
+            };
+        };
+        golden.body = checksumInto(0);
+        const machine::SimJobResult g = driver.runAttempt(golden);
+        EXPECT_TRUE(g.ok) << g.error;
+        ref.kernels.push_back(kernel.name);
+        ref.goldenChecksums.push_back(sums[0]);
+        ref.goldenCycles.push_back(g.stats.cycles);
+
+        std::vector<machine::SimJob> jobs;
+        for (unsigned i = 0; i < cfg.faultsPerKernel; ++i) {
+            faults::FaultTrial trial;
+            trial.kernel = kernel.name;
+            trial.seed = faults::campaignTrialSeed(cfg.seed, k, i);
+            trial.plan =
+                faults::FaultPlan::randomSingle(trial.seed, g.stats.cycles);
+            machine::SimJob job = golden;
+            job.config.maxCycles = g.stats.cycles * cfg.guardFactor + 10000;
+            job.faultPlan = trial.plan;
+            job.lockstep = cfg.lockstep;
+            job.body = checksumInto(i + 1);
+            jobs.push_back(std::move(job));
+            ref.trials.push_back(std::move(trial));
+        }
+        const std::vector<machine::SimJobResult> res = driver.run(jobs);
+        for (unsigned i = 0; i < cfg.faultsPerKernel; ++i) {
+            faults::FaultTrial &trial =
+                ref.trials[ref.trials.size() - cfg.faultsPerKernel + i];
+            const machine::SimJobResult &r = res[i];
+            trial.cycles = r.stats.cycles;
+            trial.errorCode = r.errorCode;
+            if (r.ok) {
+                const bool same = std::bit_cast<uint64_t>(sums[i + 1]) ==
+                                  std::bit_cast<uint64_t>(sums[0]);
+                trial.outcome = same ? faults::FaultOutcome::Masked
+                                     : faults::FaultOutcome::Sdc;
+            } else if (r.errorCode == "lockstep-divergence") {
+                trial.outcome = faults::FaultOutcome::DetectedLockstep;
+            } else {
+                trial.outcome = faults::FaultOutcome::DetectedHardware;
+            }
+        }
+    }
+    return ref;
+}
+
 TEST(CampaignSnapshot, ForkedCampaignClassifiesIdentically)
 {
     const auto kernels = campaignKernels();
     faults::CampaignConfig cfg = campaignConfig();
+    const faults::CampaignResult ref = fromScratchCampaign(kernels, cfg);
 
-    const faults::CampaignResult scratch =
+    const faults::CampaignResult unforked =
         faults::runCampaign(kernels, cfg);
     cfg.fork = true;
     const faults::CampaignResult forked =
         faults::runCampaign(kernels, cfg);
 
-    expectSameTrials(scratch, forked);
-    EXPECT_EQ(forked.goldenChecksums, scratch.goldenChecksums);
-    EXPECT_EQ(forked.goldenCycles, scratch.goldenCycles);
+    // Both modes start their trials from reference-run captures; each
+    // must classify exactly as the trials simulated from scratch.
+    for (const faults::CampaignResult *result : {&unforked, &forked}) {
+        SCOPED_TRACE(result == &forked ? "forked" : "unforked");
+        expectSameTrials(ref, *result);
+        EXPECT_EQ(result->goldenChecksums, ref.goldenChecksums);
+        EXPECT_EQ(result->goldenCycles, ref.goldenCycles);
+    }
+}
+
+TEST(CampaignSnapshot, ForkWindowsSplitAKernelsTrials)
+{
+    // More distinct injection cycles than one window holds: the
+    // forked campaign captures, runs and releases several windows.
+    const std::vector<kernels::Kernel> kernels = {
+        kernels::livermore::make(1, true)};
+    faults::CampaignConfig cfg = campaignConfig();
+    cfg.faultsPerKernel = faults::kForkWindow + 8;
+
+    const faults::CampaignResult unforked =
+        faults::runCampaign(kernels, cfg);
+    cfg.fork = true;
+    const faults::CampaignResult forked =
+        faults::runCampaign(kernels, cfg);
+
+    std::set<uint64_t> cycles;
+    for (const faults::FaultTrial &trial : forked.trials)
+        cycles.insert(trial.plan.faults().front().cycle);
+    EXPECT_GT(cycles.size(), faults::kForkWindow);
+    expectSameTrials(unforked, forked);
 }
 
 TEST(CampaignSnapshot, JournalResumeMatchesUninterrupted)

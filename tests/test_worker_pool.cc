@@ -327,6 +327,8 @@ TEST(WorkerPool, CrashingJobRetriedThenQuarantinedWithSignalReport)
     EXPECT_NE(report.find("\"attempts\":2"), std::string::npos);
 
     EXPECT_GE(server.pool()->crashes(), 2u);
+    // The retry ran on a worker spawned to replace the dead one.
+    EXPECT_GE(server.pool()->respawns(), 1u);
     client.shutdown();
 }
 
