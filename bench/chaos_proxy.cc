@@ -20,15 +20,17 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include <unistd.h>
 
-#include "common/log.hh"
+#include "bench/bench_util.hh"
 #include "bench/chaos.hh"
+#include "common/log.hh"
 
 using namespace mtfpu;
+using bench::flagNumber;
+using bench::flagValue;
 
 namespace
 {
@@ -39,16 +41,6 @@ void
 onSignal(int)
 {
     g_stop = 1;
-}
-
-bool
-flagValue(const char *arg, const char *name, std::string &value)
-{
-    const size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) != 0 || arg[n] != '=')
-        return false;
-    value = arg + n + 1;
-    return true;
 }
 
 int
@@ -70,31 +62,35 @@ main(int argc, char **argv)
 {
     std::string listen, target, value;
     service::ChaosPlan plan;
-    for (int i = 1; i < argc; ++i) {
-        if (flagValue(argv[i], "--listen", value))
-            listen = value;
-        else if (flagValue(argv[i], "--target", value))
-            target = value;
-        else if (flagValue(argv[i], "--seed", value))
-            plan.seed = std::stoull(value);
-        else if (flagValue(argv[i], "--delay-pm", value))
-            plan.delayPerMille =
-                static_cast<unsigned>(std::stoul(value));
-        else if (flagValue(argv[i], "--delay-max-ms", value))
-            plan.delayMaxMs = static_cast<unsigned>(std::stoul(value));
-        else if (flagValue(argv[i], "--split-pm", value))
-            plan.splitPerMille =
-                static_cast<unsigned>(std::stoul(value));
-        else if (flagValue(argv[i], "--drop-pm", value))
-            plan.dropPerMille = static_cast<unsigned>(std::stoul(value));
-        else if (flagValue(argv[i], "--truncate-pm", value))
-            plan.truncatePerMille =
-                static_cast<unsigned>(std::stoul(value));
-        else if (flagValue(argv[i], "--garbage-pm", value))
-            plan.garbagePerMille =
-                static_cast<unsigned>(std::stoul(value));
-        else
-            return usage();
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (flagValue(argv[i], "--listen", value))
+                listen = value;
+            else if (flagValue(argv[i], "--target", value))
+                target = value;
+            else if (flagValue(argv[i], "--seed", value))
+                plan.seed = flagNumber<uint64_t>("--seed", value);
+            else if (flagValue(argv[i], "--delay-pm", value))
+                plan.delayPerMille = flagNumber<unsigned>("--delay-pm", value);
+            else if (flagValue(argv[i], "--delay-max-ms", value))
+                plan.delayMaxMs =
+                    flagNumber<unsigned>("--delay-max-ms", value);
+            else if (flagValue(argv[i], "--split-pm", value))
+                plan.splitPerMille = flagNumber<unsigned>("--split-pm", value);
+            else if (flagValue(argv[i], "--drop-pm", value))
+                plan.dropPerMille = flagNumber<unsigned>("--drop-pm", value);
+            else if (flagValue(argv[i], "--truncate-pm", value))
+                plan.truncatePerMille =
+                    flagNumber<unsigned>("--truncate-pm", value);
+            else if (flagValue(argv[i], "--garbage-pm", value))
+                plan.garbagePerMille =
+                    flagNumber<unsigned>("--garbage-pm", value);
+            else
+                return usage();
+        }
+    } catch (const bench::UsageError &e) {
+        std::fprintf(stderr, "chaos_proxy: %s\n", e.what());
+        return usage();
     }
     if (listen.empty() || target.empty())
         return usage();

@@ -34,14 +34,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include <cstdio>
-
 #include "bench/bench_util.hh"
+#include "common/file_io.hh"
 #include "faults/campaign.hh"
 #include "kernels/livermore/livermore.hh"
 #include "kernels/runner.hh"
@@ -49,6 +47,8 @@
 #include "service/job_spec.hh"
 
 using namespace mtfpu;
+using bench::flagNumber;
+using bench::flagValue;
 
 namespace
 {
@@ -69,16 +69,6 @@ splitCsv(const std::string &csv)
     return out;
 }
 
-bool
-flagValue(const char *arg, const char *name, std::string &value)
-{
-    const size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) != 0 || arg[len] != '=')
-        return false;
-    value = arg + len + 1;
-    return true;
-}
-
 } // anonymous namespace
 
 int
@@ -92,38 +82,43 @@ main(int argc, char **argv)
     bool resume = false;
     std::string export_specs;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string value;
-        if (flagValue(argv[i], "--kernels", value)) {
-            names = splitCsv(value);
-        } else if (flagValue(argv[i], "--faults", value)) {
-            cfg.faultsPerKernel =
-                static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flagValue(argv[i], "--seed", value)) {
-            cfg.seed = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argv[i], "--threads", value)) {
-            cfg.threads =
-                static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flagValue(argv[i], "--guard-factor", value)) {
-            cfg.guardFactor = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flagValue(argv[i], "--report-dir", value)) {
-            cfg.reportDir = value;
-        } else if (flagValue(argv[i], "--journal", value)) {
-            cfg.journalPath = value;
-        } else if (flagValue(argv[i], "--export-specs", value)) {
-            export_specs = value;
-        } else if (std::strcmp(argv[i], "--resume") == 0) {
-            resume = true;
-        } else if (std::strcmp(argv[i], "--fork") == 0) {
-            cfg.fork = true;
-        } else if (std::strcmp(argv[i], "--no-lockstep") == 0) {
-            cfg.lockstep = false;
-        } else if (std::strcmp(argv[i], "--assert-no-sdc") == 0) {
-            assert_no_sdc = true;
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            std::string value;
+            if (flagValue(argv[i], "--kernels", value)) {
+                names = splitCsv(value);
+            } else if (flagValue(argv[i], "--faults", value)) {
+                cfg.faultsPerKernel =
+                    flagNumber<unsigned>("--faults", value);
+            } else if (flagValue(argv[i], "--seed", value)) {
+                cfg.seed = flagNumber<uint64_t>("--seed", value);
+            } else if (flagValue(argv[i], "--threads", value)) {
+                cfg.threads = flagNumber<unsigned>("--threads", value);
+            } else if (flagValue(argv[i], "--guard-factor", value)) {
+                cfg.guardFactor =
+                    flagNumber<uint64_t>("--guard-factor", value);
+            } else if (flagValue(argv[i], "--report-dir", value)) {
+                cfg.reportDir = value;
+            } else if (flagValue(argv[i], "--journal", value)) {
+                cfg.journalPath = value;
+            } else if (flagValue(argv[i], "--export-specs", value)) {
+                export_specs = value;
+            } else if (std::strcmp(argv[i], "--resume") == 0) {
+                resume = true;
+            } else if (std::strcmp(argv[i], "--fork") == 0) {
+                cfg.fork = true;
+            } else if (std::strcmp(argv[i], "--no-lockstep") == 0) {
+                cfg.lockstep = false;
+            } else if (std::strcmp(argv[i], "--assert-no-sdc") == 0) {
+                assert_no_sdc = true;
+            } else {
+                std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+                return 2;
+            }
         }
+    } catch (const bench::UsageError &err) {
+        std::fprintf(stderr, "fault_campaign: %s\n", err.what());
+        return 2;
     }
 
     // Resolve kernel names against the Livermore suite (vector
@@ -149,12 +144,7 @@ main(int argc, char **argv)
         // Golden prepass only: each trial's fault plan is drawn
         // against the kernel's fault-free cycle count, so run each
         // kernel once, then emit the derived plans as JobSpec lines.
-        std::FILE *out = std::fopen(export_specs.c_str(), "w");
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         export_specs.c_str());
-            return 2;
-        }
+        std::string lines;
         for (size_t k = 0; k < selected.size(); ++k) {
             const kernels::Kernel &kernel = selected[k];
             machine::Machine golden(cfg.machine);
@@ -177,10 +167,15 @@ main(int argc, char **argv)
                 spec.faultPlan =
                     faults::FaultPlan::randomSingle(seed, golden_cycles)
                         .describe();
-                std::fprintf(out, "%s\n", spec.to_json().c_str());
+                lines += spec.to_json() + "\n";
             }
         }
-        std::fclose(out);
+        try {
+            writeFileAtomic(export_specs, lines);
+        } catch (const FatalError &err) {
+            std::fprintf(stderr, "%s\n", err.what());
+            return 2;
+        }
         std::printf("wrote %zu specs (%zu kernels x %u faults) to %s\n",
                     selected.size() * cfg.faultsPerKernel,
                     selected.size(), cfg.faultsPerKernel,

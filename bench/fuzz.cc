@@ -3,8 +3,10 @@
  * Coverage-guided differential ISA fuzzing campaign (DESIGN.md §10).
  * Generates seeded random programs, runs each through the cycle
  * Machine with the lockstep Interpreter shadow on both softfp
- * backends, classifies every trial, minimizes failures to replayable
- * crash bundles, and reports the coverage reached.
+ * backends, classifies every trial, minimizes failures to crash
+ * bundles, and reports the coverage reached. A bundle's report carries
+ * the minimized program as a JobSpec, which `replay` re-runs as it
+ * does a daemon crash report.
  *
  * Usage:
  *   fuzz [--seed=S] [--trials=N | --duration-s=T]
@@ -29,7 +31,7 @@
  *                     unless --resume continues over it
  * --resume            reconstruct coverage from the journal and
  *                     continue after the last complete trial
- * --crash-dir=DIR     write minimized crash bundles (.json/.snap/.prog)
+ * --crash-dir=DIR     write minimized crash bundles (.json/.prog)
  * --corpus-dir=DIR    write coverage-novel programs (.prog)
  * --mutate=NAME       install a deliberate shadow-semantics bug
  *                     (flip-sra, flip-srb, drop-last-element,
@@ -41,33 +43,26 @@
  *                         backends) and report
  *
  * Exit status: 0 clean, 1 assertion failed (divergence found or
- * coverage short), 2 usage errors.
+ * coverage short), 2 usage errors (a malformed number among them).
  */
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "bench/bench_util.hh"
+#include "common/file_io.hh"
 #include "common/log.hh"
 #include "fuzz/corpus.hh"
 #include "fuzz/fuzz_engine.hh"
 #include "service/job_spec.hh"
 
 using namespace mtfpu;
+using bench::flagNumber;
+using bench::flagValue;
 
 namespace
 {
-
-/** --name=value parser; true when @p arg matches @p name. */
-bool
-flagValue(const char *arg, const char *name, std::string &value)
-{
-    const size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) != 0 || arg[n] != '=')
-        return false;
-    value = arg + n + 1;
-    return true;
-}
 
 int
 replayCorpus(const std::string &dir, const fuzz::FuzzConfig &config,
@@ -120,58 +115,49 @@ main(int argc, char **argv)
     bool quiet = false;
     bool resume = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string value;
-        if (flagValue(argv[i], "--seed", value)) {
-            config.seed = std::strtoull(value.c_str(), nullptr, 0);
-        } else if (flagValue(argv[i], "--trials", value)) {
-            config.trials = std::strtoull(value.c_str(), nullptr, 0);
-        } else if (flagValue(argv[i], "--duration-s", value)) {
-            config.durationSec = std::strtod(value.c_str(), nullptr);
-        } else if (flagValue(argv[i], "--journal", value)) {
-            config.journalPath = value;
-        } else if (std::strcmp(argv[i], "--resume") == 0) {
-            resume = true;
-        } else if (flagValue(argv[i], "--crash-dir", value)) {
-            config.crashDir = value;
-        } else if (flagValue(argv[i], "--corpus-dir", value)) {
-            config.corpusDir = value;
-        } else if (flagValue(argv[i], "--mutate", value)) {
-            try {
+    try {
+        for (int i = 1; i < argc; ++i) {
+            std::string value;
+            if (flagValue(argv[i], "--seed", value)) {
+                config.seed = flagNumber<uint64_t>("--seed", value);
+            } else if (flagValue(argv[i], "--trials", value)) {
+                config.trials = flagNumber<uint64_t>("--trials", value);
+            } else if (flagValue(argv[i], "--duration-s", value)) {
+                config.durationSec = flagNumber<double>("--duration-s", value);
+            } else if (flagValue(argv[i], "--journal", value)) {
+                config.journalPath = value;
+            } else if (std::strcmp(argv[i], "--resume") == 0) {
+                resume = true;
+            } else if (flagValue(argv[i], "--crash-dir", value)) {
+                config.crashDir = value;
+            } else if (flagValue(argv[i], "--corpus-dir", value)) {
+                config.corpusDir = value;
+            } else if (flagValue(argv[i], "--mutate", value)) {
                 config.shadowMutation = machine::mutationFromName(value);
-            } catch (const FatalError &err) {
-                std::fprintf(stderr, "%s\n", err.what());
+            } else if (flagValue(argv[i], "--max-cycles", value)) {
+                config.maxCycles = flagNumber<uint64_t>("--max-cycles", value);
+            } else if (std::strcmp(argv[i], "--assert-no-divergence") == 0) {
+                assertNoDivergence = true;
+            } else if (flagValue(argv[i], "--min-opvl-coverage", value)) {
+                minOpVlCoverage =
+                    flagNumber<double>("--min-opvl-coverage", value);
+            } else if (flagValue(argv[i], "--replay-corpus", value)) {
+                replayDir = value;
+            } else if (flagValue(argv[i], "--export-specs", value)) {
+                exportSpecs = value;
+            } else if (std::strcmp(argv[i], "--quiet") == 0) {
+                quiet = true;
+            } else {
+                std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
                 return 2;
             }
-        } else if (flagValue(argv[i], "--max-cycles", value)) {
-            config.maxCycles = std::strtoull(value.c_str(), nullptr, 0);
-        } else if (std::strcmp(argv[i], "--assert-no-divergence") == 0) {
-            assertNoDivergence = true;
-        } else if (flagValue(argv[i], "--min-opvl-coverage", value)) {
-            minOpVlCoverage = std::strtod(value.c_str(), nullptr);
-        } else if (flagValue(argv[i], "--replay-corpus", value)) {
-            replayDir = value;
-        } else if (flagValue(argv[i], "--export-specs", value)) {
-            exportSpecs = value;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            quiet = true;
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-            return 2;
         }
-    }
 
-    try {
         if (!replayDir.empty())
             return replayCorpus(replayDir, config, quiet);
 
         if (!exportSpecs.empty()) {
-            std::FILE *out = std::fopen(exportSpecs.c_str(), "w");
-            if (!out) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             exportSpecs.c_str());
-                return 2;
-            }
+            std::string lines;
             service::JobSpec spec;
             spec.kind = service::JobKind::Fuzz;
             spec.config.maxCycles = config.maxCycles;
@@ -179,9 +165,9 @@ main(int argc, char **argv)
             for (uint64_t t = 0; t < config.trials; ++t) {
                 spec.fuzzSeed = fuzz::trialSeed(config.seed, t);
                 spec.name = "fuzz-" + std::to_string(spec.fuzzSeed);
-                std::fprintf(out, "%s\n", spec.to_json().c_str());
+                lines += spec.to_json() + "\n";
             }
-            std::fclose(out);
+            writeFileAtomic(exportSpecs, lines);
             std::printf("wrote %llu fuzz specs to %s\n",
                         static_cast<unsigned long long>(config.trials),
                         exportSpecs.c_str());

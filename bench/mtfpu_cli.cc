@@ -56,30 +56,24 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
+#include "common/file_io.hh"
 #include "common/log.hh"
 #include "service/client.hh"
 #include "service/server.hh"
 
 using namespace mtfpu;
+using bench::flagNumber;
+using bench::flagValue;
 
 namespace
 {
-
-bool
-flagValue(const char *arg, const char *name, std::string &value)
-{
-    const size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) != 0 || arg[n] != '=')
-        return false;
-    value = arg + n + 1;
-    return true;
-}
 
 int
 usage()
@@ -100,16 +94,10 @@ constexpr uint64_t kDefaultWaitMs = 24ull * 3600 * 1000;
 std::string
 readWholeFile(const std::string &path)
 {
-    if (path == "-") {
-        std::ostringstream text;
-        text << std::cin.rdbuf();
-        return text.str();
-    }
-    std::ifstream in(path);
-    if (!in)
-        fatal(ErrCode::Io, "cannot read " + path);
+    if (path != "-")
+        return readFile(path);
     std::ostringstream text;
-    text << in.rdbuf();
+    text << std::cin.rdbuf();
     return text.str();
 }
 
@@ -134,8 +122,8 @@ printResult(uint64_t id, const machine::SimJobResult &r)
     const std::string error = r.ok ? "" : "  error: " + r.error;
     // A job that threw has no run status; show its error code instead.
     const std::string status =
-        r.ok || r.status != machine::RunStatus::Ok
-            ? machine::runStatusName(r.status)
+        r.ok || r.stats.status != machine::RunStatus::Ok
+            ? machine::runStatusName(r.stats.status)
             : (r.errorCode.empty() ? "failed" : r.errorCode);
     std::printf("job %llu  %-24s %-9s %12llu cycles%s%s%s\n",
                 static_cast<unsigned long long>(id), r.name.c_str(),
@@ -150,7 +138,7 @@ bool
 unexpectedFailure(const service::JobSpec &spec,
                   const machine::SimJobResult &r)
 {
-    return (!r.ok && spec.pure()) || r.quarantined;
+    return (!r.ok && spec.faultPlan.empty()) || r.quarantined;
 }
 
 int
@@ -163,7 +151,7 @@ cmdServe(const std::string &socket, const std::string &listen, int argc,
     std::string value;
     for (int i = 0; i < argc; ++i) {
         if (flagValue(argv[i], "--threads", value))
-            config.threads = static_cast<unsigned>(std::stoul(value));
+            config.threads = flagNumber<unsigned>("--threads", value);
         else if (flagValue(argv[i], "--cache-dir", value))
             config.cacheDir = value;
         else if (flagValue(argv[i], "--crash-dir", value))
@@ -173,27 +161,32 @@ cmdServe(const std::string &socket, const std::string &listen, int argc,
         else if (flagValue(argv[i], "--journal", value))
             config.journalPath = value;
         else if (flagValue(argv[i], "--job-timeout-ms", value))
-            config.jobTimeoutMs = std::stoull(value);
+            config.jobTimeoutMs =
+                flagNumber<uint64_t>("--job-timeout-ms", value);
         else if (flagValue(argv[i], "--hb-timeout-ms", value))
-            config.heartbeatTimeoutMs = std::stoull(value);
+            config.heartbeatTimeoutMs =
+                flagNumber<uint64_t>("--hb-timeout-ms", value);
         else if (flagValue(argv[i], "--rlimit-cpu", value))
             config.workerRlimitCpuS =
-                static_cast<unsigned>(std::stoul(value));
+                flagNumber<unsigned>("--rlimit-cpu", value);
         else if (flagValue(argv[i], "--rlimit-as-mb", value))
             config.workerRlimitAsMb =
-                static_cast<unsigned>(std::stoul(value));
+                flagNumber<unsigned>("--rlimit-as-mb", value);
         else if (flagValue(argv[i], "--max-queue", value))
-            config.maxQueue = std::stoull(value);
+            config.maxQueue = flagNumber<size_t>("--max-queue", value);
         else if (flagValue(argv[i], "--max-inflight", value))
-            config.maxInflightPerClient = std::stoull(value);
+            config.maxInflightPerClient =
+                flagNumber<size_t>("--max-inflight", value);
         else if (flagValue(argv[i], "--max-line-bytes", value))
-            config.maxLineBytes = std::stoull(value);
+            config.maxLineBytes = flagNumber<size_t>("--max-line-bytes", value);
         else if (flagValue(argv[i], "--idle-timeout-ms", value))
-            config.idleTimeoutMs = std::stoull(value);
+            config.idleTimeoutMs =
+                flagNumber<uint64_t>("--idle-timeout-ms", value);
         else if (flagValue(argv[i], "--write-timeout-ms", value))
-            config.writeTimeoutMs = std::stoull(value);
+            config.writeTimeoutMs =
+                flagNumber<uint64_t>("--write-timeout-ms", value);
         else if (flagValue(argv[i], "--max-conns", value))
-            config.maxConns = std::stoull(value);
+            config.maxConns = flagNumber<size_t>("--max-conns", value);
         else if (std::strcmp(argv[i], "--test-crash-hooks") == 0)
             config.workerTestCrash = true;
         else if (std::strncmp(argv[i], "--socket", 8) != 0 &&
@@ -255,46 +248,49 @@ main(int argc, char **argv)
         return usage();
     const std::string cmd = argv[1];
 
-    std::string socket, listen, connect, spec, specs, id_text;
-    uint64_t connect_timeout_ms = 5000;
-    uint64_t wait_timeout_ms = 0;
-    uint64_t deadline_ms = 0;
-    bool wait = true;
-    bool resume = false;
-    std::string value;
-    for (int i = 2; i < argc; ++i) {
-        if (flagValue(argv[i], "--socket", value))
-            socket = value;
-        else if (flagValue(argv[i], "--listen", value))
-            listen = value;
-        else if (flagValue(argv[i], "--connect", value))
-            connect = value;
-        else if (flagValue(argv[i], "--spec", value))
-            spec = value;
-        else if (flagValue(argv[i], "--specs", value))
-            specs = value;
-        else if (flagValue(argv[i], "--id", value))
-            id_text = value;
-        else if (flagValue(argv[i], "--connect-timeout", value))
-            connect_timeout_ms = std::stoull(value) * 1000;
-        else if (flagValue(argv[i], "--wait-timeout", value))
-            wait_timeout_ms = std::stoull(value) * 1000;
-        else if (flagValue(argv[i], "--deadline", value))
-            deadline_ms = std::stoull(value) * 1000;
-        else if (std::strcmp(argv[i], "--no-wait") == 0)
-            wait = false;
-        else if (std::strcmp(argv[i], "--resume") == 0)
-            resume = true;
-    }
-    // The client address: TCP when --connect is given, else the
-    // daemon's Unix socket path.
-    const std::string address =
-        !connect.empty() ? "tcp:" + connect : socket;
-    if (cmd == "serve" ? (socket.empty() && listen.empty())
-                       : address.empty())
-        return usage();
-
     try {
+        std::string socket, listen, connect, spec, specs;
+        std::optional<uint64_t> id;
+        uint64_t connect_timeout_ms = 5000;
+        uint64_t wait_timeout_ms = 0;
+        uint64_t deadline_ms = 0;
+        bool wait = true;
+        bool resume = false;
+        std::string value;
+        for (int i = 2; i < argc; ++i) {
+            if (flagValue(argv[i], "--socket", value))
+                socket = value;
+            else if (flagValue(argv[i], "--listen", value))
+                listen = value;
+            else if (flagValue(argv[i], "--connect", value))
+                connect = value;
+            else if (flagValue(argv[i], "--spec", value))
+                spec = value;
+            else if (flagValue(argv[i], "--specs", value))
+                specs = value;
+            else if (flagValue(argv[i], "--id", value))
+                id = flagNumber<uint64_t>("--id", value);
+            else if (flagValue(argv[i], "--connect-timeout", value))
+                connect_timeout_ms =
+                    flagNumber<uint64_t>("--connect-timeout", value) * 1000;
+            else if (flagValue(argv[i], "--wait-timeout", value))
+                wait_timeout_ms =
+                    flagNumber<uint64_t>("--wait-timeout", value) * 1000;
+            else if (flagValue(argv[i], "--deadline", value))
+                deadline_ms = flagNumber<uint64_t>("--deadline", value) * 1000;
+            else if (std::strcmp(argv[i], "--no-wait") == 0)
+                wait = false;
+            else if (std::strcmp(argv[i], "--resume") == 0)
+                resume = true;
+        }
+        // The client address: TCP when --connect is given, else the
+        // daemon's Unix socket path.
+        const std::string address =
+            !connect.empty() ? "tcp:" + connect : socket;
+        if (cmd == "serve" ? (socket.empty() && listen.empty())
+                           : address.empty())
+            return usage();
+
         if (cmd == "serve")
             return cmdServe(socket, listen, argc - 2, argv + 2);
 
@@ -354,31 +350,29 @@ main(int argc, char **argv)
             return cmdSweep(client, specs, wait_timeout_ms, deadline_ms);
         }
         if (cmd == "status") {
-            if (id_text.empty())
+            if (!id)
                 return usage();
-            std::printf("%s\n",
-                        client.status(std::stoull(id_text)).c_str());
+            std::printf("%s\n", client.status(*id).c_str());
             return 0;
         }
         if (cmd == "result") {
-            if (id_text.empty())
+            if (!id)
                 return usage();
-            const uint64_t id = std::stoull(id_text);
             const machine::SimJobResult r =
-                wait ? client.resultWait(id, kDefaultWaitMs)
-                     : client.result(id, false);
+                wait ? client.resultWait(*id, kDefaultWaitMs)
+                     : client.result(*id, false);
             if (r.name.empty() && !r.ok) {
                 std::printf("job %llu pending\n",
-                            static_cast<unsigned long long>(id));
+                            static_cast<unsigned long long>(*id));
                 return 0;
             }
-            printResult(id, r);
+            printResult(*id, r);
             return 0;
         }
         if (cmd == "cancel") {
-            if (id_text.empty())
+            if (!id)
                 return usage();
-            const bool cancelled = client.cancel(std::stoull(id_text));
+            const bool cancelled = client.cancel(*id);
             std::printf("%s\n", cancelled ? "cancelled" : "already finished");
             return 0;
         }
@@ -415,6 +409,9 @@ main(int argc, char **argv)
                             client.cacheClear()));
             return 0;
         }
+        return usage();
+    } catch (const bench::UsageError &e) {
+        std::fprintf(stderr, "mtfpu-cli: %s\n", e.what());
         return usage();
     } catch (const FatalError &e) {
         std::fprintf(stderr, "mtfpu-cli: %s\n", e.what());

@@ -1,20 +1,20 @@
 /**
  * @file
  * Deterministic crash replay: consume a crash report, rebuild the
- * failed job's initial machine state, re-execute it under a Tracer,
- * and verify that the same structured error fires at the same cycle.
- * Two report shapes carry that state:
+ * failed job from the JobSpec it carries, re-execute it under a
+ * Tracer, and verify that the same structured error fires at the same
+ * cycle. A report has one shape, the job's `spec` plus its `error`,
+ * and two writers:
  *
- *   - the daemon's <job>.worker-crash.json for a quarantined job
- *     carries the job's JobSpec: the replay resolves it, so a fault
- *     plan re-attaches, because it is data;
- *   - a fuzzer crash bundle names a sibling .snap snapshot of the
- *     pre-run state, which becomes the replayed job's start state; its
- *     shadow bytes are empty, so the lockstep shadow arms fresh.
+ *   - the daemon's <job>.worker-crash.json for a quarantined job;
+ *   - a fuzzer crash bundle, whose spec runs the minimized program
+ *     with the lockstep shadow, and whose `mutation` names any
+ *     deliberate shadow bug the campaign installed.
  *
- * Either way the replay builds a SimJob and starts it through
- * machine::startJob, the path every other run takes, which also
- * attaches the lockstep shadow the report asks for.
+ * The replay resolves the spec and starts the job through
+ * machine::startJob, the path every other run takes, so a fault plan
+ * and the lockstep shadow re-attach because they are data; it then
+ * sets the report's mutation on the shadow startJob returns.
  *
  * Because a Machine is a closed deterministic system, a genuine
  * simulator failure reproduces exactly — and the trace tail around
@@ -36,11 +36,11 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
+#include "common/file_io.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "machine/machine.hh"
@@ -48,34 +48,20 @@
 #include "machine/stats.hh"
 #include "machine/tracer.hh"
 #include "service/job_spec.hh"
-#include "snapshot/snapshot.hh"
 
 using namespace mtfpu;
+using bench::flagNumber;
+using bench::flagValue;
 
 namespace
 {
 
-std::string
-readTextFile(const std::string &path)
+int
+usage()
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        fatal("cannot open " + path);
-    std::string text;
-    char buf[65536];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-    return text;
-}
-
-std::string
-dirOf(const std::string &path)
-{
-    const size_t slash = path.find_last_of('/');
-    return slash == std::string::npos ? std::string(".")
-                                      : path.substr(0, slash);
+    std::fprintf(stderr, "usage: replay <crash-report.json> [--tail=N] "
+                         "[--timeline]\n");
+    return 2;
 }
 
 const char *
@@ -101,8 +87,14 @@ main(int argc, char **argv)
     size_t tail = 40;
     bool timeline = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--tail=", 7) == 0) {
-            tail = std::strtoul(argv[i] + 7, nullptr, 10);
+        std::string value;
+        if (flagValue(argv[i], "--tail", value)) {
+            try {
+                tail = flagNumber<size_t>("--tail", value);
+            } catch (const bench::UsageError &err) {
+                std::fprintf(stderr, "replay: %s\n", err.what());
+                return usage();
+            }
         } else if (std::strcmp(argv[i], "--timeline") == 0) {
             timeline = true;
         } else if (argv[i][0] == '-') {
@@ -115,46 +107,25 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (reportPath.empty()) {
-        std::fprintf(stderr,
-                     "usage: replay <crash-report.json> [--tail=N] "
-                     "[--timeline]\n");
-        return 2;
-    }
+    if (reportPath.empty())
+        return usage();
 
     std::string wantCode;
     int64_t wantCycle = -1;
-    std::optional<service::JobSpec> spec;
-    std::string snapPath;
-    bool lockstep = false;
+    service::JobSpec spec;
     machine::SemanticsMutation mutation =
         machine::SemanticsMutation::None;
     std::string jobName;
     try {
-        const json::Value report = json::parse(readTextFile(reportPath));
+        const json::Value report = json::parse(readFile(reportPath));
         jobName = report.at("job").asString();
-        // Fuzzer crash bundles fail inside the lockstep diff; the
-        // replay must re-attach the shadow (and any deliberate
-        // shadow mutation) or the error cannot reproduce.
-        lockstep = report.has("lockstep") &&
-                   report.at("lockstep").asBool();
+        spec = service::JobSpec::from_json(report.at("spec"));
+        // A fuzzer bundle's failure is the lockstep diff against a
+        // deliberately broken shadow; without the mutation it cannot
+        // reproduce.
         if (report.has("mutation"))
             mutation = machine::mutationFromName(
                 report.at("mutation").asString());
-        if (report.has("spec")) {
-            spec = service::JobSpec::from_json(report.at("spec"));
-        } else if (report.has("snapshot") &&
-                   !report.at("snapshot").isNull()) {
-            snapPath = dirOf(reportPath) + "/" +
-                       report.at("snapshot").asString();
-        } else {
-            std::fprintf(stderr,
-                         "%s records neither a spec nor a snapshot — "
-                         "written by an older build; re-run the job to "
-                         "regenerate it\n",
-                         reportPath.c_str());
-            return 2;
-        }
         const json::Value &error = report.at("error");
         if (!error.isNull()) {
             wantCode = error.at("code").asString();
@@ -172,28 +143,17 @@ main(int argc, char **argv)
                 wantCode.empty() ? "(none)" : wantCode.c_str(),
                 wantCycle >= 0 ? std::to_string(wantCycle).c_str()
                                : "(unknown)");
-    if (spec && !spec->faultPlan.empty())
+    if (!spec.faultPlan.empty())
         std::printf("  fault plan re-attached from the spec\n");
 
     std::string haveCode;
     int64_t haveCycle = -1;
     try {
-        // Both report shapes become a job, and the job starts the one
-        // way every job does.
-        machine::SimJob job;
-        if (spec) {
-            job = spec->resolve();
-        } else {
-            auto start = std::make_shared<machine::JobStart>();
-            start->machine = snapshot::readFile(snapPath);
-            job.config = start->machine.config;
-            job.start = std::move(start);
-        }
-        job.lockstep = job.lockstep || lockstep;
+        const machine::SimJob job = spec.resolve();
         machine::Machine m(job.config);
         const machine::JobInstruments instruments =
             machine::startJob(job, m);
-        if (lockstep) {
+        if (instruments.shadow) {
             instruments.shadow->interpreter().setMutation(mutation);
             std::printf("  lockstep shadow attached%s%s\n",
                         mutation == machine::SemanticsMutation::None

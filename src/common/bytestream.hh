@@ -15,7 +15,7 @@
  *
  * Serialized components do not call the two directly: each lists its
  * fields once, in a visit(Archive&) that saves or loads them (see
- * Archive). Only the containers around them (the snapshot file, the
+ * Archive). Only the containers around them (the snapshot container, the
  * job content blob, result-cache entries) write and read raw fields.
  */
 

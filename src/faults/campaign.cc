@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 
+#include "common/file_io.hh"
 #include "common/journal.hh"
 #include "common/json.hh"
 #include "common/log.hh"
@@ -368,18 +367,10 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
     }
 
     if (!config.reportDir.empty()) {
+        const std::string path = config.reportDir + "/campaign.json";
         try {
-            std::filesystem::create_directories(config.reportDir);
-            const std::string path = config.reportDir + "/campaign.json";
-            std::FILE *f = std::fopen(path.c_str(), "w");
-            if (f) {
-                const std::string json = result.to_json();
-                std::fwrite(json.data(), 1, json.size(), f);
-                std::fclose(f);
-                inform("campaign record written to " + path);
-            } else {
-                warn("cannot write campaign record " + path);
-            }
+            writeFileAtomic(path, result.to_json());
+            inform("campaign record written to " + path);
         } catch (const std::exception &err) {
             warn(std::string("campaign record failed: ") + err.what());
         }

@@ -1,10 +1,10 @@
 /**
  * @file
- * The FaultInjector interprets a FaultPlan against a live Machine
- * through the MachineHook surface: at each hooked cycle it fires every
- * fault whose scheduled cycle has been reached. Because the Machine
- * fast-forwards bulk stalls, a hook may observe cycle numbers jumping
- * — the injector therefore treats a fault's cycle as "at or after",
+ * The FaultInjector interprets a FaultPlan against a live Machine,
+ * which calls it through Machine::setHook at the top of every active
+ * cycle: it fires every fault whose scheduled cycle has been reached.
+ * Because the Machine fast-forwards bulk stalls, the injector may see
+ * cycle numbers jump, so it treats a fault's cycle as "at or after",
  * never "exactly at", and fires in schedule order.
  *
  * Site semantics (indices are reduced modulo the real resource count,
@@ -28,19 +28,24 @@
 #include <vector>
 
 #include "faults/fault_plan.hh"
-#include "machine/hook.hh"
 #include "machine/machine.hh"
 
 namespace mtfpu::faults
 {
 
-/** MachineHook that fires a FaultPlan's faults as cycles pass. */
-class FaultInjector : public machine::MachineHook
+/** Fires a FaultPlan's faults as cycles pass. */
+class FaultInjector
 {
   public:
     explicit FaultInjector(FaultPlan plan);
 
-    void onCycleStart(uint64_t cycle, machine::Machine &machine) override;
+    /**
+     * Called by the Machine at the start of every active cycle with
+     * the cycle about to execute, after observers saw the cycle
+     * boundary (so a lockstep shadow snapshots clean state before any
+     * mutation) but before retirements and issue.
+     */
+    void onCycleStart(uint64_t cycle, machine::Machine &machine);
 
     /** Faults fired so far this run. */
     size_t fired() const { return next_; }

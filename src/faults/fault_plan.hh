@@ -3,7 +3,7 @@
  * Fault plans: *what* to break, *where*, and *when*. A FaultPlan is a
  * pure-data schedule of state corruptions — it knows nothing about the
  * Machine; the FaultInjector (fault_injector.hh) interprets it against
- * live machine state through the MachineHook surface.
+ * live machine state.
  *
  * Plans come from three places:
  *   - programmatic construction (tests pinning an exact fault);

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "common/file_io.hh"
 #include "common/log.hh"
 #include "isa/disasm.hh"
 
@@ -117,24 +117,13 @@ parseProgram(const std::string &text)
 void
 writeProgramFile(const std::string &path, const FuzzProgram &prog)
 {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        fatal(ErrCode::BadProgram, "corpus: cannot write " + path);
-    out << formatProgram(prog);
-    out.flush();
-    if (!out)
-        fatal(ErrCode::BadProgram, "corpus: write failed for " + path);
+    writeFileAtomic(path, formatProgram(prog));
 }
 
 FuzzProgram
 readProgramFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal(ErrCode::BadProgram, "corpus: cannot read " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parseProgram(text.str());
+    return parseProgram(readFile(path));
 }
 
 std::vector<std::string>

@@ -34,10 +34,11 @@ std::string formatProgram(const FuzzProgram &prog);
  */
 FuzzProgram parseProgram(const std::string &text);
 
-/** formatProgram to @p path; throws SimError (BadProgram) on IO error. */
+/** formatProgram to @p path (writeFileAtomic); throws SimError (Io)
+ *  on IO error. */
 void writeProgramFile(const std::string &path, const FuzzProgram &prog);
 
-/** parseProgram from @p path; throws SimError (BadProgram) on IO error. */
+/** parseProgram from @p path; throws SimError (Io) on IO error. */
 FuzzProgram readProgramFile(const std::string &path);
 
 /** Sorted paths of all `.prog` files directly under @p dir. */

@@ -3,9 +3,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <optional>
 
+#include "common/file_io.hh"
 #include "common/journal.hh"
 #include "common/json.hh"
 #include "common/log.hh"
@@ -13,6 +13,7 @@
 #include "fuzz/minimizer.hh"
 #include "machine/machine.hh"
 #include "machine/sim_job.hh"
+#include "service/job_spec.hh"
 
 namespace mtfpu::fuzz
 {
@@ -35,16 +36,25 @@ outcomeFromName(const std::string &name)
     fatal(ErrCode::BadOperand, "unknown trial outcome '" + name + "'");
 }
 
-/** Build the Machine for one trial's lockstep run. */
-machine::MachineConfig
-trialConfig(softfp::Backend backend, uint64_t max_cycles,
-            size_t mem_bytes)
+/**
+ * The job one trial runs on @p backend: @p prog on the trial's
+ * machine, with the lockstep shadow. A crash bundle carries the same
+ * spec, so its replay runs what the trial ran.
+ */
+service::JobSpec
+trialSpec(const FuzzProgram &prog, softfp::Backend backend,
+          uint64_t max_cycles, size_t mem_bytes)
 {
-    machine::MachineConfig config;
-    config.fpBackend = backend;
-    config.maxCycles = max_cycles;
-    config.memory.memBytes = mem_bytes;
-    return config;
+    service::JobSpec spec;
+    spec.kind = service::JobKind::Code;
+    for (const isa::Instr &in : prog.code)
+        spec.code.push_back(in.encode());
+    spec.config.fpBackend = backend;
+    spec.config.maxCycles = max_cycles;
+    spec.config.memory.memBytes = mem_bytes;
+    spec.memInit = prog.memInit;
+    spec.lockstep = true;
+    return spec;
 }
 
 } // anonymous namespace
@@ -112,26 +122,16 @@ FuzzResult::table() const
 BackendOutcome
 runLockstep(const FuzzProgram &prog, softfp::Backend backend,
             machine::SemanticsMutation shadow_mutation,
-            uint64_t max_cycles, size_t mem_bytes, CoverageObserver *cov,
-            snapshot::MachineSnapshot *pre)
+            uint64_t max_cycles, size_t mem_bytes, CoverageObserver *cov)
 {
-    machine::SimJob job;
-    job.program.code = prog.code;
-    job.config = trialConfig(backend, max_cycles, mem_bytes);
-    job.memInit = prog.memInit;
-    job.lockstep = true;
+    const machine::SimJob job =
+        trialSpec(prog, backend, max_cycles, mem_bytes).resolve();
     machine::Machine m(job.config);
     const machine::JobInstruments instruments = machine::startJob(job, m);
     machine::LockstepChecker &checker = *instruments.shadow;
     checker.interpreter().setMutation(shadow_mutation);
     if (cov)
         m.addObserver(cov);
-
-    // The crash-bundle snapshot is post-setup and pre-run: exactly
-    // the state bench/replay restores before re-running, where the
-    // shadow arms fresh at the first cycle as it does here.
-    if (pre)
-        *pre = snapshot::capture(m);
 
     BackendOutcome out;
     try {
@@ -205,7 +205,6 @@ FuzzEngine::runTrial(uint64_t trial)
     res.kept = !res.newCells.empty();
 
     if (res.kept && !config_.corpusDir.empty()) {
-        std::filesystem::create_directories(config_.corpusDir);
         char name[64];
         std::snprintf(name, sizeof name, "/trial-%06llu.prog",
                       static_cast<unsigned long long>(trial));
@@ -248,47 +247,39 @@ FuzzEngine::bundleFailure(const FuzzProgram &prog, TrialResult &result)
 
     if (config_.crashDir.empty())
         return;
-    std::filesystem::create_directories(config_.crashDir);
     char stem[64];
     std::snprintf(stem, sizeof stem, "trial-%06llu",
                   static_cast<unsigned long long>(result.trial));
     const std::string base = config_.crashDir + "/" + stem;
 
-    // Re-run the minimized program to capture its own pre-run snapshot
-    // and its own faulting cycle — the pair the replay contract checks.
-    snapshot::MachineSnapshot pre;
+    // Re-run the minimized program for its own faulting cycle, the one
+    // the replay contract checks.
     const BackendOutcome minOut =
         runLockstep(minimized, backend, config_.shadowMutation,
-                    config_.maxCycles, config_.memBytes, nullptr, &pre);
+                    config_.maxCycles, config_.memBytes);
+    service::JobSpec spec = trialSpec(minimized, backend,
+                                      config_.maxCycles, config_.memBytes);
+    spec.name = "fuzz-" + std::string(stem);
+
+    json::Writer w;
+    w.beginObject();
+    w.key("job").value(spec.name);
+    w.key("spec").raw(spec.to_json());
+    if (config_.shadowMutation != machine::SemanticsMutation::None)
+        w.key("mutation").value(
+            machine::mutationName(config_.shadowMutation));
+    w.key("seed").value(result.seed);
+    w.key("error").beginObject();
+    w.key("code").value(minOut.errorCode);
+    w.key("cycle").value(minOut.cycles);
+    w.endObject();
+    if (minOut.outcome == TrialOutcome::Divergence)
+        w.key("divergence").raw(minOut.divergence.to_json());
+    w.endObject();
 
     writeProgramFile(base + ".prog", minimized);
     writeProgramFile(base + ".orig.prog", prog);
-    snapshot::writeFile(base + ".snap", pre);
-
-    std::string json = "{\"job\":\"fuzz-" + std::string(stem) +
-                       "\",\"snapshot\":\"" + stem +
-                       ".snap\",\"lockstep\":true";
-    if (config_.shadowMutation != machine::SemanticsMutation::None) {
-        json += ",\"mutation\":\"";
-        json += machine::mutationName(config_.shadowMutation);
-        json += "\"";
-    }
-    json += ",\"backend\":\"";
-    json += softfp::backendName(backend);
-    json += "\",\"seed\":" + std::to_string(result.seed);
-    json += ",\"error\":{\"code\":\"" + jsonEscape(minOut.errorCode) +
-            "\",\"cycle\":" + std::to_string(minOut.cycles) + "}";
-    if (minOut.outcome == TrialOutcome::Divergence)
-        json += ",\"divergence\":" + minOut.divergence.to_json();
-    json += "}\n";
-
-    std::FILE *f = std::fopen((base + ".json").c_str(), "w");
-    if (!f) {
-        warn("fuzz: cannot write crash bundle " + base + ".json");
-        return;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    writeFileAtomic(base + ".json", w.str() + "\n");
     result.bundlePath = base + ".json";
 }
 

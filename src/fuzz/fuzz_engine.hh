@@ -13,8 +13,11 @@
  *   4. commits the trial's coverage cells and keeps the program in
  *      the corpus when it lit a new cell;
  *   5. on divergence/fault, delta-debugs the program to a minimal
- *      reproducer and writes a crash bundle (program + DivergenceReport
- *      JSON + pre-run snapshot) replayable with bench/replay.
+ *      reproducer and writes a crash bundle: the reproducer as the
+ *      service JobSpec it ran as (code words, memory image, trial
+ *      config, lockstep on), its error and DivergenceReport, plus the
+ *      human-readable .prog files. bench/replay re-runs the spec, as
+ *      it does a daemon crash report's.
  *
  * Everything is deterministic in the campaign seed: identical seeds
  * produce identical journals, and a campaign resumed over a torn
@@ -34,7 +37,6 @@
 #include "fuzz/program_gen.hh"
 #include "machine/interpreter.hh"
 #include "machine/lockstep.hh"
-#include "snapshot/snapshot.hh"
 
 namespace mtfpu::fuzz
 {
@@ -150,15 +152,13 @@ struct FuzzResult
 /**
  * Run @p prog through the Machine-vs-Interpreter lockstep diff on one
  * backend and classify the outcome. @p cov, when non-null, records
- * the run's coverage cells; @p pre, when non-null, receives a
- * serialized pre-run snapshot (the crash-bundle artifact).
+ * the run's coverage cells.
  */
 BackendOutcome runLockstep(const FuzzProgram &prog,
                            softfp::Backend backend,
                            machine::SemanticsMutation shadow_mutation,
                            uint64_t max_cycles, size_t mem_bytes,
-                           CoverageObserver *cov = nullptr,
-                           snapshot::MachineSnapshot *pre = nullptr);
+                           CoverageObserver *cov = nullptr);
 
 /** The campaign driver. */
 class FuzzEngine

@@ -5,6 +5,7 @@
 
 #include "common/log.hh"
 #include "exec/semantics.hh"
+#include "faults/fault_injector.hh"
 
 namespace mtfpu::machine
 {

@@ -38,11 +38,15 @@
 #include "exec/observer.hh"
 #include "fpu/fpu.hh"
 #include "machine/config.hh"
-#include "machine/hook.hh"
 #include "machine/observers.hh"
 #include "machine/stats.hh"
 #include "machine/tracer.hh"
 #include "memory/memory_system.hh"
+
+namespace mtfpu::faults
+{
+class FaultInjector;
+} // namespace mtfpu::faults
 
 namespace mtfpu::machine
 {
@@ -107,14 +111,14 @@ class Machine
     void removeObserver(exec::ExecObserver *observer);
 
     /**
-     * Install the mutating per-cycle hook (nullptr detaches). Unlike
-     * observers the hook may change machine state — fault injectors
-     * use it to flip register/memory/cache bits at scheduled cycles.
-     * The pointer must stay valid while installed; the unhooked fast
-     * path costs one pointer test per cycle.
+     * Install the fault injector, the one agent that mutates the
+     * machine mid-run (nullptr detaches). Unlike observers it changes
+     * machine state: it flips register/memory/cache bits at scheduled
+     * cycles. The pointer must stay valid while installed; the
+     * uninjected fast path costs one pointer test per cycle.
      */
-    void setHook(MachineHook *hook) { hook_ = hook; }
-    MachineHook *hook() const { return hook_; }
+    void setHook(faults::FaultInjector *hook) { hook_ = hook; }
+    faults::FaultInjector *hook() const { return hook_; }
 
     /**
      * Model an interrupt (paper §2.3.1): from @p cycle, the CPU stops
@@ -218,7 +222,7 @@ class Machine
     StatsCollector collector_;
     std::vector<exec::ExecObserver *> observers_;
     bool hasObservers_ = false; // cached !observers_.empty()
-    MachineHook *hook_ = nullptr;
+    faults::FaultInjector *hook_ = nullptr;
 
     // Per-run microarchitectural state.
     uint64_t memPortFreeAt_ = 0;

@@ -7,9 +7,9 @@
 #include <filesystem>
 #include <signal.h>
 #include <system_error>
-#include <thread>
 #include <unistd.h>
 
+#include "common/file_io.hh"
 #include "common/log.hh"
 
 namespace mtfpu::machine
@@ -27,25 +27,6 @@ hashName(uint64_t hash)
     std::snprintf(buf, sizeof(buf), "rc-%016llx.res",
                   static_cast<unsigned long long>(hash));
     return buf;
-}
-
-/** Read a whole file; empty optional on any IO failure. */
-std::optional<std::vector<uint8_t>>
-readAll(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return std::nullopt;
-    std::vector<uint8_t> data;
-    uint8_t buf[65536];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        data.insert(data.end(), buf, buf + n);
-    const bool bad = std::ferror(f);
-    std::fclose(f);
-    if (bad)
-        return std::nullopt;
-    return data;
 }
 
 } // anonymous namespace
@@ -130,7 +111,16 @@ ResultCache::lookup(const SimJob &job)
         return std::nullopt;
     }
     const std::string path = dir_ + "/" + fileName(job);
-    const std::optional<std::vector<uint8_t>> data = readAll(path);
+    std::optional<std::string> data;
+    std::error_code ec;
+    // Most misses find no entry: answer those without an exception.
+    if (std::filesystem::exists(path, ec)) {
+        try {
+            data = readFile(path);
+        } catch (const SimError &) {
+            // Removed since, or unreadable: a miss as well.
+        }
+    }
     if (!data) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
@@ -140,19 +130,18 @@ ResultCache::lookup(const SimJob &job)
     // drift, truncation, CRC mismatch, content mismatch — is a miss.
     // The entry is removed so the post-recompute store starts clean.
     try {
-        const std::vector<uint8_t> &bytes = *data;
-        if (bytes.size() < sizeof(kMagic) + sizeof(uint32_t))
+        const auto *bytes = reinterpret_cast<const uint8_t *>(data->data());
+        const size_t size = data->size();
+        if (size < sizeof(kMagic) + sizeof(uint32_t))
             throw SimError(ErrCode::BadSnapshot, "result cache: truncated");
         const uint32_t stored_crc =
-            ByteReader(bytes.data() + bytes.size() - sizeof(uint32_t),
-                       sizeof(uint32_t))
+            ByteReader(bytes + size - sizeof(uint32_t), sizeof(uint32_t))
                 .u32();
-        const uint32_t computed =
-            crc32(bytes.data(), bytes.size() - sizeof(uint32_t));
+        const uint32_t computed = crc32(bytes, size - sizeof(uint32_t));
         if (stored_crc != computed)
             throw SimError(ErrCode::BadSnapshot, "result cache: bad CRC");
 
-        ByteReader in(bytes.data(), bytes.size() - sizeof(uint32_t));
+        ByteReader in(bytes, size - sizeof(uint32_t));
         char magic[4];
         for (char &c : magic)
             c = static_cast<char>(in.u8());
@@ -199,7 +188,6 @@ ResultCache::store(const SimJob &job, const RunStats &stats)
     if (!isPureJob(job) || !cacheable(stats))
         return;
     try {
-        std::filesystem::create_directories(dir_);
         ByteWriter out;
         for (char c : kMagic)
             out.u8(static_cast<uint8_t>(c));
@@ -211,35 +199,11 @@ ResultCache::store(const SimJob &job, const RunStats &stats)
         stats.saveState(statsOut);
         out.bytes(statsOut.data().data(), statsOut.size());
         out.u32(crc32(out.data().data(), out.size()));
-
-        // Unique temp name per writer: concurrent stores of the same
-        // hash never scribble on each other's partial file, and the
-        // final rename is atomic within the directory.
-        const std::string path = dir_ + "/" + fileName(job);
-        const std::string tmp =
-            path + ".tmp." +
-            std::to_string(std::hash<std::thread::id>{}(
-                std::this_thread::get_id()));
-        std::FILE *f = std::fopen(tmp.c_str(), "wb");
-        if (!f) {
-            warn("result cache: cannot write " + tmp);
-            return;
-        }
-        const size_t wrote =
-            std::fwrite(out.data().data(), 1, out.size(), f);
-        const bool ok = wrote == out.size() && std::fclose(f) == 0;
-        if (!ok) {
-            std::remove(tmp.c_str());
-            warn("result cache: short write of " + tmp);
-            return;
-        }
-        std::error_code ec;
-        std::filesystem::rename(tmp, path, ec);
-        if (ec) {
-            std::remove(tmp.c_str());
-            warn("result cache: rename failed: " + ec.message());
-            return;
-        }
+        const std::vector<uint8_t> &bytes = out.data();
+        writeFileAtomic(dir_ + "/" + fileName(job),
+                        std::string_view(
+                            reinterpret_cast<const char *>(bytes.data()),
+                            bytes.size()));
         stores_.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception &err) {
         warn(std::string("result cache store failed: ") + err.what());

@@ -66,10 +66,9 @@ SimDriver::runAttempt(const SimJob &job) const
         Machine machine(job.config);
         const JobInstruments instruments = startJob(job, machine);
         result.stats = job.body ? job.body(machine) : machine.run();
-        result.status = result.stats.status;
         // A guarded partial run keeps its stats but does not count as
         // a successful simulation of the program.
-        result.ok = result.status == RunStatus::Ok;
+        result.ok = result.stats.status == RunStatus::Ok;
         if (!result.ok)
             fillGuardError(result);
     } catch (const SimError &err) {

@@ -72,7 +72,7 @@ startJob(const SimJob &job, Machine &machine)
         // The shadow's state reloads the program from the machine, so
         // it is restored after the machine's.
         instruments.shadow = std::make_unique<LockstepChecker>(machine);
-        if (job.start && !job.start->shadow.empty()) {
+        if (job.start) {
             ByteReader in(job.start->shadow);
             instruments.shadow->restoreState(in);
         }
@@ -84,11 +84,11 @@ startJob(const SimJob &job, Machine &machine)
 void
 fillGuardError(SimJobResult &result)
 {
-    result.errorCode = runStatusName(result.status);
+    result.errorCode = runStatusName(result.stats.status);
     result.error = std::string("run ended by ") + result.errorCode +
                    " guard after " + std::to_string(result.stats.cycles) +
                    " cycles";
-    SimError guard(result.status == RunStatus::CycleGuard
+    SimError guard(result.stats.status == RunStatus::CycleGuard
                        ? ErrCode::CycleGuard
                        : ErrCode::Watchdog,
                    result.error,

@@ -9,10 +9,11 @@
  *
  * A job starts one of two ways, both data: from its program plus the
  * declarative memInit/cpuRegInit/fpuRegInit image, or from a start
- * state (a fork trial resumes the campaign's paused reference run).
- * Its instruments are data too: a fault plan becomes a FaultInjector
- * hook and the lockstep flag a LockstepChecker shadow, both built by
- * startJob().
+ * state (a fork trial resumes the campaign's paused reference run,
+ * shadow included). Its instruments are data too: a fault plan
+ * becomes a FaultInjector hook and the lockstep flag a LockstepChecker
+ * shadow, both built by startJob(). A failed job is replayed from the
+ * same data: the JobSpec a crash report or a fuzz bundle carries.
  *
  * Purity: a job whose behavior is fully captured by its program,
  * image and config is *pure* — two pure jobs with identical content
@@ -53,8 +54,7 @@ namespace mtfpu::machine
 
 /**
  * A job's start state: a machine snapshot and, from the same cycle,
- * the lockstep shadow's saved bytes. Empty shadow bytes arm the
- * shadow fresh at the first cycle, as a pre-run snapshot needs.
+ * the lockstep shadow's saved bytes, which a lockstep job resumes.
  */
 struct JobStart
 {
@@ -124,15 +124,14 @@ struct SimJob
 struct SimJobResult
 {
     std::string name;
-    RunStats stats{};
-    bool ok = false;
 
     /**
-     * Run outcome tag. Mirrors stats.status; a guarded run
-     * (CycleGuard/Watchdog) reports ok == false with its partial
+     * The run's counters and outcome tag (stats.status). A guarded
+     * run (CycleGuard/Watchdog) reports ok == false with its partial
      * stats preserved here.
      */
-    RunStatus status = RunStatus::Ok;
+    RunStats stats{};
+    bool ok = false;
 
     /** Simulation attempts consumed: 1 for a SimDriver run; the
      *  daemon's pool reports 2 for a failed-then-retried job and 0 for
@@ -194,8 +193,8 @@ struct JobInstruments
  * been constructed with job.config: restore the start state, or else
  * load the program and write memInit, then the CPU registers, then
  * the FPU registers. Then install the FaultInjector hook for a fault
- * plan, and attach the lockstep shadow (resumed from the start
- * state's shadow bytes when it has them). The caller keeps the
+ * plan, and attach the lockstep shadow: armed at the first cycle, or
+ * resumed from the start state's shadow bytes. The caller keeps the
  * returned instruments alive for as long as the machine runs.
  */
 JobInstruments startJob(const SimJob &job, Machine &machine);

@@ -356,10 +356,9 @@ JobSpec::resolve() const
     job.fpuRegInit = fpuRegInit;
     if (job.name.empty())
         job.name = "job";
-    if (!faultPlan.empty()) {
+    if (!faultPlan.empty())
         job.faultPlan = faults::FaultPlan::parse(faultPlan);
-        job.lockstep = lockstep;
-    }
+    job.lockstep = lockstep;
     return job;
 }
 

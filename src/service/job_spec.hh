@@ -11,14 +11,18 @@
  * submitting the same spec share one simulation through the
  * content-hash result cache.
  *
- * Purity rules: a spec without a fault plan resolves to a *pure*
- * SimJob (memoizable, result-cacheable). A fault-plan spec resolves
- * to a job with SimJob::faultPlan (and SimJob::lockstep) set —
- * reproducible (the plan text is part of the spec) but excluded from
- * result reuse, like the closures of in-process batches. What a spec
- * cannot express is what those closures are for: custom measurement
- * bodies, observer attachment and register readback; nor can it
- * start from a snapshot.
+ * Purity rules: a spec without a fault plan or the lockstep shadow
+ * resolves to a *pure* SimJob (memoizable, result-cacheable). The plan
+ * and the flag resolve into SimJob::faultPlan and SimJob::lockstep —
+ * reproducible (both are part of the spec) but excluded from result
+ * reuse, like the closures of in-process batches. What a spec cannot
+ * express is what those closures are for: custom measurement bodies,
+ * observer attachment and register readback; nor can it start from a
+ * snapshot.
+ *
+ * A spec is also the one replay artifact: the daemon's crash report
+ * and the fuzzer's crash bundle both carry the failed job's spec,
+ * which bench/replay resolves and re-runs.
  */
 
 #ifndef MTFPU_SERVICE_JOB_SPEC_HH
@@ -90,14 +94,15 @@ struct JobSpec
      */
     std::string faultPlan;
 
-    /** Attach the lockstep shadow checker alongside the fault plan
-     *  (SimJob::lockstep); ignored without one. */
+    /** Run the lockstep shadow checker beside the machine
+     *  (SimJob::lockstep). */
     bool lockstep = false;
 
     bool operator==(const JobSpec &) const = default;
 
-    /** True when the resolved SimJob will be pure (no fault plan). */
-    bool pure() const { return faultPlan.empty(); }
+    /** True when the resolved SimJob will be pure (isPureJob): no
+     *  fault plan and no lockstep shadow. */
+    bool pure() const { return faultPlan.empty() && !lockstep; }
 
     /** One JSON object (defaulted fields are still emitted — the
      *  format favors explicitness over byte count). */
@@ -113,10 +118,10 @@ struct JobSpec
 
     /**
      * Lower the spec into a runnable SimJob: assemble / decode /
-     * resolve the program reference, copy the declarative images, and
-     * parse a fault plan into SimJob::faultPlan when present. Throws
-     * SimError on bad program references, malformed assembly, or
-     * undecodable words.
+     * resolve the program reference, copy the declarative images and
+     * the lockstep flag, and parse a fault plan into SimJob::faultPlan
+     * when present. Throws SimError on bad program references,
+     * malformed assembly, or undecodable words.
      */
     machine::SimJob resolve() const;
 };

@@ -416,8 +416,7 @@ SimServer::runPooled(const machine::SimJob &job,
         if (std::optional<machine::RunStats> cached = cache_->lookup(job)) {
             result.name = job.name;
             result.stats = *cached;
-            result.status = result.stats.status;
-            result.ok = result.status == machine::RunStatus::Ok;
+            result.ok = result.stats.status == machine::RunStatus::Ok;
             result.attempts = 0;
             result.fromCache = true;
             if (!result.ok)
@@ -443,7 +442,8 @@ SimServer::runPooled(const machine::SimJob &job,
     // Watchdog depends on host wall-clock speed and is never stored.
     const bool deterministic =
         machine::ResultCache::cacheable(result.stats) &&
-        (result.ok || result.status == machine::RunStatus::CycleGuard);
+        (result.ok ||
+         result.stats.status == machine::RunStatus::CycleGuard);
     if (!cancelled && cache_ && pure && deterministic)
         cache_->store(job, result.stats);
 }

@@ -1,13 +1,10 @@
 #include "service/supervisor.hh"
 
 #include <csignal>
-#include <cstdio>
-#include <filesystem>
 #include <map>
 #include <sys/wait.h>
-#include <system_error>
-#include <unistd.h>
 
+#include "common/file_io.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "service/job_spec.hh"
@@ -149,28 +146,16 @@ void
 JobJournal::compact(const std::string &path,
                     const std::vector<Recovered> &unfinished)
 {
-    // Write a fresh file beside the journal and rename it over the
-    // journal, so a crash mid-compaction leaves the old journal whole.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    bool ok = true;
+    // Replaced whole, so a crash mid-compaction leaves the old
+    // journal intact.
+    std::string records;
+    for (const Recovered &job : unfinished)
+        records += acceptRecord(job.id, job.specJson, job.idemKey) + '\n';
     try {
-        journal::Appender out(tmp);
-        for (const Recovered &job : unfinished) {
-            ok = out.append(acceptRecord(job.id, job.specJson, job.idemKey));
-            if (!ok)
-                break;
-        }
-    } catch (const SimError &) {
-        ok = false;
-    }
-    if (ok)
-        std::filesystem::rename(tmp, path, ec);
-    if (!ok || ec) {
-        std::filesystem::remove(tmp, ec);
-        warn("job journal: compaction of " + path + " failed");
+        writeFileAtomic(path, records);
+    } catch (const SimError &err) {
+        warn("job journal: compaction of " + path + " failed: " +
+             err.what());
     }
 }
 
@@ -182,7 +167,6 @@ writeWorkerCrashReport(const std::string &dir, const std::string &job_name,
     if (dir.empty())
         return;
     try {
-        std::filesystem::create_directories(dir);
         std::string base;
         base.reserve(job_name.size());
         for (char c : job_name) {
@@ -195,11 +179,6 @@ writeWorkerCrashReport(const std::string &dir, const std::string &job_name,
         if (base.empty())
             base = "job";
         const std::string path = dir + "/" + base + ".worker-crash.json";
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            warn("cannot write worker crash report " + path);
-            return;
-        }
         json::Writer w;
         w.beginObject();
         w.key("job").value(job_name);
@@ -217,10 +196,7 @@ writeWorkerCrashReport(const std::string &dir, const std::string &job_name,
         if (!spec_json.empty())
             w.key("spec").raw(spec_json);
         w.endObject();
-        const std::string text = w.str();
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
+        writeFileAtomic(path, w.str() + "\n");
         inform("worker crash report written to " + path);
     } catch (const std::exception &err) {
         warn(std::string("worker crash report failed: ") + err.what());

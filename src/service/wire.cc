@@ -469,7 +469,7 @@ writeJobResult(json::Writer &w, const machine::SimJobResult &r)
 {
     w.key("name").value(r.name);
     w.key("job_ok").value(r.ok);
-    w.key("status").value(machine::runStatusName(r.status));
+    w.key("status").value(machine::runStatusName(r.stats.status));
     w.key("cycles").value(r.stats.cycles);
     w.key("attempts").value(static_cast<uint64_t>(r.attempts));
     w.key("quarantined").value(r.quarantined);
@@ -480,7 +480,7 @@ writeJobResult(json::Writer &w, const machine::SimJobResult &r)
         w.key("job_error_code").value(r.errorCode);
     if (!r.errorJson.empty())
         w.key("job_error_json").value(r.errorJson);
-    if (r.ok || r.status != machine::RunStatus::Ok)
+    if (r.ok || r.stats.status != machine::RunStatus::Ok)
         w.key("stats_hex").value(statsToHex(r.stats));
 }
 
@@ -499,10 +499,8 @@ readJobResult(const json::Value &v)
         r.errorCode = v.at("job_error_code").asString();
     if (v.has("job_error_json"))
         r.errorJson = v.at("job_error_json").asString();
-    if (v.has("stats_hex")) {
+    if (v.has("stats_hex"))
         r.stats = statsFromHex(v.at("stats_hex").asString());
-        r.status = r.stats.status;
-    }
     return r;
 }
 

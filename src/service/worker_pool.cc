@@ -483,7 +483,7 @@ WorkerPool::execute(const PoolJob &job)
     const bool budget =
         first == WorkerProcess::Outcome::Timeout ||
         (first == WorkerProcess::Outcome::Result &&
-         out.result.status != machine::RunStatus::Ok);
+         out.result.stats.status != machine::RunStatus::Ok);
     if (budget) {
         out.result.quarantined = true;
         writeWorkerCrashReport(

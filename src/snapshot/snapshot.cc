@@ -1,7 +1,5 @@
 #include "snapshot/snapshot.hh"
 
-#include <cstdio>
-
 #include "common/log.hh"
 #include "machine/machine.hh"
 
@@ -65,7 +63,7 @@ MachineSnapshot
 deserialize(const uint8_t *data, size_t size)
 {
     // The trailing CRC-32 covers every byte before it; verify before
-    // interpreting anything (a torn snapshot file must never half-load).
+    // interpreting anything (a torn snapshot must never half-load).
     if (size < sizeof(kMagic) + sizeof(uint32_t))
         fatal(ErrCode::BadSnapshot, "snapshot: file too short");
     ByteReader crcReader(data + size - sizeof(uint32_t),
@@ -107,45 +105,6 @@ MachineSnapshot
 deserialize(const std::vector<uint8_t> &data)
 {
     return deserialize(data.data(), data.size());
-}
-
-void
-writeFile(const std::string &path, const MachineSnapshot &snap)
-{
-    const std::vector<uint8_t> bytes = serialize(snap);
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        fatal(ErrCode::BadSnapshot,
-              "snapshot: cannot open " + tmp + " for writing");
-    const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-    const bool flushed = std::fflush(f) == 0;
-    std::fclose(f);
-    if (written != bytes.size() || !flushed) {
-        std::remove(tmp.c_str());
-        fatal(ErrCode::BadSnapshot, "snapshot: short write to " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        fatal(ErrCode::BadSnapshot,
-              "snapshot: cannot rename " + tmp + " to " + path);
-    }
-}
-
-MachineSnapshot
-readFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        fatal(ErrCode::BadSnapshot,
-              "snapshot: cannot open " + path + " for reading");
-    std::vector<uint8_t> bytes;
-    uint8_t buf[65536];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + n);
-    std::fclose(f);
-    return deserialize(bytes);
 }
 
 } // namespace mtfpu::snapshot

@@ -8,30 +8,30 @@
  * PSW, memory) and microarchitectural (scoreboard, in-flight pipeline
  * entries, cache tags, stall bookkeeping, statistics counters).
  *
- * The on-disk format is little-endian binary: a "MTSN" magic, the
+ * A snapshot lives in memory: the fault campaign pairs one mid-run
+ * with a LockstepChecker's own saveState() (machine::JobStart) and
+ * forks its trials from it. No shipped tool writes or reads a snapshot
+ * file; a failed job is replayed from its JobSpec instead.
+ *
+ * The serialized form is little-endian binary: a "MTSN" magic, the
  * format version, the snapshot kind, the payload sections, and a
- * trailing CRC-32 over everything before it. Readers reject unknown
- * magic/version/kind, CRC mismatches, and truncation with structured
- * SimError(ErrCode::BadSnapshot) — a half-written snapshot file from a
- * killed process must fail recoverably, never load as garbage state.
+ * trailing CRC-32 over everything before it. deserialize() rejects
+ * unknown magic/version/kind, CRC mismatches, and truncation with
+ * structured SimError(ErrCode::BadSnapshot), so a torn or hostile blob
+ * fails recoverably and never loads as garbage state. The kind byte is
+ * always 0 (Machine): the format keeps the byte, and readers reject
+ * any other value.
  *
  * Versioning rule: any change to the byte layout of the payload or to
- * a visit(Archive &) field list bumps kFormatVersion. Readers do
- * not migrate old versions (snapshots are working files, not archives)
- * but must detect them; the committed golden-snapshot test pins the
- * current layout.
- *
- * The container holds full cycle-model state, pairable mid-run with a
- * LockstepChecker's own saveState() (machine::JobStart, the campaign's
- * snapshot forks). Its kind byte is always 0 (Machine): the format
- * keeps the byte, and readers reject any other value.
+ * a visit(Archive &) field list bumps kFormatVersion. Readers do not
+ * migrate old versions but must detect them; the committed
+ * golden-snapshot test pins the current layout.
  */
 
 #ifndef MTFPU_SNAPSHOT_SNAPSHOT_HH
 #define MTFPU_SNAPSHOT_SNAPSHOT_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "assembler/assembler.hh"
@@ -84,16 +84,6 @@ std::vector<uint8_t> serialize(const MachineSnapshot &snap);
  */
 MachineSnapshot deserialize(const uint8_t *data, size_t size);
 MachineSnapshot deserialize(const std::vector<uint8_t> &data);
-
-/**
- * Write @p snap to @p path atomically (temp file + rename), so a
- * snapshot file is always either the old complete snapshot or the new
- * one — never a torn write.
- */
-void writeFile(const std::string &path, const MachineSnapshot &snap);
-
-/** Read and decode a snapshot file; BadSnapshot on any defect. */
-MachineSnapshot readFile(const std::string &path);
 
 } // namespace mtfpu::snapshot
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common utilities: bit fields, statistics
- * helpers, the table formatter, JSON, and the NDJSON journal.
+ * helpers, the table formatter, JSON, the NDJSON journal, and the
+ * whole-file reader and atomic writer.
  */
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bitfield.hh"
+#include "common/file_io.hh"
 #include "common/journal.hh"
 #include "common/json.hh"
 #include "common/log.hh"
@@ -222,18 +224,18 @@ TEST(Json, WriterCommasAndEmptyContainers)
     EXPECT_EQ(top.str(), "42");
 }
 
-/** A fresh directory for one journal test, removed afterwards. */
-class JournalDir
+/** A fresh directory for one file test, removed afterwards. */
+class TestDir
 {
   public:
-    explicit JournalDir(const std::string &tag)
+    explicit TestDir(const std::string &tag)
         : path_(std::filesystem::temp_directory_path() /
-                ("mtfpu_journal_" + tag))
+                ("mtfpu_common_" + tag))
     {
         std::filesystem::remove_all(path_);
         std::filesystem::create_directories(path_);
     }
-    ~JournalDir() { std::filesystem::remove_all(path_); }
+    ~TestDir() { std::filesystem::remove_all(path_); }
 
     std::string file(const std::string &name) const
     {
@@ -271,7 +273,7 @@ TEST(Journal, ReplaySkipsAndCountsWhatItCannotApply)
         {"record the callback rejects",
          "{\"n\":1}\n{\"n\":2,\"reject\":true}\n{\"n\":3}\n", {1, 3}, 1},
     };
-    JournalDir dir("replay");
+    TestDir dir("replay");
     const std::string path = dir.file("j.ndjson");
     for (const auto &c : cases) {
         SCOPED_TRACE(c.name);
@@ -307,7 +309,7 @@ TEST(Journal, AppendStartsAFreshLineOnlyAfterATornRecord)
          "{\"n\":0}\n{\"n\":1}\n{\"n\":2}\n"},
         {"torn tail", "{\"n\":0", "{\"n\":0\n{\"n\":1}\n{\"n\":2}\n"},
     };
-    JournalDir dir("append");
+    TestDir dir("append");
     const std::string path = dir.file("sub/j.ndjson");
     for (const auto &c : cases) {
         SCOPED_TRACE(c.name);
@@ -329,7 +331,7 @@ TEST(Journal, ConcurrentAppendsStayWholeLines)
 {
     constexpr uint64_t kThreads = 4;
     constexpr uint64_t kRecords = 250;
-    JournalDir dir("threads");
+    TestDir dir("threads");
     const std::string path = dir.file("j.ndjson");
     {
         journal::Appender out(path);
@@ -366,7 +368,7 @@ TEST(Journal, ConcurrentAppendsStayWholeLines)
 
 TEST(Journal, UnusablePathIsAnIoError)
 {
-    JournalDir dir("unusable");
+    TestDir dir("unusable");
     const std::string plain = dir.file("plain");
     std::ofstream(plain) << "a regular file\n";
     const auto expectIo = [](const std::function<void()> &open) {
@@ -387,6 +389,77 @@ TEST(Journal, UnusablePathIsAnIoError)
             journal::replay(dir.file(""), [](const json::Value &) {});
         });
     }
+}
+
+TEST(FileIo, AtomicWriteReplacesTheFileWholeAndLeavesNoTemp)
+{
+    TestDir dir("file_io");
+    const std::string sub = dir.file("reports");
+    const std::string path = sub + "/report.json";
+    writeFileAtomic(path, "first\n"); // creates the directory
+    const std::string binary("second\0with a NUL\n", 19);
+    writeFileAtomic(path, binary);
+    EXPECT_EQ(readFile(path), binary);
+
+    // Writers racing on one path each write their own temp file, so
+    // the survivor is one whole write, never a mix.
+    std::vector<std::string> writes;
+    for (char c = 'a'; c < 'e'; ++c)
+        writes.push_back(std::string(64 * 1024, c));
+    std::vector<std::thread> threads;
+    for (const std::string &bytes : writes)
+        threads.emplace_back([&path, &bytes] {
+            for (int i = 0; i < 20; ++i)
+                writeFileAtomic(path, bytes);
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_NE(std::find(writes.begin(), writes.end(), readFile(path)),
+              writes.end());
+
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(sub))
+        names.push_back(entry.path().filename().string());
+    EXPECT_EQ(names, std::vector<std::string>{"report.json"});
+}
+
+TEST(FileIo, FailuresAreIoErrorsAndLeaveNoTemp)
+{
+    TestDir dir("file_io_fail");
+    const std::string plain = dir.file("plain");
+    writeFileAtomic(plain, "a regular file\n");
+    const auto expectIo = [](const std::function<void()> &io) {
+        try {
+            io();
+            ADD_FAILURE() << "no error";
+        } catch (const SimError &err) {
+            EXPECT_EQ(err.code(), ErrCode::Io) << err.what();
+        }
+    };
+    {
+        SCOPED_TRACE("write under a regular file");
+        expectIo([&] { writeFileAtomic(plain + "/x.json", "x"); });
+    }
+    {
+        SCOPED_TRACE("rename over a directory");
+        std::filesystem::create_directories(dir.file("taken"));
+        expectIo([&] { writeFileAtomic(dir.file("taken"), "x"); });
+    }
+    {
+        SCOPED_TRACE("read of a missing file");
+        expectIo([&] { readFile(dir.file("missing")); });
+    }
+    {
+        SCOPED_TRACE("read of a directory");
+        expectIo([&] { readFile(dir.file("taken")); });
+    }
+    std::vector<std::string> names;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir.file("")))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"plain", "taken"}));
+    EXPECT_TRUE(std::filesystem::is_empty(dir.file("taken")));
 }
 
 } // anonymous namespace

@@ -246,7 +246,7 @@ TEST(GuardTest, DriverReportsGuardedRunAsFailureWithStats)
     const std::vector<machine::SimJobResult> res = driver.run({job});
     ASSERT_EQ(res.size(), 1u);
     EXPECT_FALSE(res[0].ok);
-    EXPECT_EQ(res[0].status, machine::RunStatus::CycleGuard);
+    EXPECT_EQ(res[0].stats.status, machine::RunStatus::CycleGuard);
     EXPECT_EQ(res[0].errorCode, "cycle-guard");
     EXPECT_GT(res[0].stats.cycles, 0u); // partial stats preserved
     EXPECT_NE(res[0].errorJson.find("cycle-guard"), std::string::npos);

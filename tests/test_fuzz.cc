@@ -20,6 +20,7 @@
 #include "fuzz/corpus.hh"
 #include "fuzz/fuzz_engine.hh"
 #include "fuzz/minimizer.hh"
+#include "service/job_spec.hh"
 
 using namespace mtfpu;
 using namespace mtfpu::fuzz;
@@ -420,17 +421,29 @@ TEST(FuzzBundle, WritesReplayableArtifacts)
             bundle = trial.bundlePath;
     });
     ASSERT_FALSE(bundle.empty());
-    const std::string report = slurp(bundle);
-    EXPECT_NE(report.find("\"lockstep\":true"), std::string::npos);
-    EXPECT_NE(report.find("\"mutation\":\"flip-sra\""),
-              std::string::npos);
-    EXPECT_NE(report.find("\"error\""), std::string::npos);
-    // The sibling artifacts exist and the program parses back.
+    const json::Value report = json::parse(slurp(bundle));
+    EXPECT_EQ(report.at("mutation").asString(), "flip-sra");
+    EXPECT_EQ(report.at("error").at("code").asString(),
+              "lockstep-divergence");
+    // The report's job is a spec the daemon could run: the minimized
+    // program and its memory image, with the lockstep shadow. No
+    // snapshot file rides along.
     const std::string stem = bundle.substr(0, bundle.size() - 5);
-    EXPECT_TRUE(std::filesystem::exists(stem + ".snap"));
+    EXPECT_FALSE(std::filesystem::exists(stem + ".snap"));
     EXPECT_TRUE(std::filesystem::exists(stem + ".orig.prog"));
     const FuzzProgram min = readProgramFile(stem + ".prog");
     EXPECT_LE(min.code.size(), 8u);
+    const service::JobSpec spec =
+        service::JobSpec::from_json(report.at("spec"));
+    EXPECT_EQ(spec.kind, service::JobKind::Code);
+    EXPECT_TRUE(spec.lockstep);
+    EXPECT_TRUE(spec.faultPlan.empty());
+    EXPECT_EQ(spec.config.maxCycles, config.maxCycles);
+    EXPECT_EQ(spec.config.memory.memBytes, config.memBytes);
+    const machine::SimJob job = spec.resolve();
+    EXPECT_EQ(job.program.code, min.code);
+    EXPECT_EQ(job.memInit, min.memInit);
+    EXPECT_TRUE(job.lockstep);
 
     // bench/replay re-runs the bundle with its shadow and mutation and
     // reproduces the divergence at the reported cycle (exit 0).

@@ -279,11 +279,17 @@ TEST(JobSpec, ResolveFaultPlanAttachesHook)
 {
     service::JobSpec spec = countdownSpec(100);
     spec.faultPlan = "";
-    spec.lockstep = true; // rides only with a plan
     EXPECT_TRUE(spec.pure());
-    const machine::SimJob clean = spec.resolve();
-    EXPECT_TRUE(machine::isPureJob(clean));
-    EXPECT_FALSE(clean.lockstep);
+    EXPECT_TRUE(machine::isPureJob(spec.resolve()));
+
+    // The lockstep flag resolves with or without a plan (a fuzz crash
+    // bundle's spec has none), and either way the job is impure.
+    spec.lockstep = true;
+    EXPECT_FALSE(spec.pure());
+    const machine::SimJob shadowed = spec.resolve();
+    EXPECT_FALSE(machine::isPureJob(shadowed));
+    EXPECT_TRUE(shadowed.lockstep);
+    EXPECT_TRUE(shadowed.faultPlan.empty());
 
     // A plan resolves into job data, which startJob turns into the
     // injector hook and the lockstep shadow.
@@ -690,14 +696,14 @@ TEST(SimServer, EndToEndSweepBitIdenticalCachedAndWarmAfterRestart)
         guarded.config.maxCycles = 1000;
         const machine::SimJobResult stop =
             client.result(client.submit(guarded), true);
-        ASSERT_EQ(stop.status, machine::RunStatus::CycleGuard);
+        ASSERT_EQ(stop.stats.status, machine::RunStatus::CycleGuard);
         EXPECT_FALSE(stop.fromCache);
         const machine::SimJobResult stop2 =
             client.result(client.submit(guarded), true);
         EXPECT_TRUE(stop2.fromCache);
         EXPECT_EQ(stop2.attempts, 0u);
         EXPECT_FALSE(stop2.ok);
-        EXPECT_EQ(stop2.status, machine::RunStatus::CycleGuard);
+        EXPECT_EQ(stop2.stats.status, machine::RunStatus::CycleGuard);
         EXPECT_EQ(stop2.errorCode, "cycle-guard");
         EXPECT_EQ(stop2.errorCode, stop.errorCode);
         EXPECT_EQ(stop2.error, stop.error);

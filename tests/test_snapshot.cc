@@ -7,7 +7,7 @@
  * backends; a SimJob that starts from a mid-run snapshot ends like
  * the uninterrupted run; the fault campaign's snapshot-fork and
  * journal-resume modes classify exactly like the from-scratch sweep;
- * and a committed golden snapshot pins the on-disk format (any layout
+ * and a committed golden snapshot pins the serialized format (any layout
  * change must bump kFormatVersion).
  */
 
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "assembler/assembler.hh"
+#include "common/file_io.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "faults/campaign.hh"
@@ -546,21 +547,6 @@ TEST(SnapshotContainer, RestoreRequiresMatchingConfig)
     }
 }
 
-TEST(SnapshotContainer, WriteFileReadFileRoundTrip)
-{
-    const std::string dir = scratchDir("snap-file");
-    machine::Machine m = smallMachine();
-    m.runUntil(9);
-    const snapshot::MachineSnapshot snap = snapshot::capture(m);
-
-    const std::string path = dir + "/state.snap";
-    snapshot::writeFile(path, snap);
-    const snapshot::MachineSnapshot back = snapshot::readFile(path);
-    EXPECT_EQ(snapshot::serialize(back), snapshot::serialize(snap));
-    // The atomic write leaves no temp file behind.
-    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-}
-
 /**
  * The core acceptance property, parameterized over any kernel: pause
  * a run at a deterministic pseudo-random mid cycle, round-trip the
@@ -987,14 +973,20 @@ TEST(SnapshotGolden, CommittedFormatIsStable)
     ASSERT_EQ(m.runUntil(777).status, machine::RunStatus::Paused);
 
     if (std::getenv("MTFPU_WRITE_GOLDEN") != nullptr) {
-        snapshot::writeFile(path, snapshot::capture(m));
+        const std::vector<uint8_t> bytes =
+            snapshot::serialize(snapshot::capture(m));
+        writeFileAtomic(path,
+                        std::string_view(
+                            reinterpret_cast<const char *>(bytes.data()),
+                            bytes.size()));
         GTEST_SKIP() << "golden snapshot regenerated at " << path;
     }
 
     // Byte-for-byte: today's serializer must reproduce the committed
-    // file exactly, so any layout drift fails here instead of in a
-    // user's saved snapshot.
-    const snapshot::MachineSnapshot golden = snapshot::readFile(path);
+    // file exactly, so any layout drift fails here.
+    const std::string file = readFile(path);
+    const snapshot::MachineSnapshot golden = snapshot::deserialize(
+        reinterpret_cast<const uint8_t *>(file.data()), file.size());
     EXPECT_EQ(snapshot::serialize(golden),
               snapshot::serialize(snapshot::capture(m)));
 
