@@ -92,12 +92,9 @@ workerMain(bool crash_hooks)
             spec = service::JobSpec::from_json(req.at("job"));
             parsed = true;
         } catch (const FatalError &err) {
-            result.ok = false;
-            result.error =
-                std::string("workerd: bad job line: ") + err.what();
-            result.errorCode = errCodeName(ErrCode::BadOperand);
-            result.errorJson =
-                SimError(ErrCode::BadOperand, result.error).to_json();
+            result.fail(SimError(ErrCode::BadOperand,
+                                 std::string("workerd: bad job line: ") +
+                                     err.what()));
         }
 
         if (parsed && crash_hooks &&
@@ -131,20 +128,11 @@ workerMain(bool crash_hooks)
                 } else {
                     try {
                         r = driver.runAttempt(spec.resolve());
-                    } catch (const SimError &err) {
-                        r.name = spec.name;
-                        r.ok = false;
-                        r.error = err.what();
-                        r.errorCode = errCodeName(err.code());
-                        r.errorJson = err.to_json();
                     } catch (const std::exception &err) {
+                        // resolve() failed: the spec names no runnable
+                        // job (bad assembly, unknown kernel).
                         r.name = spec.name;
-                        r.ok = false;
-                        r.error = err.what();
-                        r.errorCode = errCodeName(ErrCode::Unknown);
-                        r.errorJson =
-                            SimError(ErrCode::Unknown, err.what())
-                                .to_json();
+                        r.fail(err);
                     }
                 }
                 std::lock_guard<std::mutex> lock(doneMutex);

@@ -34,10 +34,10 @@
  * usage/artifact errors.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.hh"
 #include "common/file_io.hh"
@@ -62,20 +62,6 @@ usage()
     std::fprintf(stderr, "usage: replay <crash-report.json> [--tail=N] "
                          "[--timeline]\n");
     return 2;
-}
-
-const char *
-traceKindName(machine::TraceKind kind)
-{
-    switch (kind) {
-      case machine::TraceKind::CpuIssue: return "issue";
-      case machine::TraceKind::FpTransfer: return "fp-transfer";
-      case machine::TraceKind::FpElement: return "fp-element";
-      case machine::TraceKind::FpWriteback: return "fp-writeback";
-      case machine::TraceKind::FpLoadData: return "fp-load-data";
-      case machine::TraceKind::GlobalStall: return "global-stall";
-    }
-    return "?";
 }
 
 } // anonymous namespace
@@ -188,20 +174,13 @@ main(int argc, char **argv)
                             : "(unknown)");
         }
 
-        const std::vector<machine::TraceEvent> &events = tracer.events();
+        const size_t events = tracer.events().size();
         if (timeline) {
             std::printf("%s\n", tracer.renderTimeline().c_str());
-        } else if (tail > 0 && !events.empty()) {
-            const size_t first =
-                events.size() > tail ? events.size() - tail : 0;
-            std::printf("  trace tail (%zu of %zu events):\n",
-                        events.size() - first, events.size());
-            for (size_t i = first; i < events.size(); ++i) {
-                const machine::TraceEvent &e = events[i];
-                std::printf("    @%-8llu %-12s %s\n",
-                            static_cast<unsigned long long>(e.cycle),
-                            traceKindName(e.kind), e.text.c_str());
-            }
+        } else if (tail > 0 && events > 0) {
+            std::printf("  trace tail (%zu of %zu events):\n%s",
+                        std::min(tail, events), events,
+                        tracer.renderLog(tail).c_str());
         }
     } catch (const FatalError &err) {
         std::fprintf(stderr, "replay setup failed: %s\n", err.what());

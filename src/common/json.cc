@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/log.hh"
@@ -31,6 +32,32 @@ plainInteger(const std::string &token)
             return false;
     }
     return true;
+}
+
+/** Escape @p text for a JSON string literal (no quotes added). */
+std::string
+jsonEscape(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (const char c : text) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 } // anonymous namespace
@@ -132,7 +159,7 @@ class Parser
     Value
     document()
     {
-        Value v = value();
+        Value v = value(0);
         skipWs();
         if (pos_ != text_.size())
             badJson("trailing characters after document");
@@ -187,11 +214,16 @@ class Parser
         }
     }
 
+    /** One value inside @p depth open arrays and objects. */
     Value
-    value()
+    value(unsigned depth)
     {
         Value v;
-        switch (peek()) {
+        const char c = peek();
+        if ((c == '{' || c == '[') && depth == kMaxDepth)
+            badJson("nesting deeper than " + std::to_string(kMaxDepth) +
+                    " levels at offset " + std::to_string(pos_));
+        switch (c) {
           case '{': {
             v.kind_ = Value::Kind::Object;
             ++pos_;
@@ -199,11 +231,11 @@ class Parser
                 return v;
             do {
                 skipWs();
-                Value key = value();
+                Value key = value(depth + 1);
                 if (key.kind_ != Value::Kind::String)
                     badJson("object key is not a string");
                 expect(':');
-                v.obj_[key.str_] = value();
+                v.obj_[key.str_] = value(depth + 1);
             } while (consumeIf(','));
             expect('}');
             return v;
@@ -214,7 +246,7 @@ class Parser
             if (consumeIf(']'))
                 return v;
             do {
-                v.arr_.push_back(value());
+                v.arr_.push_back(value(depth + 1));
             } while (consumeIf(','));
             expect(']');
             return v;

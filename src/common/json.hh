@@ -1,20 +1,20 @@
 /**
  * @file
- * A minimal JSON reader for the simulator's own artifacts: crash
- * reports, campaign journals, and snapshot manifests are all written
- * by this codebase, read back by the replay CLI and the campaign
- * --resume path. The parser accepts standard JSON (objects, arrays,
- * strings with the escapes jsonEscape() emits, numbers, booleans,
- * null) and throws SimError(ErrCode::BadOperand) on malformed input,
- * so a truncated journal line — the expected artifact of a SIGKILLed
- * campaign — fails cleanly and recoverably.
+ * The codebase's one JSON reader and one JSON writer, for its own
+ * artifacts and wire messages: crash reports, campaign and fuzz
+ * journals, job specs, divergence reports, and the service protocol.
+ * The parser accepts standard JSON (objects, arrays, strings with the
+ * escapes the writer emits, numbers, booleans, null) and throws
+ * SimError(ErrCode::BadOperand) on malformed input, so a truncated
+ * journal line — the expected artifact of a SIGKILLed campaign —
+ * fails cleanly and recoverably. Nesting deeper than kMaxDepth is
+ * malformed too: the parser recurses once per level, and a daemon
+ * request line of a few hundred kilobytes of '[' must not overflow
+ * the stack.
  *
- * This is a reader for trusted, self-produced input, not a general
- * JSON library: numbers are doubles (with an exact-integer accessor).
- * Its writing half is json::Writer below, which the service layer
- * uses for wire messages, job specs, journal records and worker crash
- * reports; the simulator-side artifacts (campaign and fuzz records,
- * divergence and quarantine reports) are hand-built strings.
+ * This is not a general JSON library: numbers are doubles (with an
+ * exact-integer accessor). Every JSON text the program builds from
+ * data goes through json::Writer below.
  */
 
 #ifndef MTFPU_COMMON_JSON_HH
@@ -80,13 +80,18 @@ class Value
     std::map<std::string, Value> obj_;
 };
 
-/** Parse one JSON document; throws SimError(BadOperand) on errors. */
+/** Deepest array/object nesting parse() accepts. The program writes
+ *  at most 5 levels (a spec's cache config inside a request). */
+constexpr unsigned kMaxDepth = 64;
+
+/** Parse one JSON document; throws SimError(BadOperand) on errors,
+ *  nesting past kMaxDepth included. */
 Value parse(const std::string &text);
 
 /**
- * Incremental JSON writer for the wire protocol and job specs: a
- * small builder that manages commas and escaping so hand-assembled
- * protocol messages cannot emit structurally invalid JSON. Usage:
+ * Incremental JSON writer, the program's only JSON encoder: a small
+ * builder that manages commas and escaping so no message or record
+ * can come out structurally invalid. Usage:
  *
  *     json::Writer w;
  *     w.beginObject();

@@ -1,6 +1,6 @@
 #include "common/sim_error.hh"
 
-#include <cstdio>
+#include "common/json.hh"
 
 namespace mtfpu
 {
@@ -57,56 +57,23 @@ errCodeFromName(const std::string &name)
 }
 
 std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-namespace
-{
-
-std::string
-contextField(int64_t value)
-{
-    return value < 0 ? "null" : std::to_string(value);
-}
-
-} // anonymous namespace
-
-std::string
 SimError::to_json() const
 {
-    std::string json = "{\"code\":\"";
-    json += errCodeName(code_);
-    json += "\",\"message\":\"";
-    json += jsonEscape(what());
-    json += "\",\"cycle\":";
-    json += contextField(context_.cycle);
-    json += ",\"pc\":";
-    json += contextField(context_.pc);
-    json += ",\"instr\":";
-    json += contextField(context_.instr);
-    json += "}";
-    return json;
+    json::Writer w;
+    const auto field = [&w](const char *name, int64_t value) {
+        if (value < 0)
+            w.key(name).null();
+        else
+            w.key(name).value(value);
+    };
+    w.beginObject();
+    w.key("code").value(errCodeName(code_));
+    w.key("message").value(what());
+    field("cycle", context_.cycle);
+    field("pc", context_.pc);
+    field("instr", context_.instr);
+    w.endObject();
+    return w.str();
 }
 
 } // namespace mtfpu

@@ -64,8 +64,10 @@ const char *errCodeName(ErrCode code);
 /**
  * Parse a code name back (the wire protocol carries names, not enum
  * values, so a client can reconstruct the server's taxonomy entry).
- * Unrecognized names map to ErrCode::Unknown rather than throwing —
- * a newer daemon may emit codes an older client has no entry for.
+ * The exact hello check admits no newer daemon, so a well-behaved
+ * peer only sends names this build knows; unrecognized names still
+ * map to ErrCode::Unknown rather than throwing, so hostile input
+ * cannot turn a failed job's record into a protocol error.
  */
 ErrCode errCodeFromName(const std::string &name);
 
@@ -79,6 +81,8 @@ struct ErrContext
     int64_t instr = kUnknown; // encoded instruction word (32-bit)
 
     bool complete() const { return cycle >= 0 && pc >= 0 && instr >= 0; }
+
+    bool operator==(const ErrContext &) const = default;
 };
 
 /** A fatal simulator condition with taxonomy and context. */
@@ -133,9 +137,6 @@ class InvariantError : public SimError
         : SimError(ErrCode::InvariantViolation, what)
     {}
 };
-
-/** Escape a string for embedding in a JSON literal (no quotes added). */
-std::string jsonEscape(const std::string &text);
 
 } // namespace mtfpu
 

@@ -47,13 +47,13 @@ classifyTrial(FaultTrial &trial, const machine::SimJobResult &r,
               double sum, double golden_sum)
 {
     trial.cycles = r.stats.cycles;
-    trial.errorCode = r.errorCode;
+    trial.errorCode = r.ok ? "" : errCodeName(r.errCode);
     if (r.ok) {
         // Bit-exact, so a NaN checksum equals itself.
         const bool same = std::bit_cast<uint64_t>(sum) ==
                           std::bit_cast<uint64_t>(golden_sum);
         trial.outcome = same ? FaultOutcome::Masked : FaultOutcome::Sdc;
-    } else if (r.errorCode == errCodeName(ErrCode::LockstepDivergence)) {
+    } else if (r.errCode == ErrCode::LockstepDivergence) {
         trial.outcome = FaultOutcome::DetectedLockstep;
     } else {
         trial.outcome = FaultOutcome::DetectedHardware;
@@ -115,12 +115,16 @@ faultOutcomeName(FaultOutcome outcome)
 std::string
 FaultTrial::to_json() const
 {
-    return "{\"kernel\":\"" + jsonEscape(kernel) +
-           "\",\"seed\":" + std::to_string(seed) +
-           ",\"faults\":" + plan.to_json() + ",\"outcome\":\"" +
-           faultOutcomeName(outcome) + "\",\"error_code\":\"" +
-           jsonEscape(errorCode) +
-           "\",\"cycles\":" + std::to_string(cycles) + "}";
+    json::Writer w;
+    w.beginObject();
+    w.key("kernel").value(kernel);
+    w.key("seed").value(seed);
+    w.key("fault_plan").value(plan.describe());
+    w.key("outcome").value(faultOutcomeName(outcome));
+    w.key("error_code").value(errorCode);
+    w.key("cycles").value(cycles);
+    w.endObject();
+    return w.str();
 }
 
 unsigned
@@ -169,34 +173,28 @@ CampaignResult::table() const
 std::string
 CampaignResult::to_json() const
 {
-    std::string json = "{\n  \"kernels\": [";
+    json::Writer w;
+    w.beginObject();
+    w.key("kernels").beginArray();
     for (size_t i = 0; i < kernels.size(); ++i) {
-        if (i)
-            json += ",";
-        json += "{\"name\":\"" + jsonEscape(kernels[i]) +
-                "\",\"golden_cycles\":" + std::to_string(goldenCycles[i]) +
-                "}";
+        w.beginObject();
+        w.key("name").value(kernels[i]);
+        w.key("golden_cycles").value(goldenCycles[i]);
+        w.endObject();
     }
-    json += "],\n  \"summary\": {";
-    bool first = true;
+    w.endArray();
+    w.key("summary").beginObject();
     for (FaultOutcome o :
          {FaultOutcome::DetectedHardware, FaultOutcome::DetectedLockstep,
-          FaultOutcome::Masked, FaultOutcome::Sdc}) {
-        if (!first)
-            json += ",";
-        first = false;
-        json += std::string("\"") + faultOutcomeName(o) +
-                "\":" + std::to_string(count(o));
-    }
-    json += "},\n  \"trials\": [\n";
-    for (size_t i = 0; i < trials.size(); ++i) {
-        json += "    " + trials[i].to_json();
-        if (i + 1 < trials.size())
-            json += ",";
-        json += "\n";
-    }
-    json += "  ]\n}\n";
-    return json;
+          FaultOutcome::Masked, FaultOutcome::Sdc})
+        w.key(faultOutcomeName(o)).value(static_cast<uint64_t>(count(o)));
+    w.endObject();
+    w.key("trials").beginArray();
+    for (const FaultTrial &trial : trials)
+        w.raw(trial.to_json());
+    w.endArray();
+    w.endObject();
+    return w.str() + "\n";
 }
 
 CampaignResult

@@ -80,7 +80,8 @@ struct FaultTrial
     std::string errorCode; // taxonomy name when a check fired
     uint64_t cycles = 0;   // cycles simulated (partial on failure)
 
-    /** One JSON object for campaign logs. */
+    /** One JSON object for the campaign journal and campaign.json;
+     *  its fault_plan is the text FaultPlan::parse reads back. */
     std::string to_json() const;
 };
 

@@ -27,13 +27,6 @@ logLine(uint64_t cycle, const char *site, const std::string &victim,
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
 void
-FaultInjector::reset()
-{
-    next_ = 0;
-    log_.clear();
-}
-
-void
 FaultInjector::onCycleStart(uint64_t cycle, machine::Machine &machine)
 {
     while (next_ < plan_.size() &&

@@ -61,9 +61,6 @@ class FaultInjector
 
     const FaultPlan &plan() const { return plan_; }
 
-    /** Rewind for another run of the same plan. */
-    void reset();
-
   private:
     /** Apply one fault to the machine; returns the log line. */
     std::string apply(const Fault &fault, uint64_t cycle,

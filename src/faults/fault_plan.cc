@@ -154,21 +154,4 @@ FaultPlan::describe() const
     return out;
 }
 
-std::string
-FaultPlan::to_json() const
-{
-    std::string json = "[";
-    for (size_t i = 0; i < faults_.size(); ++i) {
-        const Fault &f = faults_[i];
-        if (i)
-            json += ",";
-        json += "{\"cycle\":" + std::to_string(f.cycle) + ",\"site\":\"" +
-                faultSiteName(f.site) +
-                "\",\"index\":" + std::to_string(f.index) + ",\"mask\":" +
-                std::to_string(f.mask) + "}";
-    }
-    json += "]";
-    return json;
-}
-
 } // namespace mtfpu::faults

@@ -107,11 +107,9 @@ class FaultPlan
 
     bool operator==(const FaultPlan &) const = default;
 
-    /** The text format round-trip of parse(). */
+    /** The text format round-trip of parse() (campaign records and
+     *  job specs carry plans in this form). */
     std::string describe() const;
-
-    /** JSON array of fault objects (campaign logs, crash reports). */
-    std::string to_json() const;
 
   private:
     std::vector<Fault> faults_; // sorted by cycle

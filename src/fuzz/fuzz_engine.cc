@@ -74,25 +74,25 @@ TrialResult::worst() const
 std::string
 TrialResult::to_json() const
 {
-    const BackendOutcome &w =
+    const BackendOutcome &worstOut =
         soft.outcome >= host.outcome ? soft : host;
-    std::string json = "{\"trial\":" + std::to_string(trial) +
-                       ",\"seed\":" + std::to_string(seed) +
-                       ",\"soft\":\"" + trialOutcomeName(soft.outcome) +
-                       "\",\"host\":\"" + trialOutcomeName(host.outcome) +
-                       "\",\"error\":\"" + jsonEscape(w.errorCode) +
-                       "\",\"cycles\":" + std::to_string(w.cycles) +
-                       ",\"new_cells\":[";
-    for (size_t i = 0; i < newCells.size(); ++i) {
-        if (i)
-            json += ",";
-        json += std::to_string(newCells[i]);
-    }
-    json += "],\"kept\":";
-    json += kept ? "true" : "false";
-    json += ",\"minimized\":" + std::to_string(minimizedSize) +
-            ",\"bundle\":\"" + jsonEscape(bundlePath) + "\"}";
-    return json;
+    json::Writer w;
+    w.beginObject();
+    w.key("trial").value(trial);
+    w.key("seed").value(seed);
+    w.key("soft").value(trialOutcomeName(soft.outcome));
+    w.key("host").value(trialOutcomeName(host.outcome));
+    w.key("error").value(worstOut.errorCode);
+    w.key("cycles").value(worstOut.cycles);
+    w.key("new_cells").beginArray();
+    for (const unsigned cell : newCells)
+        w.value(static_cast<uint64_t>(cell));
+    w.endArray();
+    w.key("kept").value(kept);
+    w.key("minimized").value(static_cast<uint64_t>(minimizedSize));
+    w.key("bundle").value(bundlePath);
+    w.endObject();
+    return w.str();
 }
 
 bool

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "isa/disasm.hh"
 
@@ -25,24 +26,28 @@ hex(uint64_t v)
 std::string
 DivergenceReport::to_json() const
 {
-    std::string json = "{\"where\":\"" + jsonEscape(where) +
-                       "\",\"cycle\":" + std::to_string(cycle) +
-                       ",\"instructions\":" + std::to_string(instructions);
+    json::Writer w;
+    w.beginObject();
+    w.key("where").value(where);
+    w.key("cycle").value(cycle);
+    w.key("instructions").value(instructions);
     if (where == "issue-pc") {
-        json += ",\"machine_pc\":" + std::to_string(machinePc) +
-                ",\"interp_pc\":" + std::to_string(interpPc) +
-                ",\"disasm\":\"" + jsonEscape(disasm) + "\"";
+        w.key("machine_pc").value(machinePc);
+        w.key("interp_pc").value(interpPc);
+        w.key("disasm").value(disasm);
     }
-    json += ",\"deltas\":[";
-    for (size_t i = 0; i < deltas.size(); ++i) {
-        if (i)
-            json += ",";
-        json += "{\"what\":\"" + jsonEscape(deltas[i].what) +
-                "\",\"machine\":\"" + hex(deltas[i].machine) +
-                "\",\"interp\":\"" + hex(deltas[i].interp) + "\"}";
+    w.key("deltas").beginArray();
+    for (const Delta &delta : deltas) {
+        w.beginObject();
+        w.key("what").value(delta.what);
+        w.key("machine").value(hex(delta.machine));
+        w.key("interp").value(hex(delta.interp));
+        w.endObject();
     }
-    json += "],\"deltas_dropped\":" + std::to_string(deltasDropped) + "}";
-    return json;
+    w.endArray();
+    w.key("deltas_dropped").value(deltasDropped);
+    w.endObject();
+    return w.str();
 }
 
 LockstepChecker::LockstepChecker(Machine &machine)

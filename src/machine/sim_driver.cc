@@ -71,17 +71,8 @@ SimDriver::runAttempt(const SimJob &job) const
         result.ok = result.stats.status == RunStatus::Ok;
         if (!result.ok)
             fillGuardError(result);
-    } catch (const SimError &err) {
-        result.ok = false;
-        result.error = err.what();
-        result.errorCode = errCodeName(err.code());
-        result.errorJson = err.to_json();
     } catch (const std::exception &err) {
-        result.ok = false;
-        result.error = err.what();
-        result.errorCode = errCodeName(ErrCode::Unknown);
-        result.errorJson =
-            SimError(ErrCode::Unknown, err.what()).to_json();
+        result.fail(err);
     }
     return result;
 }

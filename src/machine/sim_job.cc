@@ -1,7 +1,5 @@
 #include "machine/sim_job.hh"
 
-#include "common/sim_error.hh"
-
 namespace mtfpu::machine
 {
 
@@ -82,19 +80,26 @@ startJob(const SimJob &job, Machine &machine)
 }
 
 void
+SimJobResult::fail(const std::exception &err)
+{
+    ok = false;
+    error = err.what();
+    const auto *sim = dynamic_cast<const SimError *>(&err);
+    errCode = sim ? sim->code() : ErrCode::Unknown;
+    errContext = sim ? sim->context() : ErrContext{};
+}
+
+void
 fillGuardError(SimJobResult &result)
 {
-    result.errorCode = runStatusName(result.stats.status);
-    result.error = std::string("run ended by ") + result.errorCode +
-                   " guard after " + std::to_string(result.stats.cycles) +
-                   " cycles";
-    SimError guard(result.stats.status == RunStatus::CycleGuard
-                       ? ErrCode::CycleGuard
-                       : ErrCode::Watchdog,
-                   result.error,
-                   ErrContext{static_cast<int64_t>(result.stats.cycles),
-                              ErrContext::kUnknown, ErrContext::kUnknown});
-    result.errorJson = guard.to_json();
+    const RunStatus status = result.stats.status;
+    result.fail(SimError(
+        status == RunStatus::CycleGuard ? ErrCode::CycleGuard
+                                        : ErrCode::Watchdog,
+        std::string("run ended by ") + runStatusName(status) +
+            " guard after " + std::to_string(result.stats.cycles) +
+            " cycles",
+        ErrContext{.cycle = static_cast<int64_t>(result.stats.cycles)}));
 }
 
 } // namespace mtfpu::machine

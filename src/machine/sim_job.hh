@@ -21,7 +21,8 @@
  * persistent result cache rely on. A start state, a body closure, a
  * fault plan or the lockstep shadow makes a job impure: none of them
  * is part of the content identity, so such a job never memoizes and
- * never hits the result cache.
+ * never hits the result cache. isPureJob() is the one statement of
+ * the rule; the driver, the result cache and the daemon all ask it.
  *
  * Content identity: jobContentBlob() serializes every
  * behavior-affecting field, and jobContentHash() is its 64-bit FNV-1a
@@ -33,6 +34,7 @@
 #define MTFPU_MACHINE_SIM_JOB_HH
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -41,6 +43,7 @@
 
 #include "assembler/assembler.hh"
 #include "common/bytestream.hh"
+#include "common/sim_error.hh"
 #include "faults/fault_injector.hh"
 #include "faults/fault_plan.hh"
 #include "machine/config.hh"
@@ -149,9 +152,24 @@ struct SimJobResult
     /** Served from the persistent result cache without simulating. */
     bool fromCache = false;
 
-    std::string error;     // error message when !ok
-    std::string errorCode; // taxonomy name, e.g. "hazard-violation"
-    std::string errorJson; // SimError::to_json() when !ok
+    /**
+     * The failure when !ok, as one record: the failing SimError's
+     * message, code and context (where it struck, as far as known).
+     * fail() fills it on every failure path — a thrown error, a guard
+     * stop, a dead or timed-out worker, a shed or refused service job
+     * — and failure() rebuilds the SimError, whose to_json() is the
+     * record's one JSON form.
+     */
+    std::string error;
+    ErrCode errCode = ErrCode::Unknown;
+    ErrContext errContext{};
+
+    /** Mark the result failed by @p err: a SimError's message, code
+     *  and context, or ErrCode::Unknown for any other exception. */
+    void fail(const std::exception &err);
+
+    /** The recorded failure as a SimError. */
+    SimError failure() const { return SimError(errCode, error, errContext); }
 };
 
 /** Memoizable: no start state, body closure, fault plan or shadow. */
@@ -200,10 +218,10 @@ struct JobInstruments
 JobInstruments startJob(const SimJob &job, Machine &machine);
 
 /**
- * Fill the error fields of a result whose run ended on a guard
- * (CycleGuard/Watchdog). Shared by the driver's attempt path and the
- * daemon's result-cache hit path, so a cached guard outcome carries
- * the same structured error a fresh simulation would.
+ * Fail a result whose run ended on a guard (CycleGuard/Watchdog) with
+ * the guard's error at its last cycle. Shared by the driver's attempt
+ * path and the daemon's result-cache hit path, so a cached guard
+ * outcome carries the same structured error a fresh simulation would.
  */
 void fillGuardError(SimJobResult &result);
 

@@ -38,11 +38,13 @@ Tracer::onMemAccess(const exec::MemAccessEvent &event)
 }
 
 std::string
-Tracer::renderLog() const
+Tracer::renderLog(size_t last) const
 {
     std::string out;
     char buf[160];
-    for (const TraceEvent &e : events_) {
+    const size_t first = events_.size() > last ? events_.size() - last : 0;
+    for (size_t i = first; i < events_.size(); ++i) {
+        const TraceEvent &e = events_[i];
         const char *kind = "?";
         switch (e.kind) {
           case TraceKind::CpuIssue: kind = "cpu  "; break;

@@ -68,8 +68,9 @@ class Tracer : public exec::ExecObserver
      */
     std::string renderTimeline() const;
 
-    /** Render a flat cycle-ordered event listing. */
-    std::string renderLog() const;
+    /** Render a flat cycle-ordered listing of the last @p last
+     *  events (all of them by default). */
+    std::string renderLog(size_t last = SIZE_MAX) const;
 
   private:
     std::vector<TraceEvent> events_;

@@ -100,10 +100,6 @@ struct JobSpec
 
     bool operator==(const JobSpec &) const = default;
 
-    /** True when the resolved SimJob will be pure (isPureJob): no
-     *  fault plan and no lockstep shadow. */
-    bool pure() const { return faultPlan.empty() && !lockstep; }
-
     /** One JSON object (defaulted fields are still emitted — the
      *  format favors explicitness over byte count). */
     std::string to_json() const;

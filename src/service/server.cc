@@ -151,7 +151,6 @@ SimServer::recoverJournal()
             const JobSpec spec = JobSpec::parse(rec.specJson);
             Job entry;
             entry.id = rec.id;
-            entry.pure = spec.pure();
             entry.work = Job::Work{spec.resolve(), rec.specJson};
             entry.name = entry.work->job.name;
             entry.idemKey = rec.idemKey;
@@ -338,7 +337,6 @@ SimServer::workerLoop()
     for (;;) {
         uint64_t id = 0;
         std::optional<Job::Work> work;
-        bool pure = false;
         std::shared_ptr<std::atomic<bool>> cancel;
         {
             std::unique_lock<std::mutex> lock(mutex_);
@@ -364,10 +362,9 @@ SimServer::workerLoop()
                 entry.state = JobState::Done;
                 entry.work.reset();
                 entry.result.name = entry.name;
-                entry.result.ok = false;
-                entry.result.error =
-                    "deadline expired before execution (shed)";
-                entry.result.errorCode = errCodeName(ErrCode::Busy);
+                entry.result.fail(SimError(
+                    ErrCode::Busy,
+                    "deadline expired before execution (shed)"));
                 ++deadlineShed_;
                 if (journal_)
                     journal_->done(id);
@@ -377,7 +374,6 @@ SimServer::workerLoop()
             entry.state = JobState::Running;
             work = std::move(entry.work); // simulate outside the lock
             entry.work.reset();
-            pure = entry.pure;
             cancel = entry.cancel;
         }
 
@@ -385,7 +381,7 @@ SimServer::workerLoop()
         machine::SimJobResult result;
         bool cancelled = false;
         bool aborted = false;
-        runPooled(work->job, work->specJson, pure, cancel.get(), result,
+        runPooled(work->job, work->specJson, cancel.get(), result,
                   cancelled, aborted);
 
         {
@@ -404,14 +400,16 @@ SimServer::workerLoop()
 
 void
 SimServer::runPooled(const machine::SimJob &job,
-                     const std::string &spec_json, bool pure,
+                     const std::string &spec_json,
                      std::atomic<bool> *cancel,
                      machine::SimJobResult &result, bool &cancelled,
                      bool &aborted)
 {
     // The result cache stays on the daemon side of the process
     // boundary: a warm hit answers without spawning any work, and one
-    // cache serves every worker.
+    // cache serves every worker. Only a pure job is looked up, so an
+    // impure one never counts as a miss.
+    const bool pure = machine::isPureJob(job);
     if (cache_ && pure) {
         if (std::optional<machine::RunStats> cached = cache_->lookup(job)) {
             result.name = job.name;
@@ -657,7 +655,6 @@ SimServer::cmdSubmit(const json::Value &req, uint64_t client_id)
         return errorResponse("submit needs a 'spec' object");
     const JobSpec spec = JobSpec::from_json(req.at("spec"));
     Job entry;
-    entry.pure = spec.pure();
     // resolve() throws on bad programs: caught by handleRequest.
     entry.work = Job::Work{spec.resolve(), spec.to_json()};
     entry.name = entry.work->job.name;
@@ -726,10 +723,8 @@ SimServer::cmdSubmit(const json::Value &req, uint64_t client_id)
     }
     if (!duplicate)
         queueCv_.notify_one();
-    const bool pure = spec.pure();
     return okResponse([&](json::Writer &w) {
         w.key("id").value(id);
-        w.key("pure").value(pure);
         w.key("duplicate").value(duplicate);
     });
 }
@@ -751,7 +746,6 @@ SimServer::cmdStatus(const json::Value &req)
         w.key("id").value(id);
         w.key("state").value(jobStateName(entry.state));
         w.key("name").value(entry.name);
-        w.key("pure").value(entry.pure);
     });
 }
 

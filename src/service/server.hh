@@ -21,8 +21,8 @@
  *                                        ... limits
  *   ping                                 version
  *   health                               uptime/queue/pool/cache census
- *   submit         spec [, idem_key,     id, cached-eligible "pure",
- *                  deadline_ms]          duplicate (idempotent replay)
+ *   submit         spec [, idem_key,     id, duplicate (idempotent
+ *                  deadline_ms]          replay)
  *   status         id                    one job's state and name
  *   result         id [, wait, wait_ms]  state, stats summary, stats_hex
  *   cancel         id                    cancelled
@@ -97,7 +97,7 @@ namespace mtfpu::service
  * any other number is refused with a structured "unsupported-proto"
  * error. An incompatible wire change bumps it.
  */
-constexpr uint64_t kProtoRevision = 2;
+constexpr uint64_t kProtoRevision = 3;
 
 /** The largest client time budget, in milliseconds, the daemon takes
  *  for deadline_ms or wait_ms: one year. Anything larger is refused
@@ -228,7 +228,6 @@ class SimServer
 
         uint64_t id = 0;
         JobState state = JobState::Queued;
-        bool pure = false;
         std::string name; // for status and the shed result
         /** Set while queued: the dispatch thread takes it, and a job
          *  cancelled or shed in the queue drops it, so a finished job
@@ -275,11 +274,12 @@ class SimServer
     void reapConnections();
 
     /** Run one job: a result-cache hit, or the pool (and a cache
-     *  store of a deterministic outcome). @p aborted reports a
+     *  store of a deterministic outcome); only a pure job
+     *  (machine::isPureJob) touches the cache. @p aborted reports a
      *  shutdown kill: the job is left in the journal so the next
      *  daemon re-runs it. */
     void runPooled(const machine::SimJob &job,
-                   const std::string &spec_json, bool pure,
+                   const std::string &spec_json,
                    std::atomic<bool> *cancel,
                    machine::SimJobResult &result, bool &cancelled,
                    bool &aborted);

@@ -162,7 +162,7 @@ JobJournal::compact(const std::string &path,
 void
 writeWorkerCrashReport(const std::string &dir, const std::string &job_name,
                        const std::string &spec_json, const CrashInfo &crash,
-                       unsigned attempts, const std::string &error_json)
+                       unsigned attempts, const SimError &error)
 {
     if (dir.empty())
         return;
@@ -191,8 +191,7 @@ writeWorkerCrashReport(const std::string &dir, const std::string &job_name,
             w.key("exit_code").value(static_cast<uint64_t>(crash.exitCode));
         w.key("possible_oom").value(crash.maybeOom);
         w.key("attempts").value(static_cast<uint64_t>(attempts));
-        if (!error_json.empty())
-            w.key("error").raw(error_json);
+        w.key("error").raw(error.to_json());
         if (!spec_json.empty())
             w.key("spec").raw(spec_json);
         w.endObject();

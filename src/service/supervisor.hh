@@ -171,16 +171,16 @@ class JobJournal
  * Write the crash-report artifact <job>.worker-crash.json for a
  * quarantined job. A death names its signal, so triage can separate a
  * simulator bug (SIGSEGV) from resource kills (SIGXCPU, OOM). The
- * report carries the job's spec and @p error_json, the result's
- * structured SimError (code and cycle), so bench/replay can re-run
- * the job and check that the same error fires at the same cycle.
+ * report carries the job's spec and @p error, the result's error
+ * record (code, message and context), so bench/replay can re-run the
+ * job and check that the same error fires at the same cycle.
  * Best-effort: failures warn and return.
  */
 void writeWorkerCrashReport(const std::string &dir,
                             const std::string &job_name,
                             const std::string &spec_json,
                             const CrashInfo &crash, unsigned attempts,
-                            const std::string &error_json);
+                            const SimError &error);
 
 } // namespace mtfpu::service
 

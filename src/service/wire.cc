@@ -474,12 +474,8 @@ writeJobResult(json::Writer &w, const machine::SimJobResult &r)
     w.key("attempts").value(static_cast<uint64_t>(r.attempts));
     w.key("quarantined").value(r.quarantined);
     w.key("from_cache").value(r.fromCache);
-    if (!r.error.empty())
-        w.key("job_error").value(r.error);
-    if (!r.errorCode.empty())
-        w.key("job_error_code").value(r.errorCode);
-    if (!r.errorJson.empty())
-        w.key("job_error_json").value(r.errorJson);
+    if (!r.ok)
+        w.key("job_error").raw(r.failure().to_json());
     if (r.ok || r.stats.status != machine::RunStatus::Ok)
         w.key("stats_hex").value(statsToHex(r.stats));
 }
@@ -493,12 +489,18 @@ readJobResult(const json::Value &v)
     r.attempts = static_cast<unsigned>(v.at("attempts").asUint());
     r.quarantined = v.at("quarantined").asBool();
     r.fromCache = v.at("from_cache").asBool();
-    if (v.has("job_error"))
-        r.error = v.at("job_error").asString();
-    if (v.has("job_error_code"))
-        r.errorCode = v.at("job_error_code").asString();
-    if (v.has("job_error_json"))
-        r.errorJson = v.at("job_error_json").asString();
+    if (v.has("job_error")) {
+        // The inverse of SimError::to_json().
+        const json::Value &e = v.at("job_error");
+        const auto field = [&e](const char *name) {
+            const json::Value &f = e.at(name);
+            return f.isNull() ? ErrContext::kUnknown : f.asInt();
+        };
+        r.fail(SimError(errCodeFromName(e.at("code").asString()),
+                        e.at("message").asString(),
+                        ErrContext{field("cycle"), field("pc"),
+                                   field("instr")}));
+    }
     if (v.has("stats_hex"))
         r.stats = statsFromHex(v.at("stats_hex").asString());
     return r;

@@ -21,7 +21,8 @@
  * A job result crosses both hops — worker to pool, daemon to client —
  * as the same fields, written by writeJobResult() and read by
  * readJobResult(); RunStats travel as "stats_hex", the hex of their
- * saveState() blob, so a decoded result is bit-identical to the run.
+ * saveState() blob, so a decoded result is bit-identical to the run,
+ * and a failure's error record as one "job_error" object.
  *
  * Robustness contract (DESIGN.md §12.4, §13.3): SIGPIPE is ignored
  * process-wide the first time any endpoint is created, so a peer that
@@ -187,8 +188,9 @@ machine::RunStats statsFromHex(const std::string &hex);
 /**
  * Write the fields of a job result into the object @p w has open:
  * name, job_ok, status, cycles, attempts, quarantined, from_cache,
- * job_error, job_error_code and job_error_json when set, and
- * stats_hex when the stats are meaningful (a success or a guard
+ * job_error when the job failed (its error record as
+ * SimError::to_json() renders it: code, message, cycle, pc, instr),
+ * and stats_hex when the stats are meaningful (a success or a guard
  * stop).
  */
 void writeJobResult(json::Writer &w, const machine::SimJobResult &result);

@@ -38,10 +38,7 @@ crashResult(const PoolJob &job, const CrashInfo &crash)
 {
     machine::SimJobResult result;
     result.name = job.name;
-    result.ok = false;
-    result.error = crash.summary;
-    result.errorCode = errCodeName(crash.code);
-    result.errorJson = SimError(crash.code, crash.summary).to_json();
+    result.fail(SimError(crash.code, crash.summary));
     return result;
 }
 
@@ -50,7 +47,7 @@ CrashInfo
 structuredFailure(const machine::SimJobResult &result)
 {
     CrashInfo info;
-    info.code = errCodeFromName(result.errorCode);
+    info.code = result.errCode;
     info.summary = result.error;
     return info;
 }
@@ -435,9 +432,7 @@ WorkerPool::execute(const PoolJob &job)
     const int index = acquireSlot();
     if (index < 0) {
         out.result.name = job.name;
-        out.result.ok = false;
-        out.result.error = "worker pool is stopping";
-        out.result.errorCode = errCodeName(ErrCode::Io);
+        out.result.fail(SimError(ErrCode::Io, "worker pool is stopping"));
         out.aborted = true;
         return out;
     }
@@ -491,7 +486,7 @@ WorkerPool::execute(const PoolJob &job)
             first == WorkerProcess::Outcome::Timeout
                 ? crash
                 : structuredFailure(out.result),
-            1, out.result.errorJson);
+            1, out.result.failure());
         releaseSlot(index);
         return out;
     }
@@ -501,7 +496,8 @@ WorkerPool::execute(const PoolJob &job)
     // simulator failure reproduces; a crash that does not reproduce
     // was the host's problem (OOM kill, operator signal), and the
     // retry absorbs it.
-    warn("job '" + job.name + "' failed (" + out.result.errorCode +
+    warn("job '" + job.name + "' failed (" +
+         errCodeName(out.result.errCode) +
          "), retrying once in an isolated worker: " + out.result.error);
     machine::SimJobResult retryResult;
     CrashInfo retryCrash;
@@ -533,7 +529,7 @@ WorkerPool::execute(const PoolJob &job)
         : first != WorkerProcess::Outcome::Result ? crash
                                                   : structuredFailure(out.result);
     writeWorkerCrashReport(config_.crashDir, job.name, job.specJson,
-                           reported, 2, out.result.errorJson);
+                           reported, 2, out.result.failure());
     releaseSlot(index);
     return out;
 }

@@ -13,11 +13,11 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "bench/bench_util.hh"
+#include "test_dir.hh"
 
 using namespace mtfpu;
 
@@ -49,11 +49,8 @@ TEST(BenchFlags, NumberParserTakesOnlyNumbersThatFit)
 
 TEST(BenchFlags, MalformedNumbersAreUsageErrors)
 {
-    const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() /
-        ("mtfpu_bench_flags_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
+    const test::TestDir scratch("bench_flags");
+    const std::filesystem::path dir = scratch.path();
     const std::string out = (dir / "out").string();
     // Each command would run (or serve) on if the number parsed; the
     // timeout turns that into a failure instead of a hang.
@@ -89,5 +86,4 @@ TEST(BenchFlags, MalformedNumbersAreUsageErrors)
             << transcript.str();
     }
     EXPECT_FALSE(std::filesystem::exists(dir / "campaign"));
-    std::filesystem::remove_all(dir);
 }

@@ -21,6 +21,7 @@
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "test_dir.hh"
 
 namespace mtfpu
 {
@@ -177,6 +178,20 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(json::parse("{\"a\":}"), SimError);
     EXPECT_THROW(json::parse(""), SimError);
     EXPECT_THROW(json::parse("{\"a\":1} extra"), SimError);
+
+    // Nesting is bounded, so a deep document is an error, not a stack
+    // overflow; kMaxDepth levels still parse.
+    try {
+        json::parse(std::string(200000, '['));
+        ADD_FAILURE() << "200000 nested arrays parsed";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.code(), ErrCode::BadOperand);
+    }
+    const std::string deepest = std::string(json::kMaxDepth, '[') +
+                                std::string(json::kMaxDepth, ']');
+    EXPECT_NO_THROW(json::parse(deepest));
+    EXPECT_THROW(json::parse("[" + deepest + "]"), SimError);
+    EXPECT_THROW(json::parse("{\"a\":" + deepest + "}"), SimError);
 }
 
 TEST(Json, WriterOutputReparsesExactly)
@@ -224,27 +239,7 @@ TEST(Json, WriterCommasAndEmptyContainers)
     EXPECT_EQ(top.str(), "42");
 }
 
-/** A fresh directory for one file test, removed afterwards. */
-class TestDir
-{
-  public:
-    explicit TestDir(const std::string &tag)
-        : path_(std::filesystem::temp_directory_path() /
-                ("mtfpu_common_" + tag))
-    {
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-    ~TestDir() { std::filesystem::remove_all(path_); }
-
-    std::string file(const std::string &name) const
-    {
-        return (path_ / name).string();
-    }
-
-  private:
-    std::filesystem::path path_;
-};
+using test::TestDir;
 
 std::string
 slurp(const std::string &path)

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "cpu/cpu.hh"
 #include "faults/campaign.hh"
@@ -247,9 +248,13 @@ TEST(GuardTest, DriverReportsGuardedRunAsFailureWithStats)
     ASSERT_EQ(res.size(), 1u);
     EXPECT_FALSE(res[0].ok);
     EXPECT_EQ(res[0].stats.status, machine::RunStatus::CycleGuard);
-    EXPECT_EQ(res[0].errorCode, "cycle-guard");
+    EXPECT_EQ(res[0].errCode, ErrCode::CycleGuard);
     EXPECT_GT(res[0].stats.cycles, 0u); // partial stats preserved
-    EXPECT_NE(res[0].errorJson.find("cycle-guard"), std::string::npos);
+    // The guard's error record names the cycle the run stopped at.
+    EXPECT_EQ(res[0].errContext.cycle,
+              static_cast<int64_t>(res[0].stats.cycles));
+    EXPECT_NE(res[0].failure().to_json().find("\"code\":\"cycle-guard\""),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -505,7 +510,7 @@ TEST(ContainmentTest, FaultExpectedJobFailsWithoutRetry)
     const machine::SimDriver driver(1);
     const std::vector<machine::SimJobResult> res = driver.run({job});
     EXPECT_FALSE(res[0].ok);
-    EXPECT_EQ(res[0].errorCode, "hazard-violation");
+    EXPECT_EQ(res[0].errCode, ErrCode::HazardViolation);
     EXPECT_EQ(res[0].attempts, 1u); // no retry for planned faults
     EXPECT_FALSE(res[0].quarantined);
 }
@@ -559,7 +564,7 @@ TEST(ContainmentTest, CorruptedJobFailsAloneSiblingsBitIdentical)
         EXPECT_EQ(res[i].stats, reference) << res[i].name;
     }
     EXPECT_FALSE(res[2].ok);
-    EXPECT_EQ(res[2].errorCode, "lockstep-divergence");
+    EXPECT_EQ(res[2].errCode, ErrCode::LockstepDivergence);
     EXPECT_EQ(res[2].attempts, 1u);
     EXPECT_FALSE(res[2].quarantined);
 }
@@ -640,6 +645,28 @@ TEST(CampaignTest, CampaignIsSeedDeterministic)
         EXPECT_EQ(a.trials[i].plan, b.trials[i].plan);
         EXPECT_EQ(a.trials[i].outcome, b.trials[i].outcome);
     }
+}
+
+TEST(CampaignTest, RecordReplaysEachTrialPlan)
+{
+    // A trial record carries its plan as the text FaultPlan::parse
+    // reads, so any trial of campaign.json replays from its record.
+    CampaignConfig cfg;
+    cfg.faultsPerKernel = 4;
+    cfg.seed = 5;
+    cfg.machine = idealMemory();
+    const CampaignResult result =
+        runCampaign({kernels::livermore::make(1, true)}, cfg);
+    const json::Value record = json::parse(result.to_json());
+    const std::vector<json::Value> &trials = record.at("trials").asArray();
+    ASSERT_EQ(trials.size(), result.trials.size());
+    for (size_t i = 0; i < trials.size(); ++i) {
+        EXPECT_EQ(trials[i].at("seed").asUint(), result.trials[i].seed);
+        EXPECT_EQ(FaultPlan::parse(trials[i].at("fault_plan").asString()),
+                  result.trials[i].plan);
+    }
+    EXPECT_EQ(record.at("summary").at("masked").asUint(),
+              result.count(FaultOutcome::Masked));
 }
 
 } // anonymous namespace

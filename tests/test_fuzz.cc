@@ -21,6 +21,7 @@
 #include "fuzz/fuzz_engine.hh"
 #include "fuzz/minimizer.hh"
 #include "service/job_spec.hh"
+#include "test_dir.hh"
 
 using namespace mtfpu;
 using namespace mtfpu::fuzz;
@@ -28,27 +29,7 @@ using namespace mtfpu::fuzz;
 namespace
 {
 
-/** A self-cleaning temp directory for journal/corpus tests. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_(std::filesystem::temp_directory_path() /
-                ("mtfpu_fuzz_" + tag))
-    {
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-    ~TempDir() { std::filesystem::remove_all(path_); }
-
-    std::string file(const std::string &name) const
-    {
-        return (path_ / name).string();
-    }
-
-  private:
-    std::filesystem::path path_;
-};
+using test::TestDir;
 
 std::string
 slurp(const std::string &path)
@@ -214,7 +195,7 @@ TEST(FuzzCoverage, CampaignSweepsOpVlPlane)
 
 TEST(FuzzJournal, SameSeedSameJournal)
 {
-    TempDir dir("journal_det");
+    TestDir dir("journal_det");
     FuzzConfig config = smallConfig(11, 12);
     config.journalPath = dir.file("a.jsonl");
     FuzzEngine(config).run();
@@ -227,7 +208,7 @@ TEST(FuzzJournal, SameSeedSameJournal)
 
 TEST(FuzzJournal, ResumeContinuesWhereItStopped)
 {
-    TempDir dir("journal_resume");
+    TestDir dir("journal_resume");
     // Straight 12-trial run.
     FuzzConfig full = smallConfig(13, 12);
     full.journalPath = dir.file("full.jsonl");
@@ -248,7 +229,7 @@ TEST(FuzzJournal, ResumeContinuesWhereItStopped)
 
 TEST(FuzzJournal, TornTailIsTolerated)
 {
-    TempDir dir("journal_torn");
+    TestDir dir("journal_torn");
     FuzzConfig config = smallConfig(17, 6);
     config.journalPath = dir.file("torn.jsonl");
     FuzzEngine(config).run();
@@ -275,7 +256,7 @@ TEST(FuzzJournal, OutOfRangeCellIsSkipped)
     // Each case damages trial 2's record of a 3-trial journal. Resume
     // must reject the whole record before committing any of it, count
     // it as skipped, and re-run trial 2 exactly as a fresh run does.
-    TempDir dir("journal_cells");
+    TestDir dir("journal_cells");
     FuzzConfig fresh = smallConfig(19, 3);
     fresh.journalPath = dir.file("fresh.jsonl");
     FuzzEngine(fresh).run();
@@ -410,7 +391,7 @@ TEST(FuzzMutation, NameRoundTrip)
 
 TEST(FuzzBundle, WritesReplayableArtifacts)
 {
-    TempDir dir("bundle");
+    TestDir dir("bundle");
     FuzzConfig config = smallConfig(3, 60);
     config.shadowMutation = machine::SemanticsMutation::FlipSra;
     config.crashDir = dir.file("crashes");
@@ -488,7 +469,7 @@ TEST(FuzzCorpus, RejectsGarbage)
 
 TEST(FuzzCorpus, FileRoundTripAndListing)
 {
-    TempDir dir("corpus_io");
+    TestDir dir("corpus_io");
     ProgramGen gen;
     writeProgramFile(dir.file("b.prog"), gen.generate(2));
     writeProgramFile(dir.file("a.prog"), gen.generate(1));

@@ -6,6 +6,8 @@
  * statistics plumbing.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/log.hh"
@@ -244,6 +246,13 @@ TEST(TracerLog, RecordsEventKinds)
     EXPECT_NE(log.find("xfer"), std::string::npos);
     EXPECT_NE(log.find("elem"), std::string::npos);
     EXPECT_NE(log.find("ldf f0"), std::string::npos);
+
+    // The last-N form is the tail of the full listing.
+    const std::string tail = tracer.renderLog(2);
+    EXPECT_EQ(std::count(tail.begin(), tail.end(), '\n'), 2);
+    ASSERT_LT(tail.size(), log.size());
+    EXPECT_EQ(log.substr(log.size() - tail.size()), tail);
+    EXPECT_EQ(tracer.renderLog(0), "");
 }
 
 TEST(Stats, SummaryMentionsEveryCounter)

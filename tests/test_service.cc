@@ -43,34 +43,14 @@
 #include "service/job_spec.hh"
 #include "service/server.hh"
 #include "service/wire.hh"
+#include "test_dir.hh"
 
 namespace
 {
 
 using namespace mtfpu;
 
-/** A self-cleaning temp directory for cache/socket tests. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_(std::filesystem::temp_directory_path() /
-                ("mtfpu_service_" + tag))
-    {
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-    ~TempDir() { std::filesystem::remove_all(path_); }
-
-    std::string file(const std::string &name) const
-    {
-        return (path_ / name).string();
-    }
-    std::string path() const { return path_.string(); }
-
-  private:
-    std::filesystem::path path_;
-};
+using test::TestDir;
 
 /** Count-down loop: cycles scale with @p n, result lands in r1 (0). */
 std::string
@@ -106,7 +86,7 @@ countdownJob(int n)
 
 /** A daemon on a Unix socket in @p dir, running the real worker. */
 service::ServerConfig
-daemonConfig(const TempDir &dir, unsigned threads)
+daemonConfig(const TestDir &dir, unsigned threads)
 {
     service::ServerConfig config;
     config.socketPath = dir.file("sim.sock");
@@ -279,13 +259,11 @@ TEST(JobSpec, ResolveFaultPlanAttachesHook)
 {
     service::JobSpec spec = countdownSpec(100);
     spec.faultPlan = "";
-    EXPECT_TRUE(spec.pure());
     EXPECT_TRUE(machine::isPureJob(spec.resolve()));
 
     // The lockstep flag resolves with or without a plan (a fuzz crash
     // bundle's spec has none), and either way the job is impure.
     spec.lockstep = true;
-    EXPECT_FALSE(spec.pure());
     const machine::SimJob shadowed = spec.resolve();
     EXPECT_FALSE(machine::isPureJob(shadowed));
     EXPECT_TRUE(shadowed.lockstep);
@@ -295,7 +273,6 @@ TEST(JobSpec, ResolveFaultPlanAttachesHook)
     // injector hook and the lockstep shadow.
     const faults::FaultPlan plan = faults::FaultPlan::randomSingle(5, 200);
     spec.faultPlan = plan.describe();
-    EXPECT_FALSE(spec.pure());
     const machine::SimJob faulting = spec.resolve();
     EXPECT_FALSE(machine::isPureJob(faulting));
     EXPECT_TRUE(faulting.faultPlan == plan);
@@ -353,7 +330,7 @@ TEST(SimJob, RegInitKeepsJobPureAndChangesContent)
 
 TEST(ResultCache, HitReturnsBitIdenticalStatsAcrossRestart)
 {
-    TempDir dir("cache_hit");
+    TestDir dir("cache_hit");
     const machine::SimJob job = countdownJob(64);
     const machine::SimJobResult run =
         machine::SimDriver(1).runAttempt(job);
@@ -382,7 +359,7 @@ TEST(ResultCache, HitReturnsBitIdenticalStatsAcrossRestart)
 
 TEST(ResultCache, ClosureJobsNeverStoreOrHit)
 {
-    TempDir dir("cache_closure");
+    TestDir dir("cache_closure");
     machine::ResultCache cache(dir.path());
 
     // Neither a body closure nor a start snapshot is content the cache
@@ -467,7 +444,7 @@ TEST(ResultCache, CorruptEntriesFallBackToRecompute)
 
     for (const Corruption &corruption : corruptions) {
         SCOPED_TRACE(corruption.name);
-        TempDir dir(std::string("cache_corrupt_") + corruption.name);
+        TestDir dir(std::string("cache_corrupt_") + corruption.name);
         machine::ResultCache cache(dir.path());
         cache.store(job, run.stats);
         const std::string path =
@@ -493,7 +470,7 @@ TEST(ResultCache, HashCollisionMissesWithoutDeleting)
     // content blob belongs to job A. Lookup must refuse to serve it —
     // and must NOT delete it, because in a real collision the entry
     // legitimately belongs to the other job.
-    TempDir dir("cache_collision");
+    TestDir dir("cache_collision");
     machine::ResultCache cache(dir.path());
     const machine::SimJob jobA = countdownJob(16);
     const machine::SimJob jobB = countdownJob(24);
@@ -528,7 +505,7 @@ TEST(ResultCache, HashCollisionMissesWithoutDeleting)
 
 TEST(ResultCache, ConcurrentWritersOfOneHashRaceBenignly)
 {
-    TempDir dir("cache_race");
+    TestDir dir("cache_race");
     machine::ResultCache cache(dir.path());
     const machine::SimJob job = countdownJob(48);
     const machine::SimJobResult run =
@@ -620,9 +597,22 @@ acceptanceSweep()
     return specs;
 }
 
+/** A daemon result matches its in-process reference: the same
+ *  verdict, bit-identical stats and the same error record. */
+void
+expectSameOutcome(const machine::SimJobResult &got,
+                  const machine::SimJobResult &want)
+{
+    EXPECT_EQ(got.ok, want.ok);
+    EXPECT_TRUE(got.stats == want.stats);
+    EXPECT_EQ(got.errCode, want.errCode);
+    EXPECT_EQ(got.error, want.error);
+    EXPECT_EQ(got.errContext, want.errContext);
+}
+
 TEST(SimServer, EndToEndSweepBitIdenticalCachedAndWarmAfterRestart)
 {
-    TempDir dir("daemon_e2e");
+    TestDir dir("daemon_e2e");
     service::ServerConfig config = daemonConfig(dir, 2);
     config.cacheDir = dir.file("cache");
     config.crashDir = dir.file("crash");
@@ -660,8 +650,7 @@ TEST(SimServer, EndToEndSweepBitIdenticalCachedAndWarmAfterRestart)
             SCOPED_TRACE(specs[i].name.empty()
                              ? "spec " + std::to_string(i)
                              : specs[i].name);
-            EXPECT_EQ(coldResults[i].ok, reference[i].ok);
-            EXPECT_TRUE(coldResults[i].stats == reference[i].stats);
+            expectSameOutcome(coldResults[i], reference[i]);
         }
 
         // (b) Resubmitting the repeated pure job is served from the
@@ -682,9 +671,10 @@ TEST(SimServer, EndToEndSweepBitIdenticalCachedAndWarmAfterRestart)
         EXPECT_FALSE(fail.ok);
         const machine::SimJobResult fail2 =
             client.result(client.submit(runawaySpec()), true);
-        EXPECT_FALSE(fail2.ok);
         EXPECT_FALSE(fail2.fromCache);
-        EXPECT_EQ(fail2.errorCode, "pc-runaway");
+        EXPECT_EQ(fail2.errCode, ErrCode::PcRunaway);
+        // Its error record crossed both hops intact.
+        expectSameOutcome(fail2, local.runAttempt(runawaySpec().resolve()));
 
         // A CycleGuard stop is one (the bound is part of the job's
         // content): the resubmit is served warm, with the same guard
@@ -704,9 +694,10 @@ TEST(SimServer, EndToEndSweepBitIdenticalCachedAndWarmAfterRestart)
         EXPECT_EQ(stop2.attempts, 0u);
         EXPECT_FALSE(stop2.ok);
         EXPECT_EQ(stop2.stats.status, machine::RunStatus::CycleGuard);
-        EXPECT_EQ(stop2.errorCode, "cycle-guard");
-        EXPECT_EQ(stop2.errorCode, stop.errorCode);
+        EXPECT_EQ(stop2.errCode, ErrCode::CycleGuard);
+        EXPECT_EQ(stop2.errCode, stop.errCode);
         EXPECT_EQ(stop2.error, stop.error);
+        EXPECT_EQ(stop2.errContext, stop.errContext);
         EXPECT_TRUE(stop2.stats == stop.stats);
         client.shutdown();
     } // daemon fully stopped (SIGKILL equivalent: no flush hooks run)
@@ -741,7 +732,7 @@ TEST(SimServer, EndToEndSweepBitIdenticalCachedAndWarmAfterRestart)
 
 TEST(SimServer, QuarantinesFaultingJobWhileSweepCompletes)
 {
-    TempDir dir("daemon_quarantine");
+    TestDir dir("daemon_quarantine");
     service::ServerConfig config = daemonConfig(dir, 2);
     config.crashDir = dir.file("crash");
     service::SimServer server(config);
@@ -764,7 +755,7 @@ TEST(SimServer, QuarantinesFaultingJobWhileSweepCompletes)
     EXPECT_FALSE(bad.ok);
     EXPECT_TRUE(bad.quarantined);
     EXPECT_EQ(bad.attempts, 2u);
-    EXPECT_EQ(bad.errorCode, "pc-runaway");
+    EXPECT_EQ(bad.errCode, ErrCode::PcRunaway);
 
     // The quarantined job left a crash-report artifact behind.
     bool sawReport = false;
@@ -786,12 +777,12 @@ TEST(SimServer, QuarantinesFaultingJobWhileSweepCompletes)
     EXPECT_EQ(parsed.at("error").at("code").asString(), "pc-runaway");
     EXPECT_FALSE(parsed.at("error").at("cycle").isNull());
 
-    // The client's result carries the same structured error.
-    ASSERT_FALSE(bad.errorJson.empty());
-    const json::Value clientError = json::parse(bad.errorJson);
-    EXPECT_EQ(clientError.at("code").asString(), "pc-runaway");
-    EXPECT_EQ(clientError.at("cycle").asInt(),
-              parsed.at("error").at("cycle").asInt());
+    // The client's result carries the same error record.
+    const json::Value &reported = parsed.at("error");
+    EXPECT_EQ(reported.at("code").asString(), errCodeName(bad.errCode));
+    EXPECT_EQ(reported.at("message").asString(), bad.error);
+    EXPECT_EQ(reported.at("cycle").asInt(), bad.errContext.cycle);
+    EXPECT_EQ(reported.at("pc").asInt(), bad.errContext.pc);
     const std::string replayOut = dir.file("replay.out");
     const int status =
         std::system((std::string(MTFPU_REPLAY_PATH) + " --tail=0 " +
@@ -807,7 +798,7 @@ TEST(SimServer, QuarantinesFaultingJobWhileSweepCompletes)
 
 TEST(SimServer, CancelsQueuedJobBehindLongRun)
 {
-    TempDir dir("daemon_cancel");
+    TestDir dir("daemon_cancel");
     // One worker: the second job must queue.
     service::SimServer server(daemonConfig(dir, 1));
     const service::ServerConfig &config = server.config();
@@ -862,7 +853,7 @@ statusKb(const std::string &field)
 
 TEST(SimServer, ReapsFinishedConnectionThreads)
 {
-    TempDir dir("daemon_reap");
+    TestDir dir("daemon_reap");
     const service::ServerConfig config = daemonConfig(dir, 1);
     service::SimServer server(config);
     server.start();
@@ -905,7 +896,7 @@ heldKb()
 
 TEST(SimServer, FinishedJobsKeepTheirResultNotTheirJob)
 {
-    TempDir dir("daemon_rss");
+    TestDir dir("daemon_rss");
     const service::ServerConfig config = daemonConfig(dir, 2);
     service::SimServer server(config);
     server.start();
@@ -937,7 +928,7 @@ TEST(SimServer, FinishedJobsKeepTheirResultNotTheirJob)
 
 TEST(SimServer, ProtocolErrorsKeepConnectionAlive)
 {
-    TempDir dir("daemon_proto");
+    TestDir dir("daemon_proto");
     const service::ServerConfig config = daemonConfig(dir, 1);
     service::SimServer server(config);
     server.start();
@@ -948,13 +939,16 @@ TEST(SimServer, ProtocolErrorsKeepConnectionAlive)
     EXPECT_THROW(client.request("{\"no_cmd\":1}"), SimError);
     EXPECT_THROW(client.request("{\"cmd\":\"result\",\"id\":999}"),
                  SimError);
-    // status reports one job (the census is health's), and a spec
-    // that would make the daemon allocate an exabyte is refused.
+    // status reports one job (the census is health's), a spec that
+    // would make the daemon allocate an exabyte is refused, and so is
+    // a line nested deeper than the parser's bound, which would
+    // otherwise overflow the connection thread's stack.
     for (const std::string &request :
          {std::string("{\"cmd\":\"status\"}"),
           std::string("{\"cmd\":\"submit\",\"spec\":") + kHugeMemSpec +
-              "}"}) {
-        SCOPED_TRACE(request);
+              "}",
+          std::string(200000, '[')}) {
+        SCOPED_TRACE(request.substr(0, 80));
         try {
             client.request(request);
             ADD_FAILURE() << "request answered ok";

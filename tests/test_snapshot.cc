@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <set>
@@ -40,22 +39,12 @@
 #include "machine/sim_driver.hh"
 #include "service/server.hh"
 #include "snapshot/snapshot.hh"
+#include "test_dir.hh"
 
 namespace
 {
 
 using namespace mtfpu;
-
-/** Fresh empty scratch directory under the system temp root. */
-std::string
-scratchDir(const std::string &name)
-{
-    const auto dir =
-        std::filesystem::temp_directory_path() / ("mtfpu-" + name);
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir.string();
-}
 
 /** Full machine state as bytes (registers, memory, pipeline, stats). */
 std::vector<uint8_t>
@@ -770,13 +759,13 @@ fromScratchCampaign(const std::vector<kernels::Kernel> &kernel_list,
                 ref.trials[ref.trials.size() - cfg.faultsPerKernel + i];
             const machine::SimJobResult &r = res[i];
             trial.cycles = r.stats.cycles;
-            trial.errorCode = r.errorCode;
+            trial.errorCode = r.ok ? "" : errCodeName(r.errCode);
             if (r.ok) {
                 const bool same = std::bit_cast<uint64_t>(sums[i + 1]) ==
                                   std::bit_cast<uint64_t>(sums[0]);
                 trial.outcome = same ? faults::FaultOutcome::Masked
                                      : faults::FaultOutcome::Sdc;
-            } else if (r.errorCode == "lockstep-divergence") {
+            } else if (r.errCode == ErrCode::LockstepDivergence) {
                 trial.outcome = faults::FaultOutcome::DetectedLockstep;
             } else {
                 trial.outcome = faults::FaultOutcome::DetectedHardware;
@@ -832,14 +821,14 @@ TEST(CampaignSnapshot, ForkWindowsSplitAKernelsTrials)
 
 TEST(CampaignSnapshot, JournalResumeMatchesUninterrupted)
 {
-    const std::string dir = scratchDir("campaign-journal");
+    const test::TestDir dir("campaign_journal");
     const auto kernels = campaignKernels();
     faults::CampaignConfig cfg = campaignConfig();
 
     const faults::CampaignResult ref = faults::runCampaign(kernels, cfg);
 
     // Full journaled run: identical trials, one journal line each.
-    cfg.journalPath = dir + "/journal.jsonl";
+    cfg.journalPath = dir.file("journal.jsonl");
     const faults::CampaignResult journaled =
         faults::runCampaign(kernels, cfg);
     expectSameTrials(ref, journaled);

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <sys/socket.h>
@@ -37,33 +36,14 @@
 #include "service/job_spec.hh"
 #include "service/server.hh"
 #include "service/wire.hh"
+#include "test_dir.hh"
 
 namespace
 {
 
 using namespace mtfpu;
 
-/** A self-cleaning temp directory for socket/journal tests. */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_(std::filesystem::temp_directory_path() /
-                ("mtfpu_wire_" + tag))
-    {
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-    ~TempDir() { std::filesystem::remove_all(path_); }
-
-    std::string file(const std::string &name) const
-    {
-        return (path_ / name).string();
-    }
-
-  private:
-    std::filesystem::path path_;
-};
+using test::TestDir;
 
 std::string
 countdownAsm(int n)
@@ -204,7 +184,7 @@ TEST(Wire, ServerRequiresATransport)
 
     // A transport but no worker binary: a daemon that could only fail
     // every job refuses to start with a structured Io error.
-    TempDir dir("no_worker");
+    TestDir dir("no_worker");
     service::ServerConfig workerless = tcpConfig();
     workerless.workerPath = dir.file("no-such-workerd");
     try {
@@ -222,7 +202,7 @@ TEST(Wire, ServerRequiresATransport)
 
 TEST(Wire, TcpTransportParityWithUnixSocket)
 {
-    TempDir dir("tcp_parity");
+    TestDir dir("tcp_parity");
     service::ServerConfig config = tcpConfig();
     config.socketPath = dir.file("sim.sock");
     TcpServer tcp(config);
@@ -258,9 +238,9 @@ TEST(Wire, HelloNegotiatesCurrentRevision)
     TcpServer tcp(tcpConfig());
     RawConn conn(tcp.address());
     const json::Value reply =
-        conn.roundTrip("{\"cmd\":\"hello\",\"proto\":2}");
+        conn.roundTrip("{\"cmd\":\"hello\",\"proto\":3}");
     ASSERT_TRUE(reply.at("ok").asBool());
-    EXPECT_EQ(reply.at("proto").asUint(), 2u);
+    EXPECT_EQ(reply.at("proto").asUint(), 3u);
     EXPECT_EQ(reply.at("server").asString(), "mtfpu-simserver");
     EXPECT_TRUE(reply.has("max_line_bytes"));
 }
@@ -269,10 +249,11 @@ TEST(Wire, HelloRejectsUnsupportedRevisionWithStructuredError)
 {
     TcpServer tcp(tcpConfig());
     RawConn conn(tcp.address());
-    // Every revision but kProtoRevision is refused: the old revision
-    // 1, a future one, and a number that equals 2 only when truncated
-    // to 32 bits (2^32 + 2).
-    for (const char *proto : {"1", "99", "4294967298"}) {
+    // Every revision but kProtoRevision is refused: the old revisions
+    // 1 and 2 (whose results carry the error as three strings), a
+    // future one, and a number that equals 3 only when truncated to
+    // 32 bits (2^32 + 3).
+    for (const char *proto : {"1", "2", "99", "4294967299"}) {
         SCOPED_TRACE(proto);
         const json::Value reply = conn.roundTrip(
             std::string("{\"cmd\":\"hello\",\"proto\":") + proto + "}");
@@ -284,7 +265,7 @@ TEST(Wire, HelloRejectsUnsupportedRevisionWithStructuredError)
     // The connection survives the rejections: the peer may retry an
     // acceptable revision rather than redialing.
     const json::Value retry =
-        conn.roundTrip("{\"cmd\":\"hello\",\"proto\":2}");
+        conn.roundTrip("{\"cmd\":\"hello\",\"proto\":3}");
     EXPECT_TRUE(retry.at("ok").asBool());
 }
 
@@ -496,7 +477,7 @@ TEST(Wire, DuplicateIdemKeyReplaysOriginalJobWithoutReExecuting)
 
 TEST(Wire, IdemKeysSurviveJournalRecovery)
 {
-    TempDir dir("idem_journal");
+    TestDir dir("idem_journal");
     service::ServerConfig config = tcpConfig();
     config.journalPath = dir.file("journal.ndjson");
     config.maxQueue = 0;
@@ -558,10 +539,13 @@ TEST(Wire, ExpiredDeadlineShedsQueuedWorkWithBusyResult)
     ASSERT_TRUE(result.at("ok").asBool());
     EXPECT_EQ(result.at("state").asString(), "done");
     EXPECT_FALSE(result.at("job_ok").asBool());
-    EXPECT_EQ(result.at("job_error_code").asString(),
-              errCodeName(ErrCode::Busy));
-    EXPECT_NE(result.at("job_error").asString().find("shed"),
+    // The shed result carries the same error record as every other
+    // failure: one job_error object.
+    const json::Value &error = result.at("job_error");
+    EXPECT_EQ(error.at("code").asString(), errCodeName(ErrCode::Busy));
+    EXPECT_NE(error.at("message").asString().find("shed"),
               std::string::npos);
+    EXPECT_TRUE(error.at("cycle").isNull());
 
     const json::Value health = conn.roundTrip("{\"cmd\":\"health\"}");
     EXPECT_GE(health.at("deadline_shed").asUint(), 1u);
@@ -652,7 +636,7 @@ TEST(Wire, LongPollReturnsWithinWindowAndOnCompletion)
 
 TEST(Wire, HealthReportsUptimeQueueAndCacheCensus)
 {
-    TempDir dir("health");
+    TestDir dir("health");
     service::ServerConfig config = tcpConfig();
     config.cacheDir = dir.file("cache");
     TcpServer tcp(config);
@@ -725,7 +709,7 @@ TEST(Wire, ChaosSweepBitIdenticalWithZeroDuplicateExecutions)
     // truncation, delays, split writes — completes bit-identical to
     // quiet in-process runs, with zero duplicate executions and no
     // daemon restart.
-    TempDir dir("chaos_e2e");
+    TestDir dir("chaos_e2e");
     service::ServerConfig config = tcpConfig();
     config.journalPath = dir.file("journal.ndjson");
     TcpServer tcp(config);

@@ -36,33 +36,14 @@
 #include "service/job_spec.hh"
 #include "service/server.hh"
 #include "service/supervisor.hh"
+#include "test_dir.hh"
 
 namespace
 {
 
 using namespace mtfpu;
 
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_(std::filesystem::temp_directory_path() /
-                ("mtfpu_pool_" + tag))
-    {
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-    ~TempDir() { std::filesystem::remove_all(path_); }
-
-    std::string file(const std::string &name) const
-    {
-        return (path_ / name).string();
-    }
-    std::string path() const { return path_.string(); }
-
-  private:
-    std::filesystem::path path_;
-};
+using test::TestDir;
 
 std::string
 countdownAsm(int n)
@@ -98,7 +79,7 @@ crashSpec(const std::string &mode)
 
 /** Pool-mode server config pointing at the real worker binary. */
 service::ServerConfig
-poolConfig(const TempDir &dir, unsigned threads)
+poolConfig(const TestDir &dir, unsigned threads)
 {
     service::ServerConfig config;
     config.socketPath = dir.file("sim.sock");
@@ -179,7 +160,7 @@ TEST(Supervisor, RespawnBackoffGrowsCapsAndResets)
 
 TEST(Supervisor, JournalRecoversUnfinishedAndToleratesTornTail)
 {
-    TempDir dir("journal");
+    TestDir dir("journal");
     const std::string path = dir.file("jobs.ndjson");
     const std::string spec1 = countdownSpec(5).to_json();
     const std::string spec3 = countdownSpec(7).to_json();
@@ -227,7 +208,7 @@ TEST(Supervisor, AppendAfterTornTailIsRecovered)
     // A daemon killed mid-append leaves a torn accept line. The next
     // daemon's first event must start a line of its own, or it is lost
     // with the torn one and its id is handed out again.
-    TempDir dir("journal_torn_append");
+    TestDir dir("journal_torn_append");
     const std::string path = dir.file("jobs.ndjson");
     {
         service::JobJournal journal(path);
@@ -254,7 +235,7 @@ TEST(Supervisor, AppendAfterTornTailIsRecovered)
 
 TEST(DirLock, RefusesLiveHolderAndTakesOverStaleLock)
 {
-    TempDir dir("dirlock");
+    TestDir dir("dirlock");
 
     // Second acquisition while held (same pid is still "live").
     {
@@ -288,7 +269,7 @@ TEST(DirLock, RefusesLiveHolderAndTakesOverStaleLock)
 
 TEST(WorkerPool, CrashingJobRetriedThenQuarantinedWithSignalReport)
 {
-    TempDir dir("crash_e2e");
+    TestDir dir("crash_e2e");
     service::ServerConfig config = poolConfig(dir, 1);
     config.crashDir = dir.file("crash");
     config.workerTestCrash = true;
@@ -315,7 +296,7 @@ TEST(WorkerPool, CrashingJobRetriedThenQuarantinedWithSignalReport)
     EXPECT_FALSE(bad.ok);
     EXPECT_TRUE(bad.quarantined);
     EXPECT_EQ(bad.attempts, 2u);
-    EXPECT_EQ(bad.errorCode, "worker-crash");
+    EXPECT_EQ(bad.errCode, ErrCode::WorkerCrash);
     EXPECT_NE(bad.error.find("SIGSEGV"), std::string::npos)
         << bad.error;
 
@@ -334,7 +315,7 @@ TEST(WorkerPool, CrashingJobRetriedThenQuarantinedWithSignalReport)
 
 TEST(WorkerPool, FaultPlanJobFailsOnceWithoutQuarantine)
 {
-    TempDir dir("fault_plan");
+    TestDir dir("fault_plan");
     service::ServerConfig config = poolConfig(dir, 1);
     config.crashDir = dir.file("crash");
     service::SimServer server(config);
@@ -366,7 +347,7 @@ TEST(WorkerPool, FaultPlanJobFailsOnceWithoutQuarantine)
     // An expected failure is a normal campaign outcome: one attempt,
     // no quarantine, no crash report.
     EXPECT_FALSE(bad.ok);
-    EXPECT_EQ(bad.errorCode, "lockstep-divergence");
+    EXPECT_EQ(bad.errCode, ErrCode::LockstepDivergence);
     EXPECT_EQ(bad.attempts, 1u);
     EXPECT_FALSE(bad.quarantined);
     EXPECT_FALSE(std::filesystem::exists(config.crashDir +
@@ -408,7 +389,7 @@ TEST(WorkerPool, SweepThroughPoolBitIdenticalToInprocess)
     for (const service::JobSpec &spec : specs)
         reference.push_back(local.runAttempt(spec.resolve()));
 
-    TempDir dir("sweep_e2e");
+    TestDir dir("sweep_e2e");
     service::SimServer server(poolConfig(dir, 2));
     ASSERT_NE(server.pool(), nullptr);
     server.start();
@@ -423,6 +404,9 @@ TEST(WorkerPool, SweepThroughPoolBitIdenticalToInprocess)
         const machine::SimJobResult r = client.result(ids[i], true);
         EXPECT_EQ(r.ok, reference[i].ok);
         EXPECT_TRUE(r.stats == reference[i].stats);
+        EXPECT_EQ(r.errCode, reference[i].errCode);
+        EXPECT_EQ(r.error, reference[i].error);
+        EXPECT_EQ(r.errContext, reference[i].errContext);
     }
     // Healthy sweep: nothing crashed, the initial spawns were all.
     EXPECT_EQ(server.pool()->crashes(), 0u);
@@ -431,7 +415,7 @@ TEST(WorkerPool, SweepThroughPoolBitIdenticalToInprocess)
 
 TEST(WorkerPool, DeadlineKillsHungWorkerWithoutRetry)
 {
-    TempDir dir("timeout");
+    TestDir dir("timeout");
     service::ServerConfig config = poolConfig(dir, 1);
     config.crashDir = dir.file("crash");
     config.workerTestCrash = true;
@@ -445,7 +429,7 @@ TEST(WorkerPool, DeadlineKillsHungWorkerWithoutRetry)
     EXPECT_FALSE(r.ok);
     EXPECT_TRUE(r.quarantined);
     EXPECT_EQ(r.attempts, 1u); // budget exhaustion: no retry
-    EXPECT_EQ(r.errorCode, "worker-timeout");
+    EXPECT_EQ(r.errCode, ErrCode::WorkerTimeout);
     EXPECT_NE(r.error.find("deadline"), std::string::npos) << r.error;
 
     // The slot respawned; the pool still serves.
@@ -457,7 +441,7 @@ TEST(WorkerPool, DeadlineKillsHungWorkerWithoutRetry)
 
 TEST(WorkerPool, SilentWorkerClassifiedAsCrashByHeartbeatWindow)
 {
-    TempDir dir("mute");
+    TestDir dir("mute");
     service::ServerConfig config = poolConfig(dir, 1);
     config.workerTestCrash = true;
     config.heartbeatTimeoutMs = 300;
@@ -470,14 +454,34 @@ TEST(WorkerPool, SilentWorkerClassifiedAsCrashByHeartbeatWindow)
     EXPECT_FALSE(r.ok);
     EXPECT_TRUE(r.quarantined);
     EXPECT_EQ(r.attempts, 2u); // wedge is retried like a crash
-    EXPECT_EQ(r.errorCode, "worker-crash");
+    EXPECT_EQ(r.errCode, ErrCode::WorkerCrash);
     EXPECT_NE(r.error.find("heartbeat"), std::string::npos) << r.error;
     client.shutdown();
 }
 
+TEST(WorkerPool, StoppedPoolFailsJobsWithTheErrorRecord)
+{
+    // No worker starts: a stopped pool refuses the job at once, with
+    // the same kind of error record every other failure carries.
+    service::WorkerPoolConfig config;
+    config.workerPath = MTFPU_WORKERD_PATH;
+    service::WorkerPool pool(config);
+    pool.stop();
+    service::PoolJob job;
+    job.name = "late";
+    job.specJson = countdownSpec(5).to_json();
+    const service::PoolOutcome out = pool.execute(job);
+    EXPECT_TRUE(out.aborted);
+    EXPECT_FALSE(out.result.ok);
+    EXPECT_EQ(out.result.name, "late");
+    EXPECT_EQ(out.result.errCode, ErrCode::Io);
+    EXPECT_EQ(out.result.error, "worker pool is stopping");
+    EXPECT_EQ(pool.respawns(), 0u);
+}
+
 TEST(WorkerPool, CancelSemanticsAcrossTheProcessBoundary)
 {
-    TempDir dir("cancel");
+    TestDir dir("cancel");
     service::ServerConfig config = poolConfig(dir, 1);
     config.crashDir = dir.file("crash");
     config.workerTestCrash = true;
@@ -516,7 +520,7 @@ TEST(WorkerPool, CancelSemanticsAcrossTheProcessBoundary)
 
 TEST(WorkerPool, AdmissionControlAnswersBusyWithRetryHint)
 {
-    TempDir dir("busy");
+    TestDir dir("busy");
     service::ServerConfig config = poolConfig(dir, 1);
     config.workerTestCrash = true;
     config.maxQueue = 1;
@@ -565,7 +569,7 @@ TEST(WorkerPool, AdmissionControlAnswersBusyWithRetryHint)
 
 TEST(WorkerPool, PerClientInflightCapIsPerConnection)
 {
-    TempDir dir("cap");
+    TestDir dir("cap");
     service::ServerConfig config = poolConfig(dir, 1);
     config.workerTestCrash = true;
     config.maxInflightPerClient = 1;
@@ -593,7 +597,7 @@ TEST(WorkerPool, PerClientInflightCapIsPerConnection)
 
 TEST(WorkerPool, JournalRecoversInFlightJobsAcrossRestart)
 {
-    TempDir dir("recover");
+    TestDir dir("recover");
     service::ServerConfig config = poolConfig(dir, 1);
     config.journalPath = dir.file("journal.ndjson");
     config.workerTestCrash = true;
