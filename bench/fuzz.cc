@@ -87,7 +87,7 @@ replayCorpus(const std::string &dir, const fuzz::FuzzConfig &config,
                 std::printf("%s [%s]: %s (%s)\n", path.c_str(),
                             softfp::backendName(backend),
                             fuzz::trialOutcomeName(out.outcome),
-                            out.errorCode.c_str());
+                            out.errorCode().c_str());
             } else if (!quiet) {
                 std::printf("%s [%s]: %s\n", path.c_str(),
                             softfp::backendName(backend),

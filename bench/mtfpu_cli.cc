@@ -151,26 +151,26 @@ cmdServe(const std::string &socket, const std::string &listen, int argc,
     std::string value;
     for (int i = 0; i < argc; ++i) {
         if (flagValue(argv[i], "--threads", value))
-            config.threads = flagNumber<unsigned>("--threads", value);
+            config.pool.workers = flagNumber<unsigned>("--threads", value);
         else if (flagValue(argv[i], "--cache-dir", value))
             config.cacheDir = value;
         else if (flagValue(argv[i], "--crash-dir", value))
-            config.crashDir = value;
+            config.pool.crashDir = value;
         else if (flagValue(argv[i], "--worker", value))
-            config.workerPath = value;
+            config.pool.workerPath = value;
         else if (flagValue(argv[i], "--journal", value))
             config.journalPath = value;
         else if (flagValue(argv[i], "--job-timeout-ms", value))
-            config.jobTimeoutMs =
+            config.pool.jobTimeoutMs =
                 flagNumber<uint64_t>("--job-timeout-ms", value);
         else if (flagValue(argv[i], "--hb-timeout-ms", value))
-            config.heartbeatTimeoutMs =
+            config.pool.heartbeatTimeoutMs =
                 flagNumber<uint64_t>("--hb-timeout-ms", value);
         else if (flagValue(argv[i], "--rlimit-cpu", value))
-            config.workerRlimitCpuS =
+            config.pool.rlimitCpuS =
                 flagNumber<unsigned>("--rlimit-cpu", value);
         else if (flagValue(argv[i], "--rlimit-as-mb", value))
-            config.workerRlimitAsMb =
+            config.pool.rlimitAsMb =
                 flagNumber<unsigned>("--rlimit-as-mb", value);
         else if (flagValue(argv[i], "--max-queue", value))
             config.maxQueue = flagNumber<size_t>("--max-queue", value);
@@ -188,7 +188,7 @@ cmdServe(const std::string &socket, const std::string &listen, int argc,
         else if (flagValue(argv[i], "--max-conns", value))
             config.maxConns = flagNumber<size_t>("--max-conns", value);
         else if (std::strcmp(argv[i], "--test-crash-hooks") == 0)
-            config.workerTestCrash = true;
+            config.pool.testCrashHooks = true;
         else if (std::strncmp(argv[i], "--socket", 8) != 0 &&
                  std::strncmp(argv[i], "--listen", 8) != 0)
             return usage();

@@ -18,6 +18,9 @@
  * RLIMIT_AS turns a leak into a failed allocation or an OOM kill that
  * takes down only this process.
  *
+ * Usage: mtfpu-workerd [--rlimit-cpu=SECONDS] [--rlimit-as-mb=MB]
+ *                      [--test-crash-hooks]
+ *
  * --test-crash-hooks (tests and chaos drills only) makes job *names*
  * of the form "crash:<mode>" deliberately misbehave:
  *   crash:segv   raise SIGSEGV before simulating
@@ -41,6 +44,7 @@
 #include <thread>
 #include <unistd.h>
 
+#include "bench/bench_util.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "machine/sim_driver.hh"
@@ -53,9 +57,9 @@ namespace
 {
 
 void
-applyRlimit(int resource, rlim_t value, const char *what)
+applyRlimit(int resource, rlim_t soft, rlim_t hard, const char *what)
 {
-    rlimit lim{value, value};
+    rlimit lim{soft, hard};
     if (::setrlimit(resource, &lim) != 0)
         warn(std::string("workerd: setrlimit(") + what +
              ") failed: " + std::strerror(errno));
@@ -169,27 +173,37 @@ workerMain(bool crash_hooks)
 int
 main(int argc, char **argv)
 {
-    unsigned rlimitCpuS = 0;
-    unsigned rlimitAsMb = 0;
+    rlim_t rlimitCpuS = 0;
+    rlim_t rlimitAsMb = 0;
     bool crashHooks = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--rlimit-cpu" && i + 1 < argc)
-            rlimitCpuS = static_cast<unsigned>(std::atoi(argv[++i]));
-        else if (arg == "--rlimit-as-mb" && i + 1 < argc)
-            rlimitAsMb = static_cast<unsigned>(std::atoi(argv[++i]));
-        else if (arg == "--test-crash-hooks")
-            crashHooks = true;
-        else {
-            warn("workerd: unknown argument " + arg);
-            return 2;
+    try {
+        std::string value;
+        for (int i = 1; i < argc; ++i) {
+            if (bench::flagValue(argv[i], "--rlimit-cpu", value))
+                rlimitCpuS = bench::flagNumber<unsigned>("--rlimit-cpu",
+                                                         value);
+            else if (bench::flagValue(argv[i], "--rlimit-as-mb", value))
+                rlimitAsMb = bench::flagNumber<unsigned>("--rlimit-as-mb",
+                                                         value);
+            else if (std::strcmp(argv[i], "--test-crash-hooks") == 0)
+                crashHooks = true;
+            else
+                throw bench::UsageError(std::string("unknown argument ") +
+                                        argv[i]);
         }
+    } catch (const bench::UsageError &err) {
+        warn(std::string("workerd: ") + err.what());
+        return 2;
     }
+    // The kernel sends SIGXCPU at the soft CPU limit and SIGKILL at the
+    // hard one. A hard limit one second above the soft one lets the
+    // SIGXCPU land first, so the supervisor reports an exhausted CPU
+    // budget instead of a bare SIGKILL.
     if (rlimitCpuS > 0)
-        applyRlimit(RLIMIT_CPU, rlimitCpuS, "RLIMIT_CPU");
+        applyRlimit(RLIMIT_CPU, rlimitCpuS, rlimitCpuS + 1, "RLIMIT_CPU");
     if (rlimitAsMb > 0)
-        applyRlimit(RLIMIT_AS,
-                    static_cast<rlim_t>(rlimitAsMb) << 20, "RLIMIT_AS");
+        applyRlimit(RLIMIT_AS, rlimitAsMb << 20, rlimitAsMb << 20,
+                    "RLIMIT_AS");
     try {
         return workerMain(crashHooks);
     } catch (const FatalError &err) {

@@ -82,7 +82,7 @@ TrialResult::to_json() const
     w.key("seed").value(seed);
     w.key("soft").value(trialOutcomeName(soft.outcome));
     w.key("host").value(trialOutcomeName(host.outcome));
-    w.key("error").value(worstOut.errorCode);
+    w.key("error").value(worstOut.errorCode());
     w.key("cycles").value(worstOut.cycles);
     w.key("new_cells").beginArray();
     for (const unsigned cell : newCells)
@@ -144,10 +144,10 @@ runLockstep(const FuzzProgram &prog, softfp::Backend backend,
             // (notifyRunEnd fires only for Ok), so they are neither
             // verified nor diverged — just out of budget.
             out.outcome = TrialOutcome::CycleGuard;
-            out.errorCode = machine::runStatusName(stats.status);
+            out.error = machine::guardError(stats);
         }
     } catch (const SimError &err) {
-        out.errorCode = errCodeName(err.code());
+        out.error = err;
         if (err.context().cycle >= 0)
             out.cycles = static_cast<uint64_t>(err.context().cycle);
         switch (err.code()) {
@@ -231,7 +231,7 @@ FuzzEngine::bundleFailure(const FuzzProgram &prog, TrialResult &result)
                 runLockstep(candidate, backend, config_.shadowMutation,
                             config_.maxCycles, config_.memBytes);
             return got.outcome == want.outcome &&
-                   got.errorCode == want.errorCode;
+                   got.errorCode() == want.errorCode();
         } catch (const FatalError &) {
             // Generator invariants don't hold for arbitrary subsets
             // (e.g. a load drifted out of memory during setup); such
@@ -269,10 +269,7 @@ FuzzEngine::bundleFailure(const FuzzProgram &prog, TrialResult &result)
         w.key("mutation").value(
             machine::mutationName(config_.shadowMutation));
     w.key("seed").value(result.seed);
-    w.key("error").beginObject();
-    w.key("code").value(minOut.errorCode);
-    w.key("cycle").value(minOut.cycles);
-    w.endObject();
+    w.key("error").raw(minOut.error ? minOut.error->to_json() : "null");
     if (minOut.outcome == TrialOutcome::Divergence)
         w.key("divergence").raw(minOut.divergence.to_json());
     w.endObject();

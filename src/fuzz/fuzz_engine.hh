@@ -30,9 +30,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/sim_error.hh"
 #include "fuzz/coverage.hh"
 #include "fuzz/program_gen.hh"
 #include "machine/interpreter.hh"
@@ -69,9 +71,19 @@ outcomeIsFailure(TrialOutcome outcome)
 struct BackendOutcome
 {
     TrialOutcome outcome = TrialOutcome::Pass;
-    std::string errorCode; // taxonomy name when a SimError fired
-    uint64_t cycles = 0;   // faulting cycle, or run length on success
+
+    /** The SimError the run raised, or the guard's error for a
+     *  guarded run; unset for a pass. */
+    std::optional<SimError> error;
+
+    uint64_t cycles = 0; // faulting cycle, or run length on success
     machine::DivergenceReport divergence; // valid for Divergence only
+
+    /** The error's taxonomy name; empty for a pass. */
+    std::string errorCode() const
+    {
+        return error ? errCodeName(error->code()) : "";
+    }
 };
 
 /** Fuzzing campaign parameters. */

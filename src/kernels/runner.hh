@@ -77,8 +77,8 @@ KernelResult runKernel(const Kernel &kernel,
  * function that lays out data) into the declarative SimJob memInit
  * form: the (address, word) pairs of every nonzero word @p init
  * writes into a fresh @p mem_bytes memory. A job that starts from
- * this image is pure — and therefore memoizable by the SimDriver —
- * and does not keep @p init or anything it references alive.
+ * this image is pure — and therefore result-cacheable — and does not
+ * keep @p init or anything it references alive.
  */
 std::vector<std::pair<uint64_t, uint64_t>> memImage(
     const std::function<void(memory::MainMemory &)> &init,
@@ -97,9 +97,9 @@ Kernel findKernel(const std::string &ref);
 
 /**
  * The closure-free form of a kernel run: program + materialized
- * memImage under @p config — pure, and therefore memoizable and
- * result-cacheable. This measures one (cold) run; the cold+warm
- * measurement protocol of runKernelBatch still needs a body closure.
+ * memImage under @p config — pure, and therefore result-cacheable.
+ * This measures one (cold) run; the cold+warm measurement protocol of
+ * runKernelBatch still needs a body closure.
  */
 machine::SimJob pureKernelJob(const Kernel &kernel,
                               const machine::MachineConfig &config);

@@ -78,7 +78,8 @@ struct MachineConfig
      */
     uint64_t watchdogMs = 0;
 
-    /** Field-exact equality (used by the SimDriver job memoizer). */
+    /** Field-exact equality (snapshot restore checks the machine's
+     *  config against the snapshot's). */
     bool operator==(const MachineConfig &) const = default;
 
     /** Visit every field (snapshot container, job content blob). */

@@ -1,11 +1,11 @@
 /**
  * @file
  * Persistent result cache behind the simulation daemon (DESIGN.md
- * §11). The SimDriver's in-memory memoizer deduplicates pure jobs
- * *within* one batch; this cache extends that content identity across
- * daemon restarts and client processes: one file per job content
- * hash, holding the canonical content blob (the collision guard) and
- * the serialized RunStats of a completed run.
+ * §11). It reuses the result of a pure job across daemon restarts
+ * and client processes, keyed by the job's content identity
+ * (sim_job.hh): one file per job content hash, holding the canonical
+ * content blob (the collision guard) and the serialized RunStats of a
+ * completed run.
  *
  * File discipline:
  *  - writes go to a unique temp file and land with an atomic rename,

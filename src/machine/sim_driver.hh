@@ -3,24 +3,17 @@
  * Parallel batch-simulation scheduler. The *description* of a job —
  * SimJob, its purity rules, its content identity and its start state
  * — lives in sim_job.hh; this class owns only scheduling policy: the
- * thread pool, in-batch memoization, and the per-result callback. The simulation daemon does not schedule
- * through it: each of its jobs runs as one runAttempt() in an
- * isolated worker process, under the worker pool's
- * retry-once-then-quarantine policy (service/worker_pool.hh).
+ * thread pool and the per-result callback. It simulates every job it
+ * is given. The simulation daemon does not schedule through it: each
+ * of its jobs runs as one runAttempt() in an isolated worker process,
+ * under the worker pool's retry-once-then-quarantine policy
+ * (service/worker_pool.hh).
  *
  * Determinism: a Machine is a closed system — no shared mutable state
  * exists between jobs (each worker builds its own Machine, memory, and
  * observers), so per-job results are bit-identical regardless of the
  * thread count or scheduling order. The driver test suite asserts
  * RunStats equality between a 1-thread and an N-thread pass.
- *
- * Memoization: batches frequently repeat the same (program, config)
- * pair — ablation sweeps share a baseline column, figure suites rerun
- * reference rows. Because jobs are closed systems, two *pure* jobs
- * (see sim_job.hh) with identical content must produce identical
- * RunStats, so the driver simulates one and copies the result to the
- * rest. Memoization is always on: it changes no result, only how many
- * simulations produce them.
  *
  * Error containment: a job that fatal()s (bad program, hazard-policy
  * violation, runaway cycle guard) fails alone after one attempt; its
@@ -59,8 +52,7 @@ class SimDriver
 
     /**
      * Per-result callback, fired on the worker thread right after each
-     * *simulated* job finishes (memoized duplicates are excluded —
-     * they never run). Receives the job's index in the batch and its
+     * job finishes. Receives the job's index in the batch and its
      * result; used for incremental journaling (campaign resume). Must
      * be thread-safe: workers invoke it concurrently.
      */
@@ -71,32 +63,22 @@ class SimDriver
     }
 
     /**
-     * Run every job; returns results in job order. Unique jobs are
-     * handed to workers through an atomic cursor, so completion order
-     * is arbitrary but the result vector is not. Duplicate pure jobs
-     * inherit their representative's stats (under their own name)
-     * without simulating.
+     * Run every job; returns results in job order. Jobs are handed to
+     * workers through an atomic cursor, so completion order is
+     * arbitrary but the result vector is not.
      */
     std::vector<SimJobResult> run(const std::vector<SimJob> &jobs) const;
 
     /**
      * Run exactly one simulation attempt on the calling thread: the
      * start state (startJob), the run, and a structured result. run()
-     * invokes it once per unique job, and it is the execution
+     * invokes it once per job, and it is the execution
      * primitive an isolated worker process exposes;
      * the supervising pool founds its retry-once-then-quarantine
      * policy on top of the process boundary, where it also covers
      * attempts that die by signal.
      */
     SimJobResult runAttempt(const SimJob &job) const;
-
-    /**
-     * Memoization partition of a batch: result[i] is the index of the
-     * first job identical to jobs[i] (== i for unique or non-pure
-     * jobs). Identity is sameJobContent(); names are ignored. Exposed
-     * for the driver tests and for callers sizing a batch in advance.
-     */
-    static std::vector<size_t> uniqueJobs(const std::vector<SimJob> &jobs);
 
   private:
     unsigned threads_;

@@ -14,14 +14,6 @@ jobContentHash(const SimJob &job)
     return h;
 }
 
-bool
-sameJobContent(const SimJob &a, const SimJob &b)
-{
-    return a.config == b.config && a.memInit == b.memInit &&
-           a.cpuRegInit == b.cpuRegInit && a.fpuRegInit == b.fpuRegInit &&
-           a.program.code == b.program.code;
-}
-
 std::vector<uint8_t>
 jobContentBlob(const SimJob &job)
 {
@@ -89,17 +81,15 @@ SimJobResult::fail(const std::exception &err)
     errContext = sim ? sim->context() : ErrContext{};
 }
 
-void
-fillGuardError(SimJobResult &result)
+SimError
+guardError(const RunStats &stats)
 {
-    const RunStatus status = result.stats.status;
-    result.fail(SimError(
-        status == RunStatus::CycleGuard ? ErrCode::CycleGuard
-                                        : ErrCode::Watchdog,
-        std::string("run ended by ") + runStatusName(status) +
-            " guard after " + std::to_string(result.stats.cycles) +
-            " cycles",
-        ErrContext{.cycle = static_cast<int64_t>(result.stats.cycles)}));
+    return SimError(
+        stats.status == RunStatus::CycleGuard ? ErrCode::CycleGuard
+                                              : ErrCode::Watchdog,
+        std::string("run ended by ") + runStatusName(stats.status) +
+            " guard after " + std::to_string(stats.cycles) + " cycles",
+        ErrContext{.cycle = static_cast<int64_t>(stats.cycles)});
 }
 
 } // namespace mtfpu::machine

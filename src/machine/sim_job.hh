@@ -17,17 +17,17 @@
  *
  * Purity: a job whose behavior is fully captured by its program,
  * image and config is *pure* — two pure jobs with identical content
- * must produce identical RunStats, which is what memoization and the
- * persistent result cache rely on. A start state, a body closure, a
- * fault plan or the lockstep shadow makes a job impure: none of them
- * is part of the content identity, so such a job never memoizes and
- * never hits the result cache. isPureJob() is the one statement of
- * the rule; the driver, the result cache and the daemon all ask it.
+ * must produce identical RunStats, which is what the persistent result
+ * cache relies on. A start state, a body closure, a fault plan or the
+ * lockstep shadow makes a job impure: none of them is part of the
+ * content identity, so such a job never hits the result cache.
+ * isPureJob() is the one statement of the rule; the result cache and
+ * the daemon both ask it.
  *
  * Content identity: jobContentBlob() serializes every
- * behavior-affecting field, and jobContentHash() is its 64-bit FNV-1a
- * hash (collisions are harmless — callers confirm with
- * sameJobContent() or the blob before sharing results).
+ * behavior-affecting field of a pure job, and jobContentHash() is its
+ * 64-bit FNV-1a hash. The hash names a cache entry; the blob stored
+ * beside it confirms the match, so a collision is harmless.
  */
 
 #ifndef MTFPU_MACHINE_SIM_JOB_HH
@@ -172,7 +172,8 @@ struct SimJobResult
     SimError failure() const { return SimError(errCode, error, errContext); }
 };
 
-/** Memoizable: no start state, body closure, fault plan or shadow. */
+/** Result-cacheable: no start state, body closure, fault plan or
+ *  shadow. */
 inline bool
 isPureJob(const SimJob &job)
 {
@@ -182,9 +183,6 @@ isPureJob(const SimJob &job)
 
 /** FNV-1a hash of jobContentBlob(@p job). */
 uint64_t jobContentHash(const SimJob &job);
-
-/** Exact content equality (the collision guard behind the hash). */
-bool sameJobContent(const SimJob &a, const SimJob &b);
 
 /**
  * Canonical serialization of everything that can influence a pure
@@ -218,12 +216,12 @@ struct JobInstruments
 JobInstruments startJob(const SimJob &job, Machine &machine);
 
 /**
- * Fail a result whose run ended on a guard (CycleGuard/Watchdog) with
- * the guard's error at its last cycle. Shared by the driver's attempt
- * path and the daemon's result-cache hit path, so a cached guard
- * outcome carries the same structured error a fresh simulation would.
+ * The error of a run that ended on a guard (CycleGuard/Watchdog), at
+ * its last cycle. Shared by the driver's attempt path, the daemon's
+ * result-cache hit path and the fuzzer, so a cached guard outcome
+ * carries the same structured error a fresh simulation would.
  */
-void fillGuardError(SimJobResult &result);
+SimError guardError(const RunStats &stats);
 
 } // namespace mtfpu::machine
 

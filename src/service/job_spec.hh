@@ -12,7 +12,7 @@
  * content-hash result cache.
  *
  * Purity rules: a spec without a fault plan or the lockstep shadow
- * resolves to a *pure* SimJob (memoizable, result-cacheable). The plan
+ * resolves to a *pure* SimJob (result-cacheable). The plan
  * and the flag resolve into SimJob::faultPlan and SimJob::lockstep —
  * reproducible (both are part of the spec) but excluded from result
  * reuse, like the closures of in-process batches. What a spec cannot

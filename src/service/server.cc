@@ -1,6 +1,5 @@
 #include "service/server.hh"
 
-#include <algorithm>
 #include <array>
 #include <filesystem>
 #include <poll.h>
@@ -106,18 +105,8 @@ SimServer::SimServer(ServerConfig config) : config_(std::move(config))
         fatal(ErrCode::BadOperand,
               "SimServer needs a Unix socket path or a TCP listen "
               "address (or both)");
-    WorkerPoolConfig pool;
-    pool.workerPath = workerBinary(config_.workerPath);
-    if (config_.threads == 0)
-        config_.threads = std::max(1u, std::thread::hardware_concurrency());
-    pool.workers = config_.threads;
-    pool.jobTimeoutMs = config_.jobTimeoutMs;
-    pool.heartbeatTimeoutMs = config_.heartbeatTimeoutMs;
-    pool.rlimitCpuS = config_.workerRlimitCpuS;
-    pool.rlimitAsMb = config_.workerRlimitAsMb;
-    pool.crashDir = config_.crashDir;
-    pool.testCrashHooks = config_.workerTestCrash;
-    pool_ = std::make_unique<WorkerPool>(std::move(pool));
+    config_.pool.workerPath = workerBinary(config_.pool.workerPath);
+    pool_ = std::make_unique<WorkerPool>(config_.pool);
 
     if (!config_.cacheDir.empty()) {
         // One daemon per cache directory: a second daemon pointed at
@@ -201,7 +190,7 @@ SimServer::start()
         listenFd_ = listenUnix(config_.socketPath);
     if (!config_.listenAddr.empty())
         tcpListenFd_ = listenTcp(config_.listenAddr, 16, &tcpPort_);
-    for (unsigned i = 0; i < config_.threads; ++i)
+    for (unsigned i = 0; i < pool_->slots(); ++i)
         workers_.emplace_back([this] { workerLoop(); });
     acceptThread_ = std::thread([this] { acceptLoop(); });
     std::string where;
@@ -214,7 +203,7 @@ SimServer::start()
                  " (port " + std::to_string(tcpPort_) + ")";
     }
     inform("service: listening on " + where + " with " +
-           std::to_string(config_.threads) + " isolated worker processes" +
+           std::to_string(pool_->slots()) + " isolated worker processes" +
            (cache_ ? ", cache at " + config_.cacheDir : ", no cache") +
            (journal_ ? ", journal at " + config_.journalPath : ""));
 }
@@ -378,32 +367,28 @@ SimServer::workerLoop()
         }
 
         LogJobScope scope("svc-job-" + std::to_string(id));
-        machine::SimJobResult result;
-        bool cancelled = false;
-        bool aborted = false;
-        runPooled(work->job, work->specJson, cancel.get(), result,
-                  cancelled, aborted);
+        PoolOutcome outcome =
+            runPooled(work->job, work->specJson, cancel.get());
 
         {
             std::lock_guard<std::mutex> lock(mutex_);
             Job &entry = jobs_.at(id);
-            entry.result = std::move(result);
-            entry.state = cancelled ? JobState::Cancelled : JobState::Done;
+            entry.result = std::move(outcome.result);
+            entry.state = outcome.cancelled ? JobState::Cancelled
+                                            : JobState::Done;
         }
         // An aborted job (shutdown killed its worker) stays in the
         // journal as accepted-but-unfinished: the restart re-runs it.
-        if (journal_ && !aborted)
+        if (journal_ && !outcome.aborted)
             journal_->done(id);
         resultCv_.notify_all();
     }
 }
 
-void
+PoolOutcome
 SimServer::runPooled(const machine::SimJob &job,
                      const std::string &spec_json,
-                     std::atomic<bool> *cancel,
-                     machine::SimJobResult &result, bool &cancelled,
-                     bool &aborted)
+                     std::atomic<bool> *cancel)
 {
     // The result cache stays on the daemon side of the process
     // boundary: a warm hit answers without spawning any work, and one
@@ -412,14 +397,14 @@ SimServer::runPooled(const machine::SimJob &job,
     const bool pure = machine::isPureJob(job);
     if (cache_ && pure) {
         if (std::optional<machine::RunStats> cached = cache_->lookup(job)) {
-            result.name = job.name;
-            result.stats = *cached;
-            result.ok = result.stats.status == machine::RunStatus::Ok;
-            result.attempts = 0;
-            result.fromCache = true;
-            if (!result.ok)
-                machine::fillGuardError(result);
-            return;
+            PoolOutcome hit;
+            hit.result.name = job.name;
+            hit.result.stats = *cached;
+            hit.result.ok = hit.result.stats.status == machine::RunStatus::Ok;
+            hit.result.fromCache = true;
+            if (!hit.result.ok)
+                hit.result.fail(machine::guardError(hit.result.stats));
+            return hit;
         }
     }
 
@@ -429,9 +414,7 @@ SimServer::runPooled(const machine::SimJob &job,
     poolJob.faultExpected = !job.faultPlan.empty();
     poolJob.cancel = cancel;
     PoolOutcome outcome = pool_->execute(poolJob);
-    cancelled = outcome.cancelled;
-    aborted = outcome.aborted;
-    result = std::move(outcome.result);
+    const machine::SimJobResult &result = outcome.result;
 
     // Store only outcomes that are a pure function of the job content:
     // a completed run, or a CycleGuard stop (the bound is part of the
@@ -442,8 +425,9 @@ SimServer::runPooled(const machine::SimJob &job,
         machine::ResultCache::cacheable(result.stats) &&
         (result.ok ||
          result.stats.status == machine::RunStatus::CycleGuard);
-    if (!cancelled && cache_ && pure && deterministic)
+    if (!outcome.cancelled && cache_ && pure && deterministic)
         cache_->store(job, result.stats);
+    return outcome;
 }
 
 void

@@ -116,32 +116,21 @@ struct ServerConfig
      *  the TCP listener. At least one transport must be configured. */
     std::string listenAddr;
 
-    /** Dispatch threads and worker processes, one each per pool
-     *  slot; 0 = hardware_concurrency. */
-    unsigned threads = 0;
-
     /** On-disk result cache directory; empty disables persistence.
      *  The daemon takes a DirLock on it so two daemons cannot share
      *  one cache directory by accident. */
     std::string cacheDir;
 
-    /** Crash-report directory for quarantined jobs; empty disables. */
-    std::string crashDir;
-
-    /** The mtfpu-workerd binary the pool execs per slot; empty = a
-     *  sibling of the daemon binary. The constructor throws a
-     *  SimError (Io) when neither exists. */
-    std::string workerPath;
-
     /** Crash-safe in-flight job journal; empty disables recovery. */
     std::string journalPath;
 
-    /** Pool policy knobs (see WorkerPoolConfig). */
-    uint64_t jobTimeoutMs = 30000;
-    uint64_t heartbeatTimeoutMs = 5000;
-    unsigned workerRlimitCpuS = 0;
-    unsigned workerRlimitAsMb = 0;
-    bool workerTestCrash = false;
+    /**
+     * The worker pool the daemon runs every job in; it gets one
+     * dispatch thread per slot. An empty workerPath means a sibling
+     * of the daemon binary; the constructor throws a SimError (Io)
+     * when neither exists.
+     */
+    WorkerPoolConfig pool;
 
     /** Admission control: max queued (not yet running) jobs; 0 = no
      *  bound. Exceeding it answers submit with a Busy response. */
@@ -275,14 +264,12 @@ class SimServer
 
     /** Run one job: a result-cache hit, or the pool (and a cache
      *  store of a deterministic outcome); only a pure job
-     *  (machine::isPureJob) touches the cache. @p aborted reports a
-     *  shutdown kill: the job is left in the journal so the next
+     *  (machine::isPureJob) touches the cache. An aborted outcome is
+     *  a shutdown kill: the job is left in the journal so the next
      *  daemon re-runs it. */
-    void runPooled(const machine::SimJob &job,
-                   const std::string &spec_json,
-                   std::atomic<bool> *cancel,
-                   machine::SimJobResult &result, bool &cancelled,
-                   bool &aborted);
+    PoolOutcome runPooled(const machine::SimJob &job,
+                          const std::string &spec_json,
+                          std::atomic<bool> *cancel);
 
     /** Re-queue journaled jobs that were in flight at the last exit. */
     void recoverJournal();

@@ -1,9 +1,11 @@
 #include "service/worker_pool.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <optional>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
@@ -92,14 +94,12 @@ WorkerProcess::spawn()
         ::dup2(sv[1], 0);
         std::vector<std::string> args;
         args.push_back(config_.workerPath);
-        if (config_.rlimitCpuS > 0) {
-            args.push_back("--rlimit-cpu");
-            args.push_back(std::to_string(config_.rlimitCpuS));
-        }
-        if (config_.rlimitAsMb > 0) {
-            args.push_back("--rlimit-as-mb");
-            args.push_back(std::to_string(config_.rlimitAsMb));
-        }
+        if (config_.rlimitCpuS > 0)
+            args.push_back("--rlimit-cpu=" +
+                           std::to_string(config_.rlimitCpuS));
+        if (config_.rlimitAsMb > 0)
+            args.push_back("--rlimit-as-mb=" +
+                           std::to_string(config_.rlimitAsMb));
         if (config_.testCrashHooks)
             args.push_back("--test-crash-hooks");
         std::vector<char *> argv;
@@ -261,7 +261,7 @@ WorkerProcess::runJob(const PoolJob &job, machine::SimJobResult &result,
                     std::to_string(config_.heartbeatTimeoutMs) +
                     "ms and was killed";
                 result = crashResult(job, crash);
-                return Outcome::HeartbeatLost;
+                return Outcome::Crash;
             }
             continue;
           }
@@ -284,7 +284,7 @@ WorkerProcess::runJob(const PoolJob &job, machine::SimJobResult &result,
 WorkerPool::WorkerPool(WorkerPoolConfig config) : config_(std::move(config))
 {
     if (config_.workers == 0)
-        config_.workers = 1;
+        config_.workers = std::max(1u, std::thread::hardware_concurrency());
     slots_.resize(config_.workers);
 }
 
@@ -339,6 +339,13 @@ WorkerPool::acquireSlot()
     }
 }
 
+bool
+WorkerPool::stopping()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stopping_;
+}
+
 void
 WorkerPool::releaseSlot(int index)
 {
@@ -357,11 +364,8 @@ WorkerPool::attempt(Slot &slot, const PoolJob &job,
     // worker that cannot even reach its ready line three times in a
     // row fails the attempt rather than wedging the slot forever.
     for (int tries = 0; tries < 3; ++tries) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (stopping_)
-                break;
-        }
+        if (stopping())
+            break;
         if (slot.worker && slot.worker->alive())
             break;
         if (slot.worker) {
@@ -412,7 +416,6 @@ WorkerPool::attempt(Slot &slot, const PoolJob &job,
         slot.backoff.recordHealthy();
         break;
       case WorkerProcess::Outcome::Crash:
-      case WorkerProcess::Outcome::HeartbeatLost:
         crashes_.fetch_add(1, std::memory_order_relaxed);
         break;
       case WorkerProcess::Outcome::Timeout:
@@ -438,98 +441,63 @@ WorkerPool::execute(const PoolJob &job)
     }
     Slot &slot = slots_[static_cast<size_t>(index)];
 
-    CrashInfo crash;
-    WorkerProcess::Outcome first =
-        attempt(slot, job, out.result, crash);
-    out.result.attempts = 1;
-
-    // A crash observed while the pool is stopping is our own shutdown
-    // kill, not the job's doing: no retry, no quarantine artifact, and
-    // the caller leaves the job un-journaled so a restart re-runs it.
-    bool stoppingNow = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stoppingNow = stopping_;
+    // At most two attempts. A failure is retried once in a fresh
+    // worker: a Machine is a closed system, so a genuine simulator
+    // failure reproduces, and a crash that does not was the host's
+    // problem (OOM kill, operator signal) that the retry absorbs.
+    std::optional<CrashInfo> death; // the latest worker death
+    for (unsigned attempts = 1; attempts <= 2; ++attempts) {
+        CrashInfo crash;
+        const WorkerProcess::Outcome outcome =
+            attempt(slot, job, out.result, crash);
+        out.result.attempts = attempts;
+        const bool completed = outcome == WorkerProcess::Outcome::Result;
+        // A worker lost while the pool is stopping was our own
+        // shutdown kill, not the job's doing: no retry, no quarantine
+        // artifact, and the caller leaves the job un-journaled so a
+        // restart re-runs it.
+        if (!completed && stopping()) {
+            out.aborted = true;
+            break;
+        }
+        if (outcome == WorkerProcess::Outcome::Cancelled) {
+            out.cancelled = true;
+            break;
+        }
+        if (completed && out.result.ok) {
+            if (attempts > 1)
+                warn("job '" + job.name +
+                     "' succeeded on retry — nondeterministic failure?");
+            break;
+        }
+        // An expected fault-campaign failure: single attempt, never
+        // quarantined, no artifact.
+        if (job.faultExpected)
+            break;
+        if (!completed)
+            death = crash;
+        // Timeouts and guard stops are deterministic budget
+        // exhaustion: a retry would burn the same wall-clock or cycle
+        // budget to learn nothing, so they quarantine at once.
+        const bool budget =
+            outcome == WorkerProcess::Outcome::Timeout ||
+            (completed &&
+             out.result.stats.status != machine::RunStatus::Ok);
+        if (budget || attempts == 2) {
+            // The report names a worker death when there was one, so
+            // triage can tell a simulator SIGSEGV from a resource kill.
+            out.result.quarantined = true;
+            writeWorkerCrashReport(
+                config_.crashDir, job.name, job.specJson,
+                death ? *death : structuredFailure(out.result), attempts,
+                out.result.failure());
+            break;
+        }
+        warn("job '" + job.name + "' failed (" +
+             errCodeName(out.result.errCode) +
+             "), retrying once in an isolated worker: " +
+             out.result.error);
     }
-    if (stoppingNow && first != WorkerProcess::Outcome::Result) {
-        out.aborted = true;
-        releaseSlot(index);
-        return out;
-    }
-
-    const bool firstFailed =
-        first != WorkerProcess::Outcome::Result || !out.result.ok;
-
-    if (first == WorkerProcess::Outcome::Cancelled) {
-        out.cancelled = true;
-        releaseSlot(index);
-        return out;
-    }
-    if (!firstFailed || job.faultExpected) {
-        // Success, or an expected fault-campaign failure: single
-        // attempt, never quarantined, no artifact.
-        releaseSlot(index);
-        return out;
-    }
-
-    // Timeouts and guard stops are deterministic budget exhaustion: a
-    // retry would burn the same wall-clock/cycle budget to learn
-    // nothing. Quarantine immediately.
-    const bool budget =
-        first == WorkerProcess::Outcome::Timeout ||
-        (first == WorkerProcess::Outcome::Result &&
-         out.result.stats.status != machine::RunStatus::Ok);
-    if (budget) {
-        out.result.quarantined = true;
-        writeWorkerCrashReport(
-            config_.crashDir, job.name, job.specJson,
-            first == WorkerProcess::Outcome::Timeout
-                ? crash
-                : structuredFailure(out.result),
-            1, out.result.failure());
-        releaseSlot(index);
-        return out;
-    }
-
-    // Anything else — a structured error or a dead worker — is
-    // retried exactly once. A Machine is a closed system, so a genuine
-    // simulator failure reproduces; a crash that does not reproduce
-    // was the host's problem (OOM kill, operator signal), and the
-    // retry absorbs it.
-    warn("job '" + job.name + "' failed (" +
-         errCodeName(out.result.errCode) +
-         "), retrying once in an isolated worker: " + out.result.error);
-    machine::SimJobResult retryResult;
-    CrashInfo retryCrash;
-    const WorkerProcess::Outcome second =
-        attempt(slot, job, retryResult, retryCrash);
-    retryResult.attempts = 2;
-
-    if (second == WorkerProcess::Outcome::Cancelled) {
-        out.result = std::move(retryResult);
-        out.cancelled = true;
-        releaseSlot(index);
-        return out;
-    }
-    if (second == WorkerProcess::Outcome::Result && retryResult.ok) {
-        warn("job '" + job.name +
-             "' succeeded on retry — nondeterministic failure?");
-        out.result = std::move(retryResult);
-        releaseSlot(index);
-        return out;
-    }
-
-    // Failed twice: quarantine with an artifact. When either attempt
-    // died by signal the report names it, so triage can tell a
-    // simulator SIGSEGV from a resource kill.
-    out.result = std::move(retryResult);
-    out.result.quarantined = true;
-    const CrashInfo reported =
-        second != WorkerProcess::Outcome::Result  ? retryCrash
-        : first != WorkerProcess::Outcome::Result ? crash
-                                                  : structuredFailure(out.result);
-    writeWorkerCrashReport(config_.crashDir, job.name, job.specJson,
-                           reported, 2, out.result.failure());
     releaseSlot(index);
     return out;
 }

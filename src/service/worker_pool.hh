@@ -52,8 +52,9 @@ struct WorkerPoolConfig
     /** Path to the mtfpu-workerd binary. */
     std::string workerPath;
 
-    /** Number of worker processes (one job each at a time). */
-    unsigned workers = 1;
+    /** Number of worker processes (one job each at a time); 0 =
+     *  hardware_concurrency (min 1). */
+    unsigned workers = 0;
 
     /** Per-job wall-clock deadline; 0 disables. Exceeding it kills
      *  the worker and quarantines the job (no retry — a deterministic
@@ -64,7 +65,9 @@ struct WorkerPoolConfig
      *  as wedged and killed. Must exceed the worker's ~100ms beat. */
     uint64_t heartbeatTimeoutMs = 5000;
 
-    /** RLIMIT_CPU seconds for each worker; 0 = unlimited. */
+    /** RLIMIT_CPU seconds for each worker; 0 = unlimited. This is the
+     *  soft limit, where the worker dies by SIGXCPU; the hard limit
+     *  (SIGKILL) sits one second above it. */
     unsigned rlimitCpuS = 0;
 
     /** RLIMIT_AS megabytes for each worker; 0 = unlimited. */
@@ -129,11 +132,11 @@ class WorkerProcess
     /** How one dispatched job ended. */
     enum class Outcome : uint8_t
     {
-        Result,        // worker returned a result line (ok or not)
-        Crash,         // worker died; crash has the classification
-        Timeout,       // job deadline exceeded; worker killed
-        HeartbeatLost, // worker went silent; killed, classified crash
-        Cancelled,     // cancel flag seen; worker killed
+        Result,    // worker returned a result line (ok or not)
+        Crash,     // worker died, or went silent and was killed;
+                   // crash has the classification
+        Timeout,   // job deadline exceeded; worker killed
+        Cancelled, // cancel flag seen; worker killed
     };
 
     /** Dispatch one job and supervise it to an outcome. On any
@@ -169,11 +172,13 @@ class WorkerProcess
 
 /**
  * The supervised pool. execute() blocks until a slot is free and runs
- * the job under the containment policy: a structured error or a
- * worker death is retried once in a fresh worker and quarantined if
- * it fails again; a guard stop or deadline timeout is quarantined
- * without a retry (a deterministic budget would be burned again); a
- * faultExpected job gets one attempt and is never quarantined.
+ * the job under the containment policy, one loop over at most two
+ * attempts: a structured error or a worker death is retried once in a
+ * fresh worker and quarantined if it fails again; a guard stop or
+ * deadline timeout is quarantined without a retry (a deterministic
+ * budget would be burned again); a faultExpected job gets one attempt
+ * and is never quarantined; a worker lost while the pool stops aborts
+ * the job at either attempt, with no report.
  */
 class WorkerPool
 {
@@ -215,6 +220,9 @@ class WorkerPool
     /** Acquire a free slot index (blocking); -1 when stopping. */
     int acquireSlot();
     void releaseSlot(int index);
+
+    /** stop() has been called. */
+    bool stopping();
 
     /** One attempt on @p slot; ensures a live worker first. */
     WorkerProcess::Outcome attempt(Slot &slot, const PoolJob &job,

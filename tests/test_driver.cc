@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <thread>
 
 #include "assembler/assembler.hh"
@@ -18,7 +17,6 @@
 #include "kernels/livermore/livermore.hh"
 #include "kernels/runner.hh"
 #include "machine/sim_driver.hh"
-#include "snapshot/snapshot.hh"
 
 namespace
 {
@@ -132,76 +130,7 @@ TEST(SimDriver, SetupAndBodyHooksRun)
     EXPECT_EQ(r3, 42u);
 }
 
-/** Pure (hook-free, memoizable) Livermore jobs via memImage. */
-std::vector<machine::SimJob>
-pureLivermoreJobs(int loops)
-{
-    std::vector<machine::SimJob> jobs;
-    for (int id = 1; id <= loops; ++id) {
-        const kernels::Kernel k = kernels::livermore::make(id, false);
-        machine::SimJob job;
-        job.name = k.name + "/" + k.variant;
-        job.program = k.program;
-        job.memInit = kernels::memImage(k.init);
-        jobs.push_back(std::move(job));
-    }
-    return jobs;
-}
-
-TEST(SimDriverMemo, UniqueJobsPartition)
-{
-    std::vector<machine::SimJob> jobs = pureLivermoreJobs(2);
-    ASSERT_EQ(jobs.size(), 2u);
-    jobs.push_back(jobs[0]); // exact duplicate of job 0
-    jobs.back().name = "duplicate-of-0";
-    jobs.push_back(jobs[0]); // same content, different config
-    jobs.back().name = "different-config";
-    jobs.back().config.fpuLatency = 5;
-    jobs.push_back(jobs[0]); // same content, but starts from a snapshot
-    jobs.back().name = "started";
-    machine::Machine paused(jobs[0].config);
-    machine::startJob(jobs[0], paused);
-    ASSERT_EQ(paused.runUntil(100).status, machine::RunStatus::Paused);
-    jobs.back().start = std::make_shared<const machine::JobStart>(
-        machine::JobStart{snapshot::capture(paused), {}});
-
-    const std::vector<size_t> leader = machine::SimDriver::uniqueJobs(jobs);
-    ASSERT_EQ(leader.size(), 5u);
-    EXPECT_EQ(leader[0], 0u);
-    EXPECT_EQ(leader[1], 1u);
-    EXPECT_EQ(leader[2], 0u); // memoized onto job 0
-    EXPECT_EQ(leader[3], 3u); // config differs -> unique
-    EXPECT_EQ(leader[4], 4u); // a start snapshot disqualifies memoization
-    EXPECT_TRUE(machine::isPureJob(jobs[0]));
-    EXPECT_FALSE(machine::isPureJob(jobs[4]));
-}
-
-TEST(SimDriverMemo, MemoizedMatchesUnmemoized)
-{
-    // A batch full of duplicates: the memoized batch must produce the
-    // result each job gets when it simulates on its own, under its
-    // own name.
-    std::vector<machine::SimJob> jobs = pureLivermoreJobs(4);
-    const size_t unique = jobs.size();
-    for (size_t i = 0; i < unique; ++i) {
-        jobs.push_back(jobs[i]);
-        jobs.back().name = jobs[i].name + "/again";
-    }
-
-    const machine::SimDriver driver(2);
-    const auto memo = driver.run(jobs);
-    ASSERT_EQ(memo.size(), jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        SCOPED_TRACE(jobs[i].name);
-        const machine::SimJobResult alone = driver.runAttempt(jobs[i]);
-        EXPECT_EQ(memo[i].name, jobs[i].name);
-        ASSERT_TRUE(memo[i].ok) << memo[i].error;
-        ASSERT_TRUE(alone.ok) << alone.error;
-        EXPECT_TRUE(memo[i].stats == alone.stats);
-    }
-}
-
-TEST(SimDriverMemo, HookedJobsAllSimulate)
+TEST(SimDriver, HookedJobsAllSimulate)
 {
     // Jobs with a fault plan (an injector hook) or the lockstep shadow
     // must never share a result, even when their programs are
@@ -229,7 +158,7 @@ TEST(SimDriverMemo, HookedJobsAllSimulate)
         EXPECT_TRUE(r.ok) << r.error;
 }
 
-TEST(SimDriverMemo, MemInitAppliedBeforeRun)
+TEST(SimDriver, MemInitAppliedBeforeRun)
 {
     machine::SimJob job;
     job.name = "meminit";
@@ -247,10 +176,11 @@ TEST(SimDriverMemo, MemInitAppliedBeforeRun)
     EXPECT_EQ(r1, 0xdeadbeefcafef00dull);
 }
 
-TEST(SimDriverMemo, FailingLeaderPropagatesToDuplicates)
+TEST(SimDriver, DuplicateFailingJobsFailAlike)
 {
     // A missing halt makes the PC run off the program: a pure failing
-    // job. Its duplicate inherits the same contained error.
+    // job. An identical copy fails with the same contained error,
+    // under its own name.
     std::vector<machine::SimJob> jobs(2);
     jobs[0].name = "runs-off-a";
     jobs[0].program = assembler::assemble("add r1, r0, r0\n");

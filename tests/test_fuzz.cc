@@ -121,7 +121,7 @@ TEST(FuzzGen, LockstepCleanOnBothBackends)
                 << "seed " << seed << " backend "
                 << softfp::backendName(backend) << ": "
                 << trialOutcomeName(out.outcome) << " ("
-                << out.errorCode << ")";
+                << out.errorCode() << ")";
         }
     }
 }
@@ -404,8 +404,15 @@ TEST(FuzzBundle, WritesReplayableArtifacts)
     ASSERT_FALSE(bundle.empty());
     const json::Value report = json::parse(slurp(bundle));
     EXPECT_EQ(report.at("mutation").asString(), "flip-sra");
-    EXPECT_EQ(report.at("error").at("code").asString(),
-              "lockstep-divergence");
+    // The error is the caught SimError's one record, the shape the
+    // worker-crash report carries too.
+    const json::Value &error = report.at("error");
+    EXPECT_EQ(error.at("code").asString(), "lockstep-divergence");
+    EXPECT_NE(error.at("message").asString().find("lockstep divergence"),
+              std::string::npos);
+    EXPECT_GT(error.at("cycle").asInt(), 0);
+    EXPECT_TRUE(error.has("pc"));
+    EXPECT_TRUE(error.has("instr"));
     // The report's job is a spec the daemon could run: the minimized
     // program and its memory image, with the lockstep shadow. No
     // snapshot file rides along.
@@ -500,7 +507,7 @@ TEST(FuzzCorpus, CommittedCorpusReplaysCleanOnBothBackends)
             EXPECT_FALSE(outcomeIsFailure(out.outcome))
                 << path << " [" << softfp::backendName(backend)
                 << "]: " << trialOutcomeName(out.outcome) << " ("
-                << out.errorCode << ")";
+                << out.errorCode() << ")";
         }
     }
 }

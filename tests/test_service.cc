@@ -90,8 +90,8 @@ daemonConfig(const TestDir &dir, unsigned threads)
 {
     service::ServerConfig config;
     config.socketPath = dir.file("sim.sock");
-    config.threads = threads;
-    config.workerPath = MTFPU_WORKERD_PATH;
+    config.pool.workers = threads;
+    config.pool.workerPath = MTFPU_WORKERD_PATH;
     return config;
 }
 
@@ -237,7 +237,8 @@ TEST(JobSpec, ResolveKernelMatchesPureKernelJob)
         kernels::pureKernelJob(k, spec.config);
     EXPECT_EQ(machine::jobContentHash(resolved),
               machine::jobContentHash(direct));
-    EXPECT_TRUE(machine::sameJobContent(resolved, direct));
+    EXPECT_EQ(machine::jobContentBlob(resolved),
+              machine::jobContentBlob(direct));
 }
 
 TEST(JobSpec, ResolveFuzzIsDeterministic)
@@ -247,12 +248,12 @@ TEST(JobSpec, ResolveFuzzIsDeterministic)
     spec.fuzzSeed = 17;
     const machine::SimJob a = spec.resolve();
     const machine::SimJob b = spec.resolve();
-    EXPECT_TRUE(machine::sameJobContent(a, b));
+    EXPECT_EQ(machine::jobContentBlob(a), machine::jobContentBlob(b));
     EXPECT_EQ(a.name, "fuzz-17");
 
     spec.fuzzSeed = 18;
     const machine::SimJob c = spec.resolve();
-    EXPECT_FALSE(machine::sameJobContent(a, c));
+    EXPECT_NE(machine::jobContentBlob(a), machine::jobContentBlob(c));
 }
 
 TEST(JobSpec, ResolveFaultPlanAttachesHook)
@@ -314,7 +315,8 @@ TEST(SimJob, RegInitKeepsJobPureAndChangesContent)
     longer.cpuRegInit = {{1, 50}};
     EXPECT_NE(machine::jobContentHash(job),
               machine::jobContentHash(longer));
-    EXPECT_FALSE(machine::sameJobContent(job, longer));
+    EXPECT_NE(machine::jobContentBlob(job),
+              machine::jobContentBlob(longer));
 
     // The register image really reaches the machine: more iterations,
     // more cycles.
@@ -615,7 +617,7 @@ TEST(SimServer, EndToEndSweepBitIdenticalCachedAndWarmAfterRestart)
     TestDir dir("daemon_e2e");
     service::ServerConfig config = daemonConfig(dir, 2);
     config.cacheDir = dir.file("cache");
-    config.crashDir = dir.file("crash");
+    config.pool.crashDir = dir.file("crash");
 
     const std::vector<service::JobSpec> specs = acceptanceSweep();
     ASSERT_GE(specs.size(), 20u);
@@ -734,7 +736,7 @@ TEST(SimServer, QuarantinesFaultingJobWhileSweepCompletes)
 {
     TestDir dir("daemon_quarantine");
     service::ServerConfig config = daemonConfig(dir, 2);
-    config.crashDir = dir.file("crash");
+    config.pool.crashDir = dir.file("crash");
     service::SimServer server(config);
     server.start();
 
@@ -760,7 +762,7 @@ TEST(SimServer, QuarantinesFaultingJobWhileSweepCompletes)
     // The quarantined job left a crash-report artifact behind.
     bool sawReport = false;
     for (const auto &entry :
-         std::filesystem::directory_iterator(config.crashDir))
+         std::filesystem::directory_iterator(config.pool.crashDir))
         sawReport |= entry.path().extension() == ".json";
     EXPECT_TRUE(sawReport);
 
@@ -768,7 +770,7 @@ TEST(SimServer, QuarantinesFaultingJobWhileSweepCompletes)
     // re-runs the job and reproduces the error code at the reported
     // cycle (exit 0).
     const std::string report =
-        config.crashDir + "/runaway.worker-crash.json";
+        config.pool.crashDir + "/runaway.worker-crash.json";
     std::ifstream in(report);
     std::stringstream text;
     text << in.rdbuf();

@@ -149,8 +149,8 @@ tcpConfig()
 {
     service::ServerConfig config;
     config.listenAddr = "127.0.0.1:0";
-    config.workerPath = MTFPU_WORKERD_PATH;
-    config.threads = 2;
+    config.pool.workerPath = MTFPU_WORKERD_PATH;
+    config.pool.workers = 2;
     return config;
 }
 
@@ -186,7 +186,7 @@ TEST(Wire, ServerRequiresATransport)
     // every job refuses to start with a structured Io error.
     TestDir dir("no_worker");
     service::ServerConfig workerless = tcpConfig();
-    workerless.workerPath = dir.file("no-such-workerd");
+    workerless.pool.workerPath = dir.file("no-such-workerd");
     try {
         service::SimServer server(workerless);
         FAIL() << "expected a missing-worker error";
@@ -481,7 +481,7 @@ TEST(Wire, IdemKeysSurviveJournalRecovery)
     service::ServerConfig config = tcpConfig();
     config.journalPath = dir.file("journal.ndjson");
     config.maxQueue = 0;
-    config.threads = 1;
+    config.pool.workers = 1;
 
     // A journal as a crashed daemon leaves it: a keyed job accepted
     // but never marked done.
@@ -517,7 +517,7 @@ TEST(Wire, IdemKeysSurviveJournalRecovery)
 TEST(Wire, ExpiredDeadlineShedsQueuedWorkWithBusyResult)
 {
     service::ServerConfig config = tcpConfig();
-    config.threads = 1;
+    config.pool.workers = 1;
     TcpServer tcp(config);
     RawConn conn(tcp.address());
 

@@ -8,9 +8,11 @@
  * around it completes, a failing fault-plan job gets one attempt and
  * no quarantine, a 20+ spec sweep through the pool is bit-identical
  * to in-process execution, cancel kills the worker without
- * quarantine, admission control answers Busy with a retry-after hint,
- * and a daemon restarted over its journal re-runs every job that was
- * in flight when the previous daemon died.
+ * quarantine, a CPU-rlimit kill is reported as SIGXCPU, admission
+ * control answers Busy with a retry-after hint, and a daemon
+ * restarted over its journal re-runs every job that was in flight
+ * when the previous daemon died — also one a shutdown caught in its
+ * retry, which is aborted without a crash report.
  *
  * The worker binary path comes in as MTFPU_WORKERD_PATH (tests run
  * from build/tests/, the worker lives in build/bench/, so sibling
@@ -83,8 +85,8 @@ poolConfig(const TestDir &dir, unsigned threads)
 {
     service::ServerConfig config;
     config.socketPath = dir.file("sim.sock");
-    config.threads = threads;
-    config.workerPath = MTFPU_WORKERD_PATH;
+    config.pool.workers = threads;
+    config.pool.workerPath = MTFPU_WORKERD_PATH;
     return config;
 }
 
@@ -271,8 +273,8 @@ TEST(WorkerPool, CrashingJobRetriedThenQuarantinedWithSignalReport)
 {
     TestDir dir("crash_e2e");
     service::ServerConfig config = poolConfig(dir, 1);
-    config.crashDir = dir.file("crash");
-    config.workerTestCrash = true;
+    config.pool.crashDir = dir.file("crash");
+    config.pool.testCrashHooks = true;
     service::SimServer server(config);
     ASSERT_NE(server.pool(), nullptr);
     server.start();
@@ -302,7 +304,8 @@ TEST(WorkerPool, CrashingJobRetriedThenQuarantinedWithSignalReport)
 
     // The crash-report artifact names the signal and the attempts.
     const std::string report =
-        readWholeFile(config.crashDir + "/crash_segv.worker-crash.json");
+        readWholeFile(config.pool.crashDir +
+                      "/crash_segv.worker-crash.json");
     EXPECT_NE(report.find("\"signal\":\"SIGSEGV\""), std::string::npos)
         << report;
     EXPECT_NE(report.find("\"attempts\":2"), std::string::npos);
@@ -317,7 +320,7 @@ TEST(WorkerPool, FaultPlanJobFailsOnceWithoutQuarantine)
 {
     TestDir dir("fault_plan");
     service::ServerConfig config = poolConfig(dir, 1);
-    config.crashDir = dir.file("crash");
+    config.pool.crashDir = dir.file("crash");
     service::SimServer server(config);
     server.start();
 
@@ -350,7 +353,7 @@ TEST(WorkerPool, FaultPlanJobFailsOnceWithoutQuarantine)
     EXPECT_EQ(bad.errCode, ErrCode::LockstepDivergence);
     EXPECT_EQ(bad.attempts, 1u);
     EXPECT_FALSE(bad.quarantined);
-    EXPECT_FALSE(std::filesystem::exists(config.crashDir +
+    EXPECT_FALSE(std::filesystem::exists(config.pool.crashDir +
                                          "/faulted.worker-crash.json"));
     EXPECT_EQ(server.pool()->crashes(), 0u);
     client.shutdown();
@@ -417,9 +420,9 @@ TEST(WorkerPool, DeadlineKillsHungWorkerWithoutRetry)
 {
     TestDir dir("timeout");
     service::ServerConfig config = poolConfig(dir, 1);
-    config.crashDir = dir.file("crash");
-    config.workerTestCrash = true;
-    config.jobTimeoutMs = 400; // the hang job heartbeats but never ends
+    config.pool.crashDir = dir.file("crash");
+    config.pool.testCrashHooks = true;
+    config.pool.jobTimeoutMs = 400; // the hang job heartbeats but never ends
     service::SimServer server(config);
     server.start();
 
@@ -443,8 +446,8 @@ TEST(WorkerPool, SilentWorkerClassifiedAsCrashByHeartbeatWindow)
 {
     TestDir dir("mute");
     service::ServerConfig config = poolConfig(dir, 1);
-    config.workerTestCrash = true;
-    config.heartbeatTimeoutMs = 300;
+    config.pool.testCrashHooks = true;
+    config.pool.heartbeatTimeoutMs = 300;
     service::SimServer server(config);
     server.start();
 
@@ -479,12 +482,81 @@ TEST(WorkerPool, StoppedPoolFailsJobsWithTheErrorRecord)
     EXPECT_EQ(pool.respawns(), 0u);
 }
 
+TEST(WorkerPool, StopDuringRetryAbortsWithoutReport)
+{
+    // A worker lost while the pool stops was the pool's own kill, at
+    // either attempt: the job is aborted (the daemon keeps it in its
+    // journal), not quarantined, and no crash report blames it.
+    TestDir dir("stop_retry");
+    service::WorkerPoolConfig config;
+    config.workerPath = MTFPU_WORKERD_PATH;
+    config.workers = 1;
+    config.heartbeatTimeoutMs = 300;
+    config.crashDir = dir.file("crash");
+    config.testCrashHooks = true;
+    service::WorkerPool pool(config);
+    service::PoolJob job;
+    job.name = "crash:mute";
+    job.specJson = crashSpec("mute").to_json();
+
+    service::PoolOutcome out;
+    std::thread runner([&] { out = pool.execute(job); });
+    // The first attempt's worker went silent and was killed; stop the
+    // pool while the retry runs.
+    while (pool.crashes() < 1)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    pool.stop();
+    runner.join();
+    EXPECT_TRUE(out.aborted);
+    EXPECT_FALSE(out.result.quarantined);
+    EXPECT_FALSE(std::filesystem::exists(config.crashDir +
+                                         "/crash_mute.worker-crash.json"));
+}
+
+TEST(WorkerPool, CpuRlimitKillIsReportedAsSigxcpu)
+{
+    // A CPU-bound job under a 1 s CPU rlimit: the worker dies by
+    // SIGXCPU at the soft limit on both attempts, and the error and
+    // the report name the CPU budget, not a bare SIGKILL.
+    TestDir dir("rlimit_cpu");
+    service::WorkerPoolConfig config;
+    config.workerPath = MTFPU_WORKERD_PATH;
+    config.workers = 1;
+    config.rlimitCpuS = 1;
+    config.crashDir = dir.file("crash");
+    service::WorkerPool pool(config);
+    service::JobSpec spec;
+    spec.name = "cpu-bound";
+    spec.kind = service::JobKind::Assembly;
+    spec.assembly = "        lui  r1, 2048\n"
+                    "loop:   subi r1, r1, 1\n"
+                    "        bne  r1, r0, loop\n"
+                    "        nop\n"
+                    "        halt\n";
+    service::PoolJob job;
+    job.name = spec.name;
+    job.specJson = spec.to_json();
+
+    const service::PoolOutcome out = pool.execute(job);
+    EXPECT_FALSE(out.result.ok);
+    EXPECT_TRUE(out.result.quarantined);
+    EXPECT_EQ(out.result.attempts, 2u);
+    EXPECT_EQ(out.result.errCode, ErrCode::WorkerCrash);
+    EXPECT_NE(out.result.error.find("SIGXCPU"), std::string::npos)
+        << out.result.error;
+    const std::string report =
+        readWholeFile(config.crashDir + "/cpu-bound.worker-crash.json");
+    EXPECT_NE(report.find("\"signal\":\"SIGXCPU\""), std::string::npos)
+        << report;
+    pool.stop();
+}
+
 TEST(WorkerPool, CancelSemanticsAcrossTheProcessBoundary)
 {
     TestDir dir("cancel");
     service::ServerConfig config = poolConfig(dir, 1);
-    config.crashDir = dir.file("crash");
-    config.workerTestCrash = true;
+    config.pool.crashDir = dir.file("crash");
+    config.pool.testCrashHooks = true;
     service::SimServer server(config);
     server.start();
 
@@ -510,7 +582,7 @@ TEST(WorkerPool, CancelSemanticsAcrossTheProcessBoundary)
     // respawned slot keeps serving.
     EXPECT_FALSE(stub.quarantined);
     EXPECT_EQ(server.pool()->crashes(), 0u);
-    EXPECT_FALSE(std::filesystem::exists(config.crashDir + "/"
+    EXPECT_FALSE(std::filesystem::exists(config.pool.crashDir + "/"
                                          "crash_hang.worker-crash.json"));
     const machine::SimJobResult ok =
         client.result(client.submit(countdownSpec(25)), true);
@@ -522,7 +594,7 @@ TEST(WorkerPool, AdmissionControlAnswersBusyWithRetryHint)
 {
     TestDir dir("busy");
     service::ServerConfig config = poolConfig(dir, 1);
-    config.workerTestCrash = true;
+    config.pool.testCrashHooks = true;
     config.maxQueue = 1;
     service::SimServer server(config);
     server.start();
@@ -571,7 +643,7 @@ TEST(WorkerPool, PerClientInflightCapIsPerConnection)
 {
     TestDir dir("cap");
     service::ServerConfig config = poolConfig(dir, 1);
-    config.workerTestCrash = true;
+    config.pool.testCrashHooks = true;
     config.maxInflightPerClient = 1;
     service::SimServer server(config);
     server.start();
@@ -600,7 +672,7 @@ TEST(WorkerPool, JournalRecoversInFlightJobsAcrossRestart)
     TestDir dir("recover");
     service::ServerConfig config = poolConfig(dir, 1);
     config.journalPath = dir.file("journal.ndjson");
-    config.workerTestCrash = true;
+    config.pool.testCrashHooks = true;
 
     std::vector<uint64_t> ids;
     {
@@ -626,7 +698,7 @@ TEST(WorkerPool, JournalRecoversInFlightJobsAcrossRestart)
 
     // The restarted daemon re-runs everything under the original ids.
     // Without crash hooks, "crash:hang" is just a tiny halt program.
-    config.workerTestCrash = false;
+    config.pool.testCrashHooks = false;
     service::SimServer server(config);
     server.start();
     service::SimClient client(config.socketPath, 5000);
@@ -637,6 +709,42 @@ TEST(WorkerPool, JournalRecoversInFlightJobsAcrossRestart)
     }
     // Recovery preserved id allocation: new ids continue past maxId.
     EXPECT_GT(client.submit(countdownSpec(44)), ids.back());
+    client.shutdown();
+}
+
+TEST(WorkerPool, ShutdownDuringRetryKeepsTheJobJournaled)
+{
+    // A daemon shut down while it retries a lost worker must not
+    // count the job done: a daemon restarted on the same journal
+    // re-runs it under its id.
+    TestDir dir("shutdown_retry");
+    service::ServerConfig config = poolConfig(dir, 1);
+    config.journalPath = dir.file("journal.ndjson");
+    config.pool.crashDir = dir.file("crash");
+    config.pool.testCrashHooks = true;
+    config.pool.heartbeatTimeoutMs = 300;
+
+    uint64_t id = 0;
+    {
+        service::SimServer server(config);
+        server.start();
+        service::SimClient client(config.socketPath, 5000);
+        id = client.submit(crashSpec("mute"));
+        while (server.pool()->crashes() < 1)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        client.shutdown();
+    }
+    EXPECT_FALSE(std::filesystem::exists(config.pool.crashDir +
+                                         "/crash_mute.worker-crash.json"));
+
+    // Without crash hooks, "crash:mute" is just a tiny halt program.
+    config.pool.testCrashHooks = false;
+    service::SimServer server(config);
+    server.start();
+    service::SimClient client(config.socketPath, 5000);
+    const machine::SimJobResult r = client.resultWait(id, 30000);
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.attempts, 1u);
     client.shutdown();
 }
 
