@@ -6,15 +6,6 @@
 namespace mtfpu::assembler
 {
 
-uint32_t
-Program::labelAddr(const std::string &name) const
-{
-    auto it = labels.find(name);
-    if (it == labels.end())
-        fatal(ErrCode::AssemblerError, "undefined label '" + name + "'");
-    return it->second;
-}
-
 void
 Program::visit(Archive &ar)
 {

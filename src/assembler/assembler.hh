@@ -37,9 +37,6 @@ struct Program
     std::vector<isa::Instr> code;
     std::map<std::string, uint32_t> labels;
 
-    /** Address of a label; fatal() if undefined. */
-    uint32_t labelAddr(const std::string &name) const;
-
     /** Visit the code as encoded instruction words (the label map is
      *  not part of the encoding). */
     void visit(Archive &ar);

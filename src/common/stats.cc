@@ -22,48 +22,12 @@ harmonicMean(const std::vector<double> &rates)
 }
 
 double
-arithmeticMean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double v : values)
-        sum += v;
-    return sum / static_cast<double>(values.size());
-}
-
-double
-geometricMean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double v : values) {
-        if (v <= 0.0)
-            fatal("geometricMean: values must be positive");
-        log_sum += std::log(v);
-    }
-    return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-double
 relativeError(double a, double b)
 {
     if (a == b)
         return 0.0;
     const double denom = std::max(std::fabs(a), std::fabs(b));
     return std::fabs(a - b) / denom;
-}
-
-double
-maxRelativeError(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.size() != b.size())
-        fatal("maxRelativeError: size mismatch");
-    double worst = 0.0;
-    for (size_t i = 0; i < a.size(); ++i)
-        worst = std::max(worst, relativeError(a[i], b[i]));
-    return worst;
 }
 
 } // namespace mtfpu

@@ -23,22 +23,12 @@ namespace mtfpu
  */
 double harmonicMean(const std::vector<double> &rates);
 
-/** Arithmetic mean; 0 for an empty vector. */
-double arithmeticMean(const std::vector<double> &values);
-
-/** Geometric mean of positive values; 0 for an empty vector. */
-double geometricMean(const std::vector<double> &values);
-
 /**
  * Relative error |a - b| / max(|a|, |b|), with 0 when both are 0.
  * Used by kernel-validation tests comparing simulated results against
  * host-FP references.
  */
 double relativeError(double a, double b);
-
-/** Largest relative element-wise error between two equal-size arrays. */
-double maxRelativeError(const std::vector<double> &a,
-                        const std::vector<double> &b);
 
 } // namespace mtfpu
 

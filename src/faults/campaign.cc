@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <bitset>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -11,6 +13,8 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/table.hh"
+#include "exec/observer.hh"
+#include "exec/semantics.hh"
 #include "kernels/runner.hh"
 #include "machine/lockstep.hh"
 #include "snapshot/snapshot.hh"
@@ -58,6 +62,110 @@ classifyTrial(FaultTrial &trial, const machine::SimJobResult &r,
     } else {
         trial.outcome = FaultOutcome::DetectedHardware;
     }
+}
+
+/**
+ * The state a kernel's fault-free run reads or writes: every CPU and
+ * FPU register an instruction names, from a scan of the program, and
+ * every data word and data-cache set an access reaches, from the
+ * golden run this observer watches. Every data access touches memory
+ * and the cache in the cycle it publishes its event.
+ */
+class Footprint : public exec::ExecObserver
+{
+  public:
+    explicit Footprint(const assembler::Program &program)
+    {
+        for (const isa::Instr &in : program.code) {
+            cpuRegs_.set(in.rd).set(in.rs1).set(in.rs2);
+            if (in.major == isa::Major::Ldf || in.major == isa::Major::Stf ||
+                in.major == isa::Major::Mvfc)
+                fpuRegs_.set(in.fr);
+            if (in.major == isa::Major::FpAlu) {
+                exec::forEachElement(
+                    in.fp, [this](unsigned rr, unsigned ra, unsigned rb) {
+                        fpuRegs_.set(rr).set(ra).set(rb);
+                    });
+            }
+        }
+    }
+
+    Footprint(const Footprint &) = delete;
+    Footprint &operator=(const Footprint &) = delete;
+
+    /** Record @p m's data accesses, in maps as large as the memory and
+     *  the data cache the injector reduces its indices by. */
+    void
+    watch(machine::Machine &m)
+    {
+        const memory::DirectMappedCache &cache =
+            m.memorySystem().dataCache();
+        words_.assign(m.mem().size() / 8, false);
+        sets_.assign(cache.numLines(), false);
+        lineBytes_ = cache.config().lineBytes;
+        m.addObserver(this);
+    }
+
+    void
+    onMemAccess(const exec::MemAccessEvent &event) override
+    {
+        if (event.kind == exec::MemAccessKind::InstrFetch)
+            return;
+        words_[event.addr / 8] = true;
+        sets_[(event.addr / lineBytes_) % sets_.size()] = true;
+    }
+
+    /** Whether the run reads or writes the state @p fault strikes,
+     *  its victim picked as FaultInjector::apply picks it. A softfp
+     *  fault strikes the next element, so it always counts. */
+    bool
+    touches(const Fault &fault) const
+    {
+        switch (fault.site) {
+          case FaultSite::CpuReg:
+            return cpuRegs_[1 + fault.index % (isa::kNumIntRegs - 1)];
+          case FaultSite::FpuReg:
+            return fpuRegs_[fault.index % isa::kNumFpuRegs];
+          case FaultSite::MemWord:
+            return words_[fault.index % words_.size()];
+          case FaultSite::CacheLine:
+            return sets_[fault.index % sets_.size()];
+          case FaultSite::SoftfpResult:
+          case FaultSite::SoftfpFlags:
+            break;
+        }
+        return true;
+    }
+
+  private:
+    std::bitset<256> cpuRegs_, fpuRegs_; // by 8-bit specifier
+    std::vector<bool> words_, sets_;
+    uint64_t lineBytes_ = 1;
+};
+
+/**
+ * The result a lockstep trial simulates to when its single-bit fault
+ * strikes state outside the kernel's footprint. The trial repeats the
+ * golden run cycle for cycle. A struck cache tag is timing state no
+ * access reads, so the run completes as the golden run did. A struck
+ * register or memory word differs only at the final-state compare,
+ * which fires at the golden run's last cycle and, by throwing, leaves
+ * the stats empty.
+ */
+machine::SimJobResult
+untouchedResult(const Fault &fault, uint64_t golden_cycles)
+{
+    machine::SimJobResult r;
+    if (fault.site == FaultSite::CacheLine) {
+        r.ok = true;
+        r.stats.cycles = golden_cycles;
+    } else {
+        r.fail(SimError(ErrCode::LockstepDivergence,
+                        "final-state divergence in untouched state",
+                        ErrContext{.cycle =
+                                       static_cast<int64_t>(golden_cycles)}));
+    }
+    return r;
 }
 
 /**
@@ -206,11 +314,13 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
 
     // Phase 1: one golden run per kernel pins the fault-free checksum
     // and cycle count (the latter bounds trial fault cycles and sizes
-    // the runaway guard). Each golden job's memory image is built
-    // once and moves on to the kernel's reference run.
+    // the runaway guard) and, under lockstep, records the footprint.
+    // Each golden job's memory image is built once and moves on to
+    // the kernel's reference run.
     const size_t nk = kernel_list.size();
     std::vector<double> goldenSums(nk, 0.0);
     std::vector<machine::SimJob> golden(nk);
+    std::deque<Footprint> footprints; // the golden jobs hold addresses
     for (size_t k = 0; k < nk; ++k) {
         const kernels::Kernel &kernel = kernel_list[k];
         golden[k].name = kernel.name + "-golden";
@@ -219,8 +329,13 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
         golden[k].memInit =
             kernels::memImage(kernel.init, config.machine.memory.memBytes);
         double *slot = &goldenSums[k];
-        golden[k].body = [checksum = kernel.checksum,
-                          slot](machine::Machine &m) {
+        Footprint *footprint = nullptr;
+        if (config.lockstep)
+            footprint = &footprints.emplace_back(kernel.program);
+        golden[k].body = [checksum = kernel.checksum, slot,
+                          footprint](machine::Machine &m) {
+            if (footprint)
+                footprint->watch(m);
             machine::RunStats stats = m.run();
             *slot = checksum(m.mem());
             return stats;
@@ -262,9 +377,11 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
 
     // Phase 2: the seeded trial sweep, one single-fault plan per
     // (kernel, trial) pair, one kernel at a time. Trials found in the
-    // journal keep their recorded outcome and do not simulate; every
-    // other trial starts from a capture of its kernel's reference
-    // run, at its injection cycle when forking and at cycle 0 if not.
+    // journal keep their recorded outcome and do not simulate, nor do
+    // trials whose fault strikes state outside the kernel's footprint;
+    // every other trial starts from a capture of its kernel's
+    // reference run, at its injection cycle when forking and at cycle
+    // 0 if not.
     std::vector<machine::SimJob> jobs;
     std::vector<size_t> jobTrial; // batch index -> trial index
     std::vector<double> sums;     // batch index -> output checksum
@@ -284,21 +401,37 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
     for (size_t k = 0; k < nk; ++k) {
         const kernels::Kernel &kernel = kernel_list[k];
         std::vector<size_t> pending; // trial indices, by start cycle
+        unsigned pruned = 0;
         for (unsigned i = 0; i < config.faultsPerKernel; ++i) {
             FaultTrial trial;
             trial.kernel = kernel.name;
             trial.seed = campaignTrialSeed(config.seed, k, i);
             trial.plan =
                 FaultPlan::randomSingle(trial.seed, result.goldenCycles[k]);
+            const Fault &fault = trial.plan.faults().front();
             const auto it = already.find(trialKey(kernel.name, trial.seed));
             if (it != already.end()) {
                 trial.outcome = it->second.outcome;
                 trial.errorCode = it->second.errorCode;
                 trial.cycles = it->second.cycles;
+            } else if (config.lockstep && !footprints[k].touches(fault)) {
+                classifyTrial(trial,
+                              untouchedResult(fault, result.goldenCycles[k]),
+                              result.goldenChecksums[k],
+                              result.goldenChecksums[k]);
+                trial.pruned = true;
+                ++pruned;
+                if (appender)
+                    appender->append(trial.to_json());
             } else {
                 pending.push_back(result.trials.size());
             }
             result.trials.push_back(std::move(trial));
+        }
+        if (config.lockstep) {
+            inform(kernel.name + ": " + std::to_string(pruned) + " of " +
+                   std::to_string(pruned + pending.size()) +
+                   " trial(s) classified from the fault-free footprint");
         }
         if (pending.empty())
             continue;

@@ -26,6 +26,16 @@
  * distinct start cycles, and releases a window's starts before it
  * captures the next: its memory follows the trials in flight, not
  * the trial count.
+ *
+ * A lockstep campaign simulates only the trials whose fault strikes
+ * state the fault-free run uses. The golden run records that
+ * footprint: the data words its loads and stores touch and the
+ * data-cache sets they index, plus every register the program names.
+ * A trial whose victim lies outside it repeats the golden run cycle
+ * for cycle, so its record is known without simulation (DESIGN.md
+ * §9.3): a struck register or memory word is detected-lockstep by the
+ * final-state compare, a struck cache tag is masked at the golden
+ * cycle count.
  */
 
 #ifndef MTFPU_FAULTS_CAMPAIGN_HH
@@ -78,7 +88,13 @@ struct FaultTrial
     FaultPlan plan;
     FaultOutcome outcome = FaultOutcome::Masked;
     std::string errorCode; // taxonomy name when a check fired
-    uint64_t cycles = 0;   // cycles simulated (partial on failure)
+    /** Run length of a completed or guard-stopped trial; 0 when a
+     *  check threw, as a thrown error leaves the run's stats empty
+     *  (ROADMAP item 8 would record the cycle it fired instead). */
+    uint64_t cycles = 0;
+    /** Classified from the golden run's footprint, not simulated.
+     *  Not journaled: a resumed trial reads false. */
+    bool pruned = false;
 
     /** One JSON object for the campaign journal and campaign.json;
      *  its fault_plan is the text FaultPlan::parse reads back. */
@@ -94,7 +110,9 @@ struct CampaignConfig
     /** Base seed; trial seeds derive deterministically from it. */
     uint64_t seed = 1;
 
-    /** Attach the lockstep checker to every trial. */
+    /** Attach the lockstep checker to every trial, and classify the
+     *  trials that strike state outside the golden footprint without
+     *  simulating them (they need the final-state compare). */
     bool lockstep = true;
 
     /** Worker threads (0 = hardware concurrency). */
@@ -117,11 +135,13 @@ struct CampaignConfig
     /**
      * Trial journal for resumable campaigns (common/journal). When
      * non-empty, every finished trial is appended to this file as one
-     * JSON line the moment its worker classifies it, and a campaign
-     * started over an existing journal skips every (kernel, seed)
-     * trial already recorded — rerunning a killed campaign with the
-     * same parameters and journal completes the remaining trials and
-     * reports the same classification counts as an uninterrupted run.
+     * JSON line the moment its worker classifies it (a trial
+     * classified from the footprint before its kernel's first batch),
+     * and a campaign started over an existing journal skips every
+     * (kernel, seed) trial already recorded — rerunning a killed
+     * campaign with the same parameters and journal completes the
+     * remaining trials and reports the same classification counts as
+     * an uninterrupted run.
      * A file that cannot be opened throws SimError(Io). The journal
      * assumes the campaign parameters (kernels, seed, machine config)
      * are unchanged between runs; it records outcomes, not
@@ -164,10 +184,11 @@ struct CampaignResult
 
 /**
  * Run the campaign: one golden (fault-free) run per kernel to fix the
- * reference checksum and cycle count, then faultsPerKernel seeded
- * single-fault trials per kernel across the SimDriver pool, each
- * classified per the scheme above. Throws only on setup errors —
- * trial failures are outcomes, not errors.
+ * reference checksum, cycle count and footprint, then faultsPerKernel
+ * seeded single-fault trials per kernel across the SimDriver pool,
+ * each classified per the scheme above; inform() reports per kernel
+ * how many were classified from the footprint. Throws only on setup
+ * errors — trial failures are outcomes, not errors.
  */
 CampaignResult runCampaign(const std::vector<kernels::Kernel> &kernel_list,
                            const CampaignConfig &config = CampaignConfig{});

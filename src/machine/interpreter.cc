@@ -1,7 +1,5 @@
 #include "machine/interpreter.hh"
 
-#include <cstring>
-
 #include "common/log.hh"
 #include "exec/semantics.hh"
 
@@ -82,14 +80,6 @@ Interpreter::loadProgram(assembler::Program program)
     halted_ = false;
     redirectPending_ = false;
     fpElements_ = 0;
-}
-
-double
-Interpreter::fpRegDouble(unsigned r) const
-{
-    double d;
-    std::memcpy(&d, &fregs_[r], sizeof(d));
-    return d;
 }
 
 void

@@ -93,7 +93,6 @@ class Interpreter
     }
     void setFpReg(unsigned r, uint64_t v) { fregs_[r] = v; }
 
-    double fpRegDouble(unsigned r) const;
     uint32_t pc() const { return pc_; }
     bool halted() const { return halted_; }
 

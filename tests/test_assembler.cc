@@ -68,8 +68,8 @@ TEST(Assembler, BasicProgram)
                 halt
     )");
     ASSERT_EQ(p.code.size(), 5u);
-    EXPECT_EQ(p.labelAddr("start"), 0u);
-    EXPECT_EQ(p.labelAddr("loop"), 1u);
+    EXPECT_EQ(p.labels.at("start"), 0u);
+    EXPECT_EQ(p.labels.at("loop"), 1u);
     EXPECT_EQ(p.code[0], Instr::aluImm(AluFunc::Add, 1, 0, 3));
     EXPECT_EQ(p.code[2], Instr::branch(BranchCond::Ne, 1, 0, -1));
     EXPECT_EQ(p.code[4].major, Major::Halt);

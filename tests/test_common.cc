@@ -102,18 +102,11 @@ TEST(Stats, HarmonicMeanRejectsNonPositive)
     EXPECT_THROW(harmonicMean({1.0, 0.0}), FatalError);
 }
 
-TEST(Stats, Means)
-{
-    EXPECT_DOUBLE_EQ(arithmeticMean({1.0, 3.0}), 2.0);
-    EXPECT_DOUBLE_EQ(geometricMean({1.0, 4.0}), 2.0);
-}
-
 TEST(Stats, RelativeError)
 {
     EXPECT_DOUBLE_EQ(relativeError(0.0, 0.0), 0.0);
     EXPECT_DOUBLE_EQ(relativeError(1.0, 1.0), 0.0);
     EXPECT_NEAR(relativeError(1.0, 1.1), 0.1 / 1.1, 1e-12);
-    EXPECT_DOUBLE_EQ(maxRelativeError({1.0, 2.0}, {1.0, 4.0}), 0.5);
 }
 
 TEST(Table, RendersAlignedColumns)

@@ -5,6 +5,7 @@
  * direct-mapped cache, and assembler robustness sweeps.
  */
 
+#include <bit>
 #include <map>
 #include <random>
 
@@ -71,8 +72,8 @@ TEST(InterpreterSemantics, VectorExpansionInOrder)
     it.mem().writeDouble(0, 1.0);
     it.mem().writeDouble(8, 1.0);
     it.run();
-    EXPECT_DOUBLE_EQ(it.fpRegDouble(2), 2.0);
-    EXPECT_DOUBLE_EQ(it.fpRegDouble(5), 8.0);
+    EXPECT_DOUBLE_EQ(std::bit_cast<double>(it.fpReg(2)), 2.0);
+    EXPECT_DOUBLE_EQ(std::bit_cast<double>(it.fpReg(5)), 8.0);
     EXPECT_EQ(it.fpElements(), 4u);
 }
 

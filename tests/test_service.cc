@@ -25,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <pthread.h>
 #include <sstream>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -840,17 +841,37 @@ TEST(SimServer, CancelsQueuedJobBehindLongRun)
     client.shutdown();
 }
 
-/** A /proc/self/status field of this process in kB, e.g. "VmSize". */
-uint64_t
-statusKb(const std::string &field)
+/**
+ * Thread stacks this process maps: anonymous read-write mappings of
+ * the default thread-stack size that start right above a guard page.
+ * Malloc arenas do not match: their guard region lies above them.
+ */
+size_t
+threadStackMappings()
 {
-    std::ifstream status("/proc/self/status");
+    pthread_attr_t attr;
+    size_t stackBytes = 0;
+    pthread_getattr_default_np(&attr);
+    pthread_attr_getstacksize(&attr, &stackBytes);
+    pthread_attr_destroy(&attr);
+    std::ifstream maps("/proc/self/maps");
     std::string line;
-    while (std::getline(status, line)) {
-        if (line.rfind(field + ":", 0) == 0)
-            return std::stoull(line.substr(field.size() + 1));
+    uint64_t guardEnd = 0; // end of the previous mapping if a guard
+    size_t stacks = 0;
+    while (std::getline(maps, line)) {
+        // "start-end perms offset dev inode [path]"
+        std::istringstream in(line);
+        uint64_t start = 0, end = 0;
+        char dash = 0;
+        std::string perms, offset, dev, inode, path;
+        in >> std::hex >> start >> dash >> end >> perms >> offset >> dev >>
+            inode >> path;
+        if (perms == "rw-p" && inode == "0" && path.empty() &&
+            start == guardEnd && end - start == stackBytes)
+            ++stacks;
+        guardEnd = perms == "---p" ? end : 0;
     }
-    return 0;
+    return stacks;
 }
 
 TEST(SimServer, ReapsFinishedConnectionThreads)
@@ -864,18 +885,18 @@ TEST(SimServer, ReapsFinishedConnectionThreads)
         EXPECT_TRUE(client.ping());
     };
 
-    // A finished connection whose thread is never joined keeps its
-    // stack mapped (8 MB by default), so 100 of them would grow the
-    // process by about 800 MB. Joined threads hand their stacks on.
+    // A finished connection whose thread is never joined has left
+    // /proc/self/task, but its stack stays mapped, so 100 of them
+    // would add 100 stacks. Joined threads hand their stacks on.
     for (int i = 0; i < 5; ++i)
         connectPingClose();
-    const uint64_t before = statusKb("VmSize");
-    ASSERT_GT(before, 0u);
+    const size_t before = threadStackMappings();
+    ASSERT_GT(before, 0u); // the server's own threads
     for (int i = 0; i < 100; ++i)
         connectPingClose();
-    const uint64_t after = statusKb("VmSize");
-    const uint64_t grewKb = after > before ? after - before : 0;
-    EXPECT_LT(grewKb, 100u * 1024) << "VmSize grew by " << grewKb << " kB";
+    const size_t after = threadStackMappings();
+    EXPECT_LT(after, before + 10) << before << " thread stacks before, "
+                                  << after << " after 100 connections";
 
     service::SimClient(config.socketPath).shutdown();
 }
@@ -892,7 +913,13 @@ heldKb()
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
     return __sanitizer_get_current_allocated_bytes() / 1024;
 #else
-    return statusKb("VmRSS");
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stoull(line.substr(6));
+    }
+    return 0;
 #endif
 }
 

@@ -6,19 +6,21 @@
  * the uninterrupted run for every benchmark kernel under both softfp
  * backends; a SimJob that starts from a mid-run snapshot ends like
  * the uninterrupted run; the fault campaign's snapshot-fork and
- * journal-resume modes classify exactly like the from-scratch sweep;
- * and a committed golden snapshot pins the serialized format (any layout
- * change must bump kFormatVersion).
+ * journal-resume modes, and the trials it classifies from the golden
+ * run's footprint without simulating them, classify exactly like the
+ * from-scratch sweep; and a committed golden snapshot pins the
+ * serialized format (any layout change must bump kFormatVersion).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -704,73 +706,92 @@ expectSameTrials(const faults::CampaignResult &a,
 }
 
 /**
- * The campaign @p cfg describes, simulated without runCampaign: every
- * trial rebuilt from scratch (the kernel's program and memory image,
- * its plan, lockstep and cycle guard) and run through SimDriver.
+ * Append to @p out @p kernel's golden run and the trials @p make_trials
+ * builds from its cycle count, each simulated without runCampaign:
+ * rebuilt from scratch (the kernel's program and memory image, its
+ * plan, lockstep and cycle guard), run through SimDriver and
+ * classified.
  */
+void
+simulateFromScratch(
+    const kernels::Kernel &kernel, const faults::CampaignConfig &cfg,
+    const std::function<std::vector<faults::FaultTrial>(uint64_t)>
+        &make_trials,
+    faults::CampaignResult &out)
+{
+    const machine::SimDriver driver(cfg.threads);
+    machine::SimJob golden;
+    golden.name = kernel.name;
+    golden.program = kernel.program;
+    golden.config = cfg.machine;
+    golden.memInit =
+        kernels::memImage(kernel.init, cfg.machine.memory.memBytes);
+    std::vector<double> sums(1, 0.0);
+    const auto checksumInto = [&](size_t j) {
+        return [&sums, j, checksum = kernel.checksum](machine::Machine &m) {
+            const machine::RunStats stats = m.run();
+            sums[j] = checksum(m.mem());
+            return stats;
+        };
+    };
+    golden.body = checksumInto(0);
+    const machine::SimJobResult g = driver.runAttempt(golden);
+    EXPECT_TRUE(g.ok) << g.error;
+    out.kernels.push_back(kernel.name);
+    out.goldenChecksums.push_back(sums[0]);
+    out.goldenCycles.push_back(g.stats.cycles);
+
+    std::vector<faults::FaultTrial> trials = make_trials(g.stats.cycles);
+    sums.resize(trials.size() + 1, 0.0);
+    std::vector<machine::SimJob> jobs;
+    for (size_t i = 0; i < trials.size(); ++i) {
+        machine::SimJob job = golden;
+        job.config.maxCycles = g.stats.cycles * cfg.guardFactor + 10000;
+        job.faultPlan = trials[i].plan;
+        job.lockstep = cfg.lockstep;
+        job.body = checksumInto(i + 1);
+        jobs.push_back(std::move(job));
+    }
+    const std::vector<machine::SimJobResult> res = driver.run(jobs);
+    for (size_t i = 0; i < trials.size(); ++i) {
+        faults::FaultTrial &trial = trials[i];
+        const machine::SimJobResult &r = res[i];
+        trial.cycles = r.stats.cycles;
+        trial.errorCode = r.ok ? "" : errCodeName(r.errCode);
+        if (r.ok) {
+            const bool same = std::bit_cast<uint64_t>(sums[i + 1]) ==
+                              std::bit_cast<uint64_t>(sums[0]);
+            trial.outcome = same ? faults::FaultOutcome::Masked
+                                 : faults::FaultOutcome::Sdc;
+        } else if (r.errCode == ErrCode::LockstepDivergence) {
+            trial.outcome = faults::FaultOutcome::DetectedLockstep;
+        } else {
+            trial.outcome = faults::FaultOutcome::DetectedHardware;
+        }
+        out.trials.push_back(std::move(trial));
+    }
+}
+
+/** The campaign @p cfg describes, every trial simulated from scratch. */
 faults::CampaignResult
 fromScratchCampaign(const std::vector<kernels::Kernel> &kernel_list,
                     const faults::CampaignConfig &cfg)
 {
     faults::CampaignResult ref;
-    const machine::SimDriver driver(cfg.threads);
     for (size_t k = 0; k < kernel_list.size(); ++k) {
-        const kernels::Kernel &kernel = kernel_list[k];
-        std::vector<double> sums(cfg.faultsPerKernel + 1, 0.0);
-        machine::SimJob golden;
-        golden.name = kernel.name;
-        golden.program = kernel.program;
-        golden.config = cfg.machine;
-        golden.memInit =
-            kernels::memImage(kernel.init, cfg.machine.memory.memBytes);
-        const auto checksumInto = [&](size_t j) {
-            return [&sums, j,
-                    checksum = kernel.checksum](machine::Machine &m) {
-                const machine::RunStats stats = m.run();
-                sums[j] = checksum(m.mem());
-                return stats;
-            };
-        };
-        golden.body = checksumInto(0);
-        const machine::SimJobResult g = driver.runAttempt(golden);
-        EXPECT_TRUE(g.ok) << g.error;
-        ref.kernels.push_back(kernel.name);
-        ref.goldenChecksums.push_back(sums[0]);
-        ref.goldenCycles.push_back(g.stats.cycles);
-
-        std::vector<machine::SimJob> jobs;
-        for (unsigned i = 0; i < cfg.faultsPerKernel; ++i) {
-            faults::FaultTrial trial;
-            trial.kernel = kernel.name;
-            trial.seed = faults::campaignTrialSeed(cfg.seed, k, i);
-            trial.plan =
-                faults::FaultPlan::randomSingle(trial.seed, g.stats.cycles);
-            machine::SimJob job = golden;
-            job.config.maxCycles = g.stats.cycles * cfg.guardFactor + 10000;
-            job.faultPlan = trial.plan;
-            job.lockstep = cfg.lockstep;
-            job.body = checksumInto(i + 1);
-            jobs.push_back(std::move(job));
-            ref.trials.push_back(std::move(trial));
-        }
-        const std::vector<machine::SimJobResult> res = driver.run(jobs);
-        for (unsigned i = 0; i < cfg.faultsPerKernel; ++i) {
-            faults::FaultTrial &trial =
-                ref.trials[ref.trials.size() - cfg.faultsPerKernel + i];
-            const machine::SimJobResult &r = res[i];
-            trial.cycles = r.stats.cycles;
-            trial.errorCode = r.ok ? "" : errCodeName(r.errCode);
-            if (r.ok) {
-                const bool same = std::bit_cast<uint64_t>(sums[i + 1]) ==
-                                  std::bit_cast<uint64_t>(sums[0]);
-                trial.outcome = same ? faults::FaultOutcome::Masked
-                                     : faults::FaultOutcome::Sdc;
-            } else if (r.errCode == ErrCode::LockstepDivergence) {
-                trial.outcome = faults::FaultOutcome::DetectedLockstep;
-            } else {
-                trial.outcome = faults::FaultOutcome::DetectedHardware;
-            }
-        }
+        simulateFromScratch(
+            kernel_list[k], cfg,
+            [&](uint64_t golden_cycles) {
+                std::vector<faults::FaultTrial> trials(cfg.faultsPerKernel);
+                for (unsigned i = 0; i < cfg.faultsPerKernel; ++i) {
+                    trials[i].kernel = kernel_list[k].name;
+                    trials[i].seed = faults::campaignTrialSeed(cfg.seed, k, i);
+                    trials[i].plan = faults::FaultPlan::randomSingle(
+                        trials[i].seed, golden_cycles);
+                }
+                return trials;
+            },
+            ref);
     }
     return ref;
 }
@@ -819,6 +840,56 @@ TEST(CampaignSnapshot, ForkWindowsSplitAKernelsTrials)
     expectSameTrials(unforked, forked);
 }
 
+/** How many lines of journal @p text record each (kernel, seed); a
+ *  torn line records none. */
+std::map<std::pair<std::string, uint64_t>, unsigned>
+journalLines(const std::string &text)
+{
+    std::map<std::pair<std::string, uint64_t>, unsigned> lines;
+    for (size_t start = 0; start < text.size();) {
+        size_t end = text.find('\n', start);
+        if (end == std::string::npos)
+            end = text.size();
+        try {
+            const json::Value v = json::parse(text.substr(start, end - start));
+            ++lines[{v.at("kernel").asString(), v.at("seed").asUint()}];
+        } catch (const SimError &) {
+            // a blank or deliberately torn line
+        }
+        start = end + 1;
+    }
+    return lines;
+}
+
+/** The journal at @p path records every trial of @p ref exactly once,
+ *  under its exact 64-bit seed. */
+void
+expectJournaledOnce(const std::string &path, const faults::CampaignResult &ref)
+{
+    const auto lines = journalLines(readFile(path));
+    EXPECT_EQ(lines.size(), ref.trials.size());
+    for (const faults::FaultTrial &t : ref.trials) {
+        const auto it = lines.find({t.kernel, t.seed});
+        EXPECT_EQ(it == lines.end() ? 0u : it->second, 1u)
+            << t.kernel << " seed " << t.seed;
+    }
+}
+
+/** Cut the journal at @p path after its first @p keep lines and append
+ *  a torn partial line, as a SIGKILL mid-write leaves it; returns the
+ *  lines kept. */
+std::string
+cutJournal(const std::string &path, size_t keep)
+{
+    const std::string text = readFile(path);
+    size_t cut = 0;
+    for (size_t lines = 0; lines < keep; ++lines)
+        cut = text.find('\n', cut) + 1;
+    writeFileAtomic(path,
+                    text.substr(0, cut) + "{\"kernel\": \"lfk01\", \"seed\"");
+    return text.substr(0, cut);
+}
+
 TEST(CampaignSnapshot, JournalResumeMatchesUninterrupted)
 {
     const test::TestDir dir("campaign_journal");
@@ -837,64 +908,163 @@ TEST(CampaignSnapshot, JournalResumeMatchesUninterrupted)
     // torn partial line, then rerun over the damaged journal. The
     // survivors are skipped, the rest resimulated, and the combined
     // classification matches the uninterrupted run exactly.
-    std::string text;
-    {
-        std::FILE *f = std::fopen(cfg.journalPath.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        char buf[4096];
-        size_t n;
-        while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            text.append(buf, n);
-        std::fclose(f);
-    }
-    size_t cut = 0;
-    for (int lines = 0; lines < 3; ++lines)
-        cut = text.find('\n', cut) + 1;
-    {
-        std::FILE *f = std::fopen(cfg.journalPath.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fwrite(text.data(), 1, cut, f);
-        std::fputs("{\"kernel\": \"lfk01\", \"seed\"", f); // torn line
-        std::fclose(f);
-    }
-
+    cutJournal(cfg.journalPath, 3);
     const faults::CampaignResult resumed =
         faults::runCampaign(kernels, cfg);
     expectSameTrials(ref, resumed);
 
-    // After the resume, the journal records every trial exactly once
-    // under its exact 64-bit seed; only the torn line stays dead.
-    text.clear();
-    {
-        std::FILE *f = std::fopen(cfg.journalPath.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        char buf[4096];
-        size_t n;
-        while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            text.append(buf, n);
-        std::fclose(f);
+    // After the resume, the journal records every trial exactly once;
+    // only the torn line stays dead.
+    expectJournaledOnce(cfg.journalPath, ref);
+}
+
+/** The kernels the footprint-pruning tests run. */
+std::vector<kernels::Kernel>
+pruningKernels()
+{
+    return {kernels::livermore::make(1, true),
+            kernels::livermore::make(5, false),
+            kernels::livermore::make(7, false),
+            kernels::livermore::make(12, false)};
+}
+
+/** The site a single-fault trial strikes. */
+faults::FaultSite
+siteOf(const faults::FaultTrial &trial)
+{
+    return trial.plan.faults().front().site;
+}
+
+TEST(CampaignPruning, EveryRecordMatchesFullSimulation)
+{
+    // A lockstep campaign classifies a trial whose fault strikes state
+    // the golden run never touches without simulating it. Every record
+    // must equal the one full simulation gives, forked or not, and
+    // each of the four rules must have classified some trials and left
+    // others to simulate. Seed 5 strikes lfk01 registers that only
+    // FPALU elements name, where most faults are masked.
+    const auto kernels = pruningKernels();
+    faults::CampaignConfig cfg = campaignConfig();
+    cfg.faultsPerKernel = 60;
+    cfg.seed = 5;
+    const faults::CampaignResult ref = fromScratchCampaign(kernels, cfg);
+
+    const faults::CampaignResult unforked =
+        faults::runCampaign(kernels, cfg);
+    cfg.fork = true;
+    const faults::CampaignResult forked =
+        faults::runCampaign(kernels, cfg);
+
+    for (const faults::CampaignResult *result : {&unforked, &forked}) {
+        SCOPED_TRACE(result == &forked ? "forked" : "unforked");
+        expectSameTrials(ref, *result);
+        EXPECT_EQ(result->goldenCycles, ref.goldenCycles);
     }
-    std::set<std::pair<std::string, uint64_t>> recorded;
-    for (size_t start = 0; start < text.size();) {
-        size_t end = text.find('\n', start);
-        if (end == std::string::npos)
-            end = text.size();
-        const std::string line = text.substr(start, end - start);
-        start = end + 1;
-        if (line.empty())
-            continue;
-        try {
-            const json::Value v = json::parse(line);
-            recorded.emplace(v.at("kernel").asString(),
-                             v.at("seed").asUint());
-        } catch (const SimError &) {
-            // the deliberately torn line
+    std::map<faults::FaultSite, unsigned> pruned, simulated;
+    for (size_t i = 0; i < forked.trials.size(); ++i) {
+        EXPECT_EQ(forked.trials[i].pruned, unforked.trials[i].pruned);
+        ++(forked.trials[i].pruned ? pruned
+                                   : simulated)[siteOf(forked.trials[i])];
+    }
+    // The kernels touch a few thousand of the 512K memory words, so a
+    // mem-word trial that must run is too rare to ask for.
+    for (faults::FaultSite site :
+         {faults::FaultSite::CpuReg, faults::FaultSite::FpuReg,
+          faults::FaultSite::MemWord, faults::FaultSite::CacheLine})
+        EXPECT_GT(pruned[site], 0u) << faults::faultSiteName(site);
+    for (faults::FaultSite site :
+         {faults::FaultSite::CpuReg, faults::FaultSite::FpuReg,
+          faults::FaultSite::CacheLine})
+        EXPECT_GT(simulated[site], 0u) << faults::faultSiteName(site);
+    EXPECT_EQ(pruned[faults::FaultSite::SoftfpResult] +
+                  pruned[faults::FaultSite::SoftfpFlags],
+              0u);
+}
+
+TEST(CampaignPruning, WithoutLockstepEveryTrialSimulates)
+{
+    faults::CampaignConfig cfg = campaignConfig();
+    cfg.lockstep = false;
+    for (const faults::FaultTrial &t :
+         faults::runCampaign(campaignKernels(), cfg).trials)
+        EXPECT_FALSE(t.pruned) << t.kernel << " seed " << t.seed;
+}
+
+TEST(CampaignPruning, UntouchedVictimsMatchTheRuleAtBothEnds)
+{
+    // Take one victim per rule from the trials a campaign over lfk12
+    // classified without simulation, strike it at cycle 0 and at the
+    // golden run's last cycle, and simulate each trial from scratch
+    // under lockstep. The rule does not depend on the cycle: each must
+    // end with the record the rule gave.
+    const std::vector<kernels::Kernel> kernels = {
+        kernels::livermore::make(12, false)};
+    faults::CampaignConfig cfg = campaignConfig();
+    cfg.faultsPerKernel = 60;
+    const faults::CampaignResult campaign = faults::runCampaign(kernels, cfg);
+
+    std::vector<faults::FaultTrial> expected;
+    for (faults::FaultSite site :
+         {faults::FaultSite::CpuReg, faults::FaultSite::FpuReg,
+          faults::FaultSite::MemWord, faults::FaultSite::CacheLine}) {
+        const auto it = std::find_if(
+            campaign.trials.begin(), campaign.trials.end(),
+            [&](const faults::FaultTrial &t) {
+                return t.pruned && siteOf(t) == site;
+            });
+        ASSERT_NE(it, campaign.trials.end()) << faults::faultSiteName(site);
+        for (bool last : {false, true}) {
+            faults::FaultTrial trial = *it;
+            faults::Fault fault = trial.plan.faults().front();
+            fault.cycle = last ? campaign.goldenCycles[0] : 0;
+            trial.plan = faults::FaultPlan({fault});
+            expected.push_back(std::move(trial));
         }
     }
-    EXPECT_EQ(recorded.size(), ref.trials.size());
-    for (const faults::FaultTrial &t : ref.trials)
-        EXPECT_TRUE(recorded.count({t.kernel, t.seed}))
-            << t.kernel << " seed " << t.seed;
+    faults::CampaignResult simulated;
+    simulateFromScratch(
+        kernels[0], cfg, [&](uint64_t) { return expected; }, simulated);
+    ASSERT_EQ(simulated.goldenCycles, campaign.goldenCycles);
+    ASSERT_EQ(simulated.trials.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        SCOPED_TRACE(expected[i].plan.describe());
+        EXPECT_EQ(simulated.trials[i].outcome, expected[i].outcome);
+        EXPECT_EQ(simulated.trials[i].errorCode, expected[i].errorCode);
+        EXPECT_EQ(simulated.trials[i].cycles, expected[i].cycles);
+    }
+}
+
+TEST(CampaignPruning, ResumeSkipsJournaledPrunedTrials)
+{
+    // Pruned trials are journaled before their kernel's first batch, so
+    // a journal cut early holds them. A resumed campaign skips them and
+    // ends with every trial journaled exactly once.
+    const test::TestDir dir("campaign_pruned_journal");
+    const auto kernels = campaignKernels();
+    faults::CampaignConfig cfg = campaignConfig();
+    cfg.faultsPerKernel = 20;
+    cfg.journalPath = dir.file("journal.jsonl");
+    const faults::CampaignResult full = faults::runCampaign(kernels, cfg);
+
+    std::set<uint64_t> prunedSeeds;
+    for (const faults::FaultTrial &t : full.trials) {
+        if (t.kernel == full.kernels[0] && t.pruned)
+            prunedSeeds.insert(t.seed);
+    }
+    ASSERT_FALSE(prunedSeeds.empty());
+    // Keep the first kernel's pruned lines and one more.
+    const auto kept =
+        journalLines(cutJournal(cfg.journalPath, prunedSeeds.size() + 1));
+    for (uint64_t seed : prunedSeeds)
+        EXPECT_TRUE(kept.count({full.kernels[0], seed}))
+            << "pruned seed " << seed;
+
+    const faults::CampaignResult resumed = faults::runCampaign(kernels, cfg);
+    expectSameTrials(full, resumed);
+    for (const faults::FaultTrial &t : resumed.trials)
+        EXPECT_FALSE(t.pruned && kept.count({t.kernel, t.seed}))
+            << "journaled seed " << t.seed;
+    expectJournaledOnce(cfg.journalPath, full);
 }
 
 /** What a paused Machine's state blob holds, read off its layout. */
