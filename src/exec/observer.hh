@@ -3,7 +3,7 @@
  * The execution observer interface. The Machine publishes a stream of
  * architectural/microarchitectural events — active cycles, CPU
  * instruction issues, FPU vector element issues, data/instruction
- * memory accesses, element retirements, and stall cycles — to any
+ * memory accesses, element retirements, and CPU stall cycles — to any
  * number of registered ExecObserver instances.
  *
  * Every built-in consumer is a plug-in of this interface rather than
@@ -18,8 +18,11 @@
  * every element written back, then onElement for an element re-issued
  * from the standing ALU IR, then the CPU-side events (onMemAccess /
  * onIssue; for an FPALU transfer, onIssue precedes the first element's
- * onElement). onStall fires instead of the above on frozen or
- * CPU-stalled cycles.
+ * onElement). onStall fires in place of onIssue on a CPU-stalled
+ * cycle. The cycles of a lock-step freeze (a cache or
+ * instruction-buffer miss in flight) fire nothing: the Machine burns
+ * them in one step, and the MemAccessEvent that caused the freeze
+ * carries its length.
  */
 
 #ifndef MTFPU_EXEC_OBSERVER_HH
@@ -80,18 +83,12 @@ struct RetireEvent
     bool overflowed; // overflow squashes the rest of the vector (§2.3.1)
 };
 
-/** Why a cycle made no forward progress. */
-enum class StallKind : uint8_t
-{
-    Cpu,   // the CPU could not issue (structural/data hazard)
-    Memory // lock-step global freeze (cache miss in flight)
-};
-
-/** One stall cycle. */
+/** A cycle in which the CPU could not issue (structural/data hazard).
+ *  A lock-step freeze publishes no per-cycle events: its length is
+ *  the MemAccessEvent::penalty of the access that caused it. */
 struct StallEvent
 {
     uint64_t cycle;
-    StallKind kind;
 };
 
 /** Observer interface; every hook defaults to a no-op. */
@@ -115,7 +112,7 @@ class ExecObserver
     /** An element's result was written back. */
     virtual void onRetire(const RetireEvent &event) { (void)event; }
 
-    /** A stall cycle elapsed. */
+    /** The CPU could not issue this active cycle. */
     virtual void onStall(const StallEvent &event) { (void)event; }
 
     /** The run completed (pipelines drained); @p cycles is final. */

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <bitset>
-#include <deque>
+#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -13,7 +12,6 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/table.hh"
-#include "exec/observer.hh"
 #include "exec/semantics.hh"
 #include "kernels/runner.hh"
 #include "machine/lockstep.hh"
@@ -65,89 +63,11 @@ classifyTrial(FaultTrial &trial, const machine::SimJobResult &r,
 }
 
 /**
- * The state a kernel's fault-free run reads or writes: every CPU and
- * FPU register an instruction names, from a scan of the program, and
- * every data word and data-cache set an access reaches, from the
- * golden run this observer watches. Every data access touches memory
- * and the cache in the cycle it publishes its event.
- */
-class Footprint : public exec::ExecObserver
-{
-  public:
-    explicit Footprint(const assembler::Program &program)
-    {
-        for (const isa::Instr &in : program.code) {
-            cpuRegs_.set(in.rd).set(in.rs1).set(in.rs2);
-            if (in.major == isa::Major::Ldf || in.major == isa::Major::Stf ||
-                in.major == isa::Major::Mvfc)
-                fpuRegs_.set(in.fr);
-            if (in.major == isa::Major::FpAlu) {
-                exec::forEachElement(
-                    in.fp, [this](unsigned rr, unsigned ra, unsigned rb) {
-                        fpuRegs_.set(rr).set(ra).set(rb);
-                    });
-            }
-        }
-    }
-
-    Footprint(const Footprint &) = delete;
-    Footprint &operator=(const Footprint &) = delete;
-
-    /** Record @p m's data accesses, in maps as large as the memory and
-     *  the data cache the injector reduces its indices by. */
-    void
-    watch(machine::Machine &m)
-    {
-        const memory::DirectMappedCache &cache =
-            m.memorySystem().dataCache();
-        words_.assign(m.mem().size() / 8, false);
-        sets_.assign(cache.numLines(), false);
-        lineBytes_ = cache.config().lineBytes;
-        m.addObserver(this);
-    }
-
-    void
-    onMemAccess(const exec::MemAccessEvent &event) override
-    {
-        if (event.kind == exec::MemAccessKind::InstrFetch)
-            return;
-        words_[event.addr / 8] = true;
-        sets_[(event.addr / lineBytes_) % sets_.size()] = true;
-    }
-
-    /** Whether the run reads or writes the state @p fault strikes,
-     *  its victim picked as FaultInjector::apply picks it. A softfp
-     *  fault strikes the next element, so it always counts. */
-    bool
-    touches(const Fault &fault) const
-    {
-        switch (fault.site) {
-          case FaultSite::CpuReg:
-            return cpuRegs_[1 + fault.index % (isa::kNumIntRegs - 1)];
-          case FaultSite::FpuReg:
-            return fpuRegs_[fault.index % isa::kNumFpuRegs];
-          case FaultSite::MemWord:
-            return words_[fault.index % words_.size()];
-          case FaultSite::CacheLine:
-            return sets_[fault.index % sets_.size()];
-          case FaultSite::SoftfpResult:
-          case FaultSite::SoftfpFlags:
-            break;
-        }
-        return true;
-    }
-
-  private:
-    std::bitset<256> cpuRegs_, fpuRegs_; // by 8-bit specifier
-    std::vector<bool> words_, sets_;
-    uint64_t lineBytes_ = 1;
-};
-
-/**
  * The result a lockstep trial simulates to when its single-bit fault
- * strikes state outside the kernel's footprint. The trial repeats the
- * golden run cycle for cycle. A struck cache tag is timing state no
- * access reads, so the run completes as the golden run did. A struck
+ * cannot matter (Footprint::touches). The trial repeats the golden run
+ * cycle for cycle. A struck cache tag or PSW flag is state that no
+ * check compares and that no later access reads in a way the flip
+ * changes, so the run completes as the golden run did. A struck
  * register or memory word differs only at the final-state compare,
  * which fires at the golden run's last cycle and, by throwing, leaves
  * the stats empty.
@@ -156,7 +76,8 @@ machine::SimJobResult
 untouchedResult(const Fault &fault, uint64_t golden_cycles)
 {
     machine::SimJobResult r;
-    if (fault.site == FaultSite::CacheLine) {
+    if (fault.site == FaultSite::CacheLine ||
+        fault.site == FaultSite::SoftfpFlags) {
         r.ok = true;
         r.stats.cycles = golden_cycles;
     } else {
@@ -198,6 +119,118 @@ captureStart(machine::Machine &ref,
 }
 
 } // anonymous namespace
+
+Footprint::Footprint(const assembler::Program &program)
+{
+    for (const isa::Instr &in : program.code) {
+        cpuRegs_.set(in.rd).set(in.rs1).set(in.rs2);
+        if (in.major == isa::Major::Ldf || in.major == isa::Major::Stf ||
+            in.major == isa::Major::Mvfc)
+            fpuRegs_.set(in.fr);
+        if (in.major == isa::Major::FpAlu) {
+            vectors_ |= in.fp.length() > 1;
+            exec::forEachElement(
+                in.fp, [this](unsigned rr, unsigned ra, unsigned rb) {
+                    fpuRegs_.set(rr).set(ra).set(rb);
+                });
+        }
+    }
+}
+
+void
+Footprint::watch(machine::Machine &m)
+{
+    const memory::DirectMappedCache &cache = m.memorySystem().dataCache();
+    const memory::CacheConfig &geometry = cache.config();
+    words_.assign(m.mem().size() / 8, false);
+    sets_.assign(cache.numLines(), false);
+    lineBytes_ = geometry.lineBytes;
+    // The misses tell a line's tag only when every miss installs its
+    // tag, and a hit only when a miss stalls; otherwise a struck set
+    // counts if any access indexes it.
+    lastMiss_.clear();
+    if (m.config().memory.modelCaches && geometry.writeAllocate &&
+        geometry.missPenalty > 0)
+        lastMiss_.assign(cache.numLines(), kNone);
+    m.addObserver(this);
+}
+
+void
+Footprint::onMemAccess(const exec::MemAccessEvent &event)
+{
+    // Every data access touches memory and the cache in the cycle it
+    // publishes its event.
+    if (event.kind == exec::MemAccessKind::InstrFetch)
+        return;
+    words_[event.addr / 8] = true;
+    const uint64_t line = event.addr / lineBytes_;
+    const uint64_t set = line % sets_.size();
+    sets_[set] = true;
+    if (lastMiss_.empty())
+        return;
+    if (event.penalty == 0) {
+        // A hit: the run started cold, so the set has missed before.
+        misses_[lastMiss_[set]].lastAccess = event.cycle;
+    } else {
+        misses_.push_back(Miss{event.cycle, line / sets_.size(),
+                               event.cycle, lastMiss_[set]});
+        lastMiss_[set] = static_cast<uint32_t>(misses_.size() - 1);
+    }
+}
+
+bool
+Footprint::touches(const Fault &fault) const
+{
+    switch (fault.site) {
+      case FaultSite::CpuReg:
+        return cpuRegs_[1 + fault.index % (isa::kNumIntRegs - 1)];
+      case FaultSite::FpuReg:
+        return fpuRegs_[fault.index % isa::kNumFpuRegs];
+      case FaultSite::MemWord:
+        return words_[fault.index % words_.size()];
+      case FaultSite::CacheLine:
+        return lastMiss_.empty() ? sets_[fault.index % sets_.size()]
+                                 : cacheTagMatters(fault);
+      case FaultSite::SoftfpFlags:
+        // No instruction reads the PSW. Only an overflow squashes the
+        // rest of its vector, and with VL = 1 the IR has moved on by
+        // the time the element retires.
+        return (fault.mask & 1) != 0 && vectors_;
+      case FaultSite::SoftfpResult:
+        break;
+    }
+    return true;
+}
+
+/**
+ * Whether the first golden access to the struck set at or after the
+ * fault's cycle (the injector fires before that cycle's issue) can
+ * tell the struck line from the golden one: it hit, or it missed but
+ * hits the struck line. Any other miss installs its tag in both runs,
+ * and with no access left nothing reads the line again.
+ */
+bool
+Footprint::cacheTagMatters(const Fault &fault) const
+{
+    // Walk the set's misses back to the last one before the fault;
+    // next ends as the first one at or after it.
+    uint32_t before = lastMiss_[fault.index % lastMiss_.size()];
+    uint32_t next = kNone;
+    while (before != kNone && misses_[before].cycle >= fault.cycle) {
+        next = before;
+        before = misses_[before].prev;
+    }
+    if (before != kNone && misses_[before].lastAccess >= fault.cycle)
+        return true; // a hit comes first
+    if (next == kNone)
+        return false;
+    // Before that miss the golden line holds the tag of the set's last
+    // miss, or is invalid with tag 0 as on a fresh or restored machine.
+    const bool valid = (before != kNone) != ((fault.mask & 1) != 0);
+    const uint64_t tag =
+        (before != kNone ? misses_[before].tag : 0) ^ (fault.mask >> 1);
+    return valid && tag == misses_[next].tag;
+}
 
 uint64_t
 campaignTrialSeed(uint64_t base, size_t kernel_index, unsigned trial)
@@ -320,7 +353,9 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
     const size_t nk = kernel_list.size();
     std::vector<double> goldenSums(nk, 0.0);
     std::vector<machine::SimJob> golden(nk);
-    std::deque<Footprint> footprints; // the golden jobs hold addresses
+    // Under lockstep, one footprint per kernel until its trials are
+    // decided; the golden jobs hold their addresses.
+    std::vector<std::unique_ptr<Footprint>> footprints(nk);
     for (size_t k = 0; k < nk; ++k) {
         const kernels::Kernel &kernel = kernel_list[k];
         golden[k].name = kernel.name + "-golden";
@@ -330,8 +365,10 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
             kernels::memImage(kernel.init, config.machine.memory.memBytes);
         double *slot = &goldenSums[k];
         Footprint *footprint = nullptr;
-        if (config.lockstep)
-            footprint = &footprints.emplace_back(kernel.program);
+        if (config.lockstep) {
+            footprints[k] = std::make_unique<Footprint>(kernel.program);
+            footprint = footprints[k].get();
+        }
         golden[k].body = [checksum = kernel.checksum, slot,
                           footprint](machine::Machine &m) {
             if (footprint)
@@ -378,7 +415,7 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
     // Phase 2: the seeded trial sweep, one single-fault plan per
     // (kernel, trial) pair, one kernel at a time. Trials found in the
     // journal keep their recorded outcome and do not simulate, nor do
-    // trials whose fault strikes state outside the kernel's footprint;
+    // trials whose fault the kernel's footprint shows cannot matter;
     // every other trial starts from a capture of its kernel's
     // reference run, at its injection cycle when forking and at cycle
     // 0 if not.
@@ -401,7 +438,7 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
     for (size_t k = 0; k < nk; ++k) {
         const kernels::Kernel &kernel = kernel_list[k];
         std::vector<size_t> pending; // trial indices, by start cycle
-        unsigned pruned = 0;
+        std::map<FaultSite, unsigned> pruned;
         for (unsigned i = 0; i < config.faultsPerKernel; ++i) {
             FaultTrial trial;
             trial.kernel = kernel.name;
@@ -414,13 +451,13 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
                 trial.outcome = it->second.outcome;
                 trial.errorCode = it->second.errorCode;
                 trial.cycles = it->second.cycles;
-            } else if (config.lockstep && !footprints[k].touches(fault)) {
+            } else if (config.lockstep && !footprints[k]->touches(fault)) {
                 classifyTrial(trial,
                               untouchedResult(fault, result.goldenCycles[k]),
                               result.goldenChecksums[k],
                               result.goldenChecksums[k]);
                 trial.pruned = true;
-                ++pruned;
+                ++pruned[fault.site];
                 if (appender)
                     appender->append(trial.to_json());
             } else {
@@ -429,9 +466,18 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
             result.trials.push_back(std::move(trial));
         }
         if (config.lockstep) {
-            inform(kernel.name + ": " + std::to_string(pruned) + " of " +
-                   std::to_string(pruned + pending.size()) +
-                   " trial(s) classified from the fault-free footprint");
+            footprints[k].reset();
+            unsigned decided = 0;
+            std::string bySite;
+            for (const auto &[site, n] : pruned) {
+                decided += n;
+                bySite += std::string(bySite.empty() ? "" : ", ") +
+                          faultSiteName(site) + " " + std::to_string(n);
+            }
+            inform(kernel.name + ": " + std::to_string(decided) + " of " +
+                   std::to_string(decided + pending.size()) +
+                   " trial(s) classified from the fault-free footprint" +
+                   (bySite.empty() ? "" : " (" + bySite + ")"));
         }
         if (pending.empty())
             continue;

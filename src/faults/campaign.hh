@@ -27,24 +27,28 @@
  * captures the next: its memory follows the trials in flight, not
  * the trial count.
  *
- * A lockstep campaign simulates only the trials whose fault strikes
- * state the fault-free run uses. The golden run records that
- * footprint: the data words its loads and stores touch and the
- * data-cache sets they index, plus every register the program names.
- * A trial whose victim lies outside it repeats the golden run cycle
+ * A lockstep campaign simulates only the trials whose fault can
+ * change what the fault-free run does. The golden run records that
+ * footprint (Footprint, below): the data words its loads and stores
+ * touch, every register the program names, whether any FPALU
+ * instruction is a vector, and when each data-cache set missed and
+ * hit. A trial whose fault cannot matter repeats the golden run cycle
  * for cycle, so its record is known without simulation (DESIGN.md
- * §9.3): a struck register or memory word is detected-lockstep by the
- * final-state compare, a struck cache tag is masked at the golden
- * cycle count.
+ * §9.3): a struck register or memory word no instruction uses is
+ * detected-lockstep by the final-state compare; a struck cache tag
+ * whose set next misses in both runs, and a struck PSW flag that
+ * cannot squash a vector, are masked at the golden cycle count.
  */
 
 #ifndef MTFPU_FAULTS_CAMPAIGN_HH
 #define MTFPU_FAULTS_CAMPAIGN_HH
 
+#include <bitset>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "exec/observer.hh"
 #include "faults/fault_plan.hh"
 #include "kernels/kernel.hh"
 #include "machine/sim_driver.hh"
@@ -111,8 +115,10 @@ struct CampaignConfig
     uint64_t seed = 1;
 
     /** Attach the lockstep checker to every trial, and classify the
-     *  trials that strike state outside the golden footprint without
-     *  simulating them (they need the final-state compare). */
+     *  trials whose fault the golden footprint shows cannot matter
+     *  without simulating them (a struck register or word needs the
+     *  final-state compare to be detected). Without it every trial
+     *  simulates. */
     bool lockstep = true;
 
     /** Worker threads (0 = hardware concurrency). */
@@ -180,6 +186,65 @@ struct CampaignResult
 
     /** Full campaign record (config echo + every trial). */
     std::string to_json() const;
+};
+
+/**
+ * What a kernel's fault-free run does with the state a fault strikes.
+ * A scan of the program gives every CPU and FPU register an
+ * instruction names and whether any FPALU instruction has VL > 1. The
+ * golden run this observer watches gives every data word its loads
+ * and stores reach and, per data-cache set, each miss: its cycle, the
+ * tag it installed and the cycle of the set's last access before the
+ * next miss. runCampaign builds one per kernel; touches() is the rule
+ * it prunes by (DESIGN.md §9.3).
+ */
+class Footprint : public exec::ExecObserver
+{
+  public:
+    explicit Footprint(const assembler::Program &program);
+
+    Footprint(const Footprint &) = delete;
+    Footprint &operator=(const Footprint &) = delete;
+
+    /** Record @p m's data accesses, in maps as large as the memory and
+     *  the data cache the injector reduces its indices by. @p m must
+     *  start cold, as a machine that loads a program does. */
+    void watch(machine::Machine &m);
+
+    void onMemAccess(const exec::MemAccessEvent &event) override;
+
+    /**
+     * Whether a lockstep trial of @p fault can end other than as the
+     * watched run did, its victim picked as FaultInjector::apply picks
+     * it: the run uses the struck register or word, or it next
+     * accesses the struck cache set at or after the fault's cycle in a
+     * way the flip can change, or the fault flips the overflow flag of
+     * an element whose vector it can squash. A softfp result fault
+     * strikes the next element, so it always counts.
+     */
+    bool touches(const Fault &fault) const;
+
+  private:
+    /** One golden miss of a data-cache set. */
+    struct Miss
+    {
+        uint64_t cycle;
+        uint64_t tag;        // the tag it installed
+        uint64_t lastAccess; // the set's last access before its next miss
+        uint32_t prev;       // the set's previous miss, or kNone
+    };
+    static constexpr uint32_t kNone = UINT32_MAX;
+
+    bool cacheTagMatters(const Fault &fault) const;
+
+    std::bitset<256> cpuRegs_, fpuRegs_; // by 8-bit specifier
+    bool vectors_ = false;               // some FPALU has VL > 1
+    std::vector<bool> words_, sets_;
+    uint64_t lineBytes_ = 1;
+    /** Per set, its latest miss; empty when the cache configuration
+     *  falls back to sets_ (see watch()). */
+    std::vector<uint32_t> lastMiss_;
+    std::vector<Miss> misses_;
 };
 
 /**

@@ -290,24 +290,17 @@ Machine::runLoop(uint64_t stop_cycle)
                 return finishRun(cycle, RunStatus::Watchdog);
         }
 
-        // Lock-step global stall: every pipeline is frozen. With no
-        // observers attached nothing can watch the intermediate
-        // cycles, so the whole stall is burned in one step — capped at
-        // the guard/pause limit, preserving the remainder so a paused
-        // machine resumes mid-stall bit-identically; with observers
-        // the per-cycle stall events are replayed exactly.
+        // Lock-step global stall: every pipeline is frozen and no
+        // event fires (the access that caused it carried its length
+        // as MemAccessEvent::penalty), so the whole stall is burned in
+        // one step — capped at the guard/pause limit, preserving the
+        // remainder so a paused machine resumes mid-stall
+        // bit-identically.
         if (globalStall_ > 0) {
-            if (!hasObservers_) {
-                const uint64_t burn =
-                    std::min(globalStall_, limit - cycle);
-                collector_.addMemoryStalls(burn);
-                cycle += burn;
-                globalStall_ -= burn;
-                continue;
-            }
-            --globalStall_;
-            notifyStall(exec::StallEvent{cycle, exec::StallKind::Memory});
-            ++cycle;
+            const uint64_t burn = std::min(globalStall_, limit - cycle);
+            collector_.addMemoryStalls(burn);
+            cycle += burn;
+            globalStall_ -= burn;
             continue;
         }
 
@@ -381,7 +374,7 @@ Machine::finishIssue(bool redirect_pending)
 bool
 Machine::stallCpu(uint64_t cycle)
 {
-    notifyStall(exec::StallEvent{cycle, exec::StallKind::Cpu});
+    notifyStall(exec::StallEvent{cycle});
     return false;
 }
 

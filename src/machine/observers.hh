@@ -77,16 +77,14 @@ class StatsCollector : public exec::ExecObserver
     void
     onStall(const exec::StallEvent &event) override
     {
-        if (event.kind == exec::StallKind::Memory)
-            ++counts_.memoryStallCycles;
-        else
-            ++counts_.cpuStallCycles;
+        (void)event;
+        ++counts_.cpuStallCycles;
     }
 
     /**
-     * Account @p n memory-stall cycles at once. Used by the Machine's
-     * zero-observer fast path, which burns a whole global stall in
-     * one step instead of replaying per-cycle stall events.
+     * Account @p n memory-stall cycles at once. The Machine burns each
+     * lock-step freeze in one step and publishes no per-cycle event
+     * for it, so this is how its cycles are counted.
      */
     void addMemoryStalls(uint64_t n) { counts_.memoryStallCycles += n; }
 

@@ -12,6 +12,7 @@
 
 #include "common/log.hh"
 #include "isa/disasm.hh"
+#include "kernels/livermore/livermore.hh"
 #include "machine/machine.hh"
 
 namespace mtfpu::machine
@@ -253,6 +254,63 @@ TEST(TracerLog, RecordsEventKinds)
     ASSERT_LT(tail.size(), log.size());
     EXPECT_EQ(log.substr(log.size() - tail.size()), tail);
     EXPECT_EQ(tracer.renderLog(0), "");
+}
+
+/** Records every access that froze the machine. */
+class FreezeLog : public exec::ExecObserver
+{
+  public:
+    void
+    onMemAccess(const exec::MemAccessEvent &event) override
+    {
+        if (event.penalty > 0)
+            freezes.push_back(event);
+    }
+
+    std::vector<exec::MemAccessEvent> freezes;
+};
+
+TEST(Observers, NoOpObserverKeepsStatsAndPauses)
+{
+    // A lock-step freeze is burned in one step whether or not an
+    // observer is attached. With a no-op observer, RunStats at every
+    // runUntil pause, one of them inside a freeze, and at the end
+    // match the unobserved run. lfk12 scalar spends about half its
+    // cycles frozen.
+    const kernels::Kernel k = kernels::livermore::make(12, false);
+    const auto load = [&k](Machine &m) {
+        m.loadProgram(k.program);
+        k.init(m.mem());
+    };
+    FreezeLog log;
+    Machine probe;
+    load(probe);
+    probe.addObserver(&log);
+    const RunStats whole = probe.run();
+    ASSERT_GT(whole.memoryStallCycles, whole.cycles / 4);
+    ASSERT_GT(log.freezes.size(), 2u);
+    // The access's cycle issues it; the next penalty cycles are frozen.
+    const exec::MemAccessEvent &freeze = log.freezes[log.freezes.size() / 2];
+    ASSERT_GT(freeze.penalty, 2u);
+    const uint64_t pauses[] = {1,
+                               freeze.cycle,
+                               freeze.cycle + 2,
+                               freeze.cycle + freeze.penalty + 1,
+                               whole.cycles - 1};
+
+    Machine plain, observed;
+    load(plain);
+    load(observed);
+    exec::ExecObserver noop;
+    observed.addObserver(&noop);
+    for (uint64_t pause : pauses) {
+        SCOPED_TRACE("pause at " + std::to_string(pause));
+        const RunStats expected = plain.runUntil(pause);
+        ASSERT_EQ(expected.status, RunStatus::Paused);
+        EXPECT_TRUE(observed.runUntil(pause) == expected);
+    }
+    EXPECT_TRUE(plain.run() == whole);
+    EXPECT_TRUE(observed.run() == whole);
 }
 
 TEST(Stats, SummaryMentionsEveryCounter)

@@ -937,12 +937,13 @@ siteOf(const faults::FaultTrial &trial)
 
 TEST(CampaignPruning, EveryRecordMatchesFullSimulation)
 {
-    // A lockstep campaign classifies a trial whose fault strikes state
-    // the golden run never touches without simulating it. Every record
-    // must equal the one full simulation gives, forked or not, and
-    // each of the four rules must have classified some trials and left
-    // others to simulate. Seed 5 strikes lfk01 registers that only
-    // FPALU elements name, where most faults are masked.
+    // A lockstep campaign classifies a trial whose fault cannot change
+    // the golden run without simulating it. Every record must equal
+    // the one full simulation gives, forked or not, and each of the
+    // five rules must have classified some trials and, but for
+    // mem-word, left others to simulate. Seed 5 strikes lfk01
+    // registers that only FPALU elements name, where most faults are
+    // masked.
     const auto kernels = pruningKernels();
     faults::CampaignConfig cfg = campaignConfig();
     cfg.faultsPerKernel = 60;
@@ -968,17 +969,18 @@ TEST(CampaignPruning, EveryRecordMatchesFullSimulation)
     }
     // The kernels touch a few thousand of the 512K memory words, so a
     // mem-word trial that must run is too rare to ask for.
+    // A softfp-flags trial simulates only when it flips an overflow
+    // flag and some FPALU instruction is a vector: here lfk01's.
     for (faults::FaultSite site :
          {faults::FaultSite::CpuReg, faults::FaultSite::FpuReg,
-          faults::FaultSite::MemWord, faults::FaultSite::CacheLine})
+          faults::FaultSite::MemWord, faults::FaultSite::CacheLine,
+          faults::FaultSite::SoftfpFlags})
         EXPECT_GT(pruned[site], 0u) << faults::faultSiteName(site);
     for (faults::FaultSite site :
          {faults::FaultSite::CpuReg, faults::FaultSite::FpuReg,
-          faults::FaultSite::CacheLine})
+          faults::FaultSite::CacheLine, faults::FaultSite::SoftfpFlags})
         EXPECT_GT(simulated[site], 0u) << faults::faultSiteName(site);
-    EXPECT_EQ(pruned[faults::FaultSite::SoftfpResult] +
-                  pruned[faults::FaultSite::SoftfpFlags],
-              0u);
+    EXPECT_EQ(pruned[faults::FaultSite::SoftfpResult], 0u);
 }
 
 TEST(CampaignPruning, WithoutLockstepEveryTrialSimulates)
@@ -995,8 +997,11 @@ TEST(CampaignPruning, UntouchedVictimsMatchTheRuleAtBothEnds)
     // Take one victim per rule from the trials a campaign over lfk12
     // classified without simulation, strike it at cycle 0 and at the
     // golden run's last cycle, and simulate each trial from scratch
-    // under lockstep. The rule does not depend on the cycle: each must
-    // end with the record the rule gave.
+    // under lockstep. Each must end with the record the rule gave: the
+    // register and word rules do not depend on the cycle, and a struck
+    // cache set is read neither before its first miss (the line is
+    // invalid, and lfk12's tags are not 0) nor after its last access.
+    // CacheLineRuleFollowsTheNextAccess covers the cycles between.
     const std::vector<kernels::Kernel> kernels = {
         kernels::livermore::make(12, false)};
     faults::CampaignConfig cfg = campaignConfig();
@@ -1031,6 +1036,156 @@ TEST(CampaignPruning, UntouchedVictimsMatchTheRuleAtBothEnds)
         EXPECT_EQ(simulated.trials[i].outcome, expected[i].outcome);
         EXPECT_EQ(simulated.trials[i].errorCode, expected[i].errorCode);
         EXPECT_EQ(simulated.trials[i].cycles, expected[i].cycles);
+    }
+}
+
+/** Records the golden run's data accesses. */
+class DataAccessLog : public exec::ExecObserver
+{
+  public:
+    void
+    onMemAccess(const exec::MemAccessEvent &event) override
+    {
+        if (event.kind != exec::MemAccessKind::InstrFetch)
+            accesses.push_back(event);
+    }
+
+    std::vector<exec::MemAccessEvent> accesses;
+};
+
+TEST(CampaignPruning, CacheLineRuleFollowsTheNextAccess)
+{
+    // Three loads index data-cache set 4: A misses, A hits, then
+    // A + 128 KB misses. A's tag is 1 and the third load's is 3, so
+    // they differ in tag bit 1 (fault mask 0x4). A struck line matters
+    // only if the set's next access at or after the fault hits, or
+    // misses but hits the struck line. Each directed fault below is
+    // simulated from scratch under lockstep.
+    kernels::Kernel kernel;
+    kernel.name = "one-set";
+    kernel.variant = "scalar";
+    kernel.program = assembler::assemble(R"(
+                li   r1, 0x10040
+                li   r2, 0x30040
+                ldf  f0, 0(r1)
+                li   r3, 20
+        w1:     subi r3, r3, 1
+                bne  r3, r0, w1
+                nop
+                ldf  f1, 0(r1)
+                li   r3, 20
+        w2:     subi r3, r3, 1
+                bne  r3, r0, w2
+                nop
+                ldf  f2, 0(r2)
+                li   r3, 20
+        w3:     subi r3, r3, 1
+                bne  r3, r0, w3
+                nop
+                halt
+    )");
+    kernel.init = [](memory::MainMemory &mem) {
+        mem.write64(0x10040, 0x4000000000000000ull);
+    };
+    kernel.checksum = [](const memory::MainMemory &mem) {
+        return std::bit_cast<double>(mem.read64(0x10040));
+    };
+    const faults::CampaignConfig cfg = campaignConfig();
+
+    faults::Footprint footprint(kernel.program);
+    DataAccessLog log;
+    machine::Machine golden(cfg.machine);
+    golden.loadProgram(kernel.program);
+    kernel.init(golden.mem());
+    footprint.watch(golden);
+    golden.addObserver(&log);
+    const uint64_t goldenCycles = golden.run().cycles;
+    ASSERT_EQ(log.accesses.size(), 3u);
+    const uint64_t miss = log.accesses[0].cycle;
+    const uint64_t hit = log.accesses[1].cycle;
+    const uint64_t lastMiss = log.accesses[2].cycle;
+    ASSERT_GT(log.accesses[0].penalty, 0u);
+    ASSERT_EQ(log.accesses[1].penalty, 0u);
+    ASSERT_GT(log.accesses[2].penalty, 0u);
+
+    enum class Expect { Golden, Slower, Faster };
+    struct Case
+    {
+        const char *what;
+        uint64_t cycle;
+        uint64_t mask;
+        Expect expect;
+    };
+    const Case cases[] = {
+        {"valid flip after the miss", miss + 1, 0x1, Expect::Slower},
+        {"tag flip at the hit", hit, 0x8, Expect::Slower},
+        {"tag flip to the next miss's tag", hit + 1, 0x4, Expect::Faster},
+        {"other tag flip before the next miss", hit + 1, 0x8,
+         Expect::Golden},
+        {"valid flip before the next miss", lastMiss, 0x1, Expect::Golden},
+        {"tag flip after the last access", lastMiss + 1, 0x4,
+         Expect::Golden},
+        {"valid flip after the last access", goldenCycles, 0x1,
+         Expect::Golden},
+        {"cold line made valid with A's tag", 0, 0x3, Expect::Faster},
+        {"cold line made valid with tag 0", 0, 0x1, Expect::Golden},
+    };
+    std::vector<faults::FaultTrial> trials;
+    for (const Case &c : cases) {
+        faults::FaultTrial trial;
+        trial.kernel = kernel.name;
+        trial.plan = faults::FaultPlan(
+            {faults::Fault{c.cycle, faults::FaultSite::CacheLine, 4, c.mask}});
+        trials.push_back(std::move(trial));
+    }
+    faults::CampaignResult simulated;
+    simulateFromScratch(
+        kernel, cfg, [&](uint64_t) { return trials; }, simulated);
+    ASSERT_EQ(simulated.goldenCycles.front(), goldenCycles);
+    ASSERT_EQ(simulated.trials.size(), std::size(cases));
+    for (size_t i = 0; i < std::size(cases); ++i) {
+        const Case &c = cases[i];
+        const faults::FaultTrial &t = simulated.trials[i];
+        SCOPED_TRACE(std::string(c.what) + ": " + t.plan.describe());
+        EXPECT_EQ(footprint.touches(t.plan.faults().front()),
+                  c.expect != Expect::Golden);
+        EXPECT_EQ(t.outcome, faults::FaultOutcome::Masked);
+        EXPECT_EQ(t.errorCode, "");
+        switch (c.expect) {
+          case Expect::Golden: EXPECT_EQ(t.cycles, goldenCycles); break;
+          case Expect::Slower: EXPECT_GT(t.cycles, goldenCycles); break;
+          case Expect::Faster: EXPECT_LT(t.cycles, goldenCycles); break;
+        }
+    }
+}
+
+TEST(CampaignPruning, CacheAblationsMatchFullSimulation)
+{
+    // Without modelled caches, or without write-allocate, a struck
+    // cache set counts if any golden access indexes it. Every record
+    // must still equal full simulation's.
+    const std::vector<kernels::Kernel> kernels = {
+        kernels::livermore::make(7, false),
+        kernels::livermore::make(12, false)};
+    for (bool modelCaches : {false, true}) {
+        SCOPED_TRACE(modelCaches ? "no write-allocate" : "ideal memory");
+        faults::CampaignConfig cfg = campaignConfig();
+        cfg.faultsPerKernel = 60;
+        cfg.seed = 5;
+        cfg.fork = true;
+        cfg.machine.memory.modelCaches = modelCaches;
+        cfg.machine.memory.dataCache.writeAllocate = !modelCaches;
+        const faults::CampaignResult ref = fromScratchCampaign(kernels, cfg);
+        const faults::CampaignResult result =
+            faults::runCampaign(kernels, cfg);
+        expectSameTrials(ref, result);
+        unsigned pruned = 0, simulated = 0;
+        for (const faults::FaultTrial &t : result.trials) {
+            if (siteOf(t) == faults::FaultSite::CacheLine)
+                ++(t.pruned ? pruned : simulated);
+        }
+        EXPECT_GT(pruned, 0u);
+        EXPECT_GT(simulated, 0u);
     }
 }
 
