@@ -2,19 +2,21 @@
  * @file
  * Shared helpers for the paper-reproduction benchmark binaries and the
  * command-line tools beside them: the paper's machine configuration,
- * report formatting, and the one --name=value flag parser.
+ * report formatting, and the one --name=value flag parser, whose
+ * numbers go through the library's number parser (common/text.hh).
  */
 
 #ifndef MTFPU_BENCH_BENCH_UTIL_HH
 #define MTFPU_BENCH_BENCH_UTIL_HH
 
-#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <type_traits>
 
 #include "common/sim_error.hh"
+#include "common/text.hh"
 #include "machine/machine.hh"
 
 namespace mtfpu::bench
@@ -41,22 +43,20 @@ flagValue(const char *arg, const char *name, std::string &value)
 
 /**
  * @p text, the value of flag @p name, as a T: decimal digits that fit
- * an unsigned T, or a decimal number for a floating-point T. Anything
- * else (empty, a sign on an unsigned T, trailing characters, overflow)
- * throws UsageError.
+ * an unsigned T, or a decimal number for a floating-point T, read by
+ * the one number parser (common/text.hh). Anything else (empty, a
+ * sign on an unsigned T, trailing characters, overflow) throws
+ * UsageError.
  */
 template <typename T>
 T
 flagNumber(const char *name, const std::string &text)
 {
     static_assert(std::is_unsigned_v<T> || std::is_floating_point_v<T>);
-    T value{};
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc() || ptr != end)
-        throw UsageError(std::string(name) + "=" + text +
-                         ": not a valid number for this flag");
-    return value;
+    if (const std::optional<T> value = parseNumber<T>(text))
+        return *value;
+    throw UsageError(std::string(name) + "=" + text +
+                     ": not a valid number for this flag");
 }
 
 /** Machine with the paper's parameters but no cache modeling (the

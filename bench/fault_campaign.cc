@@ -8,15 +8,18 @@
  * Usage:
  *   fault_campaign [--kernels=lfk01,lfk03,lfk12] [--faults=N]
  *                  [--seed=S] [--no-lockstep] [--threads=N]
- *                  [--guard-factor=G] [--report-dir=DIR]
- *                  [--journal=FILE] [--resume] [--fork]
- *                  [--assert-no-sdc] [--export-specs=FILE]
+ *                  [--report-dir=DIR] [--journal=FILE] [--resume]
+ *                  [--fork] [--assert-no-sdc] [--export-specs=FILE]
  *
- * --export-specs=FILE runs only the golden prepass, then writes the
- * campaign's trials as service JobSpecs — one JSON object per line,
- * kernel reference plus fault-plan text, the exact plans the campaign
- * derives from --seed — and exits. The file feeds `mtfpu-cli sweep`,
- * so a fault campaign can run through the simulation daemon.
+ * --kernels takes kernel references as JobSpecs write them
+ * (kernels::findKernel: "lfk07", "lfk07:scalar", "linpack").
+ *
+ * --export-specs=FILE runs only the campaign's golden runs, then
+ * writes the campaign's trials as service JobSpecs — one JSON object
+ * per line, kernel reference plus fault-plan text, the exact plans the
+ * campaign derives from --seed — and exits. The file feeds
+ * `mtfpu-cli sweep`, so a fault campaign can run through the
+ * simulation daemon.
  *
  * --assert-no-sdc exits nonzero if any trial classifies as silent
  * data corruption; with the lockstep checker attached (the default)
@@ -41,9 +44,7 @@
 #include "bench/bench_util.hh"
 #include "common/file_io.hh"
 #include "faults/campaign.hh"
-#include "kernels/livermore/livermore.hh"
 #include "kernels/runner.hh"
-#include "machine/machine.hh"
 #include "service/job_spec.hh"
 
 using namespace mtfpu;
@@ -94,9 +95,6 @@ main(int argc, char **argv)
                 cfg.seed = flagNumber<uint64_t>("--seed", value);
             } else if (flagValue(argv[i], "--threads", value)) {
                 cfg.threads = flagNumber<unsigned>("--threads", value);
-            } else if (flagValue(argv[i], "--guard-factor", value)) {
-                cfg.guardFactor =
-                    flagNumber<uint64_t>("--guard-factor", value);
             } else if (flagValue(argv[i], "--report-dir", value)) {
                 cfg.reportDir = value;
             } else if (flagValue(argv[i], "--journal", value)) {
@@ -121,56 +119,59 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Resolve kernel names against the Livermore suite (vector
-    // variants preferred — the paper's MultiTitan configuration).
-    std::vector<kernels::Kernel> suite = kernels::livermore::all(true);
+    // Records and table rows name a kernel without its variant, so
+    // one name twice ("lfk01,lfk01:scalar") would merge two kernels.
     std::vector<kernels::Kernel> selected;
     for (const std::string &name : names) {
-        bool found = false;
-        for (const kernels::Kernel &k : suite) {
-            if (k.name == name) {
-                selected.push_back(k);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            std::fprintf(stderr, "unknown kernel: %s\n", name.c_str());
+        try {
+            selected.push_back(kernels::findKernel(name));
+        } catch (const SimError &err) {
+            std::fprintf(stderr, "fault_campaign: %s\n", err.what());
             return 2;
+        }
+        for (size_t k = 0; k + 1 < selected.size(); ++k) {
+            if (selected[k].name == selected.back().name) {
+                std::fprintf(stderr, "fault_campaign: --kernels names %s "
+                             "twice\n", selected[k].name.c_str());
+                return 2;
+            }
         }
     }
 
     if (!export_specs.empty()) {
-        // Golden prepass only: each trial's fault plan is drawn
-        // against the kernel's fault-free cycle count, so run each
-        // kernel once, then emit the derived plans as JobSpec lines.
+        // Golden runs only: each trial's fault plan is drawn against
+        // its kernel's fault-free cycle count, so run the campaign
+        // with no trials, then emit the derived plans as JobSpec
+        // lines.
+        faults::CampaignConfig goldenOnly;
+        goldenOnly.faultsPerKernel = 0;
+        goldenOnly.lockstep = false;
+        goldenOnly.threads = cfg.threads;
+        goldenOnly.machine = cfg.machine;
         std::string lines;
-        for (size_t k = 0; k < selected.size(); ++k) {
-            const kernels::Kernel &kernel = selected[k];
-            machine::Machine golden(cfg.machine);
-            golden.loadProgram(kernel.program);
-            kernel.init(golden.mem());
-            const uint64_t golden_cycles = golden.run().cycles;
-
-            service::JobSpec spec;
-            spec.kind = service::JobKind::Kernel;
-            spec.kernel = kernel.name + ":" + kernel.variant;
-            spec.config = cfg.machine;
-            spec.config.maxCycles =
-                golden_cycles * cfg.guardFactor + 10000;
-            spec.lockstep = cfg.lockstep;
-            for (unsigned i = 0; i < cfg.faultsPerKernel; ++i) {
-                const uint64_t seed =
-                    faults::campaignTrialSeed(cfg.seed, k, i);
-                spec.name = kernel.name + "-fault-" +
-                            std::to_string(seed);
-                spec.faultPlan =
-                    faults::FaultPlan::randomSingle(seed, golden_cycles)
-                        .describe();
-                lines += spec.to_json() + "\n";
-            }
-        }
         try {
+            const faults::CampaignResult golden =
+                faults::runCampaign(selected, goldenOnly);
+            for (size_t k = 0; k < selected.size(); ++k) {
+                const kernels::Kernel &kernel = selected[k];
+                service::JobSpec spec;
+                spec.kind = service::JobKind::Kernel;
+                spec.kernel = kernel.name + ":" + kernel.variant;
+                spec.config = cfg.machine;
+                spec.config.maxCycles =
+                    faults::trialCycleGuard(golden.goldenCycles[k]);
+                spec.lockstep = cfg.lockstep;
+                for (unsigned i = 0; i < cfg.faultsPerKernel; ++i) {
+                    const uint64_t seed =
+                        faults::campaignTrialSeed(cfg.seed, k, i);
+                    spec.name = kernel.name + "-fault-" +
+                                std::to_string(seed);
+                    spec.faultPlan = faults::FaultPlan::randomSingle(
+                                         seed, golden.goldenCycles[k])
+                                         .describe();
+                    lines += spec.to_json() + "\n";
+                }
+            }
             writeFileAtomic(export_specs, lines);
         } catch (const FatalError &err) {
             std::fprintf(stderr, "%s\n", err.what());

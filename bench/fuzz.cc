@@ -85,13 +85,11 @@ replayCorpus(const std::string &dir, const fuzz::FuzzConfig &config,
             if (fuzz::outcomeIsFailure(out.outcome)) {
                 failed = true;
                 std::printf("%s [%s]: %s (%s)\n", path.c_str(),
-                            softfp::backendName(backend),
-                            fuzz::trialOutcomeName(out.outcome),
+                            enumName(backend), enumName(out.outcome),
                             out.errorCode().c_str());
             } else if (!quiet) {
                 std::printf("%s [%s]: %s\n", path.c_str(),
-                            softfp::backendName(backend),
-                            fuzz::trialOutcomeName(out.outcome));
+                            enumName(backend), enumName(out.outcome));
             }
         }
         failures += failed;
@@ -133,7 +131,9 @@ main(int argc, char **argv)
             } else if (flagValue(argv[i], "--corpus-dir", value)) {
                 config.corpusDir = value;
             } else if (flagValue(argv[i], "--mutate", value)) {
-                config.shadowMutation = machine::mutationFromName(value);
+                config.shadowMutation =
+                    parseEnum<machine::SemanticsMutation>(
+                        value, "semantics mutation", ErrCode::BadOperand);
             } else if (flagValue(argv[i], "--max-cycles", value)) {
                 config.maxCycles = flagNumber<uint64_t>("--max-cycles", value);
             } else if (std::strcmp(argv[i], "--assert-no-divergence") == 0) {
@@ -188,7 +188,7 @@ main(int argc, char **argv)
                     std::printf(
                         "trial %llu: %s (minimized to %u instrs)%s%s\n",
                         static_cast<unsigned long long>(trial.trial),
-                        fuzz::trialOutcomeName(trial.worst()),
+                        enumName(trial.worst()),
                         trial.minimizedSize,
                         trial.bundlePath.empty() ? "" : " -> ",
                         trial.bundlePath.c_str());

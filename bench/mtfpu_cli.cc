@@ -124,7 +124,7 @@ printResult(uint64_t id, const machine::SimJobResult &r)
     const std::string status =
         r.ok || r.stats.status != machine::RunStatus::Ok
             ? machine::runStatusName(r.stats.status)
-            : errCodeName(r.errCode);
+            : enumName(r.errCode);
     std::printf("job %llu  %-24s %-9s %12llu cycles%s%s%s\n",
                 static_cast<unsigned long long>(id), r.name.c_str(),
                 status.c_str(),

@@ -110,8 +110,9 @@ main(int argc, char **argv)
         // deliberately broken shadow; without the mutation it cannot
         // reproduce.
         if (report.has("mutation"))
-            mutation = machine::mutationFromName(
-                report.at("mutation").asString());
+            mutation = parseEnum<machine::SemanticsMutation>(
+                report.at("mutation").asString(), "semantics mutation",
+                ErrCode::BadOperand);
         const json::Value &error = report.at("error");
         if (!error.isNull()) {
             wantCode = error.at("code").asString();
@@ -147,7 +148,7 @@ main(int argc, char **argv)
                             : ", shadow mutation: ",
                         mutation == machine::SemanticsMutation::None
                             ? ""
-                            : machine::mutationName(mutation));
+                            : enumName(mutation));
         }
         machine::Tracer tracer;
         m.addObserver(&tracer);
@@ -162,7 +163,7 @@ main(int argc, char **argv)
                 haveCycle = static_cast<int64_t>(stats.cycles);
             }
         } catch (const SimError &err) {
-            haveCode = errCodeName(err.code());
+            haveCode = enumName(err.code());
             haveCycle = err.context().cycle;
         }
 

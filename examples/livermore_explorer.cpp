@@ -9,9 +9,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "common/text.hh"
 #include "kernels/livermore/livermore.hh"
 #include "kernels/runner.hh"
 
@@ -25,7 +25,7 @@ main(int argc, char **argv)
     bool vector = false;
     bool ideal = false;
     if (argc > 1)
-        id = std::atoi(argv[1]);
+        id = parseNumber<int>(argv[1]).value_or(0);
     if (argc > 2)
         vector = std::strcmp(argv[2], "vector") == 0;
     if (argc > 3)

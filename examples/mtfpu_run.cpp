@@ -8,18 +8,22 @@
  *                  [--fpreg N=VALUE]... [--intreg N=VALUE]...
  *                  [--max-cycles N]
  *
- * Exit code is 0 on a clean halt. After the run the tool prints the
- * statistics and the nonzero architectural state.
+ * After the run the tool prints the statistics and the nonzero
+ * architectural state. Exit code is 0 on a clean halt, 1 when the
+ * cycle guard or a simulator error stops the run, and 2 on a bad
+ * command line (numbers are whole tokens: --max-cycles N and a
+ * register number take decimal digits, an --fpreg value a decimal
+ * number, and an --intreg value a signed decimal integer).
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "common/log.hh"
+#include "common/text.hh"
 #include "isa/disasm.hh"
 #include "machine/machine.hh"
 
@@ -47,7 +51,7 @@ main(int argc, char **argv)
 
     machine::MachineConfig cfg;
     bool trace = false, list = false;
-    struct RegInit { bool fp; unsigned reg; double val; };
+    struct RegInit { bool fp; unsigned reg; double fval; int64_t ival; };
     std::vector<RegInit> inits;
 
     for (int i = 2; i < argc; ++i) {
@@ -59,19 +63,30 @@ main(int argc, char **argv)
         } else if (arg == "--list") {
             list = true;
         } else if (arg == "--max-cycles" && i + 1 < argc) {
-            cfg.maxCycles = std::strtoull(argv[++i], nullptr, 10);
-        } else if ((arg == "--fpreg" || arg == "--intreg") &&
-                   i + 1 < argc) {
-            const char *spec = argv[++i];
-            const char *eq = std::strchr(spec, '=');
-            if (!eq) {
-                std::fprintf(stderr, "bad register spec '%s'\n", spec);
+            const std::optional<uint64_t> n = parseNumber<uint64_t>(argv[++i]);
+            if (!n) {
+                std::fprintf(stderr, "bad --max-cycles '%s'\n", argv[i]);
                 return 2;
             }
-            inits.push_back(RegInit{arg == "--fpreg",
-                                    static_cast<unsigned>(
-                                        std::atoi(spec)),
-                                    std::atof(eq + 1)});
+            cfg.maxCycles = *n;
+        } else if ((arg == "--fpreg" || arg == "--intreg") &&
+                   i + 1 < argc) {
+            const std::string spec = argv[++i];
+            const size_t eq = spec.find('=');
+            const std::string value =
+                eq == std::string::npos ? "" : spec.substr(eq + 1);
+            const bool fp = arg == "--fpreg";
+            const std::optional<unsigned> reg =
+                parseNumber<unsigned>(spec.substr(0, eq));
+            const std::optional<double> fval = parseNumber<double>(value);
+            const std::optional<int64_t> ival = parseNumber<int64_t>(value);
+            if (!reg || !(fp ? fval.has_value() : ival.has_value())) {
+                std::fprintf(stderr, "bad register spec '%s'\n",
+                             spec.c_str());
+                return 2;
+            }
+            inits.push_back(
+                RegInit{fp, *reg, fval.value_or(0), ival.value_or(0)});
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             return 2;
@@ -90,10 +105,9 @@ main(int argc, char **argv)
         m.loadProgram(prog);
         for (const RegInit &r : inits) {
             if (r.fp)
-                m.fpu().regs().writeDouble(r.reg, r.val);
+                m.fpu().regs().writeDouble(r.reg, r.fval);
             else
-                m.cpu().writeReg(r.reg, static_cast<uint64_t>(
-                                            static_cast<int64_t>(r.val)));
+                m.cpu().writeReg(r.reg, static_cast<uint64_t>(r.ival));
         }
 
         const machine::RunStats stats = m.run();
@@ -125,7 +139,8 @@ main(int argc, char **argv)
                         f.invalid ? " invalid" : "",
                         f.divByZero ? " div-by-zero" : "");
         }
-        return 0;
+        // A guard stop is not a halt: the state above is a partial run.
+        return stats.status == machine::RunStatus::Ok ? 0 : 1;
     } catch (const FatalError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

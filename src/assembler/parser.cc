@@ -1,7 +1,5 @@
 #include "assembler/parser.hh"
 
-#include <map>
-
 #include "common/log.hh"
 
 namespace mtfpu::assembler
@@ -14,33 +12,6 @@ using isa::Instr;
 
 namespace
 {
-
-const std::map<std::string, AluFunc> kAluOps = {
-    {"add", AluFunc::Add}, {"sub", AluFunc::Sub}, {"and", AluFunc::And},
-    {"or", AluFunc::Or}, {"xor", AluFunc::Xor}, {"sll", AluFunc::Sll},
-    {"srl", AluFunc::Srl}, {"sra", AluFunc::Sra}, {"slt", AluFunc::Slt},
-    {"sltu", AluFunc::Sltu}, {"mul", AluFunc::Mul},
-};
-
-const std::map<std::string, AluFunc> kAluImmOps = {
-    {"addi", AluFunc::Add}, {"subi", AluFunc::Sub}, {"andi", AluFunc::And},
-    {"ori", AluFunc::Or}, {"xori", AluFunc::Xor}, {"slli", AluFunc::Sll},
-    {"srli", AluFunc::Srl}, {"srai", AluFunc::Sra}, {"slti", AluFunc::Slt},
-    {"sltui", AluFunc::Sltu}, {"muli", AluFunc::Mul},
-};
-
-const std::map<std::string, BranchCond> kBranchOps = {
-    {"beq", BranchCond::Eq}, {"bne", BranchCond::Ne},
-    {"blt", BranchCond::Lt}, {"bge", BranchCond::Ge},
-    {"bltu", BranchCond::Ltu}, {"bgeu", BranchCond::Geu},
-};
-
-const std::map<std::string, FpOp> kFpOps = {
-    {"fadd", FpOp::Add}, {"fsub", FpOp::Sub}, {"ffloat", FpOp::Float},
-    {"ftrunc", FpOp::Truncate}, {"fmul", FpOp::Mul},
-    {"fimul", FpOp::IntMul}, {"fiter", FpOp::IterStep},
-    {"frecip", FpOp::Recip},
-};
 
 /** Cursor over the token stream with error helpers. */
 class Cursor
@@ -152,42 +123,47 @@ parse(const std::vector<Token> &tokens)
 
         const std::string &m = head.text;
 
-        if (auto it = kAluOps.find(m); it != kAluOps.end()) {
+        // The ISA's name tables give the mnemonics; an immediate ALU
+        // form is the register form's plus "i".
+        const std::optional<AluFunc> immFunc =
+            m.back() == 'i'
+                ? findEnum<AluFunc>(std::string_view(m).substr(0, m.size() - 1))
+                : std::nullopt;
+        if (const auto alu = findEnum<AluFunc>(m)) {
             unsigned rd = cur.intReg();
             cur.comma();
             unsigned rs1 = cur.intReg();
             cur.comma();
             unsigned rs2 = cur.intReg();
-            emit(Instr::alu(it->second, rd, rs1, rs2), line);
-        } else if (auto im = kAluImmOps.find(m); im != kAluImmOps.end()) {
+            emit(Instr::alu(*alu, rd, rs1, rs2), line);
+        } else if (immFunc) {
             unsigned rd = cur.intReg();
             cur.comma();
             unsigned rs1 = cur.intReg();
             cur.comma();
             int64_t imm = cur.number();
-            emit(Instr::aluImm(im->second, rd, rs1,
-                               static_cast<int>(imm)), line);
-        } else if (auto bp = kBranchOps.find(m); bp != kBranchOps.end()) {
+            emit(Instr::aluImm(*immFunc, rd, rs1, static_cast<int>(imm)),
+                 line);
+        } else if (const auto bp = findEnum<BranchCond>(m)) {
             unsigned rs1 = cur.intReg();
             cur.comma();
             unsigned rs2 = cur.intReg();
             cur.comma();
             if (cur.peek().kind == TokKind::Ident) {
                 std::string target = cur.next().text;
-                emit(Instr::branch(bp->second, rs1, rs2, 0), line,
+                emit(Instr::branch(*bp, rs1, rs2, 0), line,
                      RefKind::Relative, target);
             } else {
-                emit(Instr::branch(bp->second, rs1, rs2,
+                emit(Instr::branch(*bp, rs1, rs2,
                                    static_cast<int>(cur.number())), line);
             }
-        } else if (auto fp = kFpOps.find(m); fp != kFpOps.end()) {
+        } else if (const auto fp = findEnum<FpOp>(m)) {
             unsigned rr = cur.fpReg();
             cur.comma();
             unsigned ra = cur.fpReg();
             unsigned rb = 0;
-            const bool unary =
-                fp->second == FpOp::Float ||
-                fp->second == FpOp::Truncate || fp->second == FpOp::Recip;
+            const bool unary = *fp == FpOp::Float ||
+                               *fp == FpOp::Truncate || *fp == FpOp::Recip;
             unsigned vl = 1;
             bool sra = false, srb = false;
             if (!unary) {
@@ -210,7 +186,7 @@ parse(const std::vector<Token> &tokens)
                     cur.error("unknown option '" + opt.text + "'");
                 }
             }
-            emit(Instr::fpAlu(fp->second, rr, ra, rb, vl, sra, srb), line);
+            emit(Instr::fpAlu(*fp, rr, ra, rb, vl, sra, srb), line);
         } else if (m == "ld" || m == "st") {
             unsigned r = cur.intReg();
             cur.comma();

@@ -5,55 +5,11 @@
 namespace mtfpu
 {
 
-const char *
-errCodeName(ErrCode code)
+void
+unknownName(ErrCode code, const char *what, std::string_view name)
 {
-    switch (code) {
-      case ErrCode::Unknown: return "unknown";
-      case ErrCode::BadEncoding: return "bad-encoding";
-      case ErrCode::BadOperand: return "bad-operand";
-      case ErrCode::RegFileRange: return "regfile-range";
-      case ErrCode::MemRange: return "mem-range";
-      case ErrCode::MemAlign: return "mem-align";
-      case ErrCode::HazardViolation: return "hazard-violation";
-      case ErrCode::BranchDelay: return "branch-delay";
-      case ErrCode::PcRunaway: return "pc-runaway";
-      case ErrCode::NoProgram: return "no-program";
-      case ErrCode::CycleGuard: return "cycle-guard";
-      case ErrCode::Watchdog: return "watchdog";
-      case ErrCode::LockstepDivergence: return "lockstep-divergence";
-      case ErrCode::AssemblerError: return "assembler-error";
-      case ErrCode::InvariantViolation: return "invariant-violation";
-      case ErrCode::BadProgram: return "bad-program";
-      case ErrCode::BadSnapshot: return "bad-snapshot";
-      case ErrCode::Io: return "io";
-      case ErrCode::Busy: return "busy";
-      case ErrCode::WorkerCrash: return "worker-crash";
-      case ErrCode::WorkerTimeout: return "worker-timeout";
-    }
-    return "unknown";
-}
-
-ErrCode
-errCodeFromName(const std::string &name)
-{
-    static constexpr ErrCode codes[] = {
-        ErrCode::Unknown,          ErrCode::BadEncoding,
-        ErrCode::BadOperand,       ErrCode::RegFileRange,
-        ErrCode::MemRange,         ErrCode::MemAlign,
-        ErrCode::HazardViolation,  ErrCode::BranchDelay,
-        ErrCode::PcRunaway,        ErrCode::NoProgram,
-        ErrCode::CycleGuard,       ErrCode::Watchdog,
-        ErrCode::LockstepDivergence, ErrCode::AssemblerError,
-        ErrCode::InvariantViolation, ErrCode::BadProgram,
-        ErrCode::BadSnapshot,      ErrCode::Io,
-        ErrCode::Busy,             ErrCode::WorkerCrash,
-        ErrCode::WorkerTimeout,
-    };
-    for (ErrCode code : codes)
-        if (name == errCodeName(code))
-            return code;
-    return ErrCode::Unknown;
+    throw SimError(code, std::string("unknown ") + what + " '" +
+                             std::string(name) + "'");
 }
 
 std::string
@@ -67,7 +23,7 @@ SimError::to_json() const
             w.key(name).value(value);
     };
     w.beginObject();
-    w.key("code").value(errCodeName(code_));
+    w.key("code").value(enumName(code_));
     w.key("message").value(what());
     field("cycle", context_.cycle);
     field("pc", context_.pc);

@@ -20,6 +20,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/text.hh"
+
 namespace mtfpu
 {
 
@@ -58,18 +60,31 @@ enum class ErrCode : uint8_t
     WorkerTimeout,      // worker exceeded its wall-clock job deadline
 };
 
-/** Short stable name of a code, e.g. "hazard-violation". */
-const char *errCodeName(ErrCode code);
-
-/**
- * Parse a code name back (the wire protocol carries names, not enum
- * values, so a client can reconstruct the server's taxonomy entry).
- * The exact hello check admits no newer daemon, so a well-behaved
- * peer only sends names this build knows; unrecognized names still
- * map to ErrCode::Unknown rather than throwing, so hostile input
- * cannot turn a failed job's record into a protocol error.
- */
-ErrCode errCodeFromName(const std::string &name);
+/** Stable code names, e.g. "hazard-violation" (common/text.hh). The
+ *  wire carries them; a reader maps a name this build does not know
+ *  to Unknown, so that hostile input cannot turn a failed job's
+ *  record into a protocol error. */
+constexpr auto
+enumNames(ErrCode)
+{
+    return nameTable<ErrCode>({
+        {ErrCode::Unknown, "unknown"}, {ErrCode::BadEncoding, "bad-encoding"},
+        {ErrCode::BadOperand, "bad-operand"},
+        {ErrCode::RegFileRange, "regfile-range"},
+        {ErrCode::MemRange, "mem-range"}, {ErrCode::MemAlign, "mem-align"},
+        {ErrCode::HazardViolation, "hazard-violation"},
+        {ErrCode::BranchDelay, "branch-delay"},
+        {ErrCode::PcRunaway, "pc-runaway"}, {ErrCode::NoProgram, "no-program"},
+        {ErrCode::CycleGuard, "cycle-guard"}, {ErrCode::Watchdog, "watchdog"},
+        {ErrCode::LockstepDivergence, "lockstep-divergence"},
+        {ErrCode::AssemblerError, "assembler-error"},
+        {ErrCode::InvariantViolation, "invariant-violation"},
+        {ErrCode::BadProgram, "bad-program"},
+        {ErrCode::BadSnapshot, "bad-snapshot"}, {ErrCode::Io, "io"},
+        {ErrCode::Busy, "busy"}, {ErrCode::WorkerCrash, "worker-crash"},
+        {ErrCode::WorkerTimeout, "worker-timeout"},
+    });
+}
 
 /** Where an error struck; kUnknown fields are simply not yet known. */
 struct ErrContext

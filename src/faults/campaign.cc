@@ -30,26 +30,13 @@ trialKey(const std::string &kernel, uint64_t seed)
     return kernel + "\x1f" + std::to_string(seed);
 }
 
-/** Inverse of faultOutcomeName(); throws SimError on unknown names. */
-FaultOutcome
-faultOutcomeFromName(const std::string &name)
-{
-    for (FaultOutcome o :
-         {FaultOutcome::DetectedHardware, FaultOutcome::DetectedLockstep,
-          FaultOutcome::Masked, FaultOutcome::Sdc}) {
-        if (name == faultOutcomeName(o))
-            return o;
-    }
-    fatal(ErrCode::BadOperand, "unknown fault outcome: " + name);
-}
-
 /** Classify one finished trial against its golden checksum. */
 void
 classifyTrial(FaultTrial &trial, const machine::SimJobResult &r,
               double sum, double golden_sum)
 {
     trial.cycles = r.stats.cycles;
-    trial.errorCode = r.ok ? "" : errCodeName(r.errCode);
+    trial.errorCode = r.ok ? "" : enumName(r.errCode);
     if (r.ok) {
         // Bit-exact, so a NaN checksum equals itself.
         const bool same = std::bit_cast<uint64_t>(sum) ==
@@ -145,12 +132,15 @@ Footprint::watch(machine::Machine &m)
     words_.assign(m.mem().size() / 8, false);
     sets_.assign(cache.numLines(), false);
     lineBytes_ = geometry.lineBytes;
-    // The misses tell a line's tag only when every miss installs its
-    // tag, and a hit only when a miss stalls; otherwise a struck set
-    // counts if any access indexes it.
+    // Without modelled caches no access reads a tag, and without a
+    // miss penalty a hit and a miss take the same time: a struck tag
+    // changes nothing. Otherwise the misses tell a line's tag only
+    // when every miss installs its tag; without write-allocate a
+    // struck set counts if any access indexes it.
+    cacheInert_ =
+        !m.config().memory.modelCaches || geometry.missPenalty == 0;
     lastMiss_.clear();
-    if (m.config().memory.modelCaches && geometry.writeAllocate &&
-        geometry.missPenalty > 0)
+    if (!cacheInert_ && geometry.writeAllocate)
         lastMiss_.assign(cache.numLines(), kNone);
     m.addObserver(this);
 }
@@ -189,6 +179,8 @@ Footprint::touches(const Fault &fault) const
       case FaultSite::MemWord:
         return words_[fault.index % words_.size()];
       case FaultSite::CacheLine:
+        if (cacheInert_)
+            return false;
         return lastMiss_.empty() ? sets_[fault.index % sets_.size()]
                                  : cacheTagMatters(fault);
       case FaultSite::SoftfpFlags:
@@ -241,18 +233,6 @@ campaignTrialSeed(uint64_t base, size_t kernel_index, unsigned trial)
     return s;
 }
 
-const char *
-faultOutcomeName(FaultOutcome outcome)
-{
-    switch (outcome) {
-      case FaultOutcome::DetectedHardware: return "detected-hardware";
-      case FaultOutcome::DetectedLockstep: return "detected-lockstep";
-      case FaultOutcome::Masked: return "masked";
-      case FaultOutcome::Sdc: return "sdc";
-    }
-    return "unknown";
-}
-
 std::string
 FaultTrial::to_json() const
 {
@@ -261,7 +241,7 @@ FaultTrial::to_json() const
     w.key("kernel").value(kernel);
     w.key("seed").value(seed);
     w.key("fault_plan").value(plan.describe());
-    w.key("outcome").value(faultOutcomeName(outcome));
+    w.key("outcome").value(enumName(outcome));
     w.key("error_code").value(errorCode);
     w.key("cycles").value(cycles);
     w.endObject();
@@ -325,10 +305,8 @@ CampaignResult::to_json() const
     }
     w.endArray();
     w.key("summary").beginObject();
-    for (FaultOutcome o :
-         {FaultOutcome::DetectedHardware, FaultOutcome::DetectedLockstep,
-          FaultOutcome::Masked, FaultOutcome::Sdc})
-        w.key(faultOutcomeName(o)).value(static_cast<uint64_t>(count(o)));
+    for (const auto &[outcome, name] : kEnumNames<FaultOutcome>)
+        w.key(name).value(static_cast<uint64_t>(count(outcome)));
     w.endObject();
     w.key("trials").beginArray();
     for (const FaultTrial &trial : trials)
@@ -401,7 +379,9 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
             FaultTrial trial;
             trial.kernel = v.at("kernel").asString();
             trial.seed = v.at("seed").asUint();
-            trial.outcome = faultOutcomeFromName(v.at("outcome").asString());
+            trial.outcome = parseEnum<FaultOutcome>(
+                v.at("outcome").asString(), "fault outcome",
+                ErrCode::BadOperand);
             trial.errorCode = v.at("error_code").asString();
             trial.cycles = v.at("cycles").asUint();
             already[trialKey(trial.kernel, trial.seed)] = std::move(trial);
@@ -472,7 +452,7 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
             for (const auto &[site, n] : pruned) {
                 decided += n;
                 bySite += std::string(bySite.empty() ? "" : ", ") +
-                          faultSiteName(site) + " " + std::to_string(n);
+                          enumName(site) + " " + std::to_string(n);
             }
             inform(kernel.name + ": " + std::to_string(decided) + " of " +
                    std::to_string(decided + pending.size()) +
@@ -494,8 +474,7 @@ runCampaign(const std::vector<kernels::Kernel> &kernel_list,
         // configuration; the kernel's memory image dies with it.
         machine::SimJob base = std::move(golden[k]);
         base.body = nullptr;
-        base.config.maxCycles =
-            result.goldenCycles[k] * config.guardFactor + 10000;
+        base.config.maxCycles = trialCycleGuard(result.goldenCycles[k]);
         base.lockstep = config.lockstep;
         machine::Machine ref(base.config);
         const machine::JobInstruments instruments =

@@ -36,8 +36,10 @@
  * for cycle, so its record is known without simulation (DESIGN.md
  * §9.3): a struck register or memory word no instruction uses is
  * detected-lockstep by the final-state compare; a struck cache tag
- * whose set next misses in both runs, and a struck PSW flag that
- * cannot squash a vector, are masked at the golden cycle count.
+ * whose set next misses in both runs, or any struck tag when the data
+ * cache is not modelled or has no miss penalty, and a struck PSW flag
+ * that cannot squash a vector, are masked at the golden cycle count.
+ * Every trial runs under trialCycleGuard().
  */
 
 #ifndef MTFPU_FAULTS_CAMPAIGN_HH
@@ -72,8 +74,35 @@ enum class FaultOutcome : uint8_t
     Sdc,
 };
 
-/** Short stable name, e.g. "detected-hardware". */
-const char *faultOutcomeName(FaultOutcome outcome);
+/** Stable outcome names, e.g. "detected-hardware" (common/text.hh). */
+constexpr auto
+enumNames(FaultOutcome)
+{
+    return nameTable<FaultOutcome>({
+        {FaultOutcome::DetectedHardware, "detected-hardware"},
+        {FaultOutcome::DetectedLockstep, "detected-lockstep"},
+        {FaultOutcome::Masked, "masked"}, {FaultOutcome::Sdc, "sdc"},
+    });
+}
+
+/** Stable name of @p outcome. */
+inline const char *
+faultOutcomeName(FaultOutcome outcome)
+{
+    return enumName(outcome);
+}
+
+/**
+ * The maxCycles of a trial of a kernel whose golden run took
+ * @p golden_cycles: headroom for a corrupted run, so that a fault that
+ * destroys a loop bound ends in CycleGuard instead of running to the
+ * global 2G-cycle default.
+ */
+constexpr uint64_t
+trialCycleGuard(uint64_t golden_cycles)
+{
+    return golden_cycles * 16 + 10000;
+}
 
 /**
  * Deterministic per-trial seed, the exact derivation runCampaign uses
@@ -126,14 +155,6 @@ struct CampaignConfig
 
     /** Machine configuration shared by golden and trial runs. */
     machine::MachineConfig machine{};
-
-    /**
-     * Cycle-guard headroom for corrupted runs: a trial's maxCycles is
-     * golden_cycles * this factor (+ a fixed floor), so a fault that
-     * destroys a loop bound ends in CycleGuard instead of running to
-     * the global 2G-cycle default.
-     */
-    uint64_t guardFactor = 16;
 
     /** Directory for campaign.json (empty = don't write). */
     std::string reportDir;
@@ -241,8 +262,10 @@ class Footprint : public exec::ExecObserver
     bool vectors_ = false;               // some FPALU has VL > 1
     std::vector<bool> words_, sets_;
     uint64_t lineBytes_ = 1;
-    /** Per set, its latest miss; empty when the cache configuration
-     *  falls back to sets_ (see watch()). */
+    /** No data-cache tag can change the run (see watch()). */
+    bool cacheInert_ = false;
+    /** Per set, its latest miss; empty when the cache is inert or the
+     *  configuration falls back to sets_ (see watch()). */
     std::vector<uint32_t> lastMiss_;
     std::vector<Miss> misses_;
 };

@@ -5,7 +5,9 @@
  * cycle: it fires every fault whose scheduled cycle has been reached.
  * Because the Machine fast-forwards bulk stalls, the injector may see
  * cycle numbers jump, so it treats a fault's cycle as "at or after",
- * never "exactly at", and fires in schedule order.
+ * never "exactly at", and fires in schedule order. It keeps no record
+ * of what it struck: a test reads the struck state off the machine,
+ * and a campaign classifies a trial by how its run ends.
  *
  * Site semantics (indices are reduced modulo the real resource count,
  * so randomly generated plans always land on a valid victim):
@@ -24,8 +26,6 @@
 #define MTFPU_FAULTS_FAULT_INJECTOR_HH
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "faults/fault_plan.hh"
 #include "machine/machine.hh"
@@ -47,28 +47,14 @@ class FaultInjector
      */
     void onCycleStart(uint64_t cycle, machine::Machine &machine);
 
-    /** Faults fired so far this run. */
-    size_t fired() const { return next_; }
-
-    /** Whether every scheduled fault has fired. */
-    bool done() const { return next_ == plan_.size(); }
-
-    /**
-     * One line per fired fault describing the *resolved* victim
-     * (after index reduction), e.g. "@120 fpu-reg f17 ^0x40".
-     */
-    const std::vector<std::string> &log() const { return log_; }
-
     const FaultPlan &plan() const { return plan_; }
 
   private:
-    /** Apply one fault to the machine; returns the log line. */
-    std::string apply(const Fault &fault, uint64_t cycle,
-                      machine::Machine &machine);
+    /** Apply one fault to the machine. */
+    static void apply(const Fault &fault, machine::Machine &machine);
 
     FaultPlan plan_;
     size_t next_ = 0; // first not-yet-fired fault
-    std::vector<std::string> log_;
 };
 
 } // namespace mtfpu::faults

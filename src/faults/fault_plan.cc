@@ -10,38 +10,13 @@
 namespace mtfpu::faults
 {
 
-const char *
-faultSiteName(FaultSite site)
-{
-    switch (site) {
-      case FaultSite::FpuReg: return "fpu-reg";
-      case FaultSite::CpuReg: return "cpu-reg";
-      case FaultSite::CacheLine: return "cache-line";
-      case FaultSite::MemWord: return "mem-word";
-      case FaultSite::SoftfpResult: return "softfp-result";
-      case FaultSite::SoftfpFlags: return "softfp-flags";
-    }
-    return "unknown";
-}
-
-FaultSite
-faultSiteFromName(const std::string &name)
-{
-    for (unsigned s = 0; s < kNumFaultSites; ++s) {
-        const FaultSite site = static_cast<FaultSite>(s);
-        if (name == faultSiteName(site))
-            return site;
-    }
-    fatal(ErrCode::BadOperand, "unknown fault site '" + name + "'");
-}
-
 std::string
 Fault::describe() const
 {
     char buf[96];
     std::snprintf(buf, sizeof(buf), "%llu %s %llu 0x%llx",
                   static_cast<unsigned long long>(cycle),
-                  faultSiteName(site),
+                  enumName(site),
                   static_cast<unsigned long long>(index),
                   static_cast<unsigned long long>(mask));
     return buf;
@@ -127,17 +102,20 @@ FaultPlan::parse(const std::string &text)
                   "fault plan line " + std::to_string(lineno) +
                       ": trailing junk '" + extra + "'");
         }
-        Fault fault;
-        try {
-            fault.cycle = std::stoull(cycle_s);
-            fault.index = std::stoull(index_s);
-            fault.mask = std::stoull(mask_s, nullptr, 16);
-        } catch (const std::exception &) {
+        const auto number = [&](const std::string &token, Digits digits) {
+            if (const std::optional<uint64_t> v =
+                    parseNumber<uint64_t>(token, digits))
+                return *v;
             fatal(ErrCode::BadOperand,
                   "fault plan line " + std::to_string(lineno) +
-                      ": bad number");
-        }
-        fault.site = faultSiteFromName(site_s);
+                      ": bad number '" + token + "'");
+        };
+        Fault fault;
+        fault.cycle = number(cycle_s, Digits::Decimal);
+        fault.index = number(index_s, Digits::Decimal);
+        fault.mask = number(mask_s, Digits::Hex);
+        fault.site =
+            parseEnum<FaultSite>(site_s, "fault site", ErrCode::BadOperand);
         plan.add(fault);
     }
     return plan;

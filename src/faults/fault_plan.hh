@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "common/text.hh"
+
 namespace mtfpu::faults
 {
 
@@ -34,14 +36,20 @@ enum class FaultSite : uint8_t
     SoftfpFlags,  // XOR the next FPU element's IEEE flags
 };
 
+/** Stable site names, e.g. "fpu-reg" (common/text.hh). */
+constexpr auto
+enumNames(FaultSite)
+{
+    return nameTable<FaultSite>({
+        {FaultSite::FpuReg, "fpu-reg"}, {FaultSite::CpuReg, "cpu-reg"},
+        {FaultSite::CacheLine, "cache-line"}, {FaultSite::MemWord, "mem-word"},
+        {FaultSite::SoftfpResult, "softfp-result"},
+        {FaultSite::SoftfpFlags, "softfp-flags"},
+    });
+}
+
 /** Number of distinct fault sites (for site enumeration/rng). */
-constexpr unsigned kNumFaultSites = 6;
-
-/** Short stable name of a site, e.g. "fpu-reg". */
-const char *faultSiteName(FaultSite site);
-
-/** Parse a site name back (throws SimError on unknown names). */
-FaultSite faultSiteFromName(const std::string &name);
+constexpr unsigned kNumFaultSites = kEnumNames<FaultSite>.size();
 
 /** One scheduled state corruption. */
 struct Fault

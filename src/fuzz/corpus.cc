@@ -7,6 +7,7 @@
 
 #include "common/file_io.hh"
 #include "common/log.hh"
+#include "common/text.hh"
 #include "isa/disasm.hh"
 
 namespace mtfpu::fuzz
@@ -28,15 +29,10 @@ hex(uint64_t value)
 bool
 parseU64(const std::string &token, uint64_t &out)
 {
-    if (token.empty())
-        return false;
-    size_t pos = 0;
-    try {
-        out = std::stoull(token, &pos, 0);
-    } catch (const std::exception &) {
-        return false;
-    }
-    return pos == token.size();
+    const std::optional<uint64_t> value =
+        parseNumber<uint64_t>(token, Digits::HexIfPrefixed);
+    out = value.value_or(0);
+    return value.has_value();
 }
 
 } // anonymous namespace

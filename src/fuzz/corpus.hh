@@ -11,7 +11,9 @@
  * The disassembly after `;` is a comment for humans; only the encoded
  * word is parsed back, and every word is revalidated through
  * isa::Instr::decode so a corrupt corpus file fails with a structured
- * SimError instead of feeding garbage to the simulator.
+ * SimError instead of feeding garbage to the simulator. Each number
+ * is one whole unsigned token, hex after 0x and decimal otherwise
+ * (common/text.hh): `010` is ten, and `-8` is refused.
  */
 
 #ifndef MTFPU_FUZZ_CORPUS_HH

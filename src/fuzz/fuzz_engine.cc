@@ -21,21 +21,6 @@ namespace mtfpu::fuzz
 namespace
 {
 
-constexpr const char *kOutcomeNames[kNumOutcomes] = {
-    "pass",           "overflow-squash", "hazard-detected",
-    "cycle-guard",    "fault",           "divergence",
-};
-
-TrialOutcome
-outcomeFromName(const std::string &name)
-{
-    for (unsigned i = 0; i < kNumOutcomes; ++i) {
-        if (name == kOutcomeNames[i])
-            return static_cast<TrialOutcome>(i);
-    }
-    fatal(ErrCode::BadOperand, "unknown trial outcome '" + name + "'");
-}
-
 /**
  * The job one trial runs on @p backend: @p prog on the trial's
  * machine, with the lockstep shadow. A crash bundle carries the same
@@ -59,12 +44,6 @@ trialSpec(const FuzzProgram &prog, softfp::Backend backend,
 
 } // anonymous namespace
 
-const char *
-trialOutcomeName(TrialOutcome outcome)
-{
-    return kOutcomeNames[static_cast<unsigned>(outcome)];
-}
-
 TrialOutcome
 TrialResult::worst() const
 {
@@ -80,8 +59,8 @@ TrialResult::to_json() const
     w.beginObject();
     w.key("trial").value(trial);
     w.key("seed").value(seed);
-    w.key("soft").value(trialOutcomeName(soft.outcome));
-    w.key("host").value(trialOutcomeName(host.outcome));
+    w.key("soft").value(enumName(soft.outcome));
+    w.key("host").value(enumName(host.outcome));
     w.key("error").value(worstOut.errorCode());
     w.key("cycles").value(worstOut.cycles);
     w.key("new_cells").beginArray();
@@ -106,11 +85,12 @@ std::string
 FuzzResult::table() const
 {
     std::string text = "trials: " + std::to_string(trials) + "\n";
-    for (unsigned i = 0; i < kNumOutcomes; ++i) {
+    for (const auto &[outcome, name] : kEnumNames<TrialOutcome>) {
         text += "  ";
-        text += kOutcomeNames[i];
-        text.append(18 - std::strlen(kOutcomeNames[i]), ' ');
-        text += std::to_string(counts[i]) + "\n";
+        text += name;
+        text.append(18 - std::strlen(name), ' ');
+        text += std::to_string(counts[static_cast<unsigned>(outcome)]) +
+                "\n";
     }
     char cov[64];
     std::snprintf(cov, sizeof cov, "  op x vl coverage  %.1f%%\n",
@@ -266,8 +246,7 @@ FuzzEngine::bundleFailure(const FuzzProgram &prog, TrialResult &result)
     w.key("job").value(spec.name);
     w.key("spec").raw(spec.to_json());
     if (config_.shadowMutation != machine::SemanticsMutation::None)
-        w.key("mutation").value(
-            machine::mutationName(config_.shadowMutation));
+        w.key("mutation").value(enumName(config_.shadowMutation));
     w.key("seed").value(result.seed);
     w.key("error").raw(minOut.error ? minOut.error->to_json() : "null");
     if (minOut.outcome == TrialOutcome::Divergence)
@@ -292,8 +271,10 @@ FuzzEngine::resumeFromJournal(FuzzResult &result)
         if (trial != next)
             fatal(ErrCode::BadOperand,
                   "trial " + std::to_string(trial) + " out of order");
-        const TrialOutcome soft = outcomeFromName(rec.at("soft").asString());
-        const TrialOutcome host = outcomeFromName(rec.at("host").asString());
+        const TrialOutcome soft = parseEnum<TrialOutcome>(
+            rec.at("soft").asString(), "trial outcome", ErrCode::BadOperand);
+        const TrialOutcome host = parseEnum<TrialOutcome>(
+            rec.at("host").asString(), "trial outcome", ErrCode::BadOperand);
         std::vector<unsigned> cells;
         for (const json::Value &cell : rec.at("new_cells").asArray()) {
             const uint64_t index = cell.asUint();

@@ -54,10 +54,21 @@ enum class TrialOutcome : uint8_t
     Divergence,     // unexplained lockstep divergence — a real finding
 };
 
-constexpr unsigned kNumOutcomes = 6;
+/** Stable outcome names, e.g. "overflow-squash" (common/text.hh). */
+constexpr auto
+enumNames(TrialOutcome)
+{
+    return nameTable<TrialOutcome>({
+        {TrialOutcome::Pass, "pass"},
+        {TrialOutcome::OverflowSquash, "overflow-squash"},
+        {TrialOutcome::HazardDetected, "hazard-detected"},
+        {TrialOutcome::CycleGuard, "cycle-guard"},
+        {TrialOutcome::Fault, "fault"},
+        {TrialOutcome::Divergence, "divergence"},
+    });
+}
 
-/** Short stable name, e.g. "overflow-squash". */
-const char *trialOutcomeName(TrialOutcome outcome);
+constexpr unsigned kNumOutcomes = kEnumNames<TrialOutcome>.size();
 
 /** True for the outcome classes that mean "a bug was found". */
 inline bool
@@ -82,7 +93,7 @@ struct BackendOutcome
     /** The error's taxonomy name; empty for a pass. */
     std::string errorCode() const
     {
-        return error ? errCodeName(error->code()) : "";
+        return error ? enumName(error->code()) : "";
     }
 };
 

@@ -49,8 +49,32 @@ enum class AluFunc : uint8_t
     Add, Sub, And, Or, Xor, Sll, Srl, Sra, Slt, Sltu, Mul,
 };
 
+/** Mnemonics of the register forms, "add", ...; an immediate form
+ *  adds "i", "addi" (common/text.hh). */
+constexpr auto
+enumNames(AluFunc)
+{
+    return nameTable<AluFunc>({
+        {AluFunc::Add, "add"}, {AluFunc::Sub, "sub"}, {AluFunc::And, "and"},
+        {AluFunc::Or, "or"}, {AluFunc::Xor, "xor"}, {AluFunc::Sll, "sll"},
+        {AluFunc::Srl, "srl"}, {AluFunc::Sra, "sra"}, {AluFunc::Slt, "slt"},
+        {AluFunc::Sltu, "sltu"}, {AluFunc::Mul, "mul"},
+    });
+}
+
 /** Branch conditions. */
 enum class BranchCond : uint8_t { Eq, Ne, Lt, Ge, Ltu, Geu };
+
+/** Branch mnemonics, "beq", ... (common/text.hh). */
+constexpr auto
+enumNames(BranchCond)
+{
+    return nameTable<BranchCond>({
+        {BranchCond::Eq, "beq"}, {BranchCond::Ne, "bne"},
+        {BranchCond::Lt, "blt"}, {BranchCond::Ge, "bge"},
+        {BranchCond::Ltu, "bltu"}, {BranchCond::Geu, "bgeu"},
+    });
+}
 
 /** Jump sub-kinds. */
 enum class JumpKind : uint8_t { J, Jal, Jr, Jalr };

@@ -10,39 +10,6 @@ namespace mtfpu::isa
 {
 
 const char *
-aluFuncName(AluFunc f)
-{
-    switch (f) {
-      case AluFunc::Add: return "add";
-      case AluFunc::Sub: return "sub";
-      case AluFunc::And: return "and";
-      case AluFunc::Or: return "or";
-      case AluFunc::Xor: return "xor";
-      case AluFunc::Sll: return "sll";
-      case AluFunc::Srl: return "srl";
-      case AluFunc::Sra: return "sra";
-      case AluFunc::Slt: return "slt";
-      case AluFunc::Sltu: return "sltu";
-      case AluFunc::Mul: return "mul";
-    }
-    return "?";
-}
-
-const char *
-branchCondName(BranchCond c)
-{
-    switch (c) {
-      case BranchCond::Eq: return "beq";
-      case BranchCond::Ne: return "bne";
-      case BranchCond::Lt: return "blt";
-      case BranchCond::Ge: return "bge";
-      case BranchCond::Ltu: return "bltu";
-      case BranchCond::Geu: return "bgeu";
-    }
-    return "?";
-}
-
-const char *
 fpOpSymbol(FpOp op)
 {
     switch (op) {
@@ -79,11 +46,11 @@ disassemble(const Instr &i)
     switch (i.major) {
       case Major::Alu:
         std::snprintf(buf, sizeof(buf), "%s r%u, r%u, r%u",
-                      aluFuncName(i.func), i.rd, i.rs1, i.rs2);
+                      enumName(i.func), i.rd, i.rs1, i.rs2);
         break;
       case Major::AluImm:
         std::snprintf(buf, sizeof(buf), "%si r%u, r%u, %d",
-                      aluFuncName(i.func), i.rd, i.rs1, i.imm);
+                      enumName(i.func), i.rd, i.rs1, i.imm);
         break;
       case Major::Ld:
         std::snprintf(buf, sizeof(buf), "ld r%u, %d(r%u)", i.rd, i.imm,
@@ -105,7 +72,7 @@ disassemble(const Instr &i)
         return i.fp.toString();
       case Major::Branch:
         std::snprintf(buf, sizeof(buf), "%s r%u, r%u, %d",
-                      branchCondName(i.cond), i.rs1, i.rs2, i.imm);
+                      enumName(i.cond), i.rs1, i.rs2, i.imm);
         break;
       case Major::Jump:
         switch (i.jkind) {

@@ -36,10 +36,6 @@ namespace mtfpu::isa
  */
 std::string disassembleProgram(const assembler::Program &program);
 
-/** Mnemonic tables shared with the assembler. */
-const char *aluFuncName(AluFunc f);
-const char *branchCondName(BranchCond c);
-
 /** Infix/prefix symbol of an FP operation ("+", "*", "recip", ...). */
 const char *fpOpSymbol(FpOp op);
 

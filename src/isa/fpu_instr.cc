@@ -24,10 +24,6 @@ constexpr OpFields kOpFields[] = {
     {3, 0}, // Recip
 };
 
-constexpr const char *kOpNames[] = {
-    "fadd", "fsub", "ffloat", "ftrunc", "fmul", "fimul", "fiter", "frecip",
-};
-
 } // anonymous namespace
 
 unsigned
@@ -65,12 +61,6 @@ fpOpFromFields(unsigned unit, unsigned func)
           "fpOpFromFields: reserved unit/func encoding (unit=" +
               std::to_string(unit) + ", func=" + std::to_string(func) +
               ")");
-}
-
-const char *
-fpOpName(FpOp op)
-{
-    return kOpNames[static_cast<unsigned>(op)];
 }
 
 uint32_t
@@ -145,11 +135,11 @@ FpuAluInstr::toString() const
 {
     char buf[96];
     if (vlm1 == 0) {
-        std::snprintf(buf, sizeof(buf), "%s f%u, f%u, f%u", fpOpName(op),
+        std::snprintf(buf, sizeof(buf), "%s f%u, f%u, f%u", enumName(op),
                       rr, ra, rb);
     } else {
         std::snprintf(buf, sizeof(buf), "%s f%u, f%u, f%u, vl=%u%s%s",
-                      fpOpName(op), rr, ra, rb, vlm1 + 1u,
+                      enumName(op), rr, ra, rb, vlm1 + 1u,
                       sra ? ", sra" : "", srb ? ", srb" : "");
     }
     return buf;

@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/text.hh"
+
 namespace mtfpu::isa
 {
 
@@ -51,8 +53,17 @@ unsigned fpOpFunc(FpOp op);
 FpOp fpOpFromFields(unsigned unit, unsigned func);
 /** True if the unit/func combination is a reserved encoding. */
 bool fpOpReserved(unsigned unit, unsigned func);
-/** Mnemonic for an FpOp ("fadd", "fmul", ...). */
-const char *fpOpName(FpOp op);
+/** Mnemonics of the FpOps, "fadd", "fmul", ... (common/text.hh). */
+constexpr auto
+enumNames(FpOp)
+{
+    return nameTable<FpOp>({
+        {FpOp::Add, "fadd"}, {FpOp::Sub, "fsub"}, {FpOp::Float, "ffloat"},
+        {FpOp::Truncate, "ftrunc"}, {FpOp::Mul, "fmul"},
+        {FpOp::IntMul, "fimul"}, {FpOp::IterStep, "fiter"},
+        {FpOp::Recip, "frecip"},
+    });
+}
 
 /** A decoded FPU ALU instruction. */
 struct FpuAluInstr

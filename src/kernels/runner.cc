@@ -2,6 +2,7 @@
 
 #include "common/log.hh"
 #include "common/stats.hh"
+#include "common/text.hh"
 #include "kernels/linpack/linpack.hh"
 #include "kernels/livermore/livermore.hh"
 
@@ -135,7 +136,7 @@ findKernel(const std::string &ref)
     }
 
     if (name.rfind("lfk", 0) == 0 && name.size() == 5) {
-        const int id = (name[3] - '0') * 10 + (name[4] - '0');
+        const int id = parseNumber<int>(name.substr(3)).value_or(0);
         if (id >= 1 && id <= livermore::kNumLoops) {
             const bool has_vector = livermore::hasVectorVariant(id);
             const bool vector =

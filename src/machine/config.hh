@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "common/bytestream.hh"
+#include "common/text.hh"
 #include "memory/memory_system.hh"
 #include "softfp/backend.hh"
 
@@ -30,6 +31,16 @@ enum class HazardPolicy
     Stall,  // interlock conservatively (Ardent-Titan-style ablation)
     Ignore, // true MultiTitan hardware behavior (races corrupt data)
 };
+
+/** Stable policy names, as JobSpecs write them (common/text.hh). */
+constexpr auto
+enumNames(HazardPolicy)
+{
+    return nameTable<HazardPolicy>({
+        {HazardPolicy::Fatal, "fatal"}, {HazardPolicy::Stall, "stall"},
+        {HazardPolicy::Ignore, "ignore"},
+    });
+}
 
 /** Machine configuration. */
 struct MachineConfig

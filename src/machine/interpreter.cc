@@ -12,10 +12,6 @@ using isa::Major;
 namespace
 {
 
-constexpr const char *kMutationNames[] = {
-    "none", "flip-sra", "flip-srb", "drop-last-element", "swap-add-sub",
-};
-
 /**
  * Apply a semantics mutation to a copy of the decoded FPU word. A
  * stride flip that would run a source specifier past the register
@@ -48,22 +44,6 @@ mutateFpInstr(isa::FpuAluInstr fp, SemanticsMutation mutation)
 }
 
 } // anonymous namespace
-
-const char *
-mutationName(SemanticsMutation mutation)
-{
-    return kMutationNames[static_cast<unsigned>(mutation)];
-}
-
-SemanticsMutation
-mutationFromName(const std::string &name)
-{
-    for (unsigned i = 0; i < 5; ++i) {
-        if (name == kMutationNames[i])
-            return static_cast<SemanticsMutation>(i);
-    }
-    fatal(ErrCode::BadOperand, "unknown semantics mutation: " + name);
-}
 
 Interpreter::Interpreter(size_t mem_bytes)
     : mem_(mem_bytes)

@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "assembler/assembler.hh"
+#include "common/text.hh"
 #include "memory/main_memory.hh"
 #include "softfp/backend.hh"
 
@@ -39,11 +40,18 @@ enum class SemanticsMutation : uint8_t
     SwapAddSub,      // execute fadd as fsub and vice versa
 };
 
-/** Short stable name, e.g. "flip-sra". */
-const char *mutationName(SemanticsMutation mutation);
-
-/** Parse a mutationName(); fatal(ErrCode::BadOperand) on garbage. */
-SemanticsMutation mutationFromName(const std::string &name);
+/** Stable mutation names, e.g. "flip-sra" (common/text.hh). */
+constexpr auto
+enumNames(SemanticsMutation)
+{
+    return nameTable<SemanticsMutation>({
+        {SemanticsMutation::None, "none"},
+        {SemanticsMutation::FlipSra, "flip-sra"},
+        {SemanticsMutation::FlipSrb, "flip-srb"},
+        {SemanticsMutation::DropLastElement, "drop-last-element"},
+        {SemanticsMutation::SwapAddSub, "swap-add-sub"},
+    });
+}
 
 /** The untimed reference interpreter. */
 class Interpreter

@@ -110,7 +110,8 @@ SimClient::request(const std::string &request_line)
         // branch on code — Busy drives the submitRetry backoff loop.
         const ErrCode code =
             response.has("error_code")
-                ? errCodeFromName(response.at("error_code").asString())
+                ? findEnum<ErrCode>(response.at("error_code").asString())
+                      .value_or(ErrCode::Unknown)
                 : ErrCode::Io;
         retryAfterMs_ = response.has("retry_after_ms")
                             ? response.at("retry_after_ms").asUint()

@@ -14,39 +14,6 @@ namespace mtfpu::service
 namespace
 {
 
-const char *
-hazardPolicyName(machine::HazardPolicy policy)
-{
-    switch (policy) {
-      case machine::HazardPolicy::Fatal: return "fatal";
-      case machine::HazardPolicy::Stall: return "stall";
-      case machine::HazardPolicy::Ignore: return "ignore";
-    }
-    return "fatal";
-}
-
-machine::HazardPolicy
-hazardPolicyFromName(const std::string &name)
-{
-    if (name == "fatal")
-        return machine::HazardPolicy::Fatal;
-    if (name == "stall")
-        return machine::HazardPolicy::Stall;
-    if (name == "ignore")
-        return machine::HazardPolicy::Ignore;
-    fatal(ErrCode::BadOperand, "unknown hazard policy '" + name + "'");
-}
-
-softfp::Backend
-backendFromName(const std::string &name)
-{
-    if (name == "soft")
-        return softfp::Backend::Soft;
-    if (name == "host-fast")
-        return softfp::Backend::HostFast;
-    fatal(ErrCode::BadOperand, "unknown softfp backend '" + name + "'");
-}
-
 void
 writeCacheConfig(json::Writer &w, const memory::CacheConfig &c)
 {
@@ -115,32 +82,6 @@ writePairs(json::Writer &w,
 
 } // anonymous namespace
 
-const char *
-jobKindName(JobKind kind)
-{
-    switch (kind) {
-      case JobKind::Assembly: return "assembly";
-      case JobKind::Code: return "code";
-      case JobKind::Kernel: return "kernel";
-      case JobKind::Fuzz: return "fuzz";
-    }
-    return "assembly";
-}
-
-JobKind
-jobKindFromName(const std::string &name)
-{
-    if (name == "assembly")
-        return JobKind::Assembly;
-    if (name == "code")
-        return JobKind::Code;
-    if (name == "kernel")
-        return JobKind::Kernel;
-    if (name == "fuzz")
-        return JobKind::Fuzz;
-    fatal(ErrCode::BadOperand, "unknown job kind '" + name + "'");
-}
-
 std::string
 configToJson(const machine::MachineConfig &c)
 {
@@ -150,8 +91,8 @@ configToJson(const machine::MachineConfig &c)
     w.key("cycle_ns").value(c.cycleNs);
     w.key("store_cycles").value(static_cast<uint64_t>(c.storeCycles));
     w.key("overlap_with_vector").value(c.overlapWithVector);
-    w.key("hazard_policy").value(hazardPolicyName(c.hazardPolicy));
-    w.key("fp_backend").value(softfp::backendName(c.fpBackend));
+    w.key("hazard_policy").value(enumName(c.hazardPolicy));
+    w.key("fp_backend").value(enumName(c.fpBackend));
     w.key("max_cycles").value(c.maxCycles);
     w.key("watchdog_ms").value(c.watchdogMs);
     w.key("memory").beginObject();
@@ -182,10 +123,13 @@ configFromJson(const json::Value &v)
     if (v.has("overlap_with_vector"))
         c.overlapWithVector = v.at("overlap_with_vector").asBool();
     if (v.has("hazard_policy"))
-        c.hazardPolicy =
-            hazardPolicyFromName(v.at("hazard_policy").asString());
+        c.hazardPolicy = parseEnum<machine::HazardPolicy>(
+            v.at("hazard_policy").asString(), "hazard policy",
+            ErrCode::BadOperand);
     if (v.has("fp_backend"))
-        c.fpBackend = backendFromName(v.at("fp_backend").asString());
+        c.fpBackend = parseEnum<softfp::Backend>(
+            v.at("fp_backend").asString(), "softfp backend",
+            ErrCode::BadOperand);
     if (v.has("max_cycles"))
         c.maxCycles = v.at("max_cycles").asUint();
     if (v.has("watchdog_ms"))
@@ -222,7 +166,7 @@ JobSpec::to_json() const
     json::Writer w;
     w.beginObject();
     w.key("name").value(name);
-    w.key("kind").value(jobKindName(kind));
+    w.key("kind").value(enumName(kind));
     switch (kind) {
       case JobKind::Assembly:
         w.key("assembly").value(assembly);
@@ -263,7 +207,8 @@ JobSpec::from_json(const json::Value &v)
     if (v.has("name"))
         spec.name = v.at("name").asString();
     if (v.has("kind"))
-        spec.kind = jobKindFromName(v.at("kind").asString());
+        spec.kind = parseEnum<JobKind>(v.at("kind").asString(), "job kind",
+                                       ErrCode::BadOperand);
     switch (spec.kind) {
       case JobKind::Assembly:
         if (!v.has("assembly"))

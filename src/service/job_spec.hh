@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/text.hh"
 #include "machine/sim_job.hh"
 
 namespace mtfpu::service
@@ -48,11 +49,15 @@ enum class JobKind : uint8_t
     Fuzz,     // fuzz::ProgramGen shard: the program for fuzzSeed
 };
 
-/** Short stable name of a kind ("assembly" / "code" / ...). */
-const char *jobKindName(JobKind kind);
-
-/** Parse a kind name back; throws SimError(BadOperand) on unknown. */
-JobKind jobKindFromName(const std::string &name);
+/** Stable kind names, "assembly" / "code" / ... (common/text.hh). */
+constexpr auto
+enumNames(JobKind)
+{
+    return nameTable<JobKind>({
+        {JobKind::Assembly, "assembly"}, {JobKind::Code, "code"},
+        {JobKind::Kernel, "kernel"}, {JobKind::Fuzz, "fuzz"},
+    });
+}
 
 /** One declarative job. */
 struct JobSpec

@@ -51,7 +51,7 @@ busyResponse(const std::string &reason, uint64_t retry_after_ms)
     w.beginObject();
     w.key("ok").value(false);
     w.key("error").value("daemon busy: " + reason);
-    w.key("error_code").value(errCodeName(ErrCode::Busy));
+    w.key("error_code").value(enumName(ErrCode::Busy));
     w.key("reason").value(reason);
     w.key("retry_after_ms").value(retry_after_ms);
     w.endObject();
@@ -457,7 +457,7 @@ SimServer::handleConnection(int fd, bool &done)
                 "connection idle for " +
                     std::to_string(config_.idleTimeoutMs) +
                     "ms; closing",
-                errCodeName(ErrCode::Io)));
+                enumName(ErrCode::Io)));
             break;
         }
         if (status == LineChannel::ReadStatus::Overflow) {
@@ -468,7 +468,7 @@ SimServer::handleConnection(int fd, bool &done)
                 "request line exceeds " +
                     std::to_string(config_.maxLineBytes) +
                     " bytes; closing connection",
-                errCodeName(ErrCode::Io)));
+                enumName(ErrCode::Io)));
             break;
         }
         if (status != LineChannel::ReadStatus::Line)
@@ -527,7 +527,7 @@ SimServer::handleRequest(const std::string &line, uint64_t client_id,
             return cmdCacheClear();
         return errorResponse("unknown command '" + cmd + "'");
     } catch (const SimError &e) {
-        return errorResponse(e.what(), errCodeName(e.code()));
+        return errorResponse(e.what(), enumName(e.code()));
     } catch (const std::exception &e) {
         // A FatalError, or anything else a hostile request provokes
         // (bad_alloc, length_error): it fails this request alone.
@@ -543,7 +543,7 @@ SimServer::cmdHello(const json::Value &req)
     // error, never a silent misparse, and the connection stays open.
     if (!req.has("proto"))
         return errorResponse("hello needs a numeric 'proto'",
-                             errCodeName(ErrCode::BadOperand));
+                             enumName(ErrCode::BadOperand));
     const uint64_t peer = req.at("proto").asUint();
     if (peer != kProtoRevision) {
         json::Writer w;
@@ -719,7 +719,7 @@ SimServer::cmdStatus(const json::Value &req)
     // One job's state; the daemon-wide census is health's.
     if (!req.has("id"))
         return errorResponse("status needs an 'id'",
-                             errCodeName(ErrCode::BadOperand));
+                             enumName(ErrCode::BadOperand));
     const uint64_t id = req.at("id").asUint();
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = jobs_.find(id);

@@ -183,7 +183,7 @@ writeWorkerCrashReport(const std::string &dir, const std::string &job_name,
         w.beginObject();
         w.key("job").value(job_name);
         w.key("kind").value("worker-crash");
-        w.key("error_code").value(errCodeName(crash.code));
+        w.key("error_code").value(enumName(crash.code));
         w.key("summary").value(crash.summary);
         if (!crash.signal.empty())
             w.key("signal").value(crash.signal);

@@ -18,6 +18,7 @@
 
 #include "common/bytestream.hh"
 #include "common/log.hh"
+#include "common/text.hh"
 
 namespace mtfpu::service
 {
@@ -110,21 +111,12 @@ parseHostPort(const std::string &hostport, std::string &host,
     }
     host = hostport.substr(0, colon);
     const std::string port_text = hostport.substr(colon + 1);
-    unsigned long value = 0;
-    try {
-        size_t used = 0;
-        value = std::stoul(port_text, &used);
-        if (used != port_text.size())
-            throw std::invalid_argument(port_text);
-    } catch (const std::exception &) {
+    const std::optional<uint16_t> value = parseNumber<uint16_t>(port_text);
+    if (!value) {
         fatal(ErrCode::BadOperand,
               "bad TCP port '" + port_text + "' in '" + hostport + "'");
     }
-    if (value > 65535) {
-        fatal(ErrCode::BadOperand,
-              "TCP port out of range in '" + hostport + "'");
-    }
-    port = static_cast<uint16_t>(value);
+    port = *value;
 }
 
 int
@@ -490,13 +482,15 @@ readJobResult(const json::Value &v)
     r.quarantined = v.at("quarantined").asBool();
     r.fromCache = v.at("from_cache").asBool();
     if (v.has("job_error")) {
-        // The inverse of SimError::to_json().
+        // The inverse of SimError::to_json(); a code name this build
+        // does not know reads as Unknown.
         const json::Value &e = v.at("job_error");
         const auto field = [&e](const char *name) {
             const json::Value &f = e.at(name);
             return f.isNull() ? ErrContext::kUnknown : f.asInt();
         };
-        r.fail(SimError(errCodeFromName(e.at("code").asString()),
+        r.fail(SimError(findEnum<ErrCode>(e.at("code").asString())
+                            .value_or(ErrCode::Unknown),
                         e.at("message").asString(),
                         ErrContext{field("cycle"), field("pc"),
                                    field("instr")}));

@@ -494,7 +494,7 @@ WorkerPool::execute(const PoolJob &job)
             break;
         }
         warn("job '" + job.name + "' failed (" +
-             errCodeName(out.result.errCode) +
+             enumName(out.result.errCode) +
              "), retrying once in an isolated worker: " +
              out.result.error);
     }

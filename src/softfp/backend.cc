@@ -37,12 +37,6 @@ resultNeedsFallback(uint64_t r)
 
 } // anonymous namespace
 
-const char *
-backendName(Backend backend)
-{
-    return backend == Backend::Soft ? "soft" : "host-fast";
-}
-
 uint64_t
 fpAddHost(uint64_t a, uint64_t b, Flags &flags)
 {

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 
+#include "common/text.hh"
 #include "softfp/fp64.hh"
 
 namespace mtfpu::softfp
@@ -46,8 +47,14 @@ enum class Backend : uint8_t
     HostFast, // native host FP fast path with Soft fallback
 };
 
-/** Human-readable backend name ("soft" / "host-fast"). */
-const char *backendName(Backend backend);
+/** Stable backend names, "soft" / "host-fast" (common/text.hh). */
+constexpr auto
+enumNames(Backend)
+{
+    return nameTable<Backend>({
+        {Backend::Soft, "soft"}, {Backend::HostFast, "host-fast"},
+    });
+}
 
 /** Addition via the host FPU; bit- and flag-identical to fpAdd. */
 uint64_t fpAddHost(uint64_t a, uint64_t b, Flags &flags);

@@ -69,6 +69,11 @@ TEST(BenchFlags, MalformedNumbersAreUsageErrors)
         {std::string(MTFPU_FAULT_CAMPAIGN_PATH) +
              " --kernels=lfk01 --faults=1 --seed=18446744073709551616",
          "--seed=18446744073709551616"},
+        // A kernel named twice would share one table row.
+        {std::string(MTFPU_FAULT_CAMPAIGN_PATH) +
+             " --kernels=lfk01,lfk01 --faults=1 --report-dir=" +
+             (dir / "campaign").string(),
+         "lfk01"},
         {std::string(MTFPU_CHAOS_PROXY_PATH) +
              " --listen=127.0.0.1:0 --target=tcp:127.0.0.1:9 --seed=xyz",
          "--seed=xyz"},

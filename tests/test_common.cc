@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the common utilities: bit fields, statistics
- * helpers, the table formatter, JSON, the NDJSON journal, and the
- * whole-file reader and atomic writer.
+ * helpers, the table formatter, JSON, the NDJSON journal, the
+ * whole-file reader and atomic writer, and the text codecs (every
+ * enum's name table and the number parser).
  */
 
 #include <algorithm>
@@ -21,6 +22,12 @@
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/text.hh"
+#include "faults/campaign.hh"
+#include "fuzz/fuzz_engine.hh"
+#include "isa/cpu_instr.hh"
+#include "service/job_spec.hh"
+#include "service/wire.hh"
 #include "test_dir.hh"
 
 namespace mtfpu
@@ -448,6 +455,145 @@ TEST(FileIo, FailuresAreIoErrorsAndLeaveNoTemp)
     std::sort(names.begin(), names.end());
     EXPECT_EQ(names, (std::vector<std::string>{"plain", "taken"}));
     EXPECT_TRUE(std::filesystem::is_empty(dir.file("taken")));
+}
+
+// --- Text codecs -------------------------------------------------------
+
+/**
+ * E's names, in declaration order, are exactly @p names: each one
+ * reads back to its enumerator, and a name no enumerator has is
+ * refused with the caller's code.
+ */
+template <typename E>
+void
+expectNames(const std::vector<std::string> &names)
+{
+    ASSERT_EQ(kEnumNames<E>.size(), names.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+        const E value = static_cast<E>(i);
+        EXPECT_EQ(enumName(value), names[i]);
+        EXPECT_EQ(findEnum<E>(names[i]), value) << names[i];
+    }
+    for (const std::string &bad :
+         std::vector<std::string>{"no-such-name", "", names[0] + " ",
+                                  " " + names[0], names[0] + ";"}) {
+        EXPECT_FALSE(findEnum<E>(bad)) << "'" << bad << "'";
+        try {
+            parseEnum<E>(bad, "thing", ErrCode::BadOperand);
+            ADD_FAILURE() << "'" << bad << "' parsed";
+        } catch (const SimError &err) {
+            EXPECT_EQ(err.code(), ErrCode::BadOperand);
+            EXPECT_EQ(std::string(err.what()), "unknown thing '" + bad + "'");
+        }
+    }
+}
+
+TEST(NameTables, EveryEnumReadsBackTheNamesItWrites)
+{
+    {
+        SCOPED_TRACE("ErrCode");
+        expectNames<ErrCode>(
+            {"unknown", "bad-encoding", "bad-operand", "regfile-range",
+             "mem-range", "mem-align", "hazard-violation", "branch-delay",
+             "pc-runaway", "no-program", "cycle-guard", "watchdog",
+             "lockstep-divergence", "assembler-error",
+             "invariant-violation", "bad-program", "bad-snapshot", "io",
+             "busy", "worker-crash", "worker-timeout"});
+        // A peer's code this build does not know reads as Unknown, so
+        // a failed job's record never becomes a protocol error.
+        const machine::SimJobResult r = service::readJobResult(json::parse(
+            R"({"name":"j","job_ok":false,"attempts":1,"quarantined":false,)"
+            R"("from_cache":false,"job_error":{"code":"no-such-code",)"
+            R"("message":"m","cycle":null,"pc":null,"instr":null}})"));
+        EXPECT_EQ(r.errCode, ErrCode::Unknown);
+    }
+    {
+        SCOPED_TRACE("FaultSite");
+        expectNames<faults::FaultSite>({"fpu-reg", "cpu-reg", "cache-line",
+                                        "mem-word", "softfp-result",
+                                        "softfp-flags"});
+    }
+    {
+        SCOPED_TRACE("FaultOutcome");
+        expectNames<faults::FaultOutcome>(
+            {"detected-hardware", "detected-lockstep", "masked", "sdc"});
+    }
+    {
+        SCOPED_TRACE("TrialOutcome");
+        expectNames<fuzz::TrialOutcome>({"pass", "overflow-squash",
+                                         "hazard-detected", "cycle-guard",
+                                         "fault", "divergence"});
+    }
+    {
+        SCOPED_TRACE("SemanticsMutation");
+        expectNames<machine::SemanticsMutation>(
+            {"none", "flip-sra", "flip-srb", "drop-last-element",
+             "swap-add-sub"});
+    }
+    {
+        SCOPED_TRACE("HazardPolicy");
+        expectNames<machine::HazardPolicy>({"fatal", "stall", "ignore"});
+    }
+    {
+        SCOPED_TRACE("Backend");
+        expectNames<softfp::Backend>({"soft", "host-fast"});
+    }
+    {
+        SCOPED_TRACE("JobKind");
+        expectNames<service::JobKind>({"assembly", "code", "kernel", "fuzz"});
+    }
+    {
+        SCOPED_TRACE("AluFunc");
+        expectNames<isa::AluFunc>({"add", "sub", "and", "or", "xor", "sll",
+                                   "srl", "sra", "slt", "sltu", "mul"});
+    }
+    {
+        SCOPED_TRACE("BranchCond");
+        expectNames<isa::BranchCond>(
+            {"beq", "bne", "blt", "bge", "bltu", "bgeu"});
+    }
+    {
+        SCOPED_TRACE("FpOp");
+        expectNames<isa::FpOp>({"fadd", "fsub", "ffloat", "ftrunc", "fmul",
+                                "fimul", "fiter", "frecip"});
+    }
+}
+
+TEST(NumberParser, TakesOnlyAWholeNumberThatFits)
+{
+    EXPECT_EQ(parseNumber<uint64_t>("0"), 0u);
+    EXPECT_EQ(parseNumber<uint64_t>("18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseNumber<uint16_t>("65535"), 65535u);
+    EXPECT_EQ(parseNumber<int64_t>("-5"), -5);
+    EXPECT_EQ(parseNumber<double>("-2.5"), -2.5);
+    EXPECT_EQ(parseNumber<double>("1e3"), 1000.0);
+    for (const char *bad : {"", " 1", "1 ", "+1", "-1", "1x", "12abc",
+                            "0x10", "1.5", "18446744073709551616"}) {
+        EXPECT_FALSE(parseNumber<uint64_t>(bad)) << "'" << bad << "'";
+    }
+    EXPECT_FALSE(parseNumber<uint16_t>("65536"));
+    EXPECT_FALSE(parseNumber<int64_t>("+5"));
+    EXPECT_FALSE(parseNumber<double>("0.9x"));
+    EXPECT_FALSE(parseNumber<double>(" 1"));
+
+    // Hex digits after an optional 0x.
+    EXPECT_EQ(parseNumber<uint64_t>("ff", Digits::Hex), 0xffu);
+    EXPECT_EQ(parseNumber<uint64_t>("0xff", Digits::Hex), 0xffu);
+    EXPECT_EQ(parseNumber<uint64_t>("0XFF", Digits::Hex), 0xffu);
+    EXPECT_EQ(parseNumber<uint64_t>("10", Digits::Hex), 0x10u);
+    for (const char *bad : {"", "0x", "1g", "-1", "+1", "0x-1", "0x 1",
+                            "0x10000000000000000"}) {
+        EXPECT_FALSE(parseNumber<uint64_t>(bad, Digits::Hex))
+            << "'" << bad << "'";
+    }
+
+    // Hex after 0x, decimal otherwise: a leading zero is not octal.
+    EXPECT_EQ(parseNumber<uint64_t>("010", Digits::HexIfPrefixed), 10u);
+    EXPECT_EQ(parseNumber<uint64_t>("0x10", Digits::HexIfPrefixed), 16u);
+    for (const char *bad : {"ff", "0x", "-8", "1x", "0xfg"}) {
+        EXPECT_FALSE(parseNumber<uint64_t>(bad, Digits::HexIfPrefixed))
+            << "'" << bad << "'";
+    }
 }
 
 } // anonymous namespace

@@ -59,7 +59,7 @@ TEST(SimErrorTest, CarriesCodeAndContext)
         EXPECT_EQ(err.context().cycle, 120);
         EXPECT_EQ(err.context().pc, 3);
         EXPECT_EQ(err.context().instr, 0x1234);
-        EXPECT_STREQ(errCodeName(err.code()), "hazard-violation");
+        EXPECT_STREQ(enumName(err.code()), "hazard-violation");
         const std::string json = err.to_json();
         EXPECT_NE(json.find("\"code\":\"hazard-violation\""),
                   std::string::npos);
@@ -286,6 +286,23 @@ TEST(FaultPlanTest, ParseRejectsMalformedInput)
     EXPECT_THROW(FaultPlan::parse("10 bogus-site 1 0x1"), SimError);
     EXPECT_THROW(FaultPlan::parse("x fpu-reg 1 0x1"), SimError);
     EXPECT_THROW(FaultPlan::parse("1 fpu-reg 1 0x1 junk"), SimError);
+    // Each number is a whole token: no trailing characters, no sign.
+    for (const char *bad :
+         {"12abc mem-word 5 1", "-1 mem-word 5 1", "1 mem-word -3 1",
+          "1 mem-word 5 1g", "+9 mem-word 5 1", "1 mem-word 5 -1",
+          "1 mem-word 0x5 1"}) {
+        try {
+            FaultPlan::parse(bad);
+            ADD_FAILURE() << "'" << bad << "' parsed";
+        } catch (const SimError &err) {
+            EXPECT_EQ(err.code(), ErrCode::BadOperand) << bad;
+        }
+    }
+    // The mask is hex with or without 0x.
+    EXPECT_EQ(FaultPlan::parse("7 mem-word 5 1f").faults().front().mask,
+              0x1fu);
+    EXPECT_EQ(FaultPlan::parse("7 mem-word 5 0x1f"),
+              FaultPlan::parse("7 mem-word 5 1f"));
 }
 
 TEST(FaultPlanTest, RandomSingleIsSeedDeterministic)
@@ -304,16 +321,16 @@ TEST(FaultPlanTest, SiteNamesRoundTrip)
 {
     for (unsigned s = 0; s < kNumFaultSites; ++s) {
         const FaultSite site = static_cast<FaultSite>(s);
-        EXPECT_EQ(faultSiteFromName(faultSiteName(site)), site);
+        EXPECT_EQ(findEnum<FaultSite>(enumName(site)), site);
     }
-    EXPECT_THROW(faultSiteFromName("nope"), SimError);
+    EXPECT_THROW(FaultPlan::parse("1 nope 1 0x1"), SimError);
 }
 
 // ---------------------------------------------------------------------
 // The injector against a live machine
 // ---------------------------------------------------------------------
 
-TEST(FaultInjectorTest, CpuRegFaultLandsAndIsLogged)
+TEST(FaultInjectorTest, CpuRegFaultLands)
 {
     machine::Machine m(idealMemory());
     m.loadProgram(assembler::assemble(R"(
@@ -328,9 +345,8 @@ TEST(FaultInjectorTest, CpuRegFaultLandsAndIsLogged)
     m.setHook(&injector);
     m.run();
     EXPECT_EQ(m.cpu().readReg(9), 0xfeu);
-    EXPECT_TRUE(injector.done());
-    ASSERT_EQ(injector.log().size(), 1u);
-    EXPECT_NE(injector.log()[0].find("cpu-reg r9"), std::string::npos);
+    EXPECT_EQ(m.cpu().readReg(8), 0u); // the neighbours are untouched
+    EXPECT_EQ(m.cpu().readReg(10), 0u);
 }
 
 TEST(FaultInjectorTest, InjectionIsDeterministic)
@@ -408,7 +424,6 @@ TEST_P(InjectedOverflowTest, VectorSquashAndOverflowRegLatch)
     m.setHook(&injector);
     const machine::RunStats stats = m.run();
     EXPECT_EQ(stats.status, machine::RunStatus::Ok);
-    EXPECT_TRUE(injector.done());
 
     const fpu::Psw &psw = m.fpu().psw();
     ASSERT_TRUE(psw.overflowValid);

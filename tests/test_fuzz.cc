@@ -119,8 +119,8 @@ TEST(FuzzGen, LockstepCleanOnBothBackends)
                             2'000'000, 256 * 1024);
             EXPECT_FALSE(outcomeIsFailure(out.outcome))
                 << "seed " << seed << " backend "
-                << softfp::backendName(backend) << ": "
-                << trialOutcomeName(out.outcome) << " ("
+                << enumName(backend) << ": "
+                << enumName(out.outcome) << " ("
                 << out.errorCode() << ")";
         }
     }
@@ -383,8 +383,8 @@ TEST(FuzzMutation, NameRoundTrip)
          {SemanticsMutation::None, SemanticsMutation::FlipSra,
           SemanticsMutation::FlipSrb, SemanticsMutation::DropLastElement,
           SemanticsMutation::SwapAddSub})
-        EXPECT_EQ(machine::mutationFromName(machine::mutationName(m)), m);
-    EXPECT_THROW(machine::mutationFromName("bogus"), SimError);
+        EXPECT_EQ(findEnum<SemanticsMutation>(enumName(m)), m);
+    EXPECT_FALSE(findEnum<SemanticsMutation>("bogus"));
 }
 
 // --- Crash bundles -----------------------------------------------------
@@ -465,6 +465,19 @@ TEST(FuzzCorpus, RejectsGarbage)
     EXPECT_THROW(parseProgram("bogus 1 2\n"), SimError);
     EXPECT_THROW(parseProgram("seed zz\ncode 0xf0000000\n"), SimError);
     EXPECT_THROW(parseProgram("seed 1\n"), SimError); // no code
+    // Tokens are whole 0x-or-decimal numbers, unsigned.
+    for (const char *bad :
+         {"mem -8 1\ncode 0xf0000000\n", "mem 8 -1\ncode 0xf0000000\n",
+          "seed +1\ncode 0xf0000000\n", "seed -1\ncode 0xf0000000\n"}) {
+        try {
+            parseProgram(bad);
+            ADD_FAILURE() << "'" << bad << "' parsed";
+        } catch (const SimError &err) {
+            EXPECT_EQ(err.code(), ErrCode::BadProgram) << bad;
+        }
+    }
+    // A leading zero is decimal, not octal.
+    EXPECT_EQ(parseProgram("seed 010\ncode 0xf0000000\n").seed, 10u);
     try {
         // Major opcode 11 is an invalid encoding.
         parseProgram("seed 1\ncode 0xb0000000\n");
@@ -505,8 +518,8 @@ TEST(FuzzCorpus, CommittedCorpusReplaysCleanOnBothBackends)
                             machine::SemanticsMutation::None,
                             2'000'000, 256 * 1024);
             EXPECT_FALSE(outcomeIsFailure(out.outcome))
-                << path << " [" << softfp::backendName(backend)
-                << "]: " << trialOutcomeName(out.outcome) << " ("
+                << path << " [" << enumName(backend)
+                << "]: " << enumName(out.outcome) << " ("
                 << out.errorCode() << ")";
         }
     }

@@ -263,7 +263,7 @@ TEST(CpuInstr, GarbageBytesDecodeRoundTrip)
             const ErrCode code = err.code();
             ASSERT_TRUE(code == ErrCode::BadEncoding ||
                         code == ErrCode::BadProgram)
-                << errCodeName(code) << " for word " << word;
+                << enumName(code) << " for word " << word;
             ++rejected;
         }
     }

@@ -30,7 +30,7 @@ void
 expectLockstep(const kernels::Kernel &kernel, softfp::Backend backend)
 {
     SCOPED_TRACE(kernel.name + " (" + kernel.variant + ", " +
-                 softfp::backendName(backend) + ")");
+                 enumName(backend) + ")");
     machine::MachineConfig cfg;
     cfg.fpBackend = backend;
     machine::Machine m(cfg);
@@ -88,7 +88,7 @@ TEST(Lockstep, GraphicsTransformBothVariants)
 
     for (const softfp::Backend backend : kBackends) {
         for (const bool load_matrix : {false, true}) {
-            SCOPED_TRACE(std::string(softfp::backendName(backend)) +
+            SCOPED_TRACE(std::string(enumName(backend)) +
                          (load_matrix ? ", load matrix"
                                       : ", matrix preloaded"));
             machine::MachineConfig cfg;

@@ -296,6 +296,16 @@ TEST(KernelRegistry, FindKernelReferences)
     EXPECT_THROW(kernels::findKernel("lfk99"), SimError);
     EXPECT_THROW(kernels::findKernel("nosuch"), SimError);
     EXPECT_THROW(kernels::findKernel("lfk01:turbo"), SimError);
+    // The loop number is the whole rest of the name.
+    for (const char *bad : {"lfk1/", "lfk1;", "lfk2/:scalar", "lfk0A"}) {
+        try {
+            kernels::findKernel(bad);
+            ADD_FAILURE() << "'" << bad << "' resolved";
+        } catch (const SimError &err) {
+            EXPECT_EQ(err.code(), ErrCode::BadOperand) << bad;
+        }
+    }
+    EXPECT_EQ(kernels::findKernel("lfk24:scalar").name, "lfk24");
 }
 
 // -------------------------------------------------------------- regInit
@@ -782,7 +792,7 @@ TEST(SimServer, QuarantinesFaultingJobWhileSweepCompletes)
 
     // The client's result carries the same error record.
     const json::Value &reported = parsed.at("error");
-    EXPECT_EQ(reported.at("code").asString(), errCodeName(bad.errCode));
+    EXPECT_EQ(reported.at("code").asString(), enumName(bad.errCode));
     EXPECT_EQ(reported.at("message").asString(), bad.error);
     EXPECT_EQ(reported.at("cycle").asInt(), bad.errContext.cycle);
     EXPECT_EQ(reported.at("pc").asInt(), bad.errContext.pc);

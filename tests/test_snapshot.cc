@@ -746,7 +746,7 @@ simulateFromScratch(
     std::vector<machine::SimJob> jobs;
     for (size_t i = 0; i < trials.size(); ++i) {
         machine::SimJob job = golden;
-        job.config.maxCycles = g.stats.cycles * cfg.guardFactor + 10000;
+        job.config.maxCycles = faults::trialCycleGuard(g.stats.cycles);
         job.faultPlan = trials[i].plan;
         job.lockstep = cfg.lockstep;
         job.body = checksumInto(i + 1);
@@ -757,7 +757,7 @@ simulateFromScratch(
         faults::FaultTrial &trial = trials[i];
         const machine::SimJobResult &r = res[i];
         trial.cycles = r.stats.cycles;
-        trial.errorCode = r.ok ? "" : errCodeName(r.errCode);
+        trial.errorCode = r.ok ? "" : enumName(r.errCode);
         if (r.ok) {
             const bool same = std::bit_cast<uint64_t>(sums[i + 1]) ==
                               std::bit_cast<uint64_t>(sums[0]);
@@ -975,11 +975,11 @@ TEST(CampaignPruning, EveryRecordMatchesFullSimulation)
          {faults::FaultSite::CpuReg, faults::FaultSite::FpuReg,
           faults::FaultSite::MemWord, faults::FaultSite::CacheLine,
           faults::FaultSite::SoftfpFlags})
-        EXPECT_GT(pruned[site], 0u) << faults::faultSiteName(site);
+        EXPECT_GT(pruned[site], 0u) << enumName(site);
     for (faults::FaultSite site :
          {faults::FaultSite::CpuReg, faults::FaultSite::FpuReg,
           faults::FaultSite::CacheLine, faults::FaultSite::SoftfpFlags})
-        EXPECT_GT(simulated[site], 0u) << faults::faultSiteName(site);
+        EXPECT_GT(simulated[site], 0u) << enumName(site);
     EXPECT_EQ(pruned[faults::FaultSite::SoftfpResult], 0u);
 }
 
@@ -1017,7 +1017,7 @@ TEST(CampaignPruning, UntouchedVictimsMatchTheRuleAtBothEnds)
             [&](const faults::FaultTrial &t) {
                 return t.pruned && siteOf(t) == site;
             });
-        ASSERT_NE(it, campaign.trials.end()) << faults::faultSiteName(site);
+        ASSERT_NE(it, campaign.trials.end()) << enumName(site);
         for (bool last : {false, true}) {
             faults::FaultTrial trial = *it;
             faults::Fault fault = trial.plan.faults().front();
@@ -1161,20 +1161,35 @@ TEST(CampaignPruning, CacheLineRuleFollowsTheNextAccess)
 
 TEST(CampaignPruning, CacheAblationsMatchFullSimulation)
 {
-    // Without modelled caches, or without write-allocate, a struck
-    // cache set counts if any golden access indexes it. Every record
-    // must still equal full simulation's.
+    // Without modelled caches no access reads a tag, and without a
+    // miss penalty no tag changes a cycle: every cache-line trial is
+    // decided. Without write-allocate a struck cache set counts if any
+    // golden access indexes it. Every record must still equal full
+    // simulation's.
     const std::vector<kernels::Kernel> kernels = {
         kernels::livermore::make(7, false),
         kernels::livermore::make(12, false)};
-    for (bool modelCaches : {false, true}) {
-        SCOPED_TRACE(modelCaches ? "no write-allocate" : "ideal memory");
+    const struct
+    {
+        const char *what;
+        bool modelCaches;
+        unsigned missPenalty;
+        bool writeAllocate;
+        bool inert;
+    } ablations[] = {
+        {"ideal memory", false, 14, true, true},
+        {"zero miss penalty", true, 0, true, true},
+        {"no write-allocate", true, 14, false, false},
+    };
+    for (const auto &a : ablations) {
+        SCOPED_TRACE(a.what);
         faults::CampaignConfig cfg = campaignConfig();
         cfg.faultsPerKernel = 60;
         cfg.seed = 5;
         cfg.fork = true;
-        cfg.machine.memory.modelCaches = modelCaches;
-        cfg.machine.memory.dataCache.writeAllocate = !modelCaches;
+        cfg.machine.memory.modelCaches = a.modelCaches;
+        cfg.machine.memory.dataCache.missPenalty = a.missPenalty;
+        cfg.machine.memory.dataCache.writeAllocate = a.writeAllocate;
         const faults::CampaignResult ref = fromScratchCampaign(kernels, cfg);
         const faults::CampaignResult result =
             faults::runCampaign(kernels, cfg);
@@ -1185,7 +1200,10 @@ TEST(CampaignPruning, CacheAblationsMatchFullSimulation)
                 ++(t.pruned ? pruned : simulated);
         }
         EXPECT_GT(pruned, 0u);
-        EXPECT_GT(simulated, 0u);
+        if (a.inert)
+            EXPECT_EQ(simulated, 0u);
+        else
+            EXPECT_GT(simulated, 0u);
     }
 }
 
@@ -1346,7 +1364,7 @@ TEST(SnapshotGolden, CommittedFormatIsStable)
             kernels::livermore::make(pause.kernel, pause.vector);
         SCOPED_TRACE(kernel.name + "/" + kernel.variant + " @" +
                      std::to_string(pause.cycle) + " " +
-                     softfp::backendName(pause.backend));
+                     enumName(pause.backend));
         machine::MachineConfig pauseCfg;
         pauseCfg.fpBackend = pause.backend;
         machine::Machine pm(pauseCfg);

@@ -430,7 +430,7 @@ TEST(ConformanceVectors, BothBackendsMatchPinnedResults)
     ASSERT_GE(vectors.size(), 60u);
     for (const Backend backend : {Backend::Soft, Backend::HostFast}) {
         for (const Vector &v : vectors) {
-            SCOPED_TRACE(std::string(backendName(backend)) + " " +
+            SCOPED_TRACE(std::string(enumName(backend)) + " " +
                          v.op + " " + std::to_string(v.a) + ", " +
                          std::to_string(v.b));
             Flags flags;

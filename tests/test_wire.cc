@@ -175,6 +175,15 @@ TEST(Wire, ParseHostPort)
                  SimError);
     EXPECT_THROW(service::parseHostPort("host:70000", host, port),
                  SimError);
+    // The port is the whole token after the colon: digits only.
+    for (const char *bad : {"host: 80", "host:+80", "host:\t80", "host:-0"}) {
+        try {
+            service::parseHostPort(bad, host, port);
+            ADD_FAILURE() << "'" << bad << "' parsed";
+        } catch (const SimError &err) {
+            EXPECT_EQ(err.code(), ErrCode::BadOperand) << bad;
+        }
+    }
 }
 
 TEST(Wire, ServerRequiresATransport)
@@ -276,7 +285,7 @@ TEST(Wire, HelloWithoutProtoIsBadOperand)
     const json::Value reply = conn.roundTrip("{\"cmd\":\"hello\"}");
     ASSERT_FALSE(reply.at("ok").asBool());
     EXPECT_EQ(reply.at("error_code").asString(),
-              errCodeName(ErrCode::BadOperand));
+              enumName(ErrCode::BadOperand));
 }
 
 TEST(Wire, LegacyPeerWithoutHelloIsServed)
@@ -371,7 +380,7 @@ TEST(Wire, OversizeLineIsRejectedAndDisconnected)
     const json::Value reply = conn.roundTrip(big);
     ASSERT_FALSE(reply.at("ok").asBool());
     EXPECT_EQ(reply.at("error_code").asString(),
-              errCodeName(ErrCode::Io));
+              enumName(ErrCode::Io));
     EXPECT_NE(reply.at("error").asString().find("exceeds"),
               std::string::npos);
 
@@ -424,7 +433,7 @@ TEST(Wire, MaxConnectionsCapAnswersBusyAndRecovers)
         const json::Value busy = json::parse(line);
         EXPECT_FALSE(busy.at("ok").asBool());
         EXPECT_EQ(busy.at("error_code").asString(),
-                  errCodeName(ErrCode::Busy));
+                  enumName(ErrCode::Busy));
         EXPECT_FALSE(reject.readLine(line));
     }
 
@@ -542,7 +551,7 @@ TEST(Wire, ExpiredDeadlineShedsQueuedWorkWithBusyResult)
     // The shed result carries the same error record as every other
     // failure: one job_error object.
     const json::Value &error = result.at("job_error");
-    EXPECT_EQ(error.at("code").asString(), errCodeName(ErrCode::Busy));
+    EXPECT_EQ(error.at("code").asString(), enumName(ErrCode::Busy));
     EXPECT_NE(error.at("message").asString().find("shed"),
               std::string::npos);
     EXPECT_TRUE(error.at("cycle").isNull());
@@ -571,7 +580,7 @@ TEST(Wire, ClientTimeBudgetsPastTheCapAreBadOperand)
             ",\"deadline_ms\":" + ms + "}");
         ASSERT_FALSE(reply.at("ok").asBool());
         EXPECT_EQ(reply.at("error_code").asString(),
-                  errCodeName(ErrCode::BadOperand));
+                  enumName(ErrCode::BadOperand));
     }
     // None of the refused submits made a job.
     EXPECT_EQ(jobCount(conn.roundTrip("{\"cmd\":\"health\"}")), 0u);
@@ -596,7 +605,7 @@ TEST(Wire, ClientTimeBudgetsPastTheCapAreBadOperand)
             "}");
         ASSERT_FALSE(reply.at("ok").asBool());
         EXPECT_EQ(reply.at("error_code").asString(),
-                  errCodeName(ErrCode::BadOperand));
+                  enumName(ErrCode::BadOperand));
     }
 }
 
