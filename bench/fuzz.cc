@@ -4,9 +4,10 @@
  * Generates seeded random programs, runs each through the cycle
  * Machine with the lockstep Interpreter shadow on both softfp
  * backends, classifies every trial, minimizes failures to crash
- * bundles, and reports the coverage reached. A bundle's report carries
- * the minimized program as a JobSpec, which `replay` re-runs as it
- * does a daemon crash report.
+ * bundles, and reports the coverage reached. Every program it writes
+ * is a service JobSpec: a corpus entry is the spec a trial ran, and a
+ * bundle's report carries the minimized program's spec, which
+ * `replay` re-runs as it does a daemon crash report.
  *
  * Usage:
  *   fuzz [--seed=S] [--trials=N | --duration-s=T]
@@ -15,13 +16,15 @@
  *        [--assert-no-divergence] [--min-opvl-coverage=F]
  *        [--replay-corpus=DIR] [--quiet] [--export-specs=FILE]
  *
- * --export-specs=FILE writes the campaign's trials as service
- * JobSpecs (one JSON object per line, fuzz-shard seeds derived from
- * --seed exactly as the engine would) and exits without fuzzing. The
- * file feeds `mtfpu-cli sweep`, sharding a fuzz campaign's program
- * simulations across the simulation daemon. The exported jobs run
- * the generated programs on the cycle machine only — the lockstep
- * differential oracle stays an in-process concern.
+ * --export-specs=FILE writes one fuzz-shard JobSpec per trial seed
+ * of the campaign (one JSON object per line, seeds derived from
+ * --seed exactly as the engine derives them) and exits without
+ * fuzzing. A shard resolves to the unbiased program for its seed, not
+ * to the campaign's program, which the generator biases with the
+ * coverage reached so far. The file feeds `mtfpu-cli sweep`, which
+ * spreads the simulations across the daemon; the exported jobs run on
+ * the cycle machine only — the lockstep differential oracle stays an
+ * in-process concern.
  *
  * --seed=S            campaign seed (default 1); identical seeds give
  *                     identical journals
@@ -31,15 +34,16 @@
  *                     unless --resume continues over it
  * --resume            reconstruct coverage from the journal and
  *                     continue after the last complete trial
- * --crash-dir=DIR     write minimized crash bundles (.json/.prog)
- * --corpus-dir=DIR    write coverage-novel programs (.prog)
+ * --crash-dir=DIR     write minimized crash bundles (trial-N.json)
+ * --corpus-dir=DIR    write coverage-novel programs as specs
+ *                     (trial-N.json)
  * --mutate=NAME       install a deliberate shadow-semantics bug
  *                     (flip-sra, flip-srb, drop-last-element,
  *                     swap-add-sub) — oracle validation mode
  * --assert-no-divergence  exit 1 if any trial faulted or diverged
  * --min-opvl-coverage=F   exit 1 if op x vl coverage ends below F
- * --replay-corpus=DIR     instead of fuzzing, re-run every .prog in
- *                         DIR through the lockstep diff (both
+ * --replay-corpus=DIR     instead of fuzzing, re-run every *.json
+ *                         spec in DIR through the lockstep diff (both
  *                         backends) and report
  *
  * Exit status: 0 clean, 1 assertion failed (divergence found or
@@ -53,7 +57,6 @@
 #include "bench/bench_util.hh"
 #include "common/file_io.hh"
 #include "common/log.hh"
-#include "fuzz/corpus.hh"
 #include "fuzz/fuzz_engine.hh"
 #include "service/job_spec.hh"
 
@@ -65,23 +68,23 @@ namespace
 {
 
 int
-replayCorpus(const std::string &dir, const fuzz::FuzzConfig &config,
-             bool quiet)
+replayCorpus(const std::string &dir,
+             machine::SemanticsMutation shadow_mutation, bool quiet)
 {
     const std::vector<std::string> paths = fuzz::listCorpus(dir);
     if (paths.empty()) {
-        std::fprintf(stderr, "no .prog files under %s\n", dir.c_str());
+        std::fprintf(stderr, "no .json files under %s\n", dir.c_str());
         return 2;
     }
     unsigned failures = 0;
     for (const std::string &path : paths) {
-        const fuzz::FuzzProgram prog = fuzz::readProgramFile(path);
+        service::JobSpec spec = service::JobSpec::parse(readFile(path));
         bool failed = false;
         for (const softfp::Backend backend :
              {softfp::Backend::Soft, softfp::Backend::HostFast}) {
-            const fuzz::BackendOutcome out = fuzz::runLockstep(
-                prog, backend, config.shadowMutation, config.maxCycles,
-                config.memBytes);
+            spec.config.fpBackend = backend;
+            const fuzz::BackendOutcome out =
+                fuzz::runLockstep(spec, shadow_mutation);
             if (fuzz::outcomeIsFailure(out.outcome)) {
                 failed = true;
                 std::printf("%s [%s]: %s (%s)\n", path.c_str(),
@@ -154,14 +157,14 @@ main(int argc, char **argv)
         }
 
         if (!replayDir.empty())
-            return replayCorpus(replayDir, config, quiet);
+            return replayCorpus(replayDir, config.shadowMutation, quiet);
 
         if (!exportSpecs.empty()) {
             std::string lines;
             service::JobSpec spec;
             spec.kind = service::JobKind::Fuzz;
             spec.config.maxCycles = config.maxCycles;
-            spec.config.memory.memBytes = config.memBytes;
+            spec.config.memory.memBytes = fuzz::kTrialMemBytes;
             for (uint64_t t = 0; t < config.trials; ++t) {
                 spec.fuzzSeed = fuzz::trialSeed(config.seed, t);
                 spec.name = "fuzz-" + std::to_string(spec.fuzzSeed);

@@ -14,7 +14,9 @@
  * The replay resolves the spec and starts the job through
  * machine::startJob, the path every other run takes, so a fault plan
  * and the lockstep shadow re-attach because they are data; it then
- * sets the report's mutation on the shadow startJob returns.
+ * sets the report's mutation on the shadow startJob returns. It
+ * prints the program's listing (isa::disassembleProgram) before the
+ * trace.
  *
  * Because a Machine is a closed deterministic system, a genuine
  * simulator failure reproduces exactly — and the trace tail around
@@ -43,6 +45,7 @@
 #include "common/file_io.hh"
 #include "common/json.hh"
 #include "common/log.hh"
+#include "isa/disasm.hh"
 #include "machine/machine.hh"
 #include "machine/sim_job.hh"
 #include "machine/stats.hh"
@@ -150,6 +153,9 @@ main(int argc, char **argv)
                             ? ""
                             : enumName(mutation));
         }
+        std::printf("  program (%zu instructions):\n%s",
+                    job.program.code.size(),
+                    isa::disassembleProgram(job.program).c_str());
         machine::Tracer tracer;
         m.addObserver(&tracer);
         try {

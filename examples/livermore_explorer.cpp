@@ -24,14 +24,19 @@ main(int argc, char **argv)
     int id = 1;
     bool vector = false;
     bool ideal = false;
+    bool badWord = argc > 4;
     if (argc > 1)
         id = parseNumber<int>(argv[1]).value_or(0);
-    if (argc > 2)
+    if (argc > 2) {
         vector = std::strcmp(argv[2], "vector") == 0;
-    if (argc > 3)
+        badWord |= !vector && std::strcmp(argv[2], "scalar") != 0;
+    }
+    if (argc > 3) {
         ideal = std::strcmp(argv[3], "ideal") == 0;
+        badWord |= !ideal;
+    }
 
-    if (id < 1 || id > lfk::kNumLoops) {
+    if (badWord || id < 1 || id > lfk::kNumLoops) {
         std::fprintf(stderr,
                      "usage: %s [1..24] [scalar|vector] [ideal]\n",
                      argv[0]);

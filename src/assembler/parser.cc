@@ -74,6 +74,13 @@ class Cursor
 
     void comma() { expect(TokKind::Comma, "','"); }
 
+    /** True when a ',' and then a @p kind token come next. */
+    bool
+    commaThen(TokKind kind) const
+    {
+        return peek().kind == TokKind::Comma && toks_[pos_ + 1].kind == kind;
+    }
+
   private:
     const std::vector<Token> &toks_;
     size_t pos_ = 0;
@@ -166,7 +173,9 @@ parse(const std::vector<Token> &tokens)
                                *fp == FpOp::Truncate || *fp == FpOp::Recip;
             unsigned vl = 1;
             bool sra = false, srb = false;
-            if (!unary) {
+            // A unary op ignores rb, but a listing names the field
+            // (isa::disassemble), so it may follow ra.
+            if (!unary || cur.commaThen(TokKind::FpReg)) {
                 cur.comma();
                 rb = cur.fpReg();
             }

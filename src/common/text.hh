@@ -16,8 +16,8 @@
  * build. enumName() and findEnum() read it in both directions.
  *
  * Numbers: parseNumber() takes a token that is one number of its type
- * and nothing else, where std::stoull would read "12abc" as 12 and
- * "-1" as 2^64 - 1.
+ * and nothing else, decimal or hex after an optional 0x, where
+ * std::stoull would read "12abc" as 12 and "-1" as 2^64 - 1.
  */
 
 #ifndef MTFPU_COMMON_TEXT_HH
@@ -129,8 +129,7 @@ parseEnum(std::string_view name, const char *what, ErrCode code)
 enum class Digits : uint8_t
 {
     Decimal,
-    Hex,           // after an optional 0x
-    HexIfPrefixed, // hex after 0x, decimal otherwise
+    Hex, // after an optional 0x
 };
 
 /**
@@ -150,12 +149,11 @@ parseNumber(std::string_view text, Digits digits = Digits::Decimal)
     if constexpr (std::is_floating_point_v<T>) {
         result = std::from_chars(text.data(), end, value);
     } else {
-        const bool prefixed = digits != Digits::Decimal &&
-                              text.size() > 2 && text[0] == '0' &&
+        const bool hex = digits == Digits::Hex;
+        const bool prefixed = hex && text.size() > 2 && text[0] == '0' &&
                               (text[1] == 'x' || text[1] == 'X');
-        const int base = prefixed || digits == Digits::Hex ? 16 : 10;
         result = std::from_chars(text.data() + (prefixed ? 2 : 0), end,
-                                 value, base);
+                                 value, hex ? 16 : 10);
     }
     if (result.ec != std::errc() || result.ptr != end)
         return std::nullopt;

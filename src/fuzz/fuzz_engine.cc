@@ -1,19 +1,19 @@
 #include "fuzz/fuzz_engine.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 
 #include "common/file_io.hh"
 #include "common/journal.hh"
 #include "common/json.hh"
 #include "common/log.hh"
-#include "fuzz/corpus.hh"
 #include "fuzz/minimizer.hh"
 #include "machine/machine.hh"
 #include "machine/sim_job.hh"
-#include "service/job_spec.hh"
 
 namespace mtfpu::fuzz
 {
@@ -21,14 +21,21 @@ namespace mtfpu::fuzz
 namespace
 {
 
-/**
- * The job one trial runs on @p backend: @p prog on the trial's
- * machine, with the lockstep shadow. A crash bundle carries the same
- * spec, so its replay runs what the trial ran.
- */
+/** "trial-NNNNNN", the stem of a trial's corpus entry and bundle. */
+std::string
+trialStem(uint64_t trial)
+{
+    char stem[32];
+    std::snprintf(stem, sizeof stem, "trial-%06llu",
+                  static_cast<unsigned long long>(trial));
+    return stem;
+}
+
+} // anonymous namespace
+
 service::JobSpec
 trialSpec(const FuzzProgram &prog, softfp::Backend backend,
-          uint64_t max_cycles, size_t mem_bytes)
+          uint64_t max_cycles)
 {
     service::JobSpec spec;
     spec.kind = service::JobKind::Code;
@@ -36,13 +43,11 @@ trialSpec(const FuzzProgram &prog, softfp::Backend backend,
         spec.code.push_back(in.encode());
     spec.config.fpBackend = backend;
     spec.config.maxCycles = max_cycles;
-    spec.config.memory.memBytes = mem_bytes;
+    spec.config.memory.memBytes = kTrialMemBytes;
     spec.memInit = prog.memInit;
     spec.lockstep = true;
     return spec;
 }
-
-} // anonymous namespace
 
 TrialOutcome
 TrialResult::worst() const
@@ -100,12 +105,13 @@ FuzzResult::table() const
 }
 
 BackendOutcome
-runLockstep(const FuzzProgram &prog, softfp::Backend backend,
-            machine::SemanticsMutation shadow_mutation,
-            uint64_t max_cycles, size_t mem_bytes, CoverageObserver *cov)
+runLockstep(const service::JobSpec &spec,
+            machine::SemanticsMutation shadow_mutation, CoverageObserver *cov)
 {
-    const machine::SimJob job =
-        trialSpec(prog, backend, max_cycles, mem_bytes).resolve();
+    if (!spec.lockstep)
+        fatal(ErrCode::BadOperand,
+              "fuzz: spec '" + spec.name + "' runs without the lockstep shadow");
+    const machine::SimJob job = spec.resolve();
     machine::Machine m(job.config);
     const machine::JobInstruments instruments = machine::startJob(job, m);
     machine::LockstepChecker &checker = *instruments.shadow;
@@ -154,6 +160,21 @@ runLockstep(const FuzzProgram &prog, softfp::Backend backend,
     return out;
 }
 
+std::vector<std::string>
+listCorpus(const std::string &dir)
+{
+    std::vector<std::string> paths;
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir, ec)) {
+        if (entry.is_regular_file() &&
+            entry.path().extension() == ".json")
+            paths.push_back(entry.path().string());
+    }
+    std::sort(paths.begin(), paths.end());
+    return paths;
+}
+
 uint64_t
 trialSeed(uint64_t campaign_seed, uint64_t trial)
 {
@@ -174,21 +195,23 @@ FuzzEngine::runTrial(uint64_t trial)
     const FuzzProgram prog = gen_.generate(res.seed, &coverage_);
 
     CoverageObserver cov;
-    res.soft = runLockstep(prog, softfp::Backend::Soft,
-                           config_.shadowMutation, config_.maxCycles,
-                           config_.memBytes, &cov);
-    res.host = runLockstep(prog, softfp::Backend::HostFast,
-                           config_.shadowMutation, config_.maxCycles,
-                           config_.memBytes);
+    res.soft = runLockstep(
+        trialSpec(prog, softfp::Backend::Soft, config_.maxCycles),
+        config_.shadowMutation, &cov);
+    res.host = runLockstep(
+        trialSpec(prog, softfp::Backend::HostFast, config_.maxCycles),
+        config_.shadowMutation);
     cov.add(outcomeCell(static_cast<unsigned>(res.worst())));
     res.newCells = coverage_.commit(cov.touched());
     res.kept = !res.newCells.empty();
 
     if (res.kept && !config_.corpusDir.empty()) {
-        char name[64];
-        std::snprintf(name, sizeof name, "/trial-%06llu.prog",
-                      static_cast<unsigned long long>(trial));
-        writeProgramFile(config_.corpusDir + name, prog);
+        const std::string stem = trialStem(trial);
+        service::JobSpec entry =
+            trialSpec(prog, softfp::Backend::Soft, config_.maxCycles);
+        entry.name = "fuzz-" + stem;
+        writeFileAtomic(config_.corpusDir + "/" + stem + ".json",
+                        entry.to_json() + "\n");
     }
     if (outcomeIsFailure(res.worst()))
         bundleFailure(prog, res);
@@ -207,9 +230,9 @@ FuzzEngine::bundleFailure(const FuzzProgram &prog, TrialResult &result)
 
     const auto sameSignature = [&](const FuzzProgram &candidate) {
         try {
-            const BackendOutcome got =
-                runLockstep(candidate, backend, config_.shadowMutation,
-                            config_.maxCycles, config_.memBytes);
+            const BackendOutcome got = runLockstep(
+                trialSpec(candidate, backend, config_.maxCycles),
+                config_.shadowMutation);
             return got.outcome == want.outcome &&
                    got.errorCode() == want.errorCode();
         } catch (const FatalError &) {
@@ -220,26 +243,18 @@ FuzzEngine::bundleFailure(const FuzzProgram &prog, TrialResult &result)
         }
     };
 
-    FuzzProgram minimized = prog;
-    if (config_.minimize)
-        minimized = minimize(prog, sameSignature);
+    const FuzzProgram minimized = minimize(prog, sameSignature);
     result.minimizedSize = static_cast<unsigned>(minimized.code.size());
 
     if (config_.crashDir.empty())
         return;
-    char stem[64];
-    std::snprintf(stem, sizeof stem, "trial-%06llu",
-                  static_cast<unsigned long long>(result.trial));
-    const std::string base = config_.crashDir + "/" + stem;
+    const std::string stem = trialStem(result.trial);
 
     // Re-run the minimized program for its own faulting cycle, the one
     // the replay contract checks.
-    const BackendOutcome minOut =
-        runLockstep(minimized, backend, config_.shadowMutation,
-                    config_.maxCycles, config_.memBytes);
-    service::JobSpec spec = trialSpec(minimized, backend,
-                                      config_.maxCycles, config_.memBytes);
-    spec.name = "fuzz-" + std::string(stem);
+    service::JobSpec spec = trialSpec(minimized, backend, config_.maxCycles);
+    const BackendOutcome minOut = runLockstep(spec, config_.shadowMutation);
+    spec.name = "fuzz-" + stem;
 
     json::Writer w;
     w.beginObject();
@@ -253,10 +268,8 @@ FuzzEngine::bundleFailure(const FuzzProgram &prog, TrialResult &result)
         w.key("divergence").raw(minOut.divergence.to_json());
     w.endObject();
 
-    writeProgramFile(base + ".prog", minimized);
-    writeProgramFile(base + ".orig.prog", prog);
-    writeFileAtomic(base + ".json", w.str() + "\n");
-    result.bundlePath = base + ".json";
+    result.bundlePath = config_.crashDir + "/" + stem + ".json";
+    writeFileAtomic(result.bundlePath, w.str() + "\n");
 }
 
 uint64_t

@@ -13,11 +13,14 @@
  *   4. commits the trial's coverage cells and keeps the program in
  *      the corpus when it lit a new cell;
  *   5. on divergence/fault, delta-debugs the program to a minimal
- *      reproducer and writes a crash bundle: the reproducer as the
- *      service JobSpec it ran as (code words, memory image, trial
- *      config, lockstep on), its error and DivergenceReport, plus the
- *      human-readable .prog files. bench/replay re-runs the spec, as
- *      it does a daemon crash report's.
+ *      reproducer and writes a crash bundle: the reproducer's spec,
+ *      its error and its DivergenceReport. bench/replay re-runs the
+ *      spec, as it does a daemon crash report's.
+ *
+ * A program is stored in one form, the service JobSpec a trial runs
+ * (trialSpec: code words, memory image, trial config, lockstep on).
+ * Corpus entries, crash bundles and the committed regression corpus
+ * are all such specs, so any of them can also go to the daemon.
  *
  * Everything is deterministic in the campaign seed: identical seeds
  * produce identical journals, and a campaign resumed over a torn
@@ -39,6 +42,7 @@
 #include "fuzz/program_gen.hh"
 #include "machine/interpreter.hh"
 #include "machine/lockstep.hh"
+#include "service/job_spec.hh"
 
 namespace mtfpu::fuzz
 {
@@ -97,6 +101,9 @@ struct BackendOutcome
     }
 };
 
+/** Machine/shadow memory of a trial (small = fast lockstep compares). */
+constexpr size_t kTrialMemBytes = 256 * 1024;
+
 /** Fuzzing campaign parameters. */
 struct FuzzConfig
 {
@@ -111,9 +118,6 @@ struct FuzzConfig
     /** Cycle guard for generated programs (they are all short). */
     uint64_t maxCycles = 2'000'000;
 
-    /** Machine/shadow memory size (small = fast lockstep compares). */
-    size_t memBytes = 256 * 1024;
-
     /**
      * Deliberate shadow bug for oracle validation: the campaign must
      * find and minimize it (DESIGN.md §10). None for real campaigns.
@@ -121,13 +125,11 @@ struct FuzzConfig
     machine::SemanticsMutation shadowMutation =
         machine::SemanticsMutation::None;
 
-    /** Delta-debug failing programs to minimal reproducers. */
-    bool minimize = true;
-
     /** Where crash bundles go (empty = don't write). */
     std::string crashDir;
 
-    /** Where coverage-novel programs go (empty = don't write). */
+    /** Where coverage-novel programs go as trial-NNNNNN.json specs
+     *  (empty = don't write). */
     std::string corpusDir;
 
     /**
@@ -173,15 +175,25 @@ struct FuzzResult
 };
 
 /**
- * Run @p prog through the Machine-vs-Interpreter lockstep diff on one
- * backend and classify the outcome. @p cov, when non-null, records
- * the run's coverage cells.
+ * The job a trial runs on @p backend: @p prog as code words and its
+ * memory image, on a kTrialMemBytes machine guarded at @p max_cycles,
+ * with the lockstep shadow.
  */
-BackendOutcome runLockstep(const FuzzProgram &prog,
-                           softfp::Backend backend,
+service::JobSpec trialSpec(const FuzzProgram &prog,
+                           softfp::Backend backend, uint64_t max_cycles);
+
+/**
+ * Run @p spec through the Machine-vs-Interpreter lockstep diff, with
+ * @p shadow_mutation installed in the shadow, and classify the
+ * outcome. @p cov, when non-null, records the run's coverage cells.
+ * Throws SimError(BadOperand) for a spec without the lockstep flag.
+ */
+BackendOutcome runLockstep(const service::JobSpec &spec,
                            machine::SemanticsMutation shadow_mutation,
-                           uint64_t max_cycles, size_t mem_bytes,
                            CoverageObserver *cov = nullptr);
+
+/** Sorted paths of the `*.json` specs directly under @p dir. */
+std::vector<std::string> listCorpus(const std::string &dir);
 
 /** The campaign driver. */
 class FuzzEngine

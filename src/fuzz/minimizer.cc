@@ -14,7 +14,6 @@ withCode(const FuzzProgram &base, std::vector<isa::Instr> code,
          const isa::Instr &last)
 {
     FuzzProgram p;
-    p.seed = base.seed;
     p.code = std::move(code);
     p.code.push_back(last);
     p.memInit = base.memInit;

@@ -393,7 +393,6 @@ FuzzProgram
 ProgramGen::generate(uint64_t seed, const CoverageMap *coverage) const
 {
     FuzzProgram prog;
-    prog.seed = seed;
     GenState st(seed);
     Rng &rng = st.rng;
 

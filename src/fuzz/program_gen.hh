@@ -51,7 +51,6 @@ constexpr unsigned kPoolWords = 48;
  */
 struct FuzzProgram
 {
-    uint64_t seed = 0;
     std::vector<isa::Instr> code;
     /** (byte address, raw bits) pairs, written before the run. */
     std::vector<std::pair<uint64_t, uint64_t>> memInit;

@@ -133,15 +133,14 @@ FpuAluInstr::decode(uint32_t word)
 std::string
 FpuAluInstr::toString() const
 {
+    // Every field is listed, a unary op's unused rb and the stride
+    // bits of a VL=1 op too, so the listing reassembles to this word.
+    char vl[16] = "";
+    if (vlm1 != 0)
+        std::snprintf(vl, sizeof(vl), ", vl=%u", vlm1 + 1u);
     char buf[96];
-    if (vlm1 == 0) {
-        std::snprintf(buf, sizeof(buf), "%s f%u, f%u, f%u", enumName(op),
-                      rr, ra, rb);
-    } else {
-        std::snprintf(buf, sizeof(buf), "%s f%u, f%u, f%u, vl=%u%s%s",
-                      enumName(op), rr, ra, rb, vlm1 + 1u,
-                      sra ? ", sra" : "", srb ? ", srb" : "");
-    }
+    std::snprintf(buf, sizeof(buf), "%s f%u, f%u, f%u%s%s%s", enumName(op),
+                  rr, ra, rb, vl, sra ? ", sra" : "", srb ? ", srb" : "");
     return buf;
 }
 

@@ -50,8 +50,6 @@ Tracer::renderLog(size_t last) const
           case TraceKind::CpuIssue: kind = "cpu  "; break;
           case TraceKind::FpTransfer: kind = "xfer "; break;
           case TraceKind::FpElement: kind = "elem "; break;
-          case TraceKind::FpWriteback: kind = "wb   "; break;
-          case TraceKind::FpLoadData: kind = "lddat"; break;
           case TraceKind::GlobalStall: kind = "stall"; break;
         }
         std::snprintf(buf, sizeof(buf), "%6llu  %s %s\n",
@@ -65,9 +63,8 @@ Tracer::renderLog(size_t last) const
 std::string
 Tracer::renderTimeline() const
 {
-    // Rows: FPU elements, in issue order. Each element issued at cycle
-    // c completes at the cycle recorded in its matching writeback (or
-    // c + latency as a fallback while still in flight).
+    // Rows: FPU elements, in issue order. An element issued at cycle
+    // c with latency l writes back at c + l.
     struct Row
     {
         std::string label;
@@ -81,13 +78,6 @@ Tracer::renderTimeline() const
         max_cycle = std::max(max_cycle, e.cycle);
         if (e.kind == TraceKind::FpElement)
             rows.push_back(Row{e.text, e.cycle, e.cycle + e.extra});
-        else if (e.kind == TraceKind::FpWriteback && e.extra != 0) {
-            // extra carries the issue cycle; match the open row.
-            for (Row &r : rows) {
-                if (r.issue == e.extra && r.complete < e.cycle)
-                    r.complete = e.cycle;
-            }
-        }
     }
     for (const Row &r : rows)
         max_cycle = std::max(max_cycle, r.complete);

@@ -27,8 +27,6 @@ enum class TraceKind
     CpuIssue,    // a CPU instruction issued
     FpTransfer,  // an FPU ALU instruction entered the ALU IR
     FpElement,   // a vector element issued (text shows the element)
-    FpWriteback, // an element's result was written back
-    FpLoadData,  // FPU load data reached the register file
     GlobalStall, // lock-step stall began (cache miss)
 };
 
@@ -38,7 +36,7 @@ struct TraceEvent
     uint64_t cycle;
     TraceKind kind;
     std::string text;
-    uint64_t extra = 0; // e.g. stall length, completion cycle
+    uint64_t extra = 0; // stall length, or an element's latency
 };
 
 /** Event sink; attach to a Machine to record a run. */
@@ -63,8 +61,9 @@ class Tracer : public exec::ExecObserver
 
     /**
      * Render a Figure 5-8 style timing diagram: one row per issued
-     * FPU element, columns are cycles; 'T' marks the CPU transfer
-     * cycle of the owning instruction, '=' spans issue to writeback.
+     * FPU element, columns are cycles; 'I' marks the element's issue
+     * cycle, 'W' its writeback (issue + latency), '=' the cycles
+     * between and '.' the rest.
      */
     std::string renderTimeline() const;
 

@@ -14,6 +14,19 @@ namespace mtfpu::service
 namespace
 {
 
+/** @p v as a T; throws BadOperand for a number T cannot hold, which
+ *  a cast would silently wrap. */
+template <typename T>
+T
+checkedUint(const json::Value &v, const std::string &what)
+{
+    const uint64_t value = v.asUint();
+    if (!std::in_range<T>(value))
+        fatal(ErrCode::BadOperand,
+              what + " " + std::to_string(value) + " is out of range");
+    return static_cast<T>(value);
+}
+
 void
 writeCacheConfig(json::Writer &w, const memory::CacheConfig &c)
 {
@@ -34,7 +47,7 @@ cacheConfigFromJson(const json::Value &v, memory::CacheConfig dflt)
         dflt.lineBytes = v.at("line_bytes").asUint();
     if (v.has("miss_penalty"))
         dflt.missPenalty =
-            static_cast<unsigned>(v.at("miss_penalty").asUint());
+            checkedUint<unsigned>(v.at("miss_penalty"), "miss_penalty");
     if (v.has("write_allocate"))
         dflt.writeAllocate = v.at("write_allocate").asBool();
     return dflt;
@@ -54,13 +67,10 @@ pairsFromJson(const json::Value &v, const char *what)
                   std::string("job spec: ") + what +
                       " entries must be [key, value] pairs");
         }
-        const uint64_t key = pair[0].asUint();
-        if (!std::in_range<First>(key)) {
-            fatal(ErrCode::BadOperand, std::string("job spec: ") + what +
-                                           " key " + std::to_string(key) +
-                                           " is out of range");
-        }
-        out.emplace_back(static_cast<First>(key), pair[1].asUint());
+        out.emplace_back(
+            checkedUint<First>(pair[0],
+                               std::string("job spec: ") + what + " key"),
+            pair[1].asUint());
     }
     return out;
 }
@@ -114,12 +124,13 @@ configFromJson(const json::Value &v)
 {
     machine::MachineConfig c;
     if (v.has("fpu_latency"))
-        c.fpuLatency = static_cast<unsigned>(v.at("fpu_latency").asUint());
+        c.fpuLatency =
+            checkedUint<unsigned>(v.at("fpu_latency"), "fpu_latency");
     if (v.has("cycle_ns"))
         c.cycleNs = v.at("cycle_ns").asNumber();
     if (v.has("store_cycles"))
         c.storeCycles =
-            static_cast<unsigned>(v.at("store_cycles").asUint());
+            checkedUint<unsigned>(v.at("store_cycles"), "store_cycles");
     if (v.has("overlap_with_vector"))
         c.overlapWithVector = v.at("overlap_with_vector").asBool();
     if (v.has("hazard_policy"))
@@ -221,7 +232,8 @@ JobSpec::from_json(const json::Value &v)
             fatal(ErrCode::BadOperand,
                   "job spec: code kind needs a 'code' field");
         for (const json::Value &word : v.at("code").asArray())
-            spec.code.push_back(static_cast<uint32_t>(word.asUint()));
+            spec.code.push_back(
+                checkedUint<uint32_t>(word, "job spec: code word"));
         break;
       }
       case JobKind::Kernel:

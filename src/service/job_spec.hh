@@ -22,7 +22,8 @@
  *
  * A spec is also the one replay artifact: the daemon's crash report
  * and the fuzzer's crash bundle both carry the failed job's spec,
- * which bench/replay resolves and re-runs.
+ * which bench/replay resolves and re-runs. The fuzzer's corpus
+ * entries are bare specs.
  */
 
 #ifndef MTFPU_SERVICE_JOB_SPEC_HH
@@ -110,8 +111,9 @@ struct JobSpec
     std::string to_json() const;
 
     /** Decode a parsed JSON object; throws SimError(BadOperand) on
-     *  structural problems or unknown kinds. Missing config fields
-     *  take their MachineConfig defaults. */
+     *  structural problems, unknown kinds, or a number too large for
+     *  its field (a code word above 32 bits, say). Missing config
+     *  fields take their MachineConfig defaults. */
     static JobSpec from_json(const json::Value &v);
 
     /** Convenience: parse text then decode. */
@@ -136,7 +138,7 @@ inline constexpr uint64_t kMaxMemBytes = 64ull << 20;
 
 /** MachineConfig <-> JSON (shared with the wire protocol).
  *  configFromJson throws SimError(BadOperand) for mem_bytes above
- *  kMaxMemBytes. */
+ *  kMaxMemBytes and for a count its field cannot hold. */
 std::string configToJson(const machine::MachineConfig &config);
 machine::MachineConfig configFromJson(const json::Value &v);
 

@@ -195,7 +195,8 @@ TEST(Assembler, RoundTripThroughDisassembler)
 TEST(Assembler, EveryTableMnemonicRoundTripsThroughDisassembler)
 {
     // The assembler and the disassembler read one name table per
-    // instruction family, so each mnemonic comes back as written.
+    // instruction family, so each mnemonic comes back as written, and
+    // each listing assembles to the word it lists.
     struct Case
     {
         std::string source, listing;
@@ -212,22 +213,27 @@ TEST(Assembler, EveryTableMnemonicRoundTripsThroughDisassembler)
         cases.push_back({branch, branch});
     }
     for (const auto &[op, name] : kEnumNames<FpOp>) {
-        // A unary op names no rb; its zero field lists as f0.
+        // A unary op ignores rb: a source may leave it out, and its
+        // zero field lists as f0, or name it, as a listing does.
         const bool unary =
             op == FpOp::Float || op == FpOp::Truncate || op == FpOp::Recip;
-        const std::string source =
-            std::string(name) + (unary ? " f8, f1" : " f8, f1, f2");
-        const std::string listing =
-            std::string(name) + (unary ? " f8, f1, f0" : " f8, f1, f2");
-        cases.push_back({source, listing});
-        cases.push_back({source + ", vl=4, sra, srb",
-                         listing + ", vl=4, sra, srb"});
+        const std::string full = std::string(name) + " f8, f1, f5";
+        if (unary)
+            cases.push_back({std::string(name) + " f8, f1",
+                             std::string(name) + " f8, f1, f0"});
+        cases.push_back({full, full});
+        cases.push_back({full + ", vl=4, sra, srb", full + ", vl=4, sra, srb"});
+        // Stride bits list at VL=1 too.
+        cases.push_back({full + ", sra, srb", full + ", sra, srb"});
     }
-    ASSERT_EQ(cases.size(), 2 * 11 + 6 + 2 * 8u);
+    ASSERT_EQ(cases.size(), 2 * 11 + 6 + 3 * 8 + 3u);
     for (const Case &c : cases) {
         const Program p = assemble(c.source);
         ASSERT_EQ(p.code.size(), 1u) << c.source;
         EXPECT_EQ(isa::disassemble(p.code[0]), c.listing) << c.source;
+        const Program back = assemble(c.listing);
+        ASSERT_EQ(back.code.size(), 1u) << c.listing;
+        EXPECT_EQ(back.code[0].encode(), p.code[0].encode()) << c.listing;
     }
 }
 

@@ -586,14 +586,6 @@ TEST(NumberParser, TakesOnlyAWholeNumberThatFits)
         EXPECT_FALSE(parseNumber<uint64_t>(bad, Digits::Hex))
             << "'" << bad << "'";
     }
-
-    // Hex after 0x, decimal otherwise: a leading zero is not octal.
-    EXPECT_EQ(parseNumber<uint64_t>("010", Digits::HexIfPrefixed), 10u);
-    EXPECT_EQ(parseNumber<uint64_t>("0x10", Digits::HexIfPrefixed), 16u);
-    for (const char *bad : {"ff", "0x", "-8", "1x", "0xfg"}) {
-        EXPECT_FALSE(parseNumber<uint64_t>(bad, Digits::HexIfPrefixed))
-            << "'" << bad << "'";
-    }
 }
 
 } // anonymous namespace

@@ -4,8 +4,9 @@
  * and well-formedness, coverage-map bookkeeping, campaign journal
  * determinism and resume, delta-debugging minimization, the
  * mutation-validation oracle (a deliberately wrong shadow must be
- * found and minimized), the corpus text format, and lockstep replay
- * of the committed corpus on both softfp backends.
+ * found and minimized), the specs written as corpus entries and crash
+ * bundles, and lockstep replay of the committed corpus on both softfp
+ * backends.
  */
 
 #include <cstdio>
@@ -16,10 +17,11 @@
 #include <sstream>
 #include <sys/wait.h>
 
+#include "assembler/assembler.hh"
 #include "common/json.hh"
-#include "fuzz/corpus.hh"
 #include "fuzz/fuzz_engine.hh"
 #include "fuzz/minimizer.hh"
+#include "isa/disasm.hh"
 #include "service/job_spec.hh"
 #include "test_dir.hh"
 
@@ -114,9 +116,8 @@ TEST(FuzzGen, LockstepCleanOnBothBackends)
         for (softfp::Backend backend :
              {softfp::Backend::Soft, softfp::Backend::HostFast}) {
             const BackendOutcome out =
-                runLockstep(prog, backend,
-                            machine::SemanticsMutation::None,
-                            2'000'000, 256 * 1024);
+                runLockstep(trialSpec(prog, backend, 2'000'000),
+                            machine::SemanticsMutation::None);
             EXPECT_FALSE(outcomeIsFailure(out.outcome))
                 << "seed " << seed << " backend "
                 << enumName(backend) << ": "
@@ -310,7 +311,6 @@ TEST(FuzzMinimizer, ShrinksToEssentialInstructions)
     // poison instruction. ddmin must strip everything else.
     const isa::Instr poison = isa::Instr::aluImm(isa::AluFunc::Add, 9, 0, 99);
     FuzzProgram prog;
-    prog.seed = 5;
     for (int i = 0; i < 40; ++i)
         prog.code.push_back(isa::Instr::aluImm(isa::AluFunc::Add, 1, 0, i));
     prog.code.insert(prog.code.begin() + 23, poison);
@@ -397,11 +397,19 @@ TEST(FuzzBundle, WritesReplayableArtifacts)
     config.crashDir = dir.file("crashes");
     FuzzEngine engine(config);
     std::string bundle;
+    unsigned minimized = 0;
     engine.run([&](const TrialResult &trial) {
-        if (bundle.empty() && !trial.bundlePath.empty())
+        if (bundle.empty() && !trial.bundlePath.empty()) {
             bundle = trial.bundlePath;
+            minimized = trial.minimizedSize;
+        }
     });
     ASSERT_FALSE(bundle.empty());
+    // A bundle is its report alone: no snapshot or program file rides
+    // along.
+    for (const auto &entry :
+         std::filesystem::directory_iterator(config.crashDir))
+        EXPECT_EQ(entry.path().extension(), ".json") << entry.path();
     const json::Value report = json::parse(slurp(bundle));
     EXPECT_EQ(report.at("mutation").asString(), "flip-sra");
     // The error is the caught SimError's one record, the shape the
@@ -414,24 +422,17 @@ TEST(FuzzBundle, WritesReplayableArtifacts)
     EXPECT_TRUE(error.has("pc"));
     EXPECT_TRUE(error.has("instr"));
     // The report's job is a spec the daemon could run: the minimized
-    // program and its memory image, with the lockstep shadow. No
-    // snapshot file rides along.
-    const std::string stem = bundle.substr(0, bundle.size() - 5);
-    EXPECT_FALSE(std::filesystem::exists(stem + ".snap"));
-    EXPECT_TRUE(std::filesystem::exists(stem + ".orig.prog"));
-    const FuzzProgram min = readProgramFile(stem + ".prog");
-    EXPECT_LE(min.code.size(), 8u);
+    // program and its memory image, with the lockstep shadow.
     const service::JobSpec spec =
         service::JobSpec::from_json(report.at("spec"));
     EXPECT_EQ(spec.kind, service::JobKind::Code);
+    EXPECT_EQ(spec.code.size(), minimized);
+    EXPECT_LE(spec.code.size(), 8u);
     EXPECT_TRUE(spec.lockstep);
     EXPECT_TRUE(spec.faultPlan.empty());
     EXPECT_EQ(spec.config.maxCycles, config.maxCycles);
-    EXPECT_EQ(spec.config.memory.memBytes, config.memBytes);
-    const machine::SimJob job = spec.resolve();
-    EXPECT_EQ(job.program.code, min.code);
-    EXPECT_EQ(job.memInit, min.memInit);
-    EXPECT_TRUE(job.lockstep);
+    EXPECT_EQ(spec.config.memory.memBytes, kTrialMemBytes);
+    EXPECT_TRUE(spec.resolve().lockstep);
 
     // bench/replay re-runs the bundle with its shadow and mutation and
     // reproduces the divergence at the reported cycle (exit 0).
@@ -448,60 +449,54 @@ TEST(FuzzBundle, WritesReplayableArtifacts)
         << transcript;
 }
 
-// --- Corpus format -----------------------------------------------------
+// --- Corpus --------------------------------------------------------
 
-TEST(FuzzCorpus, RoundTrip)
+TEST(FuzzCorpus, CampaignWritesEachKeptProgramAsItsSpec)
 {
+    TestDir dir("corpus_specs");
+    FuzzConfig config = smallConfig(2026, 40);
+    config.corpusDir = dir.file("corpus");
+    FuzzEngine engine(config);
     ProgramGen gen;
-    const FuzzProgram prog = gen.generate(99);
-    const FuzzProgram back = parseProgram(formatProgram(prog));
-    EXPECT_EQ(back.seed, prog.seed);
-    EXPECT_EQ(back.code, prog.code);
-    EXPECT_EQ(back.memInit, prog.memInit);
-}
-
-TEST(FuzzCorpus, RejectsGarbage)
-{
-    EXPECT_THROW(parseProgram("bogus 1 2\n"), SimError);
-    EXPECT_THROW(parseProgram("seed zz\ncode 0xf0000000\n"), SimError);
-    EXPECT_THROW(parseProgram("seed 1\n"), SimError); // no code
-    // Tokens are whole 0x-or-decimal numbers, unsigned.
-    for (const char *bad :
-         {"mem -8 1\ncode 0xf0000000\n", "mem 8 -1\ncode 0xf0000000\n",
-          "seed +1\ncode 0xf0000000\n", "seed -1\ncode 0xf0000000\n"}) {
-        try {
-            parseProgram(bad);
-            ADD_FAILURE() << "'" << bad << "' parsed";
-        } catch (const SimError &err) {
-            EXPECT_EQ(err.code(), ErrCode::BadProgram) << bad;
-        }
+    size_t kept = 0;
+    for (uint64_t t = 0; t < config.trials; ++t) {
+        // The program the trial generates: its seed against the
+        // coverage reached before it.
+        const FuzzProgram prog =
+            gen.generate(trialSeed(config.seed, t), &engine.coverage());
+        const TrialResult res = engine.runTrial(t);
+        char stem[32];
+        std::snprintf(stem, sizeof stem, "trial-%06llu",
+                      static_cast<unsigned long long>(t));
+        const std::string path =
+            config.corpusDir + "/" + std::string(stem) + ".json";
+        ASSERT_EQ(std::filesystem::exists(path), res.kept) << path;
+        if (!res.kept)
+            continue;
+        ++kept;
+        const service::JobSpec spec = service::JobSpec::parse(slurp(path));
+        EXPECT_EQ(spec.name, "fuzz-" + std::string(stem));
+        EXPECT_TRUE(spec.lockstep);
+        EXPECT_EQ(spec.config.memory.memBytes, kTrialMemBytes);
+        const machine::SimJob job = spec.resolve();
+        EXPECT_EQ(job.program.code, prog.code) << path;
+        EXPECT_EQ(job.memInit, prog.memInit) << path;
     }
-    // A leading zero is decimal, not octal.
-    EXPECT_EQ(parseProgram("seed 010\ncode 0xf0000000\n").seed, 10u);
+    EXPECT_GT(kept, 0u);
+    const std::vector<std::string> paths = listCorpus(config.corpusDir);
+    ASSERT_EQ(paths.size(), kept);
+
+    // An entry that does not ask for the shadow is refused, not run
+    // without the oracle.
+    service::JobSpec unchecked = service::JobSpec::parse(slurp(paths[0]));
+    unchecked.lockstep = false;
     try {
-        // Major opcode 11 is an invalid encoding.
-        parseProgram("seed 1\ncode 0xb0000000\n");
-        FAIL() << "undecodable word accepted";
+        runLockstep(unchecked, machine::SemanticsMutation::None);
+        ADD_FAILURE() << "spec without lockstep ran";
     } catch (const SimError &err) {
-        EXPECT_EQ(err.code(), ErrCode::BadEncoding);
+        EXPECT_EQ(err.code(), ErrCode::BadOperand);
     }
 }
-
-TEST(FuzzCorpus, FileRoundTripAndListing)
-{
-    TestDir dir("corpus_io");
-    ProgramGen gen;
-    writeProgramFile(dir.file("b.prog"), gen.generate(2));
-    writeProgramFile(dir.file("a.prog"), gen.generate(1));
-    std::ofstream(dir.file("ignored.txt")) << "not a program\n";
-    const std::vector<std::string> paths = listCorpus(dir.file(""));
-    ASSERT_EQ(paths.size(), 2u);
-    EXPECT_NE(paths[0].find("a.prog"), std::string::npos);
-    EXPECT_NE(paths[1].find("b.prog"), std::string::npos);
-    EXPECT_EQ(readProgramFile(paths[0]), gen.generate(1));
-}
-
-// --- Committed corpus replay ------------------------------------------
 
 TEST(FuzzCorpus, CommittedCorpusReplaysCleanOnBothBackends)
 {
@@ -510,13 +505,20 @@ TEST(FuzzCorpus, CommittedCorpusReplaysCleanOnBothBackends)
     const std::vector<std::string> paths = listCorpus(dir);
     ASSERT_FALSE(paths.empty()) << "no committed corpus under " << dir;
     for (const std::string &path : paths) {
-        const FuzzProgram prog = readProgramFile(path);
+        service::JobSpec spec = service::JobSpec::parse(slurp(path));
+        // Its listing assembles back to the entry's words.
+        std::string listing;
+        for (const isa::Instr &in : spec.resolve().program.code)
+            listing += isa::disassemble(in) + "\n";
+        std::vector<uint32_t> words;
+        for (const isa::Instr &in : assembler::assemble(listing).code)
+            words.push_back(in.encode());
+        EXPECT_EQ(words, spec.code) << path;
         for (softfp::Backend backend :
              {softfp::Backend::Soft, softfp::Backend::HostFast}) {
+            spec.config.fpBackend = backend;
             const BackendOutcome out =
-                runLockstep(prog, backend,
-                            machine::SemanticsMutation::None,
-                            2'000'000, 256 * 1024);
+                runLockstep(spec, machine::SemanticsMutation::None);
             EXPECT_FALSE(outcomeIsFailure(out.outcome))
                 << path << " [" << enumName(backend)
                 << "]: " << enumName(out.outcome) << " ("

@@ -185,20 +185,37 @@ TEST(JobSpec, FromJsonRejectsMalformedSpecs)
                      "{\"kind\":\"assembly\",\"assembly\":\"halt\","
                      "\"mem_init\":[[1]]}"),
                  SimError);
-    // Register indices past 32 bits are refused, not truncated onto
-    // r1 and f2.
-    for (const char *field : {"\"cpu_reg_init\":[[4294967297,5]]",
-                              "\"fpu_reg_init\":[[4294967298,5]]"}) {
+    // Numbers past their field's width are refused, not truncated:
+    // register indices onto r1 and f2, a code word onto 0xf (halt),
+    // the latency, store and miss-penalty counts onto 3, 2 and 14.
+    for (const char *field :
+         {"\"kind\":\"assembly\",\"assembly\":\"halt\","
+          "\"cpu_reg_init\":[[4294967297,5]]",
+          "\"kind\":\"assembly\",\"assembly\":\"halt\","
+          "\"fpu_reg_init\":[[4294967298,5]]",
+          "\"kind\":\"code\",\"code\":[4294967311]",
+          "\"kind\":\"code\",\"code\":[15],"
+          "\"config\":{\"fpu_latency\":4294967299}",
+          "\"kind\":\"code\",\"code\":[15],"
+          "\"config\":{\"store_cycles\":4294967298}",
+          "\"kind\":\"code\",\"code\":[15],\"config\":{\"memory\":"
+          "{\"data_cache\":{\"miss_penalty\":4294967310}}}"}) {
         SCOPED_TRACE(field);
         try {
-            service::JobSpec::parse(
-                std::string("{\"kind\":\"assembly\",\"assembly\":"
-                            "\"halt\",") +
-                field + "}");
-            ADD_FAILURE() << "out-of-range register index accepted";
+            service::JobSpec::parse(std::string("{") + field + "}");
+            ADD_FAILURE() << "out-of-range number accepted";
         } catch (const SimError &err) {
             EXPECT_EQ(err.code(), ErrCode::BadOperand);
         }
+    }
+    // A word that fits but decodes to no instruction (major opcode 11)
+    // parses, and resolving it is refused.
+    try {
+        service::JobSpec::parse("{\"kind\":\"code\",\"code\":[2952790016]}")
+            .resolve();
+        ADD_FAILURE() << "undecodable code word resolved";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.code(), ErrCode::BadEncoding);
     }
     // A memory past kMaxMemBytes is refused before anything is built
     // in it.
